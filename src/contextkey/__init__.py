@@ -3,7 +3,7 @@
 Subpackages by role: ``qmath`` (exact linear algebra and measurement),
 ``mapping`` (multi-party ↔ single-qudit isomorphism), ``inequality``
 (Mermin/CHSH statistics), ``protocol`` (round engine, sifting, keys),
-``adversary`` (intercept attacks, leakage, localization), ``noise``
+``adversary`` (eavesdropper configuration, leakage, localization), ``noise``
 (channel models and key rates), ``cli`` (command-line front end).
 """
 

@@ -5,16 +5,15 @@ measurement to the transiting state (a measurement-resend attack).  Her
 observable either commutes with everything measured afterwards — in which
 case the violation statistics are provably untouched and only masking
 denies her the key — or it does not, in which case the statistics collapse
-below the classical bound and the attack is detected.
+below the classical bound and the attack is detected.  The round engine
+(``protocol._Engine``) runs her measurement; this module holds her
+configuration and the analysis of what she learned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import qmath
 from .inequality import InequalityEstimate
 from .noise import mutual_information_from_pairs
 
@@ -27,9 +26,8 @@ class EveConfig:
     """Position, strategy, and observable of the eavesdropper.
 
     ``position`` is the link index: link k sits between parties k and k+1.
-    ``observable`` is a setting label such as ``"Z1"``; an arbitrary
-    dichotomic observable can be supplied as an involution ``matrix``
-    instead.  ``activity_rate`` is the fraction of rounds attacked.
+    ``observable`` is a setting label such as ``"Z1"``.
+    ``activity_rate`` is the fraction of rounds attacked.
     """
 
     position: int
@@ -37,7 +35,6 @@ class EveConfig:
     strategy: str = "commuting-measure"
     activity_rate: float = 1.0
     resend: str = "post-state"
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -48,8 +45,8 @@ class EveConfig:
             raise ValueError("activity_rate must lie in [0, 1]")
         if self.position < 1:
             raise ValueError("position is a 1-based link index")
-        if self.strategy != "none" and self.observable is None and self.matrix is None:
-            raise ValueError("an active eve needs an observable label or matrix")
+        if self.strategy != "none" and self.observable is None:
+            raise ValueError("an active eve needs an observable label")
 
 
 @dataclass(frozen=True)
@@ -62,47 +59,6 @@ class LeakageReport:
     expected_clean: dict[str, float]
     detected: bool
     sufficient_data: bool
-
-
-def eve_observable(config: EveConfig, indexing) -> qmath.DichotomicObservable:
-    """The full-space dichotomic observable Eve measures."""
-    from .inequality import LOCAL_MATRICES, split_label
-    from .mapping import lift_matrix
-
-    if config.matrix is not None:
-        return qmath.DichotomicObservable.from_involution(
-            np.asarray(config.matrix, dtype=np.complex128), label=config.observable or "custom"
-        )
-    prefix, party = split_label(config.observable)
-    lifted = lift_matrix(LOCAL_MATRICES[prefix], party, indexing)
-    return qmath.DichotomicObservable.from_involution(lifted, label=config.observable)
-
-
-def eve_intercept(
-    state: qmath.StateVector,
-    config: EveConfig,
-    rng: np.random.Generator,
-    indexing,
-    reference: qmath.StateVector | None = None,
-) -> tuple[qmath.StateVector, int | None]:
-    """Apply Eve's measurement to a transiting state.
-
-    Rounds she skips (per ``activity_rate``) pass through untouched.  With
-    the ``fresh-reference`` resend rule she forwards her outcome's
-    projection of ``reference`` instead of the post-measurement state.
-    """
-    if config.strategy == "none":
-        return state, None
-    if config.activity_rate < 1.0 and rng.random() >= config.activity_rate:
-        return state, None
-    obs = eve_observable(config, indexing)
-    outcome, post = qmath.measure_projective(state, obs, rng)
-    if config.resend == "fresh-reference":
-        if reference is None:
-            raise ValueError("fresh-reference resend needs the protocol reference state")
-        projected = obs.projector(outcome) @ reference.amplitudes
-        post = qmath.StateVector(projected / np.linalg.norm(projected))
-    return post, outcome
 
 
 def leakage_analysis(transcript, reference_party: int = 1) -> LeakageReport:

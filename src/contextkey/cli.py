@@ -5,13 +5,15 @@ Exit codes: 0 success (inequality violated), 2 inequality not violated
 
 All artifacts are deterministic functions of the seed and flags: the
 transcript (one JSON record per round), the machine report, the key files,
-and the sweep CSVs are byte-identical across reruns and thread counts.
+and the sweep CSVs are byte-identical across reruns.  ``--threads`` is
+accepted for compatibility and ignored; rounds run on one thread.
 Wall-clock timing lives only in the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -63,7 +65,7 @@ def _add_run_flags(parser, with_noise=True):
         action="store_true",
         help="drop the key observable from the masking generators",
     )
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument("--outdir", default=None)
     parser.add_argument("--prefix", default=None, help="output file prefix")
     parser.add_argument("--config", default=None, help="key = value file mirroring these flags")
@@ -112,9 +114,15 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     """Insert flags from a key = value file right after the subcommand."""
     if "--config" not in argv:
         return argv
-    path = argv[argv.index("--config") + 1]
+    position = argv.index("--config") + 1
+    if position == len(argv):
+        raise UsageError("--config needs a file path")
+    try:
+        text = Path(argv[position]).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
     tokens = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -168,6 +176,8 @@ def _resolve_outdir(flag_value: str | None) -> Path:
 
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
+        if flag_value < 0:
+            raise UsageError("--seed must be non-negative")
         return flag_value
     return int(np.random.SeedSequence().entropy % (2**63))
 
@@ -238,7 +248,7 @@ def read_transcript(path: Path, config: protocol.ProtocolConfig) -> protocol.Tra
                 key_round=raw["key_round"],
             )
         )
-    return protocol.Transcript(config=config, records=tuple(records), seed=config.seed)
+    return protocol.Transcript(config=config, records=tuple(records))
 
 
 def _write_json(payload: dict, path: Path):
@@ -258,10 +268,8 @@ def _manifest(command: str, args_echo: dict, seed: int, outputs: list[Path], rou
     }
 
 
-def _execute_protocol(args, eve=None):
-    args.seed = _resolve_seed(args.seed)
-    config = _build_config(args, eve=eve)
-    transcript = protocol.run_protocol(config, threads=max(1, args.threads))
+def _execute_protocol(config: protocol.ProtocolConfig):
+    transcript = protocol.run_protocol(config)
     sifting = protocol.sift(transcript)
     key = protocol.extract_key(sifting)
     estimates = protocol.check_estimates(transcript)
@@ -323,7 +331,7 @@ def _print_run_summary(report: dict):
         f"expected {report['expected_key_fraction']:.5f})"
     )
     for name, est in report["estimates"].items():
-        if est["value"] is None:
+        if not est["usable"]:
             print(f"{name}: insufficient data")
             continue
         print(
@@ -338,7 +346,8 @@ def _print_run_summary(report: dict):
 
 def cmd_run(args) -> int:
     started = time.monotonic()
-    config, transcript, sifting, key, estimates = _execute_protocol(args)
+    args.seed = _resolve_seed(args.seed)
+    config, transcript, sifting, key, estimates = _execute_protocol(_build_config(args))
     outdir = _resolve_outdir(args.outdir)
     prefix = args.prefix or "run"
     report = _run_report(config, transcript, sifting, key, estimates)
@@ -355,46 +364,33 @@ def cmd_run(args) -> int:
     return EXIT_OK if report["violated"] else EXIT_NO_VIOLATION
 
 
-def _classify_eve_strategy(args) -> str:
-    """Resolve --eve-strategy auto by checking commutation."""
-    probe = adversary.EveConfig(
-        position=args.eve_link,
-        observable=args.eve_obs,
-        strategy="commuting-measure",
-        activity_rate=args.eve_activity,
-        resend=args.eve_resend,
-    )
-    try:
-        protocol._Engine(
-            protocol.ProtocolConfig(
-                kind=args.kind, num_parties=args.parties, rounds=1, seed=0, eve=probe
-            )
-        )
-    except InvariantViolation:
-        return "noncommuting-measure"
-    return "commuting-measure"
-
-
 def cmd_attack(args) -> int:
     started = time.monotonic()
+    args.seed = _resolve_seed(args.seed)
+    auto = args.eve_strategy == "auto"
     try:
-        strategy = args.eve_strategy
-        if strategy == "auto":
-            strategy = _classify_eve_strategy(args)
         eve = adversary.EveConfig(
             position=args.eve_link,
             observable=args.eve_obs,
-            strategy=strategy,
+            strategy="commuting-measure" if auto else args.eve_strategy,
             activity_rate=args.eve_activity,
             resend=args.eve_resend,
         )
-        # surface bad labels / wrong commuting claims as usage errors
-        protocol._Engine(
-            protocol.ProtocolConfig(kind=args.kind, num_parties=args.parties, rounds=1, seed=0, eve=eve)
-        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    config, transcript, sifting, key, estimates = _execute_protocol(args, eve=eve)
+    config = _build_config(args, eve=eve)
+    # surface bad labels / wrong commuting claims as usage errors; under
+    # auto, an observable that fails to commute is measured anyway
+    try:
+        protocol.check_eve(config)
+    except InvariantViolation as exc:
+        if not auto:
+            raise UsageError(str(exc)) from exc
+        eve = dataclasses.replace(eve, strategy="noncommuting-measure")
+        config = dataclasses.replace(config, eve=eve)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    config, transcript, sifting, key, estimates = _execute_protocol(config)
     leakage = adversary.leakage_analysis(transcript)
     outdir = _resolve_outdir(args.outdir)
     prefix = args.prefix or "attack"
@@ -442,63 +438,41 @@ def _format_float(value: float) -> str:
     return f"{value:.10g}"
 
 
+def _surface_row(point, reports) -> list[str]:
+    """One CSV row: the grid point, then each report's pair MIs, key rate and argmin pair."""
+    row = [_format_float(value) for value in point]
+    for report in reports:
+        row += [_format_float(report.pairwise_mi[pair]) for pair in ((1, 2), (1, 3), (2, 3))]
+        row += [_format_float(report.key_rate), f"{report.min_pair[0]}-{report.min_pair[1]}"]
+    return row
+
+
 def _sweep_rows(model: str, kind: str, grid: int, eta: float | None):
     """(header, rows) of the analytic surface for one model."""
     if model in ("flip", "model1", "model2"):
         if model != "flip" and eta is None:
             raise UsageError(f"--eta is required for {model}")
         axis = np.linspace(0.0, 0.5, grid)
-        conventions = ("conditional", "throughput") if model == "model2" else ("conditional",)
-        header = ["eps1", "eps2"]
-        for conv in conventions:
-            tag = f"_{conv}" if model == "model2" else ""
-            header += [f"mi_12{tag}", f"mi_13{tag}", f"mi_23{tag}", f"key_rate{tag}", f"min_pair{tag}"]
-        rows = []
-        for eps1 in axis:
-            for eps2 in axis:
-                row = [_format_float(eps1), _format_float(eps2)]
-                for conv in conventions:
-                    report = noise.analytic_key_rate(
-                        model, kind, eps1=eps1, eps2=eps2, eta=(eta or 0.0), convention=conv
-                    )
-                    row += [
-                        _format_float(report.pairwise_mi[(1, 2)]),
-                        _format_float(report.pairwise_mi[(1, 3)]),
-                        _format_float(report.pairwise_mi[(2, 3)]),
-                        _format_float(report.key_rate),
-                        f"{report.min_pair[0]}-{report.min_pair[1]}",
-                    ]
-                rows.append(row)
-        return header, rows
-    if model == "white":
-        axis = np.linspace(0.0, 1.0, grid)
-        header = ["eps", "mi_12", "mi_13", "mi_23", "key_rate", "min_pair"]
-        rows = []
-        for eps in axis:
-            report = noise.analytic_key_rate(model, kind, eps=eps)
-            rows.append([
-                _format_float(eps),
-                _format_float(report.pairwise_mi[(1, 2)]),
-                _format_float(report.pairwise_mi[(1, 3)]),
-                _format_float(report.pairwise_mi[(2, 3)]),
-                _format_float(report.key_rate),
-                f"{report.min_pair[0]}-{report.min_pair[1]}",
-            ])
-        return header, rows
-    # detector: eta is the misread probability
-    axis = np.linspace(0.0, 0.5, grid)
-    header = ["eta", "mi_12", "mi_13", "mi_23", "key_rate", "min_pair"]
-    rows = []
-    for eta_value in axis:
-        report = noise.analytic_key_rate(model, kind, eta=eta_value)
-        rows.append([
-            _format_float(eta_value),
-            _format_float(report.pairwise_mi[(1, 2)]),
-            _format_float(report.pairwise_mi[(1, 3)]),
-            _format_float(report.pairwise_mi[(2, 3)]),
-            _format_float(report.key_rate),
-            f"{report.min_pair[0]}-{report.min_pair[1]}",
+        names = ("eps1", "eps2")
+        points = [(eps1, eps2) for eps1 in axis for eps2 in axis]
+        fixed = {"eta": eta or 0.0}
+    else:
+        # white: noise weight eps in [0, 1]; detector: misread probability eta
+        names = ("eps",) if model == "white" else ("eta",)
+        points = [(value,) for value in np.linspace(0.0, 1.0 if model == "white" else 0.5, grid)]
+        fixed = {}
+    conventions = ("conditional", "throughput") if model == "model2" else ("conditional",)
+    header = list(names)
+    for conv in conventions:
+        tag = f"_{conv}" if model == "model2" else ""
+        header += [f"mi_12{tag}", f"mi_13{tag}", f"mi_23{tag}", f"key_rate{tag}", f"min_pair{tag}"]
+    rows = [
+        _surface_row(point, [
+            noise.analytic_key_rate(model, kind, convention=conv, **dict(zip(names, point)), **fixed)
+            for conv in conventions
         ])
+        for point in points
+    ]
     return header, rows
 
 
@@ -554,6 +528,12 @@ def cmd_sweep(args) -> int:
     grid = args.grid or (51 if args.model in ("flip", "model1", "model2") else 101)
     if grid < 2:
         raise UsageError("--grid must be at least 2")
+    if args.eta is not None and not 0.0 <= args.eta <= 1.0:
+        raise UsageError(f"--eta {args.eta:g} outside [0, 1]")
+    if args.empirical_rounds is not None and args.empirical_rounds < 0:
+        raise UsageError("--empirical-rounds must not be negative")
+    if args.empirical_grid < 1:
+        raise UsageError("--empirical-grid must be at least 1")
     _validate_sweep(args.model, args.kind, args.eta)
     header, rows = _sweep_rows(args.model, args.kind, grid, args.eta)
     outdir = _resolve_outdir(args.outdir)

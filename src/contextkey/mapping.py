@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import (
-    DichotomicObservable,
-    DimensionMismatch,
-    HermitianOperator,
-    InvariantViolation,
-    StateVector,
-    UnitaryOperator,
-)
+from .qmath import DichotomicObservable, DimensionMismatch, InvariantViolation, StateVector
 
 MAX_QUBIT_EQUIVALENT = 12
 
@@ -66,22 +59,6 @@ class PartyIndexing:
             raise ValueError(f"party {party} out of range 1..{self.num_parties}")
 
 
-@dataclass(frozen=True)
-class LocalObservable:
-    """A d×d Hermitian matrix attached to one party."""
-
-    matrix: np.ndarray
-    party: int
-    label: str = ""
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-            raise InvariantViolation(f"local observable {self.label!r} is not Hermitian")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
 def index_from_digits(digits, indexing: PartyIndexing) -> int:
     """Map per-party digits (j₁, …, j_N) to the single-system basis index."""
     digits = list(digits)
@@ -120,39 +97,6 @@ def lift_matrix(local: np.ndarray, party: int, indexing: PartyIndexing) -> np.nd
     for col_digit in range(d):
         out[rows, base + col_digit * stride] = local[row_digit, col_digit]
     return out
-
-
-def lift_observable(local: LocalObservable, indexing: PartyIndexing) -> HermitianOperator:
-    """Lift a single-party observable to the full space."""
-    return HermitianOperator(lift_matrix(local.matrix, local.party, indexing))
-
-
-def lift_unitary(block: np.ndarray, first_party: int, indexing: PartyIndexing) -> UnitaryOperator:
-    """Lift a unitary acting on a contiguous party range starting at ``first_party``.
-
-    The block must be d^m × d^m for some m; it then covers parties
-    ``first_party`` … ``first_party + m − 1``.
-    """
-    block = np.asarray(block, dtype=np.complex128)
-    d = indexing.local_dim
-    span = block.shape[0]
-    num_block_parties = round(np.log(span) / np.log(d))
-    if d**num_block_parties != span or block.shape != (span, span):
-        raise DimensionMismatch(f"block shape {block.shape} is not a power of the local dimension")
-    last_party = first_party + num_block_parties - 1
-    indexing._check_party(first_party)
-    indexing._check_party(last_party)
-    if np.max(np.abs(block.conj().T @ block - np.eye(span))) > 1e-10:
-        raise InvariantViolation("block is not unitary")
-    stride = indexing.stride(last_party)
-    dim = indexing.total_dim
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    rows = np.arange(dim)
-    row_digit = (rows // stride) % span
-    base = rows - row_digit * stride
-    for col_digit in range(span):
-        out[rows, base + col_digit * stride] = block[row_digit, col_digit]
-    return UnitaryOperator(out)
 
 
 def dichotomic_from_local(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DichotomicObservable, DensityOperator, StateVector
+from .qmath import DichotomicObservable, DensityOperator
 
 ERASED = "e"
 
@@ -176,31 +176,6 @@ def detector_effects(obs: DichotomicObservable, noise: DetectorNoise) -> list[tu
         eye = np.eye(obs.dim)
         return [(+1, eta * plus), (-1, eta * minus), (ERASED, (1 - eta) * eye)]
     raise TypeError(f"unsupported detector noise {noise!r}")
-
-
-def sample_noisy_preparation(
-    ideal_bit: int, noise: PrepNoise | None, kind: str, dim: int, rng: np.random.Generator
-) -> int:
-    """Sample the basis index actually emitted for a key-basis preparation.
-
-    Exact for these models: every noisy preparation is a classical mixture
-    of computational-basis states, so sampling the mixture and proceeding
-    with pure states reproduces all downstream statistics.
-    """
-    zero_idx, one_idx = key_basis_states(kind, dim)
-    target = zero_idx if ideal_bit == 0 else one_idx
-    if noise is None:
-        return target
-    if isinstance(noise, FlipPrep):
-        eps = noise.eps1 if ideal_bit == 0 else noise.eps2
-        if eps > 0.0 and rng.random() < eps:
-            return one_idx if ideal_bit == 0 else zero_idx
-        return target
-    if isinstance(noise, WhitePrep):
-        if noise.eps > 0.0 and rng.random() < noise.eps:
-            return int(rng.integers(dim))
-        return target
-    raise TypeError(f"unsupported preparation noise {noise!r}")
 
 
 # --- analytic key rates -------------------------------------------------

@@ -6,23 +6,23 @@ party measures its random setting, masks (all but the last), and forwards.
 In the pairwise-grouped CHSH variant each party re-prepares a fresh
 four-dimensional state instead of forwarding the measured one.
 
-All randomness flows from one 64-bit seed through named substreams
+All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise).  Each stream is materialized as one array
-row per round before execution, so rounds are independent, reproducible,
-order-independent, and may run concurrently with a transcript identical
-to sequential execution.  Toggling masking, noise, or the eavesdropper
-never shifts the other streams.
+row per round before execution, so rounds are independent, reproducible
+and order-independent; they run one after another on one thread.
+Toggling masking, noise, or the eavesdropper never shifts the other
+streams.
 
-The engine keeps states as raw amplitude vectors and applies single-party
-2×2 operators by index arithmetic; the wrapped qmath/mapping primitives
-define the semantics and are cross-checked against this fast path in the
-test suite.
+The engine is the only round player.  It keeps states as raw amplitude
+vectors and applies single-party 2×2 operators by index arithmetic.  The
+dense qmath/mapping path is its test oracle: a reference player in the
+test suite replays the engine's variates with full D×D operators and
+must reproduce every recorded outcome.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from . import inequality, qmath
 from .adversary import EveConfig
 from .inequality import LOCAL_MATRICES, InequalityEstimate, split_label
-from .mapping import PartyIndexing, lift_matrix
+from .mapping import MAX_QUBIT_EQUIVALENT, PartyIndexing, lift_matrix
 from .noise import (
     FlipPrep,
     LossDetector,
@@ -55,15 +55,8 @@ _STREAMS = {"round": 0, "masking": 1, "eve": 2, "noise": 3}
 
 
 def stream_generator(seed: int, name: str) -> np.random.Generator:
-    """The named top-level substream of one run."""
+    """The named top-level random stream of one run."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_STREAMS[name],)))
-
-
-def substream(seed: int, name: str, round_id: int) -> np.random.Generator:
-    """Per-round generator, for consumers that need a full Generator."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_STREAMS[name], round_id))
-    )
 
 
 @dataclass(frozen=True)
@@ -79,19 +72,20 @@ class ProtocolConfig:
     noise: NoiseConfig | None = None
     eve: EveConfig | None = None
 
-    #: size t of each party's setting set
-    observable_set_size: int = 3
-
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         minimum = 3 if self.kind == "mermin" else 2
         if self.num_parties < minimum:
             raise ValueError(f"{self.kind} protocol needs at least {minimum} parties")
+        if self.kind == "mermin" and self.num_parties > MAX_QUBIT_EQUIVALENT:
+            raise ValueError(
+                f"{self.num_parties} parties exceed the 2^{MAX_QUBIT_EQUIVALENT} size guard"
+            )
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
-        if self.observable_set_size != 3:
-            raise ValueError("each party draws from exactly three settings")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.eve is not None and not 1 <= self.eve.position < self.num_parties:
             raise ValueError(
                 f"eve position {self.eve.position} is not a link index in 1..{self.num_parties - 1}"
@@ -113,14 +107,16 @@ class MaskingSpec:
 def masking_unitary(
     k: int, spec: MaskingSpec, rng: np.random.Generator, indexing: PartyIndexing | None = None
 ) -> UnitaryOperator:
-    """exp(i Σⱼ θⱼGⱼ), θⱼ ~ U[0, 2π), over the spec's lifted generators.
+    """Lifted product of exp(iθⱼGⱼ), θⱼ ~ U[0, 2π), one factor per spec label.
 
-    Every generator must act on parties 1..k so the result commutes with
-    all observables of parties k+1..N.
+    The first label's rotation acts first, as in the engine's masking, so
+    the X, Y, Z labels of one party give exactly the rotation the engine
+    applies for them.  Every generator must be a Pauli on parties 1..k, so
+    the result commutes with all observables of parties k+1..N.
     """
     if indexing is None:
         indexing = PartyIndexing(spec.num_parties)
-    terms = []
+    matrix = np.eye(indexing.total_dim, dtype=np.complex128)
     for label in spec.generator_labels:
         prefix, party = split_label(label)
         if party > k:
@@ -128,10 +124,8 @@ def masking_unitary(
                 f"masking generator {label} leaks onto party {party} > {k}"
             )
         theta = rng.uniform(0.0, TWO_PI)
-        terms.append(
-            (theta, qmath.HermitianOperator(lift_matrix(LOCAL_MATRICES[prefix], party, indexing)))
-        )
-    return qmath.unitary_from_generator(terms, dim=indexing.total_dim)
+        matrix = lift_matrix(_su2_product((prefix,), (theta,)), party, indexing) @ matrix
+    return UnitaryOperator(matrix)
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,6 @@ class RoundRecord:
 class Transcript:
     config: ProtocolConfig
     records: tuple[RoundRecord, ...]
-    seed: int
 
     def __post_init__(self):
         if len(self.records) != self.config.rounds:
@@ -215,12 +208,6 @@ def is_check_round(kind: str, labels) -> bool:
     return _check_round_from_prefixes(kind, [split_label(lab)[0] for lab in labels])
 
 
-def is_revealed(kind: str, labels) -> bool:
-    if kind == "mermin":
-        return is_check_round(kind, labels)
-    return not is_key_round(kind, labels)
-
-
 def key_bit(kind: str, party: int, outcome: int | None) -> int | None:
     """Outcome-to-bit map; adjacent CHSH outcomes alternate, so parity-adjust."""
     if outcome is None:
@@ -255,16 +242,57 @@ def _su2_product(axes: tuple[str, ...], angles) -> np.ndarray:
     return np.array([[a, b], [c, d]])
 
 
+def _qudit_indexing(config: ProtocolConfig) -> PartyIndexing:
+    """The qudit parties of one transmitted state: all N, or the CHSH pair."""
+    return PartyIndexing(config.num_parties if config.kind == "mermin" else 2)
+
+
+def _future_labels(config: ProtocolConfig, link: int) -> list[str]:
+    """Observables that may still be measured on a state crossing ``link``."""
+    labels = party_labels(config.kind, config.num_parties)
+    if config.kind == "mermin":
+        return [label for later in labels[link:] for label in later]
+    return list(labels[link])  # the receiving party's settings
+
+
+def check_eve(config: ProtocolConfig) -> None:
+    """Reject an eavesdropper the engine cannot run as configured.
+
+    Her observable must be a setting label on one of the state's qudit
+    parties (ValueError otherwise).  Under ``commuting-measure`` it must
+    also commute with every setting still measured after her link; a
+    failed commutation raises InvariantViolation.
+    """
+    eve = config.eve
+    if eve is None or eve.strategy == "none":
+        return
+    prefix, party = split_label(eve.observable)
+    indexing = _qudit_indexing(config)
+    indexing._check_party(party)
+    if eve.strategy != "commuting-measure":
+        return
+    lifted = lift_matrix(LOCAL_MATRICES[prefix], party, indexing)
+    for label in _future_labels(config, eve.position):
+        other_prefix, other_party = split_label(label)
+        other = lift_matrix(LOCAL_MATRICES[other_prefix], other_party, indexing)
+        if qmath.commutator_norm(lifted, other) > 1e-10:
+            raise InvariantViolation(
+                f"eve observable {eve.observable} does not commute with {label}; "
+                "use the noncommuting-measure strategy"
+            )
+
+
 class _Engine:
-    """Precomputed per-run machinery; play_round is thread-safe."""
+    """Precomputed per-run machinery and the round player."""
 
     def __init__(self, config: ProtocolConfig):
+        check_eve(config)
         self.config = config
         self.kind = config.kind
         self.num_parties = config.num_parties
         self.dim = config.dim
-        num_qudit_parties = config.num_parties if self.kind == "mermin" else 2
-        self.indexing = PartyIndexing(num_qudit_parties)
+        self.indexing = _qudit_indexing(config)
+        num_qudit_parties = self.indexing.num_parties
         self.labels = party_labels(self.kind, self.num_parties)
         self.parsed = tuple(tuple(split_label(lab) for lab in labs) for labs in self.labels)
         self.key_prefixes = KEY_PREFIXES[self.kind]
@@ -284,10 +312,8 @@ class _Engine:
         self.prep_noise = config.noise.prep if config.noise else None
         self.det_noise = config.noise.detector if config.noise else None
         self.eve = config.eve if (config.eve and config.eve.strategy != "none") else None
-        self.eve_parsed = None
-        self.eve_custom = None
-        if self.eve is not None:
-            self._prepare_eve()
+        self.eve_parsed = split_label(self.eve.observable) if self.eve is not None else None
+        self.projected = self._reference_projections()
         self._pregenerate()
 
     # -- construction ----------------------------------------------------
@@ -321,41 +347,29 @@ class _Engine:
         self._mask_angle_count = offset
         return plan
 
-    def _future_labels(self, link: int) -> list[str]:
-        """Observables that may still be measured on a state crossing ``link``."""
-        if self.kind == "mermin":
-            out = []
-            for k in range(link + 1, self.num_parties + 1):
-                out.extend(self.labels[k - 1])
-            return out
-        return list(self.labels[link])  # the receiving party's settings
+    def _reference_projections(self) -> dict[tuple[str, int, int], np.ndarray]:
+        """Read-only normalized projections of the reference state.
 
-    def _prepare_eve(self):
-        eve = self.eve
-        if eve.matrix is not None:
-            involution = np.asarray(eve.matrix, dtype=np.complex128)
-            label = eve.observable or "custom"
-            self.eve_custom = qmath.DichotomicObservable.from_involution(involution, label=label)
-            lifted = involution
-        else:
-            if eve.observable is None:
-                raise ValueError("eve strategy needs an observable label or matrix")
-            prefix, party = split_label(eve.observable)
-            self.indexing._check_party(party)
-            self.eve_parsed = (prefix, party)
-            lifted = lift_matrix(LOCAL_MATRICES[prefix], party, self.indexing)
-        if eve.strategy == "commuting-measure":
-            for label in self._future_labels(eve.position):
-                prefix, party = split_label(label)
-                other = lift_matrix(LOCAL_MATRICES[prefix], party, self.indexing)
-                if qmath.commutator_norm(lifted, other) > 1e-10:
-                    raise InvariantViolation(
-                        f"eve observable {eve.observable} does not commute with {label}; "
-                        "use the noncommuting-measure strategy"
-                    )
+        Keyed by (prefix, party, outcome) for every setting and for Eve's
+        observable: what a party prepares for an outcome, and what Eve
+        forwards under the ``fresh-reference`` resend rule.
+        """
+        observables = {pair for parsed in self.parsed for pair in parsed}
+        if self.eve_parsed is not None:
+            observables.add(self.eve_parsed)
+        table = {}
+        for prefix, party in observables:
+            for outcome in (+1, -1):
+                branch = self._apply_local(self.plus_projectors[prefix], self.reference, party)
+                if outcome < 0:
+                    branch = self.reference - branch
+                branch = branch / math.sqrt(np.vdot(branch, branch).real)
+                branch.setflags(write=False)
+                table[prefix, party, outcome] = branch
+        return table
 
     def _pregenerate(self):
-        """Materialize every named substream as one row per round."""
+        """Materialize every named stream as one row per round."""
         config = self.config
         rounds = config.rounds
         n = self.num_parties
@@ -368,7 +382,7 @@ class _Engine:
             self._angles = g_mask.random(size=(rounds, self._mask_angle_count)) * TWO_PI
         else:
             self._angles = None
-        if self.eve is not None and self.eve_custom is None:
+        if self.eve is not None:
             g_eve = stream_generator(config.seed, "eve")
             self._eve_u = g_eve.random(size=(rounds, 2))
         else:
@@ -413,12 +427,6 @@ class _Engine:
         branch_minus = state - branch_plus
         return outcome, branch_minus / math.sqrt(max(p_minus, PROB_FLOOR))
 
-    def _project_reference(self, prefix: str, party: int, outcome: int) -> np.ndarray:
-        branch = self._apply_local(self.plus_projectors[prefix], self.reference, party)
-        if outcome < 0:
-            branch = self.reference - branch
-        return branch / math.sqrt(np.vdot(branch, branch).real)
-
     # -- per-round hooks ---------------------------------------------------
 
     def _mask(self, state: np.ndarray, sender: int, angles) -> np.ndarray:
@@ -432,19 +440,13 @@ class _Engine:
         eve = self.eve
         if eve is None or eve.position != link:
             return state, None
-        if self.eve_custom is not None:
-            rng = substream(self.config.seed, "eve", round_id)
-            if eve.activity_rate < 1.0 and rng.random() >= eve.activity_rate:
-                return state, None
-            outcome, post = qmath.measure_projective(qmath.StateVector(state), self.eve_custom, rng)
-            return post.amplitudes, outcome
         u_active, u_measure = self._eve_u[round_id]
         if eve.activity_rate < 1.0 and u_active >= eve.activity_rate:
             return state, None
         prefix, party = self.eve_parsed
         outcome, post = self._measure_local(state, prefix, party, u_measure)
         if eve.resend == "fresh-reference":
-            post = self._project_reference(prefix, party, outcome)
+            post = self.projected[prefix, party, outcome]
         return post, outcome
 
     def _detector_record(self, outcome: int, prefix: str, bob: int, round_id: int) -> int | None:
@@ -460,26 +462,29 @@ class _Engine:
     def _prepare(
         self, bob: int, prefix: str, party: int, outcome: int, round_id: int
     ) -> np.ndarray:
-        """State actually emitted when ``bob`` prepares with the given intent."""
-        if self.prep_noise is not None and prefix == "Z":
+        """State actually emitted when ``bob`` prepares for ``outcome``.
+
+        Without noise, and for settings outside the key, this is the
+        reference state's projection for the outcome.  A key setting's
+        flip noise first flips the outcome, with eps1 or eps2 chosen by its
+        key bit; white noise instead emits a uniformly drawn basis state.
+        """
+        prep = self.prep_noise
+        if prep is not None and prefix in self.key_prefixes:
             slot = 0 if self.kind == "mermin" else bob - 1
             u = self._noise_u[round_id, slot]
-            shared_bit = key_bit(self.kind, bob, outcome)
-            zero_idx, one_idx = (0, self.dim - 1) if self.kind == "mermin" else (1, 2)
-            target = zero_idx if shared_bit == 0 else one_idx
-            if isinstance(self.prep_noise, FlipPrep):
-                eps = self.prep_noise.eps1 if shared_bit == 0 else self.prep_noise.eps2
+            if isinstance(prep, FlipPrep):
+                eps = prep.eps1 if key_bit(self.kind, bob, outcome) == 0 else prep.eps2
                 if u < eps:
-                    target = one_idx if shared_bit == 0 else zero_idx
-            elif isinstance(self.prep_noise, WhitePrep):
-                if u < self.prep_noise.eps:
-                    target = int(self._white_idx[round_id, slot])
+                    outcome = -outcome
+            elif isinstance(prep, WhitePrep):
+                if u < prep.eps:
+                    ket = np.zeros(self.dim, dtype=np.complex128)
+                    ket[self._white_idx[round_id, slot]] = 1.0
+                    return ket
             else:
-                raise TypeError(f"unsupported preparation noise {self.prep_noise!r}")
-            ket = np.zeros(self.dim, dtype=np.complex128)
-            ket[target] = 1.0
-            return ket
-        return self._project_reference(prefix, party, outcome)
+                raise TypeError(f"unsupported preparation noise {prep!r}")
+        return self.projected[prefix, party, outcome]
 
     # -- round execution ---------------------------------------------------
 
@@ -541,30 +546,10 @@ class _Engine:
         )
 
 
-def run_mermin_round(config: ProtocolConfig, round_id: int = 0) -> RoundRecord:
-    """Play a single chain round; randomness derives from (seed, round_id)."""
-    if config.kind != "mermin":
-        raise ValueError("config is not a mermin protocol")
-    return _Engine(config).play_round(round_id)
-
-
-def run_chsh_round(config: ProtocolConfig, round_id: int = 0) -> RoundRecord:
-    """Play a single pairwise-grouped round; randomness derives from (seed, round_id)."""
-    if config.kind != "chsh":
-        raise ValueError("config is not a chsh protocol")
-    return _Engine(config).play_round(round_id)
-
-
-def run_protocol(config: ProtocolConfig, threads: int = 1) -> Transcript:
-    """Execute all rounds; the transcript is independent of ``threads``."""
+def run_protocol(config: ProtocolConfig) -> Transcript:
+    """Execute all rounds in order."""
     engine = _Engine(config)
-    round_ids = range(config.rounds)
-    if threads <= 1:
-        records = [engine.play_round(i) for i in round_ids]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(engine.play_round, round_ids, chunksize=256))
-    return Transcript(config=config, records=tuple(records), seed=config.seed)
+    return Transcript(config=config, records=tuple(engine.play_round(i) for i in range(config.rounds)))
 
 
 def sift(transcript: Transcript) -> SiftingResult:

@@ -8,7 +8,7 @@ random generator consumed by the sampling routines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,22 +203,6 @@ def measure_projective(
     return outcome, StateVector(branch / np.sqrt(prob))
 
 
-def measure_density(
-    rho: DensityOperator, obs: DichotomicObservable, rng: np.random.Generator
-) -> tuple[int, DensityOperator]:
-    """Born-rule sample on a mixed state with the projective state update."""
-    _check_dims(rho.dim, obs.dim)
-    p_plus = float(np.real(np.trace(obs.plus_projector @ rho.matrix)))
-    p_minus = float(np.real(np.trace(obs.minus_projector @ rho.matrix)))
-    if abs(p_plus + p_minus - 1.0) > 1e-10:
-        raise InvariantViolation(f"branch probabilities sum to {p_plus + p_minus}")
-    outcome = _sample_branch(p_plus, p_minus, rng)
-    proj = obs.projector(outcome)
-    prob = p_plus if outcome > 0 else p_minus
-    post = proj @ rho.matrix @ proj / prob
-    return outcome, DensityOperator(post)
-
-
 def _sample_branch(p_plus: float, p_minus: float, rng: np.random.Generator) -> int:
     if p_plus < PROB_FLOOR and p_minus < PROB_FLOOR:
         raise InvariantViolation("both branch probabilities vanish; state is corrupted")
@@ -256,48 +240,12 @@ def expectation(state: StateVector | DensityOperator, op: HermitianOperator | np
     return float(value.real)
 
 
-def unitary_from_generator(
-    terms: list[tuple[float, HermitianOperator]], dim: int | None = None
-) -> UnitaryOperator:
-    """exp(i·Σ βⱼGⱼ) via exact spectral decomposition of the Hermitian sum.
-
-    ``dim`` is only needed for the empty-sum case, which returns the identity.
-    """
-    if not terms:
-        if dim is None:
-            raise ValueError("dim required for an empty generator sum")
-        return UnitaryOperator(np.eye(dim, dtype=np.complex128))
-    gen_dim = _check_dims(*(g.dim for _, g in terms))
-    if dim is not None and dim != gen_dim:
-        raise DimensionMismatch(f"generators are {gen_dim}-dimensional, expected {dim}")
-    total = np.zeros((gen_dim, gen_dim), dtype=np.complex128)
-    for coeff, gen in terms:
-        total += coeff * gen.matrix
-    eigvals, eigvecs = np.linalg.eigh(total)
-    matrix = (eigvecs * np.exp(1j * eigvals)) @ eigvecs.conj().T
-    return UnitaryOperator(matrix)
-
-
 def apply_unitary(state: StateVector | DensityOperator, u: UnitaryOperator):
     """U|Ψ⟩ or UρU†."""
     _check_dims(state.dim, u.dim)
     if isinstance(state, StateVector):
         return StateVector(u.matrix @ state.amplitudes)
     return DensityOperator(u.matrix @ state.matrix @ u.matrix.conj().T)
-
-
-def tensor(a, b):
-    """Kronecker product of two states or two operators (wrapper-preserving)."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    mat_a = a.matrix if hasattr(a, "matrix") else np.asarray(a)
-    mat_b = b.matrix if hasattr(b, "matrix") else np.asarray(b)
-    return np.kron(mat_a, mat_b)
-
-
-def dagger(a) -> np.ndarray:
-    mat = a.matrix if hasattr(a, "matrix") else np.asarray(a)
-    return mat.conj().T
 
 
 def commutator_norm(a, b) -> float:

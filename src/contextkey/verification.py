@@ -99,22 +99,7 @@ def check_spectral_round_trip():
         _require(np.max(np.abs(rebuilt - op.matrix)) < TOL, f"spectral round trip failed at dim {dim}")
 
 
-def check_unitary_generator_unitarity():
-    rng = np.random.default_rng(20240 + 14)
-    indexing = mapping.PartyIndexing(2)
-    gens = [
-        qmath.HermitianOperator(mapping.lift_matrix(mapping.PAULI[axis], party, indexing))
-        for axis in "XYZ"
-        for party in (1, 2)
-    ]
-    for _ in range(1000):
-        coeffs = rng.uniform(0, 2 * math.pi, len(gens))
-        u = qmath.unitary_from_generator(list(zip(coeffs, gens)))
-        residue = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(4)))
-        _require(residue < TOL, f"generator exponential not unitary: residue {residue}")
-
-
-def check_measure_density_matches_projective():
+def check_density_matches_pure_probabilities():
     rng = np.random.default_rng(20240 + 15)
     indexing = mapping.PartyIndexing(3)
     for axis in "XYZ":
@@ -290,8 +275,7 @@ ALL_CHECKS = [
     ("lifted_vs_tensor_oracle", check_lifted_vs_tensor_oracle),
     ("lift_commutation", check_lift_commutation),
     ("spectral_round_trip", check_spectral_round_trip),
-    ("unitary_generator_unitarity", check_unitary_generator_unitarity),
-    ("measure_density_matches_projective", check_measure_density_matches_projective),
+    ("density_matches_pure_probabilities", check_density_matches_pure_probabilities),
     ("mermin_value_exact", check_mermin_values),
     ("mermin_bound_N3", check_mermin_bounds),
     ("mermin_operator_identity", check_mermin_operator_identity),

@@ -34,64 +34,60 @@ class TestEveConfigValidation:
         protocol.run_protocol(config)
 
 
+def _eve_engine(eve: EveConfig, rounds: int = 12) -> protocol._Engine:
+    """The round engine of a three-party mermin run with the given eavesdropper."""
+    return protocol._Engine(protocol.ProtocolConfig("mermin", 3, rounds, seed=7, eve=eve))
+
+
+def _basis(index: int) -> np.ndarray:
+    return qmath.StateVector.basis(8, index).amplitudes
+
+
 class TestEveIntercept:
+    """The engine's Eve hook on fixed transiting states."""
+
     def test_x1_interception_fixture(self):
         # |0⟩ of three qubit-parties: X1 gives ±1 evenly, the post state is
         # (|0⟩ ± |4⟩)/√2, and the third party's Z outcome stays +1.
         indexing = mapping.PartyIndexing(3)
-        config = EveConfig(position=2, observable="X1", strategy="commuting-measure")
+        engine = _eve_engine(EveConfig(position=2, observable="X1", strategy="commuting-measure"))
         seen = set()
-        for seed in range(12):
-            state = qmath.StateVector.basis(8, 0)
-            post, outcome = adversary.eve_intercept(state, config, np.random.default_rng(seed), indexing)
+        for round_id in range(12):
+            post, outcome = engine._eve_hook(_basis(0), 2, round_id)
             seen.add(outcome)
             expected = np.zeros(8, dtype=complex)
             expected[0], expected[4] = 1 / math.sqrt(2), outcome / math.sqrt(2)
-            assert np.max(np.abs(post.amplitudes - expected)) < 1e-10
-            z3_plus, _ = qmath.branch_probabilities(post, mapping.pauli("Z", 3, indexing))
+            assert np.max(np.abs(post - expected)) < 1e-10
+            z3_plus, _ = qmath.branch_probabilities(qmath.StateVector(post), mapping.pauli("Z", 3, indexing))
             assert z3_plus == pytest.approx(1.0, abs=1e-12)
         assert seen == {1, -1}
 
     def test_z1_interception_reads_key_without_disturbance(self):
-        indexing = mapping.PartyIndexing(3)
-        config = EveConfig(position=1, observable="Z1", strategy="commuting-measure")
-        state = qmath.StateVector.basis(8, 0)
-        post, outcome = adversary.eve_intercept(state, config, np.random.default_rng(0), indexing)
+        engine = _eve_engine(EveConfig(position=1, observable="Z1", strategy="commuting-measure"))
+        post, outcome = engine._eve_hook(_basis(0), 1, 0)
         assert outcome == +1
-        assert np.allclose(post.amplitudes, state.amplitudes)
+        assert np.allclose(post, _basis(0))
 
     def test_x3_interception_randomizes_downstream_key(self):
         indexing = mapping.PartyIndexing(3)
-        config = EveConfig(position=2, observable="X3", strategy="noncommuting-measure")
-        state = qmath.StateVector.basis(8, 0)
-        post, _ = adversary.eve_intercept(state, config, np.random.default_rng(0), indexing)
-        z3_plus, z3_minus = qmath.branch_probabilities(post, mapping.pauli("Z", 3, indexing))
+        engine = _eve_engine(EveConfig(position=2, observable="X3", strategy="noncommuting-measure"))
+        post, _ = engine._eve_hook(_basis(0), 2, 0)
+        z3_plus, z3_minus = qmath.branch_probabilities(qmath.StateVector(post), mapping.pauli("Z", 3, indexing))
         assert z3_plus == pytest.approx(0.5, abs=1e-12)
         assert z3_minus == pytest.approx(0.5, abs=1e-12)
 
     def test_inactive_rounds_pass_through(self):
-        indexing = mapping.PartyIndexing(3)
-        config = EveConfig(position=1, observable="Z1", activity_rate=0.0)
-        state = qmath.StateVector.basis(8, 3)
-        post, outcome = adversary.eve_intercept(state, config, np.random.default_rng(0), indexing)
+        engine = _eve_engine(EveConfig(position=1, observable="Z1", activity_rate=0.0))
+        state = _basis(3)
+        post, outcome = engine._eve_hook(state, 1, 0)
         assert outcome is None
         assert post is state
 
     def test_none_strategy_passes_through(self):
-        indexing = mapping.PartyIndexing(3)
-        config = EveConfig(position=1, strategy="none")
-        state = qmath.StateVector.basis(8, 3)
-        post, outcome = adversary.eve_intercept(state, config, np.random.default_rng(0), indexing)
+        engine = _eve_engine(EveConfig(position=1, strategy="none"))
+        state = _basis(3)
+        post, outcome = engine._eve_hook(state, 1, 0)
         assert outcome is None and post is state
-
-    def test_custom_matrix_observable(self):
-        indexing = mapping.PartyIndexing(2)
-        involution = mapping.lift_matrix(mapping.PAULI["X"], 2, indexing)
-        config = EveConfig(position=1, matrix=involution, observable="X2")
-        state = qmath.StateVector(np.ones(4) / 2)
-        post, outcome = adversary.eve_intercept(state, config, np.random.default_rng(3), indexing)
-        assert outcome == +1  # |++⟩ is an X2 eigenstate
-        assert np.max(np.abs(post.amplitudes - state.amplitudes)) < 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -258,30 +254,14 @@ class TestLocalization:
 
 class TestMeasureResend:
     def test_fresh_reference_resend(self):
-        indexing = mapping.PartyIndexing(3)
-        config = EveConfig(
-            position=2, observable="Z1", strategy="measure-resend", resend="fresh-reference"
+        engine = _eve_engine(
+            EveConfig(position=2, observable="Z1", strategy="measure-resend", resend="fresh-reference")
         )
-        reference = qmath.StateVector(
-            np.array([1, 0, 0, 0, 0, 0, 0, 1j], dtype=complex) / math.sqrt(2)
-        )
-        incoming = qmath.StateVector.basis(8, 0)
-        post, outcome = adversary.eve_intercept(
-            incoming, config, np.random.default_rng(0), indexing, reference=reference
-        )
+        post, outcome = engine._eve_hook(_basis(1), 2, 0)
         assert outcome == +1
-        # she forwards the reference projection, not the measured state
-        assert np.allclose(post.amplitudes, qmath.StateVector.basis(8, 0).amplitudes)
-
-    def test_fresh_reference_requires_reference(self):
-        indexing = mapping.PartyIndexing(3)
-        config = EveConfig(
-            position=1, observable="Z1", strategy="measure-resend", resend="fresh-reference"
-        )
-        with pytest.raises(ValueError):
-            adversary.eve_intercept(
-                qmath.StateVector.basis(8, 0), config, np.random.default_rng(0), indexing
-            )
+        # she forwards the reference's projection, (|0⟩ + i|7⟩)/√2 → |0⟩,
+        # not the measured |1⟩
+        assert np.allclose(post, _basis(0))
 
     def test_engine_accepts_measure_resend(self):
         eve = EveConfig(position=1, observable="X1", strategy="measure-resend", resend="fresh-reference")

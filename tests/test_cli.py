@@ -41,8 +41,53 @@ class TestUsage:
         )
         assert code == cli.EXIT_USAGE
 
+    ATTACK3 = ["attack", "--kind", "mermin", "--parties", "3", "--rounds", "5", "--seed", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--kind", "mermin", "--parties", "13", "--rounds", "5", "--seed", "1"],
+            ["run", "--kind", "mermin", "--parties", "3", "--rounds", "5", "--seed", "-1"],
+            ["sweep", "--model", "model1", "--eta", "2", "--grid", "3"],
+            ["sweep", "--model", "flip", "--grid", "3", "--empirical-rounds", "-5"],
+            ["sweep", "--model", "flip", "--grid", "3", "--empirical-rounds", "100",
+             "--empirical-grid", "-1"],
+            ["sweep", "--model", "flip", "--grid", "3", "--empirical-rounds", "100", "--seed", "-1"],
+            ["run", "--config", "{tmp}/missing.conf"],
+            ["run", "--config"],
+            ATTACK3 + ["--eve-link", "1", "--eve-obs", "Q1"],
+            ATTACK3 + ["--eve-link", "2", "--eve-obs", "X3", "--eve-strategy", "commuting-measure"],
+        ],
+        ids=["parties-13", "negative-seed", "eta-2", "negative-empirical-rounds",
+             "negative-empirical-grid", "sweep-negative-seed", "missing-config",
+             "config-without-path", "bad-eve-label", "false-commuting-claim"],
+    )
+    def test_bad_input_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code = run_cli(argv, tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestRun:
+    def test_insufficient_data_summary(self, tmp_path, monkeypatch, capsys):
+        # 20 rounds leave Mermin terms without samples: the summary says so
+        # and the run ends with the no-violation code instead of crashing.
+        code = run_cli(
+            ["run", "--kind", "mermin", "--parties", "3", "--rounds", "20",
+             "--seed", "1", "--outdir", str(tmp_path / "out")],
+            tmp_path, monkeypatch,
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NO_VIOLATION
+        assert "mermin: insufficient data" in captured.out.splitlines()
+        assert "Traceback" not in captured.err
+        report = json.loads((tmp_path / "out" / "run-report.json").read_text())
+        assert report["estimates"]["mermin"]["usable"] is False
+
     def test_writes_all_artifacts(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "runout"
         code = run_cli(

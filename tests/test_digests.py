@@ -70,14 +70,16 @@ SWEEP_CASES = {
     ),
 }
 
+# The chsh3 flip, white, model1 and model2 digests cover preparation noise
+# on both key settings, XpZ as well as Z.
 DIGESTS = {
     "chsh3-detector": "df35871b536843d0039a39afde70680ea7b9ef69d2e72ef21775f69018d98a2b",
-    "chsh3-flip": "41bcfbe515a38c2ce67b5f7d6a5b6764ba40ada22a75bbf0228ec67b40eae16d",
+    "chsh3-flip": "1851ab9bd975e5a1aee9502e995f5290a07d826e616d7f3969475dfbaa7d9517",
     "chsh3-masked": "83eed802059592cc9393ee5cce8153b6feab25c8661db3c9f7bbadff678408d9",
-    "chsh3-model1": "15b018eeb7e4f39862fb501899c41d27eb4963c190ac990bc301ca11e49a5c4a",
-    "chsh3-model2": "24a794f49862179cf47f0e7df37afe5ea6706320b7d4ad6ee9e6662d866712dd",
+    "chsh3-model1": "c13f8267ae81d012f8e98fafe17feff48665f83d4fcdae09222587e4a4848d2b",
+    "chsh3-model2": "17b9125634a824f529b729bd34cd706d57dd68707c79272a3c5b6e22b285d6c1",
     "chsh3-unmasked": "83eed802059592cc9393ee5cce8153b6feab25c8661db3c9f7bbadff678408d9",
-    "chsh3-white": "2ad7c1914d535dcb3b8f06cb67fae9bad47f2ddc1bc10b7b780092c337f72389",
+    "chsh3-white": "1b8743fee1991958a59b320adabb7f2cdd7e1762781d9beeb69baac567575234",
     "chsh4-eve-z1-link2": "dedca1a414548d96cd0e536efa1fecba8ef8b07b783b9fcc7326cd1535807e67",
     "chsh4-masked": "6253ca6b447df5657879480241120c162f3469da5dda156848a4b12f114ca364",
     "chsh4-unmasked": "6253ca6b447df5657879480241120c162f3469da5dda156848a4b12f114ca364",

@@ -64,8 +64,7 @@ class TestLifting:
             assert np.allclose(lifted, np.eye(8))
 
     def test_lift_observable_wrapper(self):
-        local = mapping.LocalObservable(mapping.PAULI["Y"], party=2, label="Y2")
-        lifted = mapping.lift_observable(local, mapping.PartyIndexing(3))
+        lifted = qmath.HermitianOperator(mapping.lift_matrix(mapping.PAULI["Y"], 2, mapping.PartyIndexing(3)))
         assert lifted.dim == 8
 
     def test_lift_matches_kron_oracle(self):
@@ -93,30 +92,36 @@ class TestLifting:
 
 
 class TestLiftUnitary:
+    """Unitary 2×2 blocks lift by the same digit substitution as observables."""
+
     def test_identity_block(self):
-        lifted = mapping.lift_unitary(np.eye(2), 2, mapping.PartyIndexing(3))
-        assert np.allclose(lifted.matrix, np.eye(8))
+        lifted = mapping.lift_matrix(np.eye(2), 2, mapping.PartyIndexing(3))
+        assert np.allclose(lifted, np.eye(8))
 
     def test_phase_block_party1_of_two(self):
         phi = 0.7
         block = np.diag([1.0, np.exp(1j * phi)])
-        lifted = mapping.lift_unitary(block, 1, mapping.PartyIndexing(2))
-        assert np.allclose(lifted.matrix, np.diag([1.0, 1.0, np.exp(1j * phi), np.exp(1j * phi)]))
+        lifted = mapping.lift_matrix(block, 1, mapping.PartyIndexing(2))
+        assert np.allclose(lifted, np.diag([1.0, 1.0, np.exp(1j * phi), np.exp(1j * phi)]))
 
     def test_two_party_block_matches_kron(self):
+        # a product of single-party unitaries on parties 1 and 2 lifts to
+        # the Kronecker product of the blocks, padded on party 3
         rng = np.random.default_rng(2)
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        block, _ = np.linalg.qr(raw)
-        lifted = mapping.lift_unitary(block, 1, mapping.PartyIndexing(3))
-        assert np.max(np.abs(lifted.matrix - np.kron(block, np.eye(2)))) < 1e-10
+        a, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        b, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        indexing = mapping.PartyIndexing(3)
+        lifted = mapping.lift_matrix(a, 1, indexing) @ mapping.lift_matrix(b, 2, indexing)
+        assert np.max(np.abs(lifted - np.kron(np.kron(a, b), np.eye(2)))) < 1e-10
+        qmath.UnitaryOperator(lifted)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(qmath.InvariantViolation):
-            mapping.lift_unitary(np.ones((2, 2)), 1, mapping.PartyIndexing(2))
+            qmath.UnitaryOperator(mapping.lift_matrix(np.ones((2, 2)), 1, mapping.PartyIndexing(2)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            mapping.lift_unitary(np.eye(4), 3, mapping.PartyIndexing(3))
+            mapping.lift_matrix(np.eye(2), 4, mapping.PartyIndexing(3))
 
 
 class TestPauli:

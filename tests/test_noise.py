@@ -52,13 +52,20 @@ class TestNoisyPreparation:
             noise.noisy_preparation(2, noise.FlipPrep(0.0, 0.0), "mermin")
 
     def test_sampler_matches_mixture(self):
-        rng = np.random.default_rng(0)
-        prep = noise.FlipPrep(0.1, 0.2)
-        draws = [noise.sample_noisy_preparation(1, prep, "mermin", 8, rng) for _ in range(20_000)]
-        fraction_target = np.mean(np.array(draws) == 7)
+        # The engine's noisy key preparation samples the mixture: the basis
+        # state it emits, one draw per round, for an intended key bit.
+        def emitted(prep, outcome):
+            config = protocol.ProtocolConfig(
+                "mermin", 3, 20_000, seed=0, masking_enabled=False, noise=noise.NoiseConfig(prep=prep)
+            )
+            engine = protocol._Engine(config)
+            kets = [engine._prepare(1, "Z", 1, outcome, r) for r in range(config.rounds)]
+            return np.array([int(np.argmax(np.abs(ket))) for ket in kets])
+
+        draws = emitted(noise.FlipPrep(0.1, 0.2), outcome=-1)  # key bit 1, basis index 7
+        fraction_target = np.mean(draws == 7)
         assert abs(fraction_target - 0.8) < 4 * math.sqrt(0.8 * 0.2 / 20_000)
-        white = noise.WhitePrep(0.5)
-        draws = np.array([noise.sample_noisy_preparation(0, white, "mermin", 8, rng) for _ in range(20_000)])
+        draws = emitted(noise.WhitePrep(0.5), outcome=+1)  # key bit 0, basis index 0
         # every non-target index appears with weight eps/8
         for idx in range(1, 8):
             assert abs(np.mean(draws == idx) - 0.5 / 8) < 4 * math.sqrt(0.0625 / 20_000)
@@ -247,23 +254,35 @@ class TestEmpiricalKeyRate:
             ("model2", dict(eta=0.5, eps1=0.3, eps2=0.3), noise.FlipPrep(0.3, 0.3), noise.LossDetector(0.5)),
         ],
     )
-    def test_consistency_with_analytic(self, model, kwargs, prep, detector):
+    def test_consistency_with_analytic(self, model, kwargs, prep, detector, kind="mermin"):
         # Empirical pair tables converge to the analytic distribution; the
         # plug-in mutual information then lands within a conservative band.
         # Erasure symbols stay in the empirical tables, which matches the
         # throughput convention (independent erasure scales information).
         seed = sum(map(ord, model)) + int(1000 * sum(kwargs.values()))
         config = protocol.ProtocolConfig(
-            "mermin", 3, 100_000, seed=seed,
+            kind, 3, 100_000 if kind == "mermin" else 50_000, seed=seed,
             masking_enabled=False,
             noise=noise.NoiseConfig(prep=prep, detector=detector),
         )
         transcript = protocol.run_protocol(config)
         empirical = noise.empirical_key_rate(transcript)
-        analytic = noise.analytic_key_rate(model, convention="throughput", **kwargs)
+        analytic = noise.analytic_key_rate(model, kind, convention="throughput", **kwargs)
         n_key = len(protocol.sift(transcript).key_rounds)
         assert n_key > 3000
         assert abs(empirical.key_rate - analytic.key_rate) < 4 / math.sqrt(n_key) + 0.02
+
+    @pytest.mark.parametrize(
+        "model,kwargs,prep,detector",
+        [
+            # both key settings (Z and XpZ) carry the preparation noise
+            ("flip", dict(eps1=0.5, eps2=0.5), noise.FlipPrep(0.5, 0.5), None),
+            ("white", dict(eps=0.3), noise.WhitePrep(0.3), None),
+            ("model1", dict(eta=0.1, eps1=0.1, eps2=0.1), noise.FlipPrep(0.1, 0.1), noise.MisreadDetector(0.1)),
+        ],
+    )
+    def test_chsh_consistency_with_analytic(self, model, kwargs, prep, detector):
+        self.test_consistency_with_analytic(model, kwargs, prep, detector, kind="chsh")
 
     def test_flip_acceptance_point(self):
         config = protocol.ProtocolConfig(

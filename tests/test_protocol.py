@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contextkey import inequality, mapping, noise, protocol, qmath
+from contextkey import cli, inequality, mapping, noise, protocol, qmath
 from contextkey.adversary import EveConfig
 
 
@@ -27,6 +27,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             protocol.ProtocolConfig("mermin", 3, 10, eve=eve)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            protocol.ProtocolConfig("mermin", 3, 10, seed=-1)
+
+    def test_rejects_parties_beyond_size_guard(self):
+        with pytest.raises(ValueError):
+            protocol.ProtocolConfig("mermin", mapping.MAX_QUBIT_EQUIVALENT + 1, 10)
+        protocol.ProtocolConfig("chsh", mapping.MAX_QUBIT_EQUIVALENT + 1, 10)  # D = 4 always
+
     def test_dimension(self):
         assert protocol.ProtocolConfig("mermin", 4, 1).dim == 16
         assert protocol.ProtocolConfig("chsh", 5, 1).dim == 4
@@ -49,14 +58,12 @@ class TestLabels:
         assert protocol.is_key_round("mermin", ("Z1", "Z2", "Z3"))
         assert protocol.is_check_round("mermin", ("X1", "Y2", "X3"))
         assert not protocol.is_check_round("mermin", ("X1", "Z2", "X3"))
-        assert not protocol.is_revealed("mermin", ("X1", "Z2", "X3"))
 
     def test_round_classification_chsh(self):
         assert protocol.is_key_round("chsh", ("Z1", "Z2", "Z1"))
         assert protocol.is_key_round("chsh", ("XpZ1", "XpZ2", "XpZ1"))
         assert not protocol.is_key_round("chsh", ("Z1", "XpZ2", "Z1"))
-        # mixed rounds are revealed; only combination-bearing ones are checks
-        assert protocol.is_revealed("chsh", ("Z1", "XpZ2", "Z1"))
+        # only combination-bearing mixed rounds are checks
         assert protocol.is_check_round("chsh", ("Z1", "XpZ2", "Z1"))
         assert not protocol.is_check_round("chsh", ("XpZ1", "Z2", "XpZ1"))
 
@@ -71,6 +78,16 @@ class TestLabels:
 class _ZeroRng:
     def uniform(self, low, high, size=None):
         return np.zeros(size) if size is not None else 0.0
+
+
+class _RowRng:
+    """Hands out a fixed sequence of angles, one per uniform draw."""
+
+    def __init__(self, angles):
+        self.angles = iter(angles)
+
+    def uniform(self, low, high, size=None):
+        return next(self.angles)
 
 
 class TestMaskingUnitary:
@@ -91,6 +108,27 @@ class TestMaskingUnitary:
         for _ in range(20):
             u = protocol.masking_unitary(2, spec, rng, indexing)
             assert qmath.commutator_norm(u.matrix, mapping.lift_matrix(mapping.PAULI["Z"], 3, indexing)) < 1e-10
+
+    @pytest.mark.parametrize("kind,parties,include_key", [
+        ("mermin", 3, True), ("mermin", 3, False), ("mermin", 4, True), ("chsh", 4, True),
+    ])
+    def test_matches_engine_masking(self, kind, parties, include_key):
+        # The verified masking is the executed one: fed the engine's angles,
+        # masking_unitary is the matrix of the engine's masking step.
+        config = protocol.ProtocolConfig(kind, parties, 3, seed=8, masking_include_key=include_key)
+        engine = protocol._Engine(config)
+        dim = engine.dim
+        for round_id in range(config.rounds):
+            angles = engine._angles[round_id]
+            for sender, hops in engine.mask_plan.items():
+                labels = tuple(f"{axis}{party}" for party, _ in hops for axis in engine.mask_axes)
+                row = np.concatenate([angles[chunk] for _, chunk in hops])
+                spec = protocol.MaskingSpec(engine.indexing.num_parties, labels)
+                u = protocol.masking_unitary(sender, spec, _RowRng(row), engine.indexing)
+                executed = np.column_stack(
+                    [engine._mask(column, sender, angles) for column in np.eye(dim, dtype=complex)]
+                )
+                assert np.max(np.abs(u.matrix - executed)) < 1e-12
 
     def test_single_generator_masking_hides_key_basis(self):
         # Interceptor Z statistics on masked |0⟩ / |7⟩ carry < 0.01 bit:
@@ -244,7 +282,7 @@ class TestSifting:
             protocol.RoundRecord(0, ("X1", "Z2", "Z3"), (1, 1, 1)),
             protocol.RoundRecord(1, ("Z1", "X2", "Z3"), (1, 1, 1)),
         )
-        sifting = protocol.sift(protocol.Transcript(config, records, seed=1))
+        sifting = protocol.sift(protocol.Transcript(config, records))
         assert sifting.key_rounds == ()
         assert sifting.check_rounds == ()
         assert len(sifting.discarded) == 2
@@ -282,11 +320,14 @@ class TestDeterminism:
         config = protocol.ProtocolConfig("chsh", 3, 3000, seed=5)
         assert protocol.run_protocol(config).records == protocol.run_protocol(config).records
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, tmp_path, capsys):
+        # --threads is accepted and ignored: the transcript is the sequential one.
         config = protocol.ProtocolConfig("mermin", 3, 3000, seed=6)
-        sequential = protocol.run_protocol(config, threads=1)
-        threaded = protocol.run_protocol(config, threads=4)
-        assert sequential.records == threaded.records
+        argv = ["run", "--kind", "mermin", "--parties", "3", "--rounds", "3000", "--seed", "6",
+                "--threads", "4", "--outdir", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        threaded = cli.read_transcript(tmp_path / "run-transcript.jsonl", config)
+        assert threaded.records == protocol.run_protocol(config).records
 
     def test_substreams_are_independent(self):
         a = protocol.stream_generator(9, "round").random(4)
@@ -295,20 +336,18 @@ class TestDeterminism:
 
 
 class TestSingleRoundOps:
+    """A round played on its own equals the same round of a full run."""
+
     def test_run_mermin_round(self):
         config = protocol.ProtocolConfig("mermin", 3, 5, seed=91)
-        record = protocol.run_mermin_round(config, round_id=2)
+        record = protocol._Engine(config).play_round(2)
         assert len(record.labels) == 3
         assert record == protocol.run_protocol(config).records[2]
-        with pytest.raises(ValueError):
-            protocol.run_mermin_round(protocol.ProtocolConfig("chsh", 3, 5))
 
     def test_run_chsh_round(self):
         config = protocol.ProtocolConfig("chsh", 4, 5, seed=92)
-        record = protocol.run_chsh_round(config, round_id=0)
+        record = protocol._Engine(config).play_round(0)
         assert record == protocol.run_protocol(config).records[0]
-        with pytest.raises(ValueError):
-            protocol.run_chsh_round(protocol.ProtocolConfig("mermin", 3, 5))
 
 
 class TestFourPartyChsh:

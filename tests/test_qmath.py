@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextkey import qmath
+from contextkey import protocol, qmath
 from contextkey.mapping import PAULI, PartyIndexing, lift_matrix, pauli
 from conftest import ghz_state, singlet_state
 
@@ -102,9 +102,9 @@ class TestMeasureDensity:
     def test_pure_eigenstate(self):
         rho = qmath.StateVector.basis(4, 0).density()
         obs = pauli("Z", 1, PartyIndexing(2))
-        outcome, post = qmath.measure_density(rho, obs, np.random.default_rng(0))
-        assert outcome == +1
-        assert np.allclose(post.matrix, rho.matrix)
+        assert qmath.branch_probabilities(rho, obs) == pytest.approx((1.0, 0.0), abs=1e-12)
+        post = obs.plus_projector @ rho.matrix @ obs.plus_projector
+        assert np.allclose(post, rho.matrix)
 
     def test_maximally_mixed_is_unbiased(self):
         rho = qmath.DensityOperator(np.eye(4) / 4)
@@ -157,31 +157,40 @@ class TestExpectation:
             qmath.expectation(state, raw)
 
 
+class _Angles:
+    """Hands out fixed rotation angles in place of uniform draws."""
+
+    def __init__(self, *angles):
+        self.angles = iter(angles)
+
+    def uniform(self, low, high, size=None):
+        return next(self.angles)
+
+
 class TestUnitaryFromGenerator:
+    """Masking unitaries: lifted products of exp(iθG) over Pauli generators."""
+
     def test_empty_sum_is_identity(self):
-        u = qmath.unitary_from_generator([], dim=4)
+        u = protocol.masking_unitary(2, protocol.MaskingSpec(2, ()), _Angles())
         assert np.allclose(u.matrix, np.eye(4))
-        with pytest.raises(ValueError):
-            qmath.unitary_from_generator([])
 
     def test_pi_times_projector(self):
+        # Z1 = 2P₊ − 1, so exp(i(π/2)Z1) = −i·exp(iπP₊) = −i(1 − 2P₊).
         obs = pauli("Z", 1, PartyIndexing(2))
-        proj = qmath.HermitianOperator(obs.plus_projector)
-        u = qmath.unitary_from_generator([(math.pi, proj)])
-        assert np.max(np.abs(u.matrix - (np.eye(4) - 2 * obs.plus_projector))) < 1e-10
+        u = protocol.masking_unitary(1, protocol.MaskingSpec(2, ("Z1",)), _Angles(math.pi / 2))
+        assert np.max(np.abs(u.matrix - (-1j) * (np.eye(4) - 2 * obs.plus_projector))) < 1e-10
 
     def test_single_pauli_generator_matches_tensor_exponential(self):
         theta = math.pi / 4
-        u = qmath.unitary_from_generator([(theta, lifted_pauli_op("X", 1, 2))])
+        u = protocol.masking_unitary(1, protocol.MaskingSpec(2, ("X1",)), _Angles(theta))
         local = math.cos(theta) * np.eye(2) + 1j * math.sin(theta) * PAULI["X"]
         assert np.max(np.abs(u.matrix - np.kron(local, np.eye(2)))) < 1e-10
 
     def test_randomized_unitarity(self):
         rng = np.random.default_rng(5)
-        gens = [lifted_pauli_op(a, p, 2) for a in "XYZ" for p in (1, 2)]
+        spec = protocol.MaskingSpec(2, tuple(f"{a}{p}" for a in "XYZ" for p in (1, 2)))
         for _ in range(200):
-            coeffs = rng.uniform(0, 2 * math.pi, size=len(gens))
-            u = qmath.unitary_from_generator(list(zip(coeffs, gens)))
+            u = protocol.masking_unitary(2, spec, rng)
             assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(4))) < 1e-10
 
 
@@ -192,21 +201,11 @@ class TestPlumbing:
 
     def test_tensor_matches_lift(self):
         lifted = lift_matrix(PAULI["X"], 2, PartyIndexing(2))
-        assert np.allclose(qmath.tensor(np.eye(2), PAULI["X"]), lifted)
-
-    def test_tensor_states(self):
-        left = qmath.StateVector.basis(2, 1)
-        right = qmath.StateVector(np.array([1.0, 1.0]) / math.sqrt(2))
-        combined = qmath.tensor(left, right)
-        assert combined.dim == 4
-        assert np.allclose(combined.amplitudes, [0, 0, 1 / math.sqrt(2), 1 / math.sqrt(2)])
-
-    def test_dagger(self):
-        mat = np.array([[0.0, 1j], [0.0, 0.0]])
-        assert np.allclose(qmath.dagger(mat), mat.conj().T)
+        assert np.allclose(np.kron(np.eye(2), PAULI["X"]), lifted)
 
     def test_apply_unitary_on_density(self):
-        u = qmath.unitary_from_generator([(0.3, lifted_pauli_op("Y", 1, 2))])
+        local = math.cos(0.3) * np.eye(2) + 1j * math.sin(0.3) * PAULI["Y"]
+        u = qmath.UnitaryOperator(lift_matrix(local, 1, PartyIndexing(2)))
         rho = singlet_state().density()
         rotated = qmath.apply_unitary(rho, u)
         assert np.trace(rotated.matrix) == pytest.approx(1.0, abs=1e-12)

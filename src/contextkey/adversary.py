@@ -61,16 +61,23 @@ class LeakageReport:
     sufficient_data: bool
 
 
-def leakage_analysis(transcript, reference_party: int = 1) -> LeakageReport:
+def leakage_analysis(
+    transcript, reference_party: int = 1, sifting=None, estimates=None
+) -> LeakageReport:
     """Mutual information between Eve's record and the key, plus detection.
 
     The key symbol is the reference party's key bit; in the protocols'
     noiseless runs every party holds the same bit, so the choice only
-    matters under simultaneous noise.
+    matters under simultaneous noise.  A caller that already holds the
+    transcript's sifting and check estimates passes them in; otherwise
+    they are computed here.
     """
     from . import protocol as proto
 
-    sifting = proto.sift(transcript)
+    if sifting is None:
+        sifting = proto.sift(transcript)
+    if estimates is None:
+        estimates = proto.check_estimates(transcript)
     by_id = {rec.round_id: rec for rec in transcript.records}
     pairs = []
     for i, round_id in enumerate(sifting.key_rounds):
@@ -81,18 +88,17 @@ def leakage_analysis(transcript, reference_party: int = 1) -> LeakageReport:
         if bit is None:
             continue
         pairs.append(((1 - rec.eve_outcome) // 2, bit))
-    observed = proto.check_estimates(transcript)
     if transcript.config.kind == "mermin":
         expected = {"mermin": 2.0 ** (transcript.config.num_parties - 1)}
     else:
-        expected = {name: 2.0 for name in observed}
-    detected = not proto.all_checks_violated(observed)
+        expected = {name: 2.0 for name in estimates}
+    detected = not proto.all_checks_violated(estimates)
     sufficient = len(pairs) > 0
     mi = mutual_information_from_pairs(pairs) if sufficient else None
     return LeakageReport(
         eve_key_mutual_information=mi,
         attacked_key_rounds=len(pairs),
-        observed=observed,
+        observed=estimates,
         expected_clean=expected,
         detected=detected,
         sufficient_data=sufficient,

@@ -214,23 +214,30 @@ def _estimate_dict(est: inequality.InequalityEstimate) -> dict:
     }
 
 
-def _record_dict(rec: protocol.RoundRecord) -> dict:
-    return {
-        "round": rec.round_id,
-        "labels": list(rec.labels),
-        "outcomes": list(rec.outcomes),
-        "eve_label": rec.eve_label,
-        "eve_outcome": rec.eve_outcome,
-        "revealed": rec.revealed,
-        "key_round": rec.key_round,
-    }
-
-
 def write_transcript(transcript: protocol.Transcript, path: Path):
+    """One JSON object per round, in ``json.dumps(..., sort_keys=True)`` form.
+
+    Lines are formatted directly, with each distinct label tuple encoded
+    once, and streamed to the file, so no copy of the whole text is held.
+    """
+    labels_json: dict[tuple[str, ...], str] = {}
     with path.open("w") as handle:
         for rec in transcript.records:
-            handle.write(json.dumps(_record_dict(rec), sort_keys=True))
-            handle.write("\n")
+            labels = labels_json.get(rec.labels)
+            if labels is None:
+                labels = labels_json[rec.labels] = json.dumps(list(rec.labels))
+            eve_label = "null" if rec.eve_label is None else json.dumps(rec.eve_label)
+            outcomes = ", ".join(map(_json_int, rec.outcomes))
+            handle.write(
+                f'{{"eve_label": {eve_label}, "eve_outcome": {_json_int(rec.eve_outcome)}, '
+                f'"key_round": {"true" if rec.key_round else "false"}, "labels": {labels}, '
+                f'"outcomes": [{outcomes}], "revealed": {"true" if rec.revealed else "false"}, '
+                f'"round": {rec.round_id}}}\n'
+            )
+
+
+def _json_int(value: int | None) -> str:
+    return "null" if value is None else str(value)
 
 
 def read_transcript(path: Path, config: protocol.ProtocolConfig) -> protocol.Transcript:
@@ -391,7 +398,7 @@ def cmd_attack(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     config, transcript, sifting, key, estimates = _execute_protocol(config)
-    leakage = adversary.leakage_analysis(transcript)
+    leakage = adversary.leakage_analysis(transcript, sifting=sifting, estimates=estimates)
     outdir = _resolve_outdir(args.outdir)
     prefix = args.prefix or "attack"
     report = _run_report(config, transcript, sifting, key, estimates)
@@ -408,7 +415,8 @@ def cmd_attack(args) -> int:
     }
     if config.kind == "chsh":
         try:
-            links = adversary.localize_eve(protocol.chsh_pair_estimates(transcript))
+            pairs = {k: estimates[f"pair_{k}"] for k in range(1, config.num_parties)}
+            links = adversary.localize_eve(pairs)
             report["eve"]["localized_links"] = sorted(links)
         except adversary.InsufficientCheckData as exc:
             report["eve"]["localized_links"] = None

@@ -1,4 +1,4 @@
-"""Round-by-round execution of the Mermin and CHSH conference protocols.
+"""Execution of the Mermin and CHSH conference protocols, a block of rounds at a time.
 
 One round: the first party samples a preparation of the reference state
 under a random setting, masks it, and sends it down the chain; every later
@@ -7,23 +7,27 @@ In the pairwise-grouped CHSH variant each party re-prepares a fresh
 four-dimensional state instead of forwarding the measured one.
 
 All randomness flows from one 64-bit seed through named streams
-(round, masking, eve, noise).  Each stream is materialized as one array
-row per round before execution, so rounds are independent, reproducible
-and order-independent; they run one after another on one thread.
-Toggling masking, noise, or the eavesdropper never shifts the other
-streams.
+(round, masking, eve, noise), one array row per round.  The engine plays
+blocks of B = max(1, AMPLITUDE_BUDGET // D) rounds as a (B, D) array,
+party by party, on one thread; it draws the Born, masking and Eve rows
+block by block, and the picks and noise rows whole.  A round depends only
+on its own rows, so it is the same whatever block it falls in.  Toggling
+masking, noise, or the eavesdropper never shifts the other streams.
 
-The engine is the only round player.  It keeps states as raw amplitude
-vectors and applies single-party 2×2 operators by index arithmetic.  The
-dense qmath/mapping path is its test oracle: a reference player in the
-test suite replays the engine's variates with full D×D operators and
-must reproduce every recorded outcome.
+A mask acts only on qudits that were already measured, so it commutes with
+every later measurement: the engine applies only the factors on Eve's qudit,
+where she reads, and no mask at all in a run without her.  The engine is
+the only round player; it applies single-party 2×2 operators by index
+arithmetic.  The dense qmath/mapping path is its test oracle: a reference
+player in the test suite replays the engine's variates with full D×D
+operators, masking eagerly, and must reproduce every recorded outcome.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,34 +182,27 @@ def party_labels(kind: str, num_parties: int) -> tuple[tuple[str, ...], ...]:
     return tuple(sets)
 
 
-def _key_round_from_prefixes(kind: str, prefixes) -> bool:
-    if kind == "mermin":
-        return all(p == "Z" for p in prefixes)
-    return all(p == "Z" for p in prefixes) or all(p == "XpZ" for p in prefixes)
-
-
 def _chsh_pair_matches(prefix_a: str, prefix_b: str, first_is_odd: bool) -> bool:
     odd, even = (prefix_a, prefix_b) if first_is_odd else (prefix_b, prefix_a)
     return odd in ("X", "Z") and even in ("XpZ", "ZmX")
 
 
-def _check_round_from_prefixes(kind: str, prefixes) -> bool:
+def is_key_round(kind: str, labels) -> bool:
+    """Every party chose the same key setting."""
+    prefixes = [split_label(lab)[0] for lab in labels]
+    return any(all(p == key for p in prefixes) for key in KEY_PREFIXES[kind])
+
+
+def is_check_round(kind: str, labels) -> bool:
+    prefixes = [split_label(lab)[0] for lab in labels]
     if kind == "mermin":
         return all(p in ("X", "Y") for p in prefixes)
-    if _key_round_from_prefixes(kind, prefixes):
+    if is_key_round(kind, labels):
         return False
     return any(
         _chsh_pair_matches(prefixes[k - 1], prefixes[k], first_is_odd=(k % 2 == 1))
         for k in range(1, len(prefixes))
     )
-
-
-def is_key_round(kind: str, labels) -> bool:
-    return _key_round_from_prefixes(kind, [split_label(lab)[0] for lab in labels])
-
-
-def is_check_round(kind: str, labels) -> bool:
-    return _check_round_from_prefixes(kind, [split_label(lab)[0] for lab in labels])
 
 
 def key_bit(kind: str, party: int, outcome: int | None) -> int | None:
@@ -221,25 +218,29 @@ def key_bit(kind: str, party: int, outcome: int | None) -> int | None:
 def _su2_product(axes: tuple[str, ...], angles) -> np.ndarray:
     """Composition of exp(iθ·σ_axis) factors, earliest listed applied first.
 
+    The last dimension of ``angles`` holds one angle per axis; leading
+    dimensions are a batch, so the result has shape ``batch + (2, 2)``.
     Composing rotations about distinct fixed axes with independent uniform
     angles makes the ensemble-average Bloch map vanish identically, which
     a single exponential of a summed generator does not achieve (the
     component along the mean rotation axis survives).
     """
-    a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    for axis, theta in zip(axes, angles):
-        cos = math.cos(theta)
-        sin = math.sin(theta)
+    angles = np.asarray(angles, dtype=np.float64)
+    cos, sin = np.cos(angles), np.sin(angles)
+    a = np.ones(angles.shape[:-1], dtype=np.complex128)
+    b, c, d = np.zeros_like(a), np.zeros_like(a), a.copy()
+    for j, axis in enumerate(axes):
+        co, si = cos[..., j], sin[..., j]
         if axis == "X":
-            ra, rb, rc, rd = cos, 1j * sin, 1j * sin, cos
+            ra, rb, rc, rd = co, 1j * si, 1j * si, co
         elif axis == "Y":
-            ra, rb, rc, rd = cos, sin, -sin, cos
+            ra, rb, rc, rd = co, si, -si, co
         elif axis == "Z":
-            ra, rb, rc, rd = cos + 1j * sin, 0j, 0j, cos - 1j * sin
+            ra, rb, rc, rd = co + 1j * si, 0j, 0j, co - 1j * si
         else:
             raise ValueError(f"masking axis must be a Pauli label, got {axis!r}")
         a, b, c, d = ra * a + rb * c, ra * b + rb * d, rc * a + rd * c, rc * b + rd * d
-    return np.array([[a, b], [c, d]])
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
 
 def _qudit_indexing(config: ProtocolConfig) -> PartyIndexing:
@@ -282,8 +283,36 @@ def check_eve(config: ProtocolConfig) -> None:
             )
 
 
+#: Amplitudes one block of rounds holds: blocks of max(1, budget // D) rounds.
+AMPLITUDE_BUDGET = 4096
+
+
+class _Variates(NamedTuple):
+    """One block's rows of every random stream (None for a stream the run skips)."""
+
+    picks: np.ndarray
+    born: np.ndarray
+    angles: np.ndarray | None
+    eve_u: np.ndarray | None
+    noise_u: np.ndarray | None
+    white_idx: np.ndarray | None
+
+
+def _choose(p_plus: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Born-rule outcomes ±1 from P(+1) and one uniform variate per round."""
+    outcome = np.where(u < p_plus, 1, -1)
+    outcome[1.0 - p_plus < PROB_FLOOR] = +1
+    outcome[p_plus < PROB_FLOOR] = -1
+    return outcome
+
+
 class _Engine:
-    """Precomputed per-run machinery and the round player."""
+    """Precomputed per-run machinery and the block player.
+
+    Per party, the tables below are indexed by the setting pick (0..2):
+    its plus projector, P(+1) on the reference state, the reference
+    projections it prepares (rows +1, −1), and whether it is a key setting.
+    """
 
     def __init__(self, config: ProtocolConfig):
         check_eve(config)
@@ -292,7 +321,6 @@ class _Engine:
         self.num_parties = config.num_parties
         self.dim = config.dim
         self.indexing = _qudit_indexing(config)
-        num_qudit_parties = self.indexing.num_parties
         self.labels = party_labels(self.kind, self.num_parties)
         self.parsed = tuple(tuple(split_label(lab) for lab in labs) for labs in self.labels)
         self.key_prefixes = KEY_PREFIXES[self.kind]
@@ -303,7 +331,7 @@ class _Engine:
         self.reference = self._reference_state()
         self.pre_post = {
             party: (2 ** (party - 1), self.dim // 2**party)
-            for party in range(1, num_qudit_parties + 1)
+            for party in range(1, self.indexing.num_parties + 1)
         }
         self.mask_axes = (
             ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
@@ -313,156 +341,188 @@ class _Engine:
         self.det_noise = config.noise.detector if config.noise else None
         self.eve = config.eve if (config.eve and config.eve.strategy != "none") else None
         self.eve_parsed = split_label(self.eve.observable) if self.eve is not None else None
-        self.projected = self._reference_projections()
-        self._pregenerate()
+        self.projected, reference_p_plus = self._reference_projections()
+        self.qudit = [parsed[0][1] for parsed in self.parsed]
+        self.setting_plus = [np.stack([self.plus_projectors[p] for p, _ in ps]) for ps in self.parsed]
+        self.setting_p_plus = [np.array([reference_p_plus[pair] for pair in ps]) for ps in self.parsed]
+        self.setting_prepared = [np.stack([self.projected[pair] for pair in ps]) for ps in self.parsed]
+        self.setting_key = [np.array([p in self.key_prefixes for p, _ in ps]) for ps in self.parsed]
+        # per key prefix, the pick that selects it at each party
+        self.key_picks = np.array(
+            [[[p for p, _ in ps].index(key) for ps in self.parsed] for key in self.key_prefixes]
+        )
+        self._pick_codes = 3 ** np.arange(self.num_parties)
+        self._label_cache: dict[int, tuple[str, ...]] = {}
+        self._open_streams()
 
     # -- construction ----------------------------------------------------
 
     def _reference_state(self) -> np.ndarray:
         amps = np.zeros(self.dim, dtype=np.complex128)
         if self.kind == "mermin":
-            amps[0] = 1 / math.sqrt(2)
-            amps[-1] = 1j / math.sqrt(2)
+            amps[0], amps[-1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
         else:
-            amps[1] = 1 / math.sqrt(2)
-            amps[2] = -1 / math.sqrt(2)
+            amps[1], amps[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
         return amps
 
     def _masking_plan(self):
         """Per sending party: (qudit party, angle-slice) pairs to re-randomize."""
         width = len(self.mask_axes)
-        plan = {}
-        offset = 0
+        plan, offset = {}, 0
         for k in range(1, self.num_parties):
-            if self.kind == "mermin":
-                hops = []
-                for party in range(1, k + 1):
-                    hops.append((party, slice(offset, offset + width)))
-                    offset += width
-                plan[k] = tuple(hops)
-            else:
-                side = 1 if k % 2 == 1 else 2
-                plan[k] = ((side, slice(offset, offset + width)),)
-                offset += width
+            parties = range(1, k + 1) if self.kind == "mermin" else (1 if k % 2 == 1 else 2,)
+            plan[k] = tuple(
+                (party, slice(offset + i * width, offset + (i + 1) * width))
+                for i, party in enumerate(parties)
+            )
+            offset += width * len(parties)
         self._mask_angle_count = offset
         return plan
 
-    def _reference_projections(self) -> dict[tuple[str, int, int], np.ndarray]:
-        """Read-only normalized projections of the reference state.
+    def _reference_projections(self):
+        """Read-only normalized projections of the reference state, and P(+1).
 
-        Keyed by (prefix, party, outcome) for every setting and for Eve's
-        observable: what a party prepares for an outcome, and what Eve
-        forwards under the ``fresh-reference`` resend rule.
+        Keyed by (prefix, party) for every setting and for Eve's
+        observable: rows +1 and −1 hold what a party prepares for an
+        outcome, and what Eve forwards under the ``fresh-reference`` resend
+        rule; beside them, P(+1) when the reference itself is measured.
         """
         observables = {pair for parsed in self.parsed for pair in parsed}
         if self.eve_parsed is not None:
             observables.add(self.eve_parsed)
-        table = {}
+        table, p_plus = {}, {}
         for prefix, party in observables:
-            for outcome in (+1, -1):
-                branch = self._apply_local(self.plus_projectors[prefix], self.reference, party)
-                if outcome < 0:
-                    branch = self.reference - branch
-                branch = branch / math.sqrt(np.vdot(branch, branch).real)
-                branch.setflags(write=False)
-                table[prefix, party, outcome] = branch
-        return table
+            plus = self._apply_local(self.plus_projectors[prefix][None], self.reference[None], party)[0]
+            rows = np.stack([
+                branch / math.sqrt(np.vdot(branch, branch).real)
+                for branch in (plus, self.reference - plus)
+            ])
+            rows.setflags(write=False)
+            table[prefix, party] = rows
+            p_plus[prefix, party] = np.vdot(plus, plus).real
+        return table, p_plus
 
-    def _pregenerate(self):
-        """Materialize every named stream as one row per round."""
+    def _open_streams(self):
+        """Open the named streams; draw whole the arrays other draws follow.
+
+        The round stream draws every round's picks before any Born
+        variate, and the noise stream its integers after its uniforms, so
+        those two arrays are drawn whole here.  Born, masking and Eve
+        uniforms are drawn block by block in ``_draw``, which yields the
+        same values as one draw for the whole run.
+        """
         config = self.config
-        rounds = config.rounds
-        n = self.num_parties
-        g_round = stream_generator(config.seed, "round")
-        self._picks = g_round.integers(0, 3, size=(rounds, n))
-        born_cols = n + (n - 1 if self.kind == "chsh" else 0)
-        self._born = g_round.random(size=(rounds, born_cols))
-        if config.masking_enabled and self._mask_angle_count:
-            g_mask = stream_generator(config.seed, "masking")
-            self._angles = g_mask.random(size=(rounds, self._mask_angle_count)) * TWO_PI
-        else:
-            self._angles = None
-        if self.eve is not None:
-            g_eve = stream_generator(config.seed, "eve")
-            self._eve_u = g_eve.random(size=(rounds, 2))
-        else:
-            self._eve_u = None
+        rounds, n = config.rounds, self.num_parties
+        self._g_round = stream_generator(config.seed, "round")
+        self._picks = self._g_round.integers(0, 3, size=(rounds, n))
+        self._born_cols = n + (n - 1 if self.kind == "chsh" else 0)
+        masked = config.masking_enabled and self._mask_angle_count
+        self._g_mask = stream_generator(config.seed, "masking") if masked else None
+        self._g_eve = stream_generator(config.seed, "eve") if self.eve is not None else None
+        self._noise_u = self._white_idx = None
         if config.noise is not None:
             g_noise = stream_generator(config.seed, "noise")
-            preparers = 1 if self.kind == "mermin" else n - 1
-            detectors = n - 1
-            self._noise_u = g_noise.random(size=(rounds, preparers + detectors))
-            self._white_idx = g_noise.integers(0, self.dim, size=(rounds, preparers))
-            self._noise_preparers = preparers
-        else:
-            self._noise_u = None
+            self._noise_preparers = 1 if self.kind == "mermin" else n - 1
+            self._noise_u = g_noise.random(size=(rounds, self._noise_preparers + n - 1))
+            self._white_idx = g_noise.integers(0, self.dim, size=(rounds, self._noise_preparers))
+        self._drawn = 0
 
-    # -- fast single-party linear algebra ---------------------------------
+    def _draw(self, size: int) -> _Variates:
+        """Every stream's rows for the next ``size`` rounds of the run."""
+        rows = slice(self._drawn, self._drawn + size)
+        self._drawn += size
+        return _Variates(
+            picks=self._picks[rows],
+            born=self._g_round.random(size=(size, self._born_cols)),
+            angles=(
+                None if self._g_mask is None
+                else self._g_mask.random(size=(size, self._mask_angle_count)) * TWO_PI
+            ),
+            eve_u=None if self._g_eve is None else self._g_eve.random(size=(size, 2)),
+            noise_u=None if self._noise_u is None else self._noise_u[rows],
+            white_idx=None if self._white_idx is None else self._white_idx[rows],
+        )
 
-    def _apply_local(self, mat2: np.ndarray, state: np.ndarray, party: int) -> np.ndarray:
+    # -- batched single-party linear algebra -------------------------------
+
+    def _apply_local(self, mats: np.ndarray, states: np.ndarray, party: int) -> np.ndarray:
+        """Apply (B, 2, 2) operators, or one (1, 2, 2), to party's qudit of (B, D) states."""
         pre, post = self.pre_post[party]
-        if pre == 1:
-            return (mat2 @ state.reshape(2, post)).reshape(-1)
-        s3 = state.reshape(pre, 2, post)
-        out = np.empty_like(s3)
-        out[:, 0, :] = mat2[0, 0] * s3[:, 0, :] + mat2[0, 1] * s3[:, 1, :]
-        out[:, 1, :] = mat2[1, 0] * s3[:, 0, :] + mat2[1, 1] * s3[:, 1, :]
-        return out.reshape(-1)
+        s = states.reshape(len(states), pre, 2, post)
+        m = mats[:, :, :, None, None]
+        out = np.empty_like(s)
+        out[:, :, 0] = m[:, 0, 0] * s[:, :, 0] + m[:, 0, 1] * s[:, :, 1]
+        out[:, :, 1] = m[:, 1, 0] * s[:, :, 0] + m[:, 1, 1] * s[:, :, 1]
+        return out.reshape(len(states), -1)
 
-    def _measure_local(
-        self, state: np.ndarray, prefix: str, party: int, u: float
-    ) -> tuple[int, np.ndarray]:
-        """Born-rule branch selection driven by one uniform variate."""
-        branch_plus = self._apply_local(self.plus_projectors[prefix], state, party)
-        p_plus = np.vdot(branch_plus, branch_plus).real
-        p_minus = 1.0 - p_plus
-        if p_plus < PROB_FLOOR:
-            outcome = -1
-        elif p_minus < PROB_FLOOR:
-            outcome = +1
-        else:
-            outcome = +1 if u < p_plus else -1
-        if outcome > 0:
-            return outcome, branch_plus / math.sqrt(p_plus)
-        branch_minus = state - branch_plus
-        return outcome, branch_minus / math.sqrt(max(p_minus, PROB_FLOOR))
+    def _measure(self, states, projectors, party: int, u) -> tuple[np.ndarray, np.ndarray]:
+        """Born-rule branch selection, one uniform variate per round."""
+        plus = self._apply_local(projectors, states, party)
+        flat = plus.view(np.float64)
+        p_plus = np.einsum("ij,ij->i", flat, flat)
+        outcome = _choose(p_plus, u)
+        keep = outcome > 0
+        post = np.where(keep[:, None], plus, states - plus)
+        post /= np.sqrt(np.where(keep, p_plus, np.maximum(1.0 - p_plus, PROB_FLOOR)))[:, None]
+        return outcome, post
 
-    # -- per-round hooks ---------------------------------------------------
+    # -- per-party steps ---------------------------------------------------
 
-    def _mask(self, state: np.ndarray, sender: int, angles) -> np.ndarray:
+    def _mask(self, angles, link: int, party: int) -> np.ndarray | None:
+        """The masking that has acted on qudit ``party`` of a state crossing ``link``.
+
+        A mask acts only on qudits that were already measured, so it
+        commutes with every later measurement and is applied only where
+        Eve reads: the factors on her qudit, in sender order.  Mermin
+        senders 1..link mask qudits 1..sender; in CHSH only the link's
+        sender has masked the re-prepared pair.  (B, 2, 2), or None.
+        """
         if angles is None:
-            return state
-        for party, chunk in self.mask_plan[sender]:
-            state = self._apply_local(_su2_product(self.mask_axes, angles[chunk]), state, party)
-        return state
+            return None
+        senders = range(1, link + 1) if self.kind == "mermin" else (link,)
+        columns = [
+            np.arange(chunk.start, chunk.stop)
+            for sender in senders for hop, chunk in self.mask_plan[sender] if hop == party
+        ]
+        if not columns:
+            return None
+        return _su2_product(self.mask_axes * len(columns), angles[:, np.concatenate(columns)])
 
-    def _eve_hook(self, state: np.ndarray, link: int, round_id: int):
+    def _eve_hook(self, states, link: int, v: _Variates):
+        """Forwarded states and Eve's outcomes (0 where she skips the round).
+
+        Returns the states unchanged and None when she attacks no round of
+        the block at ``link``.
+        """
         eve = self.eve
         if eve is None or eve.position != link:
-            return state, None
-        u_active, u_measure = self._eve_u[round_id]
-        if eve.activity_rate < 1.0 and u_active >= eve.activity_rate:
-            return state, None
+            return states, None
+        active = v.eve_u[:, 0] < eve.activity_rate
+        if not active.any():
+            return states, None
         prefix, party = self.eve_parsed
-        outcome, post = self._measure_local(state, prefix, party, u_measure)
+        mask = self._mask(v.angles, link, party)
+        seen = states if mask is None else self._apply_local(mask, states, party)
+        outcome, post = self._measure(seen, self.plus_projectors[prefix][None], party, v.eve_u[:, 1])
         if eve.resend == "fresh-reference":
-            post = self.projected[prefix, party, outcome]
-        return post, outcome
+            post = self.projected[prefix, party][(1 - outcome) // 2]
+        return np.where(active[:, None], post, states), np.where(active, outcome, 0)
 
-    def _detector_record(self, outcome: int, prefix: str, bob: int, round_id: int) -> int | None:
-        if self.det_noise is None or prefix not in self.key_prefixes:
+    def _detector_record(self, outcome, bob: int, pick, v: _Variates):
+        """What ``bob``'s detector records: ±1, or 0 for an erasure."""
+        det = self.det_noise
+        if det is None:
             return outcome
-        u = self._noise_u[round_id, self._noise_preparers + bob - 2]
-        if isinstance(self.det_noise, MisreadDetector):
-            return -outcome if u < self.det_noise.eta else outcome
-        if isinstance(self.det_noise, LossDetector):
-            return outcome if u < self.det_noise.eta else None
-        raise TypeError(f"unsupported detector noise {self.det_noise!r}")
+        key = self.setting_key[bob - 1][pick]
+        u = v.noise_u[:, self._noise_preparers + bob - 2]
+        if isinstance(det, MisreadDetector):
+            return np.where(key & (u < det.eta), -outcome, outcome)
+        if isinstance(det, LossDetector):
+            return np.where(key & (u >= det.eta), 0, outcome)
+        raise TypeError(f"unsupported detector noise {det!r}")
 
-    def _prepare(
-        self, bob: int, prefix: str, party: int, outcome: int, round_id: int
-    ) -> np.ndarray:
-        """State actually emitted when ``bob`` prepares for ``outcome``.
+    def _prepare(self, bob: int, pick, outcome, v: _Variates) -> np.ndarray:
+        """States actually emitted when ``bob`` prepares for ``outcome``, one per round.
 
         Without noise, and for settings outside the key, this is the
         reference state's projection for the outcome.  A key setting's
@@ -470,108 +530,110 @@ class _Engine:
         key bit; white noise instead emits a uniformly drawn basis state.
         """
         prep = self.prep_noise
-        if prep is not None and prefix in self.key_prefixes:
+        white = None
+        if prep is not None:
             slot = 0 if self.kind == "mermin" else bob - 1
-            u = self._noise_u[round_id, slot]
+            key = self.setting_key[bob - 1][pick]
+            u = v.noise_u[:, slot]
             if isinstance(prep, FlipPrep):
-                eps = prep.eps1 if key_bit(self.kind, bob, outcome) == 0 else prep.eps2
-                if u < eps:
-                    outcome = -outcome
+                eps = np.where(key_bit(self.kind, bob, outcome) == 0, prep.eps1, prep.eps2)
+                outcome = np.where(key & (u < eps), -outcome, outcome)
             elif isinstance(prep, WhitePrep):
-                if u < prep.eps:
-                    ket = np.zeros(self.dim, dtype=np.complex128)
-                    ket[self._white_idx[round_id, slot]] = 1.0
-                    return ket
+                white = key & (u < prep.eps)
             else:
                 raise TypeError(f"unsupported preparation noise {prep!r}")
-        return self.projected[prefix, party, outcome]
+        states = self.setting_prepared[bob - 1][pick, (1 - outcome) // 2]
+        if white is not None and white.any():
+            states[white] = 0.0
+            states[white, v.white_idx[white, slot]] = 1.0
+        return states
 
-    # -- round execution ---------------------------------------------------
+    # -- block execution ---------------------------------------------------
 
-    def play_round(self, round_id: int) -> RoundRecord:
-        picks = self._picks[round_id]
-        born = self._born[round_id]
-        angles = self._angles[round_id] if self._angles is not None else None
+    def play_block(self, size: int) -> list[RoundRecord]:
+        """Play the run's next ``size`` rounds as one (size, D) array, party by party."""
+        first_round = self._drawn
+        v = self._draw(size)
         n = self.num_parties
+        outcomes = np.empty((size, n), dtype=np.int64)
+        eve_outcomes = np.zeros(size, dtype=np.int64)
 
-        labels = tuple(self.labels[k][picks[k]] for k in range(n))
-        parsed = [self.parsed[k][picks[k]] for k in range(n)]
-        prefixes = [p for p, _ in parsed]
-
-        outcomes: list[int | None] = []
-        eve_outcome = None
-
-        prefix1, party1 = parsed[0]
-        first_outcome, _ = self._measure_local(self.reference, prefix1, party1, born[0])
-        outcomes.append(first_outcome)
-        state = self._prepare(1, prefix1, party1, first_outcome, round_id)
-        state = self._mask(state, 1, angles)
-        state, hit = self._eve_hook(state, 1, round_id)
-        if hit is not None:
-            eve_outcome = hit
-
+        pick = v.picks[:, 0]
+        outcomes[:, 0] = _choose(self.setting_p_plus[0][pick], v.born[:, 0])
+        states = self._prepare(1, pick, outcomes[:, 0], v)
         for bob in range(2, n + 1):
-            prefix, party = parsed[bob - 1]
-            true_outcome, state = self._measure_local(state, prefix, party, born[bob - 1])
-            recorded = true_outcome
-            if self.det_noise is not None:
-                recorded = self._detector_record(true_outcome, prefix, bob, round_id)
-            outcomes.append(recorded)
-            if bob == n:
-                break
-            if self.kind == "chsh":
-                intent = recorded
-                if intent is None:
-                    intent, _ = self._measure_local(
-                        self.reference, prefix, party, born[n + bob - 2]
-                    )
-                state = self._prepare(bob, prefix, party, intent, round_id)
-            state = self._mask(state, bob, angles)
-            state, hit = self._eve_hook(state, bob, round_id)
+            states, hit = self._eve_hook(states, bob - 1, v)
             if hit is not None:
-                eve_outcome = hit
+                eve_outcomes = hit
+            pick = v.picks[:, bob - 1]
+            true_outcome, states = self._measure(
+                states, self.setting_plus[bob - 1][pick], self.qudit[bob - 1], v.born[:, bob - 1]
+            )
+            outcomes[:, bob - 1] = self._detector_record(true_outcome, bob, pick, v)
+            if self.kind == "chsh" and bob < n:
+                intent = outcomes[:, bob - 1]
+                erased = intent == 0
+                if erased.any():  # an erased record re-prepares from a fresh draw
+                    redraw = _choose(self.setting_p_plus[bob - 1][pick], v.born[:, n + bob - 2])
+                    intent = np.where(erased, redraw, intent)
+                states = self._prepare(bob, pick, intent, v)
+        return self._records(first_round, v.picks, outcomes, eve_outcomes)
 
-        return RoundRecord(
-            round_id=round_id,
-            labels=labels,
-            outcomes=tuple(outcomes),
-            eve_label=self.eve.observable if eve_outcome is not None else None,
-            eve_outcome=eve_outcome,
-            revealed=(
-                _check_round_from_prefixes("mermin", prefixes)
-                if self.kind == "mermin"
-                else not _key_round_from_prefixes("chsh", prefixes)
-            ),
-            key_round=_key_round_from_prefixes(self.kind, prefixes),
+    def _records(self, first_round: int, picks, outcomes, eve_outcomes) -> list[RoundRecord]:
+        """One RoundRecord per round; round kinds come from the picks."""
+        matches = (picks[None] == self.key_picks[:, None]).all(axis=2)
+        key_round = matches.any(axis=0)
+        mermin = self.kind == "mermin"
+        revealed = (picks != self.key_picks[0]).all(axis=1) if mermin else ~key_round
+        eve_label = self.eve.observable if self.eve is not None else None
+        erasable = isinstance(self.det_noise, LossDetector)
+        cache = self._label_cache
+        records = []
+        rows = zip(
+            (picks @ self._pick_codes).tolist(), outcomes.tolist(), eve_outcomes.tolist(),
+            revealed.tolist(), key_round.tolist(),
         )
+        for i, (code, outs, eve_outcome, rev, key) in enumerate(rows):
+            labels = cache.get(code) or cache.setdefault(
+                code, tuple(setting[p] for setting, p in zip(self.labels, picks[i].tolist()))
+            )
+            outs = tuple(o or None for o in outs) if erasable else tuple(outs)
+            eve = (eve_label, eve_outcome) if eve_outcome else (None, None)
+            records.append(RoundRecord(first_round + i, labels, outs, *eve, rev, key))
+        return records
 
 
 def run_protocol(config: ProtocolConfig) -> Transcript:
-    """Execute all rounds in order."""
+    """Execute all rounds in order, a block of rounds at a time."""
     engine = _Engine(config)
-    return Transcript(config=config, records=tuple(engine.play_round(i) for i in range(config.rounds)))
+    block = max(1, AMPLITUDE_BUDGET // config.dim)
+    records = []
+    for start in range(0, config.rounds, block):
+        records += engine.play_block(min(block, config.rounds - start))
+    return Transcript(config=config, records=tuple(records))
 
 
 def sift(transcript: Transcript) -> SiftingResult:
     """Partition rounds into key / check / discarded and derive key bits."""
     kind = transcript.config.kind
-    key_rounds, check_rounds, discarded = [], [], []
+    key_records, check_rounds, discarded = [], [], []
+    checks: dict[tuple[str, ...], bool] = {}  # CHSH check rounds, by label tuple
     for rec in transcript.records:
         if rec.key_round:
-            key_rounds.append(rec.round_id)
-        elif kind == "mermin" and rec.revealed:
-            check_rounds.append(rec.round_id)
-        elif kind == "chsh" and is_check_round(kind, rec.labels):
-            check_rounds.append(rec.round_id)
+            key_records.append(rec)
+        elif kind == "mermin":
+            (check_rounds if rec.revealed else discarded).append(rec.round_id)
         else:
-            discarded.append(rec.round_id)
-    by_id = {rec.round_id: rec for rec in transcript.records}
-    num_parties = transcript.config.num_parties
+            check = checks.get(rec.labels)
+            if check is None:
+                check = checks[rec.labels] = is_check_round(kind, rec.labels)
+            (check_rounds if check else discarded).append(rec.round_id)
     key_bits = tuple(
-        tuple(key_bit(kind, party, by_id[r].outcomes[party - 1]) for r in key_rounds)
-        for party in range(1, num_parties + 1)
+        tuple(key_bit(kind, party, rec.outcomes[party - 1]) for rec in key_records)
+        for party in range(1, transcript.config.num_parties + 1)
     )
-    return SiftingResult(tuple(key_rounds), tuple(check_rounds), tuple(discarded), key_bits)
+    key_rounds = tuple(rec.round_id for rec in key_records)
+    return SiftingResult(key_rounds, tuple(check_rounds), tuple(discarded), key_bits)
 
 
 def extract_key(sifting: SiftingResult) -> KeyMaterial:

@@ -35,25 +35,31 @@ class TestEveConfigValidation:
 
 
 def _eve_engine(eve: EveConfig, rounds: int = 12) -> protocol._Engine:
-    """The round engine of a three-party mermin run with the given eavesdropper."""
-    return protocol._Engine(protocol.ProtocolConfig("mermin", 3, rounds, seed=7, eve=eve))
+    """The round engine of a three-party mermin run with the given eavesdropper.
+
+    Masking is off, so Eve's step measures exactly the states it is given
+    (the oracle checks her step on masked states).
+    """
+    config = protocol.ProtocolConfig("mermin", 3, rounds, seed=7, masking_enabled=False, eve=eve)
+    return protocol._Engine(config)
 
 
-def _basis(index: int) -> np.ndarray:
-    return qmath.StateVector.basis(8, index).amplitudes
+def _basis(index: int, rounds: int = 1) -> np.ndarray:
+    """A block of ``rounds`` copies of one basis state."""
+    return np.repeat(qmath.StateVector.basis(8, index).amplitudes[None], rounds, axis=0)
 
 
 class TestEveIntercept:
-    """The engine's Eve hook on fixed transiting states."""
+    """The engine's batched Eve step on fixed transiting states."""
 
     def test_x1_interception_fixture(self):
         # |0⟩ of three qubit-parties: X1 gives ±1 evenly, the post state is
         # (|0⟩ ± |4⟩)/√2, and the third party's Z outcome stays +1.
         indexing = mapping.PartyIndexing(3)
         engine = _eve_engine(EveConfig(position=2, observable="X1", strategy="commuting-measure"))
+        posts, outcomes = engine._eve_hook(_basis(0, 12), 2, engine._draw(12))
         seen = set()
-        for round_id in range(12):
-            post, outcome = engine._eve_hook(_basis(0), 2, round_id)
+        for post, outcome in zip(posts, outcomes.tolist()):
             seen.add(outcome)
             expected = np.zeros(8, dtype=complex)
             expected[0], expected[4] = 1 / math.sqrt(2), outcome / math.sqrt(2)
@@ -64,29 +70,29 @@ class TestEveIntercept:
 
     def test_z1_interception_reads_key_without_disturbance(self):
         engine = _eve_engine(EveConfig(position=1, observable="Z1", strategy="commuting-measure"))
-        post, outcome = engine._eve_hook(_basis(0), 1, 0)
-        assert outcome == +1
+        post, outcome = engine._eve_hook(_basis(0), 1, engine._draw(1))
+        assert outcome.tolist() == [+1]
         assert np.allclose(post, _basis(0))
 
     def test_x3_interception_randomizes_downstream_key(self):
         indexing = mapping.PartyIndexing(3)
         engine = _eve_engine(EveConfig(position=2, observable="X3", strategy="noncommuting-measure"))
-        post, _ = engine._eve_hook(_basis(0), 2, 0)
-        z3_plus, z3_minus = qmath.branch_probabilities(qmath.StateVector(post), mapping.pauli("Z", 3, indexing))
+        post, _ = engine._eve_hook(_basis(0), 2, engine._draw(1))
+        z3_plus, z3_minus = qmath.branch_probabilities(qmath.StateVector(post[0]), mapping.pauli("Z", 3, indexing))
         assert z3_plus == pytest.approx(0.5, abs=1e-12)
         assert z3_minus == pytest.approx(0.5, abs=1e-12)
 
     def test_inactive_rounds_pass_through(self):
         engine = _eve_engine(EveConfig(position=1, observable="Z1", activity_rate=0.0))
-        state = _basis(3)
-        post, outcome = engine._eve_hook(state, 1, 0)
+        state = _basis(3, 12)
+        post, outcome = engine._eve_hook(state, 1, engine._draw(12))
         assert outcome is None
         assert post is state
 
     def test_none_strategy_passes_through(self):
         engine = _eve_engine(EveConfig(position=1, strategy="none"))
-        state = _basis(3)
-        post, outcome = engine._eve_hook(state, 1, 0)
+        state = _basis(3, 12)
+        post, outcome = engine._eve_hook(state, 1, engine._draw(12))
         assert outcome is None and post is state
 
 
@@ -257,8 +263,8 @@ class TestMeasureResend:
         engine = _eve_engine(
             EveConfig(position=2, observable="Z1", strategy="measure-resend", resend="fresh-reference")
         )
-        post, outcome = engine._eve_hook(_basis(1), 2, 0)
-        assert outcome == +1
+        post, outcome = engine._eve_hook(_basis(1), 2, engine._draw(1))
+        assert outcome.tolist() == [+1]
         # she forwards the reference's projection, (|0⟩ + i|7⟩)/√2 → |0⟩,
         # not the measured |1⟩
         assert np.allclose(post, _basis(0))

@@ -59,8 +59,10 @@ class TestNoisyPreparation:
                 "mermin", 3, 20_000, seed=0, masking_enabled=False, noise=noise.NoiseConfig(prep=prep)
             )
             engine = protocol._Engine(config)
-            kets = [engine._prepare(1, "Z", 1, outcome, r) for r in range(config.rounds)]
-            return np.array([int(np.argmax(np.abs(ket))) for ket in kets])
+            pick = np.full(config.rounds, protocol.MERMIN_PREFIXES.index("Z"))
+            intended = np.full(config.rounds, outcome)
+            kets = engine._prepare(1, pick, intended, engine._draw(config.rounds))
+            return np.argmax(np.abs(kets), axis=1)
 
         draws = emitted(noise.FlipPrep(0.1, 0.2), outcome=-1)  # key bit 1, basis index 7
         fraction_target = np.mean(draws == 7)

@@ -1,12 +1,14 @@
 """Differential oracle: the engine's rounds replayed with dense operators.
 
-The engine (``protocol._Engine``) plays rounds with 2×2 index arithmetic.
-The reference player below replays the same rounds from the engine's own
-pregenerated variates, so the layout of the random streams has a single
-owner, but it does every quantum step on full D-dimensional vectors: it
-measures with lifted eigenprojectors (``mapping.dichotomic_from_local``),
-masks with ``protocol.masking_unitary`` fed the engine's angle row, and
-applies Eve, preparation noise, detector noise and ``fresh-reference``
+The engine (``protocol._Engine``) plays blocks of rounds with 2×2 index
+arithmetic and applies masks lazily, only on Eve's qudit where she reads.
+The reference player below replays the same rounds from the variates the
+engine draws for one block covering the whole run, so the layout of the
+random streams has a single owner, but it does every quantum step on full
+D-dimensional vectors, one round at a time: it measures with lifted
+eigenprojectors (``mapping.dichotomic_from_local``), masks every sender's
+state eagerly with ``protocol.masking_unitary`` fed the engine's angle row,
+and applies Eve, preparation noise, detector noise and ``fresh-reference``
 resends from their definitions.  Every recorded field must agree exactly.
 """
 
@@ -77,6 +79,14 @@ def _grid() -> dict[str, protocol.ProtocolConfig]:
             "chsh", 4, ROUNDS, seed=505, noise=NOISE["model2"],
             eve=EveConfig(3, "XpZ2", "measure-resend", resend="fresh-reference"),
         ),
+        # long enough to cross a default block boundary (512 rounds at D=8,
+        # 1024 at D=4)
+        "mermin3-masked-commuting-seam": protocol.ProtocolConfig(
+            "mermin", 3, 600, seed=506, eve=EveConfig(2, "Z1", "commuting-measure", activity_rate=0.5),
+        ),
+        "chsh3-masked-noncommuting-seam": protocol.ProtocolConfig(
+            "chsh", 3, 1100, seed=507, eve=EveConfig(1, "Z2", "noncommuting-measure"),
+        ),
     }
     configs.update(extra)
     return configs
@@ -100,13 +110,13 @@ class _AngleRow:
 
 
 class DenseReference:
-    """One run's rounds on D-dimensional vectors, driven by an engine's variates."""
+    """One run's rounds on D-dimensional vectors, driven by the engine's variates."""
 
-    def __init__(self, config: protocol.ProtocolConfig, engine):
+    def __init__(self, config: protocol.ProtocolConfig):
         self.config = config
         self.kind = config.kind
         self.n = config.num_parties
-        self.engine = engine
+        self.variates = protocol._Engine(config)._draw(config.rounds)
         qudits = self.n if self.kind == "mermin" else 2
         self.indexing = mapping.PartyIndexing(qudits)
         dim = self.indexing.total_dim
@@ -144,14 +154,14 @@ class DenseReference:
     def prepare(self, round_id: int, bob: int, label: str, outcome: int):
         if self.prep is not None and split_label(label)[0] in self.key_settings:
             slot = 0 if self.kind == "mermin" else bob - 1
-            u = self.engine._noise_u[round_id, slot]
+            u = self.variates.noise_u[round_id, slot]
             if isinstance(self.prep, noise.FlipPrep):
                 bit = protocol.key_bit(self.kind, bob, outcome)
                 if u < (self.prep.eps1 if bit == 0 else self.prep.eps2):
                     outcome = -outcome
             elif u < self.prep.eps:
                 ket = np.zeros(self.indexing.total_dim, dtype=np.complex128)
-                ket[self.engine._white_idx[round_id, slot]] = 1.0
+                ket[self.variates.white_idx[round_id, slot]] = 1.0
                 return ket
         return self.project_reference(label, outcome)
 
@@ -159,7 +169,7 @@ class DenseReference:
         if self.detector is None or split_label(label)[0] not in self.key_settings:
             return outcome
         preparers = 1 if self.kind == "mermin" else self.n - 1
-        u = self.engine._noise_u[round_id, preparers + bob - 2]
+        u = self.variates.noise_u[round_id, preparers + bob - 2]
         if isinstance(self.detector, noise.MisreadDetector):
             return -outcome if u < self.detector.eta else outcome
         return outcome if u < self.detector.eta else None
@@ -181,7 +191,7 @@ class DenseReference:
         eve = self.config.eve
         if eve is None or eve.strategy == "none" or eve.position != link:
             return state, None
-        u_active, u_measure = self.engine._eve_u[round_id]
+        u_active, u_measure = self.variates.eve_u[round_id]
         if u_active >= eve.activity_rate:
             return state, None
         outcome, post = self.measure(state, eve.observable, u_measure)
@@ -190,10 +200,10 @@ class DenseReference:
         return post, outcome
 
     def play(self, round_id: int) -> protocol.RoundRecord:
-        engine = self.engine
-        picks = engine._picks[round_id]
-        born = engine._born[round_id]
-        angle_row = _AngleRow(engine._angles[round_id]) if engine._angles is not None else None
+        variates = self.variates
+        picks = variates.picks[round_id]
+        born = variates.born[round_id]
+        angle_row = _AngleRow(variates.angles[round_id]) if variates.angles is not None else None
         labels = tuple(self.settings[k][picks[k]] for k in range(self.n))
         outcomes = []
         eve_outcome = None
@@ -237,10 +247,10 @@ class DenseReference:
 @pytest.mark.parametrize("name", list(GRID))
 def test_engine_matches_dense_reference(name):
     config = GRID[name]
-    engine = protocol._Engine(config)
-    oracle = DenseReference(config, engine)
+    records = protocol.run_protocol(config).records
+    oracle = DenseReference(config)
     for round_id in range(config.rounds):
-        assert engine.play_round(round_id) == oracle.play(round_id), f"round {round_id}"
+        assert records[round_id] == oracle.play(round_id), f"round {round_id}"
 
 
 def test_grid_exercises_every_branch():

@@ -114,21 +114,28 @@ class TestMaskingUnitary:
     ])
     def test_matches_engine_masking(self, kind, parties, include_key):
         # The verified masking is the executed one: fed the engine's angles,
-        # masking_unitary is the matrix of the engine's masking step.
+        # masking_unitary of every mask sent by a link, in sender order, is
+        # the matrix of the engine's per-qudit masks at that link, applied
+        # to the basis columns as one batch.
         config = protocol.ProtocolConfig(kind, parties, 3, seed=8, masking_include_key=include_key)
         engine = protocol._Engine(config)
         dim = engine.dim
+        angles = engine._draw(config.rounds).angles
         for round_id in range(config.rounds):
-            angles = engine._angles[round_id]
-            for sender, hops in engine.mask_plan.items():
+            batch = np.repeat(angles[round_id : round_id + 1], dim, axis=0)
+            for link in engine.mask_plan:
+                senders = range(1, link + 1) if kind == "mermin" else (link,)
+                hops = [hop for sender in senders for hop in engine.mask_plan[sender]]
                 labels = tuple(f"{axis}{party}" for party, _ in hops for axis in engine.mask_axes)
-                row = np.concatenate([angles[chunk] for _, chunk in hops])
+                row = np.concatenate([angles[round_id, chunk] for _, chunk in hops])
                 spec = protocol.MaskingSpec(engine.indexing.num_parties, labels)
-                u = protocol.masking_unitary(sender, spec, _RowRng(row), engine.indexing)
-                executed = np.column_stack(
-                    [engine._mask(column, sender, angles) for column in np.eye(dim, dtype=complex)]
-                )
-                assert np.max(np.abs(u.matrix - executed)) < 1e-12
+                u = protocol.masking_unitary(link, spec, _RowRng(row), engine.indexing)
+                executed = np.eye(dim, dtype=complex)  # row j: basis column j
+                for party in range(1, engine.indexing.num_parties + 1):
+                    mask = engine._mask(batch, link, party)
+                    if mask is not None:
+                        executed = engine._apply_local(mask, executed, party)
+                assert np.max(np.abs(u.matrix - executed.T)) < 1e-12
 
     def test_single_generator_masking_hides_key_basis(self):
         # Interceptor Z statistics on masked |0⟩ / |7⟩ carry < 0.01 bit:
@@ -336,18 +343,56 @@ class TestDeterminism:
 
 
 class TestSingleRoundOps:
-    """A round played on its own equals the same round of a full run."""
+    """A round is the same whatever block it falls in."""
 
-    def test_run_mermin_round(self):
+    def test_run_mermin_round(self, monkeypatch):
         config = protocol.ProtocolConfig("mermin", 3, 5, seed=91)
-        record = protocol._Engine(config).play_round(2)
+        whole = protocol.run_protocol(config).records
+        monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", config.dim)  # one round a block
+        record = protocol.run_protocol(config).records[2]
         assert len(record.labels) == 3
-        assert record == protocol.run_protocol(config).records[2]
+        assert record == whole[2]
 
-    def test_run_chsh_round(self):
+    def test_run_chsh_round(self, monkeypatch):
         config = protocol.ProtocolConfig("chsh", 4, 5, seed=92)
-        record = protocol._Engine(config).play_round(0)
-        assert record == protocol.run_protocol(config).records[0]
+        whole = protocol.run_protocol(config).records
+        monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", config.dim)
+        record = protocol.run_protocol(config).records[0]
+        assert record == whole[0]
+
+
+SEAM_CONFIGS = {
+    "mermin5-model2-commuting-half": protocol.ProtocolConfig(
+        "mermin", 5, 300, seed=97,
+        noise=noise.NoiseConfig(prep=noise.FlipPrep(0.1, 0.1), detector=noise.LossDetector(0.7)),
+        eve=EveConfig(2, "Z1", "commuting-measure", activity_rate=0.5),
+    ),
+    "chsh4-white-fresh-reference": protocol.ProtocolConfig(
+        "chsh", 4, 1100, seed=98, noise=noise.NoiseConfig(prep=noise.WhitePrep(0.3)),
+        eve=EveConfig(2, "XpZ2", "measure-resend", resend="fresh-reference"),
+    ),
+}
+
+
+class TestBlockSeams:
+    """Where the block boundaries fall never changes a transcript byte."""
+
+    @pytest.mark.parametrize("rounds_per_block", [1, 7])
+    @pytest.mark.parametrize("name", list(SEAM_CONFIGS))
+    def test_block_size_invariance(self, name, rounds_per_block, tmp_path, monkeypatch):
+        config = SEAM_CONFIGS[name]
+        assert config.rounds > protocol.AMPLITUDE_BUDGET // config.dim  # crosses a default seam
+        cli.write_transcript(protocol.run_protocol(config), tmp_path / "default.jsonl")
+        monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", rounds_per_block * config.dim)
+        cli.write_transcript(protocol.run_protocol(config), tmp_path / "seams.jsonl")
+        assert (tmp_path / "seams.jsonl").read_bytes() == (tmp_path / "default.jsonl").read_bytes()
+
+    def test_configs_reach_eve_and_erasures(self):
+        for config in SEAM_CONFIGS.values():
+            assert any(rec.eve_outcome is not None for rec in protocol.run_protocol(config).records)
+        half = protocol.run_protocol(SEAM_CONFIGS["mermin5-model2-commuting-half"]).records
+        assert any(rec.eve_outcome is None for rec in half)  # rounds she skips
+        assert any(None in rec.outcomes for rec in half)  # erasures
 
 
 class TestFourPartyChsh:

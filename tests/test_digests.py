@@ -68,6 +68,17 @@ SWEEP_CASES = {
          "--empirical-grid", "2", "--seed", "5"],
         "sweep-model1-mermin-eta0.1-empirical.csv",
     ),
+    "sweep-chsh-flip": (["--model", "flip", "--kind", "chsh", "--grid", "5"], "sweep-flip-chsh.csv"),
+    "sweep-chsh-white": (["--model", "white", "--kind", "chsh", "--grid", "5"], "sweep-white-chsh.csv"),
+    "sweep-chsh-detector": (["--model", "detector", "--kind", "chsh", "--grid", "5"], "sweep-detector-chsh.csv"),
+    "sweep-chsh-model1": (
+        ["--model", "model1", "--kind", "chsh", "--eta", "0.1", "--grid", "5"], "sweep-model1-chsh-eta0.1.csv",
+    ),
+    "sweep-chsh-model2": (
+        ["--model", "model2", "--kind", "chsh", "--eta", "0.7", "--grid", "5"], "sweep-model2-chsh-eta0.7.csv",
+    ),
+    # The benchmark's own surface, at the default 51-point grid.
+    "sweep-model2-grid51": (["--model", "model2", "--eta", "0.7"], "sweep-model2-mermin-eta0.7.csv"),
 }
 
 # The chsh3 flip, white, model1 and model2 digests cover preparation noise
@@ -100,11 +111,17 @@ DIGESTS = {
     "mermin5-unmasked": "840a7d9bd03b9e49b09c8d22d12bd3bd79252d689d82a0c92aa42d6f5ba5d53b",
     "mermin8-masked": "75da31177d295711e9291940ea9d67382b9c606462a940f1d4b2d2ae02613b51",
     "mermin8-unmasked": "75da31177d295711e9291940ea9d67382b9c606462a940f1d4b2d2ae02613b51",
+    "sweep-chsh-detector": "c11354f6316b23c2a952475e22858124612e2b380d80138512ea7656612a6c9a",
+    "sweep-chsh-flip": "582fe98edc0a7b3743ca5cb5495352017215f769b0748a03e937db4748c6626a",
+    "sweep-chsh-model1": "a95b50ff487f4920dc3daaa1d41f4a65fa7e7c1759a2488b87b02dba94b7ecc9",
+    "sweep-chsh-model2": "037979296d120406a1c139167782f66cb35f3d5089cef3af7b9a4e05dc2b04f4",
+    "sweep-chsh-white": "d5aeffbbc2170bb42483a6c503ee4b82cd7ce92ff58b2f412362c45605cedfd3",
     "sweep-detector": "0e0dcfc69bf2d85dff9ed019d21fa3247731ecfe8cb1971a0964cf5e2666558a",
     "sweep-flip": "86988c41b5855f39a4745362b95465765f1e3a81a69ecb09760ff52d58564583",
     "sweep-model1": "3a6a9912fdaf368512f7d687ef333d24830a14c81dcf7e8cf537a5e2247e1df9",
     "sweep-model1-empirical": "3d07aa320816d14c5033629e64158c47986c1c16e973451b48238c07f40b3353",
     "sweep-model2": "0a98c5f8d4d3af71e9edd469f8e8a1dfd504761c397c9b0b52e70f3c7961ceaf",
+    "sweep-model2-grid51": "f9e8be6d283de0ec80a29f3661f03040f89bd25b7d0da6f26ed55705201b8542",
     "sweep-white": "169b4052a95ae8bb665d24bef3cc1a7a2a1dc118f9d194bdc673c6713d82bdff",
 }
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -225,6 +226,98 @@ class TestAnalyticKeyRate:
         with pytest.raises(ValueError):
             noise.analytic_key_rate("vortex")
 
+
+# Test-local copy of the numpy pair tables the analytic key rate was first
+# computed with: the reference its exact scalar arithmetic must equal.
+def _numpy_mutual_information(joint) -> float:
+    table = np.asarray(joint, dtype=float)
+    if table.ndim != 2:
+        raise ValueError("joint table must be two-dimensional")
+    if np.any(table < -1e-12):
+        raise ValueError("joint table has negative entries")
+    total = table.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"joint table sums to {total}, expected 1")
+    px = table.sum(axis=1)
+    py = table.sum(axis=0)
+    info = 0.0
+    for i in range(table.shape[0]):
+        for j in range(table.shape[1]):
+            p = table[i, j]
+            if p > 0.0:
+                info += p * math.log2(p / (px[i] * py[j]))
+    return float(max(info, 0.0))
+
+
+def _numpy_pair_table(dist, i, j):
+    symbols_i = sorted({k[i] for k in dist}, key=str)
+    symbols_j = sorted({k[j] for k in dist}, key=str)
+    table = np.zeros((len(symbols_i), len(symbols_j)))
+    for key, prob in dist.items():
+        table[symbols_i.index(key[i]), symbols_j.index(key[j])] += prob
+    return table, symbols_i, symbols_j
+
+
+def _numpy_pair_mi(dist, i, j, convention):
+    table, symbols_i, symbols_j = _numpy_pair_table(dist, i, j)
+    if noise.ERASED not in symbols_i and noise.ERASED not in symbols_j:
+        return _numpy_mutual_information(table)
+    keep_i = [k for k, s in enumerate(symbols_i) if s != noise.ERASED]
+    keep_j = [k for k, s in enumerate(symbols_j) if s != noise.ERASED]
+    sub = table[np.ix_(keep_i, keep_j)]
+    weight = sub.sum()
+    if weight <= 0.0:
+        return 0.0
+    conditional = _numpy_mutual_information(sub / weight)
+    if convention == "conditional":
+        return conditional
+    return float(conditional * weight)
+
+
+MODEL_PARAMETERS = {
+    "flip": ("eps1", "eps2"),
+    "white": ("eps",),
+    "detector": ("eta",),
+    "model1": ("eps1", "eps2", "eta"),
+    "model2": ("eps1", "eps2", "eta"),
+}
+
+
+class TestNumpyReference:
+    """The analytic key rate equals the numpy pair-table computation bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["mermin", "chsh"])
+    @pytest.mark.parametrize("model", noise.MODELS)
+    def test_equals_numpy_pair_tables(self, model, kind):
+        names = MODEL_PARAMETERS[model]
+        edges = [dict(zip(names, values)) for values in itertools.product((0.0, 0.5, 1.0), repeat=len(names))]
+        rng = np.random.default_rng(20241018)
+        randoms = [dict(zip(names, rng.random(len(names)).tolist())) for _ in range(200)]
+        builder = noise._mermin_distribution if kind == "mermin" else noise._chsh_distribution
+        pairs = [(1, 2), (1, 3), (2, 3)]
+        for params in edges + randoms:
+            dist = builder(model, *(params.get(name, 0.0) for name in ("eps1", "eps2", "eps", "eta")))
+            for convention in ("conditional", "throughput"):
+                expected = {(i, j): _numpy_pair_mi(dist, i - 1, j - 1, convention) for i, j in pairs}
+                report = noise.analytic_key_rate(model, kind, convention=convention, **params)
+                assert report.pairwise_mi == expected, (params, convention)
+                min_pair = min(pairs, key=lambda p: expected[p])
+                assert report.min_pair == min_pair
+                assert report.key_rate == expected[min_pair]
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_plug_in_equals_numpy_table(self, seed):
+        # Records with erasures, as the empirical key rate tables them.
+        rng = np.random.default_rng(seed)
+        symbols = [0, 1, noise.ERASED]
+        pairs = [(symbols[a], symbols[b]) for a, b in rng.integers(0, 3, size=(500, 2)).tolist()]
+        xs = sorted({x for x, _ in pairs}, key=str)
+        ys = sorted({y for _, y in pairs}, key=str)
+        table = np.zeros((len(xs), len(ys)))
+        for x, y in pairs:
+            table[xs.index(x), ys.index(y)] += 1.0
+        assert noise.mutual_information_from_pairs(pairs) == _numpy_mutual_information(table / table.sum())
 
 class TestEmpiricalKeyRate:
     def test_requires_enough_key_rounds(self):

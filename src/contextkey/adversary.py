@@ -51,13 +51,17 @@ class EveConfig:
 
 @dataclass(frozen=True)
 class LeakageReport:
-    """How much key Eve learned, and whether the checks caught her."""
+    """How much key Eve learned, and whether the checks caught her.
+
+    ``detected`` is None when no check with data fails but some check has
+    a term without samples.
+    """
 
     eve_key_mutual_information: float | None
     attacked_key_rounds: int
     observed: dict[str, InequalityEstimate]
     expected_clean: dict[str, float]
-    detected: bool
+    detected: bool | None
     sufficient_data: bool
 
 
@@ -92,7 +96,8 @@ def leakage_analysis(
         expected = {"mermin": 2.0 ** (transcript.config.num_parties - 1)}
     else:
         expected = {name: 2.0 for name in estimates}
-    detected = not proto.all_checks_violated(estimates)
+    verdict = proto.all_checks_violated(estimates)
+    detected = None if verdict is None else not verdict
     sufficient = len(pairs) > 0
     mi = mutual_information_from_pairs(pairs) if sufficient else None
     return LeakageReport(

@@ -1,7 +1,9 @@
 """Command-line front end: run, attack, sweep, verify.
 
 Exit codes: 0 success (inequality violated), 2 inequality not violated
-(eavesdropping indicated), 64 usage error, 70 internal invariant failure.
+(eavesdropping indicated), 3 insufficient data (no check with data fails,
+but an inequality term has no samples), 64 usage error, 70 internal
+invariant failure.
 
 All artifacts are deterministic functions of the seed and flags: the
 transcript (one JSON record per round), the machine report, the key files,
@@ -28,6 +30,7 @@ from .qmath import InvariantViolation
 
 EXIT_OK = 0
 EXIT_NO_VIOLATION = 2
+EXIT_INSUFFICIENT_DATA = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
@@ -316,6 +319,7 @@ def _run_report(config, transcript, sifting, key, estimates) -> dict:
         "complete_key_rounds": key.num_complete,
         "estimates": {name: _estimate_dict(est) for name, est in sorted(estimates.items())},
         "violated": protocol.all_checks_violated(estimates),
+        "insufficient_data": protocol.insufficient_terms(estimates),
         "empirical_key_rate": None,
     }
 
@@ -347,8 +351,18 @@ def _print_run_summary(report: dict):
         )
     agreement = report["key_agreement"]
     print(f"key agreement: {'n/a' if agreement is None else f'{agreement:.4f}'}")
-    print("verdict: " + ("inequality violated (no eavesdropping indicated)" if report["violated"]
-                         else "NO violation (presence of eavesdropping is indicated)"))
+    if report["violated"] is None:
+        print("verdict: insufficient data")
+    elif report["violated"]:
+        print("verdict: inequality violated (no eavesdropping indicated)")
+    else:
+        print("verdict: NO violation (presence of eavesdropping is indicated)")
+
+
+def _exit_code(report: dict) -> int:
+    if report["violated"] is None:
+        return EXIT_INSUFFICIENT_DATA
+    return EXIT_OK if report["violated"] else EXIT_NO_VIOLATION
 
 
 def cmd_run(args) -> int:
@@ -368,7 +382,7 @@ def cmd_run(args) -> int:
     manifest = _manifest("run", report | {"outdir": str(outdir)}, config.seed, outputs, config.rounds, started)
     _write_json(manifest, outdir / f"{prefix}-manifest.json")
     _print_run_summary(report)
-    return EXIT_OK if report["violated"] else EXIT_NO_VIOLATION
+    return _exit_code(report)
 
 
 def cmd_attack(args) -> int:
@@ -432,14 +446,15 @@ def cmd_attack(args) -> int:
     _print_run_summary(report)
     mi = leakage.eve_key_mutual_information
     print(f"eve: strategy={eve.strategy} MI={'n/a' if mi is None else f'{mi:.4f}'} bits "
-          f"over {leakage.attacked_key_rounds} attacked key rounds; detected={leakage.detected}")
+          f"over {leakage.attacked_key_rounds} attacked key rounds; "
+          f"detected={'n/a' if leakage.detected is None else leakage.detected}")
     if config.kind == "chsh":
         localized = report["eve"]["localized_links"]
         if localized is None:
             print("localization: insufficient check data")
         else:
             print(f"localization: {'links ' + str(localized) if localized else 'no failing link'}")
-    return EXIT_OK if report["violated"] else EXIT_NO_VIOLATION
+    return _exit_code(report)
 
 
 def _format_float(value: float) -> str:
@@ -460,14 +475,14 @@ def _sweep_rows(model: str, kind: str, grid: int, eta: float | None):
     if model in ("flip", "model1", "model2"):
         if model != "flip" and eta is None:
             raise UsageError(f"--eta is required for {model}")
-        axis = np.linspace(0.0, 0.5, grid)
+        axis = np.linspace(0.0, 0.5, grid).tolist()
         names = ("eps1", "eps2")
         points = [(eps1, eps2) for eps1 in axis for eps2 in axis]
         fixed = {"eta": eta or 0.0}
     else:
         # white: noise weight eps in [0, 1]; detector: misread probability eta
         names = ("eps",) if model == "white" else ("eta",)
-        points = [(value,) for value in np.linspace(0.0, 1.0 if model == "white" else 0.5, grid)]
+        points = [(value,) for value in np.linspace(0.0, 1.0 if model == "white" else 0.5, grid).tolist()]
         fixed = {}
     conventions = ("conditional", "throughput") if model == "model2" else ("conditional",)
     header = list(names)
@@ -475,10 +490,10 @@ def _sweep_rows(model: str, kind: str, grid: int, eta: float | None):
         tag = f"_{conv}" if model == "model2" else ""
         header += [f"mi_12{tag}", f"mi_13{tag}", f"mi_23{tag}", f"key_rate{tag}", f"min_pair{tag}"]
     rows = [
-        _surface_row(point, [
-            noise.analytic_key_rate(model, kind, convention=conv, **dict(zip(names, point)), **fixed)
-            for conv in conventions
-        ])
+        _surface_row(
+            point,
+            noise.analytic_key_rates(model, kind, conventions=conventions, **dict(zip(names, point)), **fixed),
+        )
         for point in points
     ]
     return header, rows

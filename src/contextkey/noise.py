@@ -13,12 +13,23 @@ because the conditioning is not uniquely determined by the model
 statement: ``conditional`` renormalizes each pair's table to rounds where
 both records exist, ``throughput`` multiplies that by the probability of
 both records existing.  Models without erasures are unaffected by the
-choice.
+choice.  Each grid point of a surface is computed once for every
+convention: one distribution, one set of pair tables, both conventions
+read from them.
+
+The tables are at most 3×3, so they are lists of plain Python floats,
+summed in a fixed order: sequential sums from 0.0, row sums left to
+right, column sums top to bottom, the table total over the row-major
+entries, table cells accumulated in the distribution's insertion order,
+logarithms by ``math.log2`` (the C library's scalar ``log2``; numpy's
+``log2`` picks SIMD paths by CPU that are not guaranteed to round the
+same).  The sweep CSVs are pinned byte for byte, and this is the order
+numpy summed them in when they were pinned; a reordered sum can move
+the last bit of a rate and so a printed digit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -114,19 +125,31 @@ def binary_mutual_information(joint) -> float:
     table = np.asarray(joint, dtype=float)
     if table.ndim != 2:
         raise ValueError("joint table must be two-dimensional")
-    if np.any(table < -1e-12):
-        raise ValueError("joint table has negative entries")
-    total = table.sum()
+    return _table_information(table.tolist())
+
+
+def _table_information(rows: list[list[float]]) -> float:
+    """Mutual information (bits) of a joint table given as rows of floats."""
+    total = 0.0
+    px = []
+    py = [0.0] * (len(rows[0]) if rows else 0)
+    for row in rows:
+        px_i = 0.0
+        for j, p in enumerate(row):
+            if p < -1e-12:
+                raise ValueError("joint table has negative entries")
+            total += p
+            px_i += p
+            py[j] += p
+        px.append(px_i)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"joint table sums to {total}, expected 1")
-    px = table.sum(axis=1)
-    py = table.sum(axis=0)
     info = 0.0
-    for i, j in itertools.product(range(table.shape[0]), range(table.shape[1])):
-        p = table[i, j]
-        if p > 0.0:
-            info += p * math.log2(p / (px[i] * py[j]))
-    return float(max(info, 0.0))
+    for px_i, row in zip(px, rows):
+        for py_j, p in zip(py, row):
+            if p > 0.0:
+                info += p * math.log2(p / (px_i * py_j))
+    return max(info, 0.0)
 
 
 def key_basis_states(kind: str, dim: int) -> tuple[int, int]:
@@ -275,31 +298,81 @@ def _chsh_distribution(model: str, eps1: float, eps2: float, eps: float, eta: fl
     return dist
 
 
-def _pair_table(dist: dict[tuple, float], i: int, j: int):
-    symbols_i = sorted({k[i] for k in dist}, key=str)
-    symbols_j = sorted({k[j] for k in dist}, key=str)
-    table = np.zeros((len(symbols_i), len(symbols_j)))
-    for key, prob in dist.items():
-        table[symbols_i.index(key[i]), symbols_j.index(key[j])] += prob
-    return table, symbols_i, symbols_j
+_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+# Row and column of a record in a pair table.
+_SYMBOL_INDEX = {0: 0, 1: 1, ERASED: 2}
 
 
-def _pair_mi(dist, i, j, convention: str) -> float:
-    table, symbols_i, symbols_j = _pair_table(dist, i, j)
-    if ERASED not in symbols_i and ERASED not in symbols_j:
-        return binary_mutual_information(table)
-    keep_i = [k for k, s in enumerate(symbols_i) if s != ERASED]
-    keep_j = [k for k, s in enumerate(symbols_j) if s != ERASED]
-    sub = table[np.ix_(keep_i, keep_j)]
-    weight = sub.sum()
+def _pair_tables(dist: dict[tuple, float]):
+    """The 3×3 joint tables of records (1, 2), (1, 3) and (2, 3).
+
+    Rows and columns run 0, 1, erased; every outcome of ``dist`` has a
+    positive probability, so a nonzero erased row or column says that the
+    party records erasures at all.
+    """
+    t12, t13, t23 = tables = [[[0.0] * 3 for _ in range(3)] for _ in _PAIRS]
+    for (r1, r2, r3), prob in dist.items():
+        s1, s2, s3 = _SYMBOL_INDEX[r1], _SYMBOL_INDEX[r2], _SYMBOL_INDEX[r3]
+        t12[s1][s2] += prob
+        t13[s1][s3] += prob
+        t23[s2][s3] += prob
+    return tables
+
+
+def _pair_information(table, conventions) -> list[float]:
+    """One pair's mutual information under each erasure convention."""
+    bits = [table[0][:2], table[1][:2]]
+    if not (table[0][2] or table[1][2] or any(table[2])):
+        return [_table_information(bits)] * len(conventions)
+    weight = 0.0
+    for row in bits:
+        for p in row:
+            weight += p
     if weight <= 0.0:
-        return 0.0
-    conditional = binary_mutual_information(sub / weight)
-    if convention == "conditional":
-        return conditional
-    if convention == "throughput":
-        return float(conditional * weight)
-    raise ValueError(f"unknown erasure convention {convention!r}")
+        return [0.0] * len(conventions)
+    conditional = _table_information([[p / weight for p in row] for row in bits])
+    out = []
+    for convention in conventions:
+        if convention == "conditional":
+            out.append(conditional)
+        elif convention == "throughput":
+            out.append(conditional * weight)
+        else:
+            raise ValueError(f"unknown erasure convention {convention!r}")
+    return out
+
+
+def analytic_key_rates(
+    model: str,
+    kind: str = "mermin",
+    *,
+    eps1: float = 0.0,
+    eps2: float = 0.0,
+    eps: float = 0.0,
+    eta: float = 0.0,
+    num_parties: int = 3,
+    conventions: tuple[str, ...] = ("conditional",),
+) -> list[KeyRateReport]:
+    """:func:`analytic_key_rate` under each of ``conventions``, from one distribution."""
+    if model not in MODELS:
+        raise ValueError(f"unknown noise model {model!r}")
+    if kind not in ("mermin", "chsh"):
+        raise ValueError(f"unknown protocol kind {kind!r}")
+    if num_parties != 3:
+        raise ValueError("the analytic path covers three parties; simulate for other sizes")
+    for name, value in (("eps1", eps1), ("eps2", eps2), ("eps", eps), ("eta", eta)):
+        _check_unit(name, value)
+    builder = _mermin_distribution if kind == "mermin" else _chsh_distribution
+    tables = _pair_tables(builder(model, eps1, eps2, eps, eta))
+    per_pair = [_pair_information(table, conventions) for table in tables]
+    reports = []
+    for c, convention in enumerate(conventions):
+        mi = {pair: values[c] for pair, values in zip(_PAIRS, per_pair)}
+        min_pair = min(_PAIRS, key=mi.__getitem__)
+        effective = convention if model == "model2" else "exact"
+        reports.append(KeyRateReport(model, kind, effective, mi, mi[min_pair], min_pair))
+    return reports
 
 
 def analytic_key_rate(
@@ -320,21 +393,10 @@ def analytic_key_rate(
     plus misreads), ``model2`` (flips plus lossy detectors with click
     probability eta).
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown noise model {model!r}")
-    if kind not in ("mermin", "chsh"):
-        raise ValueError(f"unknown protocol kind {kind!r}")
-    if num_parties != 3:
-        raise ValueError("the analytic path covers three parties; simulate for other sizes")
-    for name, value in (("eps1", eps1), ("eps2", eps2), ("eps", eps), ("eta", eta)):
-        _check_unit(name, value)
-    builder = _mermin_distribution if kind == "mermin" else _chsh_distribution
-    dist = builder(model, eps1, eps2, eps, eta)
-    pairs = [(1, 2), (1, 3), (2, 3)]
-    mi = {(i, j): _pair_mi(dist, i - 1, j - 1, convention) for i, j in pairs}
-    min_pair = min(pairs, key=lambda p: mi[p])
-    effective = convention if model == "model2" else "exact"
-    return KeyRateReport(model, kind, effective, mi, mi[min_pair], min_pair)
+    return analytic_key_rates(
+        model, kind, eps1=eps1, eps2=eps2, eps=eps, eta=eta, num_parties=num_parties,
+        conventions=(convention,),
+    )[0]
 
 
 def mutual_information_from_pairs(pairs) -> float:
@@ -342,12 +404,13 @@ def mutual_information_from_pairs(pairs) -> float:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no samples")
-    xs = sorted({x for x, _ in pairs}, key=str)
-    ys = sorted({y for _, y in pairs}, key=str)
-    table = np.zeros((len(xs), len(ys)))
+    xs = {x: k for k, x in enumerate(sorted({x for x, _ in pairs}, key=str))}
+    ys = {y: k for k, y in enumerate(sorted({y for _, y in pairs}, key=str))}
+    counts = [[0] * len(ys) for _ in xs]
     for x, y in pairs:
-        table[xs.index(x), ys.index(y)] += 1.0
-    return binary_mutual_information(table / table.sum())
+        counts[xs[x]][ys[y]] += 1
+    total = float(len(pairs))
+    return _table_information([[c / total for c in row] for row in counts])
 
 
 class InsufficientKeyRounds(ValueError):

@@ -263,20 +263,23 @@ def check_eve(config: ProtocolConfig) -> None:
     parties (ValueError otherwise).  Under ``commuting-measure`` it must
     also commute with every setting still measured after her link; a
     failed commutation raises InvariantViolation.
+
+    Observables on different qudits commute exactly, and on the same qudit
+    the lifted commutator holds the entries of the local one, so the 2×2
+    matrices decide.
     """
     eve = config.eve
     if eve is None or eve.strategy == "none":
         return
     prefix, party = split_label(eve.observable)
-    indexing = _qudit_indexing(config)
-    indexing._check_party(party)
+    _qudit_indexing(config)._check_party(party)
     if eve.strategy != "commuting-measure":
         return
-    lifted = lift_matrix(LOCAL_MATRICES[prefix], party, indexing)
     for label in _future_labels(config, eve.position):
         other_prefix, other_party = split_label(label)
-        other = lift_matrix(LOCAL_MATRICES[other_prefix], other_party, indexing)
-        if qmath.commutator_norm(lifted, other) > 1e-10:
+        if other_party != party:
+            continue
+        if qmath.commutator_norm(LOCAL_MATRICES[prefix], LOCAL_MATRICES[other_prefix]) > 1e-10:
             raise InvariantViolation(
                 f"eve observable {eve.observable} does not commute with {label}; "
                 "use the noncommuting-measure strategy"
@@ -673,5 +676,25 @@ def check_estimates(transcript: Transcript) -> dict[str, InequalityEstimate]:
     return {f"pair_{k}": est for k, est in chsh_pair_estimates(transcript).items()}
 
 
-def all_checks_violated(estimates: dict[str, InequalityEstimate]) -> bool:
-    return all(est.violated for est in estimates.values())
+def all_checks_violated(estimates: dict[str, InequalityEstimate]) -> bool | None:
+    """Whether every check statistic violates its classical bound.
+
+    False as soon as a check with samples for every term fails to violate;
+    otherwise None while some check has a term without samples, because
+    missing data is no evidence of eavesdropping.
+    """
+    if any(est.usable and not est.violated for est in estimates.values()):
+        return False
+    if any(not est.usable for est in estimates.values()):
+        return None
+    return True
+
+
+def insufficient_terms(estimates: dict[str, InequalityEstimate]) -> list[str]:
+    """``check:term`` for every inequality term without samples, sorted."""
+    return sorted(
+        f"{name}:{term}"
+        for name, est in estimates.items()
+        for term, count in est.samples_per_term.items()
+        if count == 0
+    )

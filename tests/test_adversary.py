@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from contextkey import adversary, mapping, noise, protocol, qmath
+from contextkey import adversary, inequality, mapping, noise, protocol, qmath
 from contextkey.adversary import EveConfig
 
 
@@ -32,6 +33,44 @@ class TestEveConfigValidation:
         eve = EveConfig(position=2, observable="X1", strategy="commuting-measure")
         config = protocol.ProtocolConfig("mermin", 3, 10, seed=1, eve=eve)
         protocol.run_protocol(config)
+
+    def test_commutation_check_at_twelve_parties_is_fast(self):
+        # Lifting to 4096×4096 took minutes; the check needs only 2×2 matrices.
+        eve = EveConfig(position=2, observable="Z1", strategy="commuting-measure")
+        config = protocol.ProtocolConfig("mermin", 12, 10, eve=eve)
+        started = time.perf_counter()
+        protocol.check_eve(config)
+        assert time.perf_counter() - started < 1.0
+
+    def test_noncommuting_claim_rejected_at_twelve_parties(self):
+        eve = EveConfig(position=2, observable="X3", strategy="commuting-measure")
+        config = protocol.ProtocolConfig("mermin", 12, 10, eve=eve)
+        with pytest.raises(qmath.InvariantViolation):
+            protocol.check_eve(config)
+
+    @pytest.mark.parametrize("kind", ["mermin", "chsh"])
+    def test_commutation_decisions_match_lifted_matrices(self, kind):
+        config = protocol.ProtocolConfig(kind, 4, 10)
+        indexing = protocol._qudit_indexing(config)
+        labels = {label for labs in protocol.party_labels(kind, 4) for label in labs}
+
+        def lifted(label):
+            prefix, party = inequality.split_label(label)
+            return mapping.lift_matrix(inequality.LOCAL_MATRICES[prefix], party, indexing)
+
+        for link in range(1, 4):
+            for label in sorted(labels):
+                eve = EveConfig(position=link, observable=label, strategy="commuting-measure")
+                commutes = all(
+                    qmath.commutator_norm(lifted(label), lifted(later)) <= 1e-10
+                    for later in protocol._future_labels(config, link)
+                )
+                config_eve = protocol.ProtocolConfig(kind, 4, 10, eve=eve)
+                if commutes:
+                    protocol.check_eve(config_eve)
+                else:
+                    with pytest.raises(qmath.InvariantViolation):
+                        protocol.check_eve(config_eve)
 
 
 def _eve_engine(eve: EveConfig, rounds: int = 12) -> protocol._Engine:

@@ -75,18 +75,26 @@ class TestUsage:
 class TestRun:
     def test_insufficient_data_summary(self, tmp_path, monkeypatch, capsys):
         # 20 rounds leave Mermin terms without samples: the summary says so
-        # and the run ends with the no-violation code instead of crashing.
+        # and the run ends with the insufficient-data code, not the
+        # eavesdropping one.
         code = run_cli(
             ["run", "--kind", "mermin", "--parties", "3", "--rounds", "20",
              "--seed", "1", "--outdir", str(tmp_path / "out")],
             tmp_path, monkeypatch,
         )
         captured = capsys.readouterr()
-        assert code == cli.EXIT_NO_VIOLATION
-        assert "mermin: insufficient data" in captured.out.splitlines()
+        assert code == cli.EXIT_INSUFFICIENT_DATA
+        lines = captured.out.splitlines()
+        assert "mermin: insufficient data" in lines
+        assert "verdict: insufficient data" in lines
+        assert not any("eavesdropping" in line for line in lines)
         assert "Traceback" not in captured.err
         report = json.loads((tmp_path / "out" / "run-report.json").read_text())
         assert report["estimates"]["mermin"]["usable"] is False
+        assert report["violated"] is None
+        samples = report["estimates"]["mermin"]["samples_per_term"]
+        assert report["insufficient_data"] == sorted(f"mermin:{t}" for t, n in samples.items() if n == 0)
+        assert report["insufficient_data"]
 
     def test_writes_all_artifacts(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "runout"
@@ -177,6 +185,24 @@ class TestAttack:
         report = json.loads((out / "attack-report.json").read_text())
         assert report["eve"]["strategy"] == "noncommuting-measure"
         assert report["eve"]["detected"] is True
+
+    def test_commuting_attack_without_data_is_not_detected(self, tmp_path, monkeypatch, capsys):
+        # Two of the 32 six-party terms get no samples in 3000 rounds; a
+        # commuting attack cannot disturb the statistics, and missing data
+        # must not read as eavesdropping.
+        out = tmp_path / "atk4"
+        code = run_cli(
+            ["attack", "--kind", "mermin", "--parties", "6", "--rounds", "3000",
+             "--seed", "1", "--eve-link", "3", "--eve-obs", "Z1", "--outdir", str(out)],
+            tmp_path, monkeypatch,
+        )
+        assert code == cli.EXIT_INSUFFICIENT_DATA
+        summary = capsys.readouterr().out
+        assert "detected=True" not in summary
+        assert "verdict: insufficient data" in summary.splitlines()
+        report = json.loads((out / "attack-report.json").read_text())
+        assert report["eve"]["detected"] is None
+        assert report["insufficient_data"] == ["mermin:X1X2Y3X4X5X6", "mermin:X1Y2Y3Y4Y5Y6"]
 
     def test_chsh_attack_reports_localization(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "atk3"

@@ -426,3 +426,22 @@ class TestMaskingVariant:
         assert key.agreement_fraction == 1.0
         assert not leak.detected
         assert leak.eve_key_mutual_information < 0.01
+
+
+class TestVerdict:
+    @staticmethod
+    def _estimate(value, counts):
+        usable = all(n > 0 for n in counts.values())
+        return inequality.InequalityEstimate(
+            value if usable else 0.0, 0.01 if usable else math.inf, counts, 2.0, usable=usable
+        )
+
+    def test_missing_data_is_not_a_failed_check(self):
+        ok = self._estimate(2.8, {"X1X2": 5, "Z1Z2": 5})
+        failing = self._estimate(1.0, {"X1X2": 5, "Z1Z2": 5})
+        empty = self._estimate(0.0, {"X1X2": 0, "Z1Z2": 3})
+        assert protocol.all_checks_violated({"pair_1": ok, "pair_2": ok}) is True
+        assert protocol.all_checks_violated({"pair_1": ok, "pair_2": empty}) is None
+        # a check with data that fails still indicates eavesdropping
+        assert protocol.all_checks_violated({"pair_1": failing, "pair_2": empty}) is False
+        assert protocol.insufficient_terms({"pair_1": ok, "pair_2": empty}) == ["pair_2:X1X2"]

@@ -305,7 +305,6 @@ class TestNumpyReference:
                 assert report.min_pair == min_pair
                 assert report.key_rate == expected[min_pair]
 
-
     @pytest.mark.parametrize("seed", range(5))
     def test_plug_in_equals_numpy_table(self, seed):
         # Records with erasures, as the empirical key rate tables them.
@@ -318,6 +317,7 @@ class TestNumpyReference:
         for x, y in pairs:
             table[xs.index(x), ys.index(y)] += 1.0
         assert noise.mutual_information_from_pairs(pairs) == _numpy_mutual_information(table / table.sum())
+
 
 class TestEmpiricalKeyRate:
     def test_requires_enough_key_rounds(self):

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .inequality import InequalityEstimate
-from .noise import mutual_information_from_pairs
+from .noise import binary_mutual_information
 
 STRATEGIES = ("none", "commuting-measure", "noncommuting-measure", "measure-resend")
 RESEND_MODES = ("post-state", "fresh-reference")
@@ -82,31 +84,25 @@ def leakage_analysis(
         sifting = proto.sift(transcript)
     if estimates is None:
         estimates = proto.check_estimates(transcript)
-    by_id = {rec.round_id: rec for rec in transcript.records}
-    pairs = []
-    for i, round_id in enumerate(sifting.key_rounds):
-        rec = by_id[round_id]
-        if rec.eve_outcome is None:
-            continue
-        bit = sifting.key_bits[reference_party - 1][i]
-        if bit is None:
-            continue
-        pairs.append(((1 - rec.eve_outcome) // 2, bit))
+    eve = transcript.eve_outcomes[sifting.key_rounds]
+    bits = sifting.key_bits[reference_party - 1]
+    seen = (eve != 0) & (bits != proto.ERASED_BIT)
+    joint = np.bincount(2 * ((1 - eve[seen]) // 2) + bits[seen], minlength=4).reshape(2, 2)
     if transcript.config.kind == "mermin":
         expected = {"mermin": 2.0 ** (transcript.config.num_parties - 1)}
     else:
         expected = {name: 2.0 for name in estimates}
     verdict = proto.all_checks_violated(estimates)
     detected = None if verdict is None else not verdict
-    sufficient = len(pairs) > 0
-    mi = mutual_information_from_pairs(pairs) if sufficient else None
+    attacked = int(seen.sum())
+    mi = binary_mutual_information(joint / attacked) if attacked else None
     return LeakageReport(
         eve_key_mutual_information=mi,
-        attacked_key_rounds=len(pairs),
+        attacked_key_rounds=attacked,
         observed=estimates,
         expected_clean=expected,
         detected=detected,
-        sufficient_data=sufficient,
+        sufficient_data=attacked > 0,
     )
 
 

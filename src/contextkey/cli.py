@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -217,48 +218,89 @@ def _estimate_dict(est: inequality.InequalityEstimate) -> dict:
     }
 
 
+#: Rounds formatted per write, so no copy of a whole transcript's text is held.
+TRANSCRIPT_CHUNK = 4096
+
+# JSON of an int8 byte: an outcome ±1, or null for 0; a round kind flag.
+_OUTCOME_JSON = {1: "1", 255: "-1", 0: "null"}
+_FLAG_JSON = ("false", "true")
+
+
+def _row_keys(*columns) -> list[bytes]:
+    """Each row of the int8 columns, side by side, as one bytes object."""
+    table = np.ascontiguousarray(np.column_stack(columns), dtype=np.int8)
+    return table.view(np.dtype((np.void, table.shape[1]))).ravel().tolist()
+
+
 def write_transcript(transcript: protocol.Transcript, path: Path):
     """One JSON object per round, in ``json.dumps(..., sort_keys=True)`` form.
 
-    Lines are formatted directly, with each distinct label tuple encoded
-    once, and streamed to the file, so no copy of the whole text is held.
+    Erased outcomes are written as null, and so are Eve's label and outcome
+    in rounds she did not measure.  Rounds are written a chunk at a time;
+    within a chunk, the text of each distinct row of settings (picks and
+    round kinds) and of outcomes is formatted once.
     """
-    labels_json: dict[tuple[str, ...], str] = {}
+    config = transcript.config
+    kinds, setting_labels = transcript.kinds, transcript.setting_labels
+    observable = json.dumps(config.eve.observable) if config.eve is not None else "null"
+    eve_json = {0: '"eve_label": null, "eve_outcome": null'}
+    eve_json |= {o: f'"eve_label": {observable}, "eve_outcome": {o}' for o in (1, -1)}
+
+    def around_outcomes(settings: bytes) -> tuple[str, str]:
+        *picks, key_round, revealed = settings
+        labels = json.dumps([labs[p] for labs, p in zip(setting_labels, picks)])
+        return (
+            f'"key_round": {_FLAG_JSON[key_round]}, "labels": {labels}, "outcomes": [',
+            f'], "revealed": {_FLAG_JSON[revealed]}, "round": ',
+        )
+
     with path.open("w") as handle:
-        for rec in transcript.records:
-            labels = labels_json.get(rec.labels)
-            if labels is None:
-                labels = labels_json[rec.labels] = json.dumps(list(rec.labels))
-            eve_label = "null" if rec.eve_label is None else json.dumps(rec.eve_label)
-            outcomes = ", ".join(map(_json_int, rec.outcomes))
-            handle.write(
-                f'{{"eve_label": {eve_label}, "eve_outcome": {_json_int(rec.eve_outcome)}, '
-                f'"key_round": {"true" if rec.key_round else "false"}, "labels": {labels}, '
-                f'"outcomes": [{outcomes}], "revealed": {"true" if rec.revealed else "false"}, '
-                f'"round": {rec.round_id}}}\n'
-            )
-
-
-def _json_int(value: int | None) -> str:
-    return "null" if value is None else str(value)
+        for start in range(0, config.rounds, TRANSCRIPT_CHUNK):
+            rows = slice(start, start + TRANSCRIPT_CHUNK)
+            around, between, lines = {}, {}, []
+            for r, eve, settings, outcomes in zip(
+                itertools.count(start),
+                transcript.eve_outcomes[rows].tolist(),
+                _row_keys(transcript.picks[rows], kinds.key[rows], kinds.revealed[rows]),
+                _row_keys(transcript.outcomes[rows]),
+            ):
+                if settings not in around:
+                    around[settings] = around_outcomes(settings)
+                if outcomes not in between:
+                    between[outcomes] = ", ".join(_OUTCOME_JSON[b] for b in outcomes)
+                head, tail = around[settings]
+                lines.append(f"{{{eve_json[eve]}, {head}{between[outcomes]}{tail}{r}}}\n")
+            handle.write("".join(lines))
 
 
 def read_transcript(path: Path, config: protocol.ProtocolConfig) -> protocol.Transcript:
-    records = []
-    for line in path.read_text().splitlines():
-        raw = json.loads(line)
-        records.append(
-            protocol.RoundRecord(
-                round_id=raw["round"],
-                labels=tuple(raw["labels"]),
-                outcomes=tuple(raw["outcomes"]),
-                eve_label=raw["eve_label"],
-                eve_outcome=raw["eve_outcome"],
-                revealed=raw["revealed"],
-                key_round=raw["key_round"],
-            )
-        )
-    return protocol.Transcript(config=config, records=tuple(records))
+    """Parse a transcript written by ``write_transcript`` for ``config``.
+
+    Raises ValueError on a line whose labels are not the parties' settings,
+    whose outcomes are not ±1 or null, or whose round number is out of order.
+    """
+    picks_of = [
+        {label: pick for pick, label in enumerate(labels)}
+        for labels in protocol.party_labels(config.kind, config.num_parties)
+    ]
+    picks, outcomes, eve_outcomes = [], [], []
+    with path.open() as handle:
+        for expected, line in enumerate(handle):
+            raw = json.loads(line)
+            if raw["round"] != expected:
+                raise ValueError(f"line {expected + 1} holds round {raw['round']}, expected {expected}")
+            labels = raw["labels"]
+            if len(labels) != config.num_parties or any(
+                label not in party for label, party in zip(labels, picks_of)
+            ):
+                raise ValueError(f"round {expected}: labels {labels} are not the parties' settings")
+            recorded = [*raw["outcomes"], raw["eve_outcome"]]
+            if any(o not in (1, -1, None) for o in recorded):
+                raise ValueError(f"round {expected}: outcomes {recorded} are not ±1 or null")
+            picks.append([party[label] for label, party in zip(labels, picks_of)])
+            outcomes.append([o or 0 for o in recorded[:-1]])
+            eve_outcomes.append(recorded[-1] or 0)
+    return protocol.Transcript(config, picks, outcomes, eve_outcomes)
 
 
 def _write_json(payload: dict, path: Path):
@@ -320,17 +362,31 @@ def _run_report(config, transcript, sifting, key, estimates) -> dict:
         "estimates": {name: _estimate_dict(est) for name, est in sorted(estimates.items())},
         "violated": protocol.all_checks_violated(estimates),
         "insufficient_data": protocol.insufficient_terms(estimates),
-        "empirical_key_rate": None,
+        "empirical_key_rate": _key_rate_section(transcript),
     }
 
 
-def _write_key_files(key: protocol.KeyMaterial, outdir: Path, prefix: str) -> list[Path]:
-    paths = []
+# Key-file characters of the key-bit symbols 0, 1 and ERASED_BIT.
+_KEY_CHARS = np.frombuffer(b"01e", dtype=np.uint8)
+
+
+def _write_artifacts(command: str, args, transcript, key, report: dict, started: float):
+    """Write the transcript, report, key files and manifest; print the summary."""
+    config = transcript.config
+    outdir = _resolve_outdir(args.outdir)
+    prefix = args.prefix or command
+    transcript_path = outdir / f"{prefix}-transcript.jsonl"
+    write_transcript(transcript, transcript_path)
+    report_path = outdir / f"{prefix}-report.json"
+    _write_json(report, report_path)
+    outputs = [transcript_path, report_path]
     for party, bits in enumerate(key.bits, start=1):
         path = outdir / f"{prefix}-key-party{party}.txt"
-        path.write_text("".join("e" if b is None else str(b) for b in bits) + "\n")
-        paths.append(path)
-    return paths
+        path.write_text(_KEY_CHARS[bits].tobytes().decode("ascii") + "\n")
+        outputs.append(path)
+    manifest = _manifest(command, report | {"outdir": str(outdir)}, config.seed, outputs, config.rounds, started)
+    _write_json(manifest, outdir / f"{prefix}-manifest.json")
+    _print_run_summary(report)
 
 
 def _print_run_summary(report: dict):
@@ -369,19 +425,8 @@ def cmd_run(args) -> int:
     started = time.monotonic()
     args.seed = _resolve_seed(args.seed)
     config, transcript, sifting, key, estimates = _execute_protocol(_build_config(args))
-    outdir = _resolve_outdir(args.outdir)
-    prefix = args.prefix or "run"
     report = _run_report(config, transcript, sifting, key, estimates)
-    report["empirical_key_rate"] = _key_rate_section(transcript)
-    transcript_path = outdir / f"{prefix}-transcript.jsonl"
-    write_transcript(transcript, transcript_path)
-    report_path = outdir / f"{prefix}-report.json"
-    _write_json(report, report_path)
-    key_paths = _write_key_files(key, outdir, prefix)
-    outputs = [transcript_path, report_path, *key_paths]
-    manifest = _manifest("run", report | {"outdir": str(outdir)}, config.seed, outputs, config.rounds, started)
-    _write_json(manifest, outdir / f"{prefix}-manifest.json")
-    _print_run_summary(report)
+    _write_artifacts("run", args, transcript, key, report, started)
     return _exit_code(report)
 
 
@@ -413,10 +458,7 @@ def cmd_attack(args) -> int:
         raise UsageError(str(exc)) from exc
     config, transcript, sifting, key, estimates = _execute_protocol(config)
     leakage = adversary.leakage_analysis(transcript, sifting=sifting, estimates=estimates)
-    outdir = _resolve_outdir(args.outdir)
-    prefix = args.prefix or "attack"
     report = _run_report(config, transcript, sifting, key, estimates)
-    report["empirical_key_rate"] = _key_rate_section(transcript)
     report["eve"] = {
         "link": eve.position,
         "observable": eve.observable,
@@ -435,15 +477,7 @@ def cmd_attack(args) -> int:
         except adversary.InsufficientCheckData as exc:
             report["eve"]["localized_links"] = None
             report["eve"]["localization_error"] = str(exc)
-    transcript_path = outdir / f"{prefix}-transcript.jsonl"
-    write_transcript(transcript, transcript_path)
-    report_path = outdir / f"{prefix}-report.json"
-    _write_json(report, report_path)
-    key_paths = _write_key_files(key, outdir, prefix)
-    outputs = [transcript_path, report_path, *key_paths]
-    manifest = _manifest("attack", report | {"outdir": str(outdir)}, config.seed, outputs, config.rounds, started)
-    _write_json(manifest, outdir / f"{prefix}-manifest.json")
-    _print_run_summary(report)
+    _write_artifacts("attack", args, transcript, key, report, started)
     mi = leakage.eve_key_mutual_information
     print(f"eve: strategy={eve.strategy} MI={'n/a' if mi is None else f'{mi:.4f}'} bits "
           f"over {leakage.attacked_key_rounds} attacked key rounds; "

@@ -196,33 +196,29 @@ def mermin_operator_direct(num_parties: int) -> np.ndarray:
     return (plus - minus) / 2j
 
 
-def estimate_from_transcript(records, spec: InequalitySpec) -> InequalityEstimate:
+def estimate_from_transcript(transcript, spec: InequalitySpec) -> InequalityEstimate:
     """Average matching revealed rounds into the inequality value.
 
-    A round feeds the (unique) term whose labels equal the round's labels
-    at the spec's parties; rounds with erased outcomes there are skipped.
-    The standard error propagates each term's sample variance.
+    A revealed round feeds the (unique) term whose labels equal its
+    settings at the spec's parties; rounds with an erased outcome there
+    are skipped.  Rounds are counted per term by the code of their picks
+    there; their ±1 products sum exactly in floating point.  The standard
+    error propagates each term's sample variance.
     """
     positions = [p - 1 for p in spec.parties]
-    term_index = {labels: i for i, (_, labels) in enumerate(spec.terms)}
-    sums = np.zeros(len(spec.terms))
-    counts = np.zeros(len(spec.terms), dtype=np.int64)
-    for rec in records:
-        if not rec.revealed:
-            continue
-        labels = tuple(rec.labels[p] for p in positions)
-        idx = term_index.get(labels)
-        if idx is None:
-            continue
-        product = 1
-        for p in positions:
-            outcome = rec.outcomes[p]
-            if outcome is None:
-                break
-            product *= outcome
-        else:
-            sums[idx] += product
-            counts[idx] += 1
+    settings = [transcript.setting_labels[p] for p in positions]
+    place = 3 ** np.arange(len(positions))
+    outcomes = transcript.outcomes[:, positions]
+    used = transcript.kinds.revealed & (outcomes != 0).all(axis=1)
+    codes = transcript.picks[:, positions][used] @ place
+    width = 3 ** len(positions)
+    counts_by_code = np.bincount(codes, minlength=width)
+    sums_by_code = np.bincount(codes, weights=outcomes[used].prod(axis=1), minlength=width)
+    term_codes = [
+        sum(labs.index(label) * w for label, labs, w in zip(labels, settings, place.tolist()))
+        for _, labels in spec.terms
+    ]
+    sums, counts = sums_by_code[term_codes], counts_by_code[term_codes]
     samples = {"".join(labels): int(counts[i]) for i, (_, labels) in enumerate(spec.terms)}
     usable = bool(np.all(counts > 0))
     if not usable:

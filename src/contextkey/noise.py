@@ -35,11 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DichotomicObservable, DensityOperator
+from .qmath import DichotomicObservable
 
 ERASED = "e"
 
 MODELS = ("flip", "white", "detector", "model1", "model2")
+
+CONVENTIONS = ("conditional", "throughput")
 
 
 @dataclass(frozen=True)
@@ -150,36 +152,6 @@ def _table_information(rows: list[list[float]]) -> float:
             if p > 0.0:
                 info += p * math.log2(p / (px_i * py_j))
     return max(info, 0.0)
-
-
-def key_basis_states(kind: str, dim: int) -> tuple[int, int]:
-    """Computational-basis indices encoding key bits 0 and 1."""
-    if kind == "mermin":
-        return 0, dim - 1
-    if kind == "chsh":
-        return 1, 2
-    raise ValueError(f"unknown protocol kind {kind!r}")
-
-
-def noisy_preparation(ideal_bit: int, noise: PrepNoise, kind: str, num_parties: int = 3) -> DensityOperator:
-    """Density operator actually emitted when preparing a key-basis state."""
-    if ideal_bit not in (0, 1):
-        raise ValueError("ideal_bit must be 0 or 1")
-    dim = 2**num_parties if kind == "mermin" else 4
-    zero_idx, one_idx = key_basis_states(kind, dim)
-    target = zero_idx if ideal_bit == 0 else one_idx
-    other = one_idx if ideal_bit == 0 else zero_idx
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    if isinstance(noise, FlipPrep):
-        eps = noise.eps1 if ideal_bit == 0 else noise.eps2
-        out[target, target] = 1.0 - eps
-        out[other, other] = eps
-    elif isinstance(noise, WhitePrep):
-        out[target, target] = 1.0 - noise.eps
-        out += (noise.eps / dim) * np.eye(dim)
-    else:
-        raise TypeError(f"unsupported preparation noise {noise!r}")
-    return DensityOperator(out)
 
 
 def detector_effects(obs: DichotomicObservable, noise: DetectorNoise) -> list[tuple[object, np.ndarray]]:
@@ -332,15 +304,7 @@ def _pair_information(table, conventions) -> list[float]:
     if weight <= 0.0:
         return [0.0] * len(conventions)
     conditional = _table_information([[p / weight for p in row] for row in bits])
-    out = []
-    for convention in conventions:
-        if convention == "conditional":
-            out.append(conditional)
-        elif convention == "throughput":
-            out.append(conditional * weight)
-        else:
-            raise ValueError(f"unknown erasure convention {convention!r}")
-    return out
+    return [conditional if c == "conditional" else conditional * weight for c in conventions]
 
 
 def analytic_key_rates(
@@ -361,6 +325,9 @@ def analytic_key_rates(
         raise ValueError(f"unknown protocol kind {kind!r}")
     if num_parties != 3:
         raise ValueError("the analytic path covers three parties; simulate for other sizes")
+    for convention in conventions:
+        if convention not in CONVENTIONS:
+            raise ValueError(f"unknown erasure convention {convention!r}")
     for name, value in (("eps1", eps1), ("eps2", eps2), ("eps", eps), ("eta", eta)):
         _check_unit(name, value)
     builder = _mermin_distribution if kind == "mermin" else _chsh_distribution
@@ -399,20 +366,6 @@ def analytic_key_rate(
     )[0]
 
 
-def mutual_information_from_pairs(pairs) -> float:
-    """Plug-in mutual information of a list of (x, y) symbol pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no samples")
-    xs = {x: k for k, x in enumerate(sorted({x for x, _ in pairs}, key=str))}
-    ys = {y: k for k, y in enumerate(sorted({y for _, y in pairs}, key=str))}
-    counts = [[0] * len(ys) for _ in xs]
-    for x, y in pairs:
-        counts[xs[x]][ys[y]] += 1
-    total = float(len(pairs))
-    return _table_information([[c / total for c in row] for row in counts])
-
-
 class InsufficientKeyRounds(ValueError):
     """Too few key rounds to estimate pairwise mutual information."""
 
@@ -426,20 +379,15 @@ def empirical_key_rate(transcript, min_key_rounds: int = 1000) -> KeyRateReport:
 
     sifting = sift(transcript)
     num_rounds = len(sifting.key_rounds)
-    if num_rounds < min_key_rounds:
-        raise InsufficientKeyRounds(
-            f"{num_rounds} key rounds, need at least {min_key_rounds}"
-        )
+    needed = max(min_key_rounds, 1)
+    if num_rounds < needed:
+        raise InsufficientKeyRounds(f"{num_rounds} key rounds, need at least {needed}")
     num_parties = transcript.config.num_parties
-    bits = sifting.key_bits
+    bits = sifting.key_bits  # symbols 0, 1 and erased (2)
     pairs = [(i, j) for i in range(1, num_parties + 1) for j in range(i + 1, num_parties + 1)]
     mi = {}
     for i, j in pairs:
-        samples = [
-            (bits[i - 1][r] if bits[i - 1][r] is not None else ERASED,
-             bits[j - 1][r] if bits[j - 1][r] is not None else ERASED)
-            for r in range(num_rounds)
-        ]
-        mi[(i, j)] = mutual_information_from_pairs(samples)
+        joint = np.bincount(3 * bits[i - 1] + bits[j - 1], minlength=9).reshape(3, 3)
+        mi[(i, j)] = binary_mutual_information(joint / num_rounds)
     min_pair = min(pairs, key=lambda p: mi[p])
     return KeyRateReport("empirical", transcript.config.kind, "empirical", mi, mi[min_pair], min_pair)

@@ -6,6 +6,14 @@ party measures its random setting, masks (all but the last), and forwards.
 In the pairwise-grouped CHSH variant each party re-prepares a fresh
 four-dimensional state instead of forwarding the measured one.
 
+A run is a ``Transcript`` of int8 columns, row r being round r: ``picks``
+(rounds × N) indexes each party's ``party_labels``, ``outcomes``
+(rounds × N) holds the recorded ±1 with 0 for an erasure, and
+``eve_outcomes`` holds Eve's ±1 with 0 where she did not measure.  Whether
+a round is a key, revealed or check round depends on its picks alone and
+is decided in one place, ``round_kinds``; sifting, the estimators and the
+transcript writer all read it from there.
+
 All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise), one array row per round.  The engine plays
 blocks of B = max(1, AMPLITUDE_BUDGET // D) rounds as a (B, D) array,
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -132,38 +141,59 @@ def masking_unitary(
     return UnitaryOperator(matrix)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    round_id: int
-    labels: tuple[str, ...]
-    outcomes: tuple[int | None, ...]
-    eve_label: str | None = None
-    eve_outcome: int | None = None
-    revealed: bool = False
-    key_round: bool = False
+# Key-bit symbol of an erased record; key bits are 0 and 1.
+ERASED_BIT = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transcript:
+    """One run as int8 columns, row r being round r (see the module docstring).
+
+    ``picks`` (rounds × N) indexes each party's ``party_labels``;
+    ``outcomes`` (rounds × N) holds ±1, 0 for an erased record;
+    ``eve_outcomes`` (rounds,) holds Eve's ±1, 0 where she did not measure.
+    """
+
     config: ProtocolConfig
-    records: tuple[RoundRecord, ...]
+    picks: np.ndarray
+    outcomes: np.ndarray
+    eve_outcomes: np.ndarray
 
     def __post_init__(self):
-        if len(self.records) != self.config.rounds:
-            raise ValueError("record count does not match the configured rounds")
+        rounds, n = self.config.rounds, self.config.num_parties
+        for name, shape in (("picks", (rounds, n)), ("outcomes", (rounds, n)), ("eve_outcomes", (rounds,))):
+            column = np.asarray(getattr(self, name), dtype=np.int8)
+            if column.shape != shape:
+                raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
+            object.__setattr__(self, name, column)
+
+    @cached_property
+    def setting_labels(self) -> tuple[tuple[str, ...], ...]:
+        """Each party's setting labels, which ``picks`` indexes."""
+        return party_labels(self.config.kind, self.config.num_parties)
+
+    @cached_property
+    def kinds(self) -> RoundKinds:
+        """Every round's kinds, decided by ``round_kinds``."""
+        return round_kinds(self.config.kind, self.picks)
 
 
 @dataclass(frozen=True)
 class SiftingResult:
-    key_rounds: tuple[int, ...]
-    check_rounds: tuple[int, ...]
-    discarded: tuple[int, ...]
-    key_bits: tuple[tuple[int | None, ...], ...]
+    """Round indices of each kind, and the key rounds' bits.
+
+    ``key_bits`` is (N, key rounds): 0, 1, or ERASED_BIT.
+    """
+
+    key_rounds: np.ndarray
+    check_rounds: np.ndarray
+    discarded: np.ndarray
+    key_bits: np.ndarray
 
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    bits: tuple[tuple[int | None, ...], ...]
+    bits: np.ndarray
     num_key_rounds: int
     num_complete: int
     agreement_fraction: float | None
@@ -182,37 +212,52 @@ def party_labels(kind: str, num_parties: int) -> tuple[tuple[str, ...], ...]:
     return tuple(sets)
 
 
-def _chsh_pair_matches(prefix_a: str, prefix_b: str, first_is_odd: bool) -> bool:
-    odd, even = (prefix_a, prefix_b) if first_is_odd else (prefix_b, prefix_a)
-    return odd in ("X", "Z") and even in ("XpZ", "ZmX")
+class RoundKinds(NamedTuple):
+    """Boolean columns, one entry per round."""
+
+    key: np.ndarray
+    revealed: np.ndarray
+    check: np.ndarray
 
 
-def is_key_round(kind: str, labels) -> bool:
-    """Every party chose the same key setting."""
-    prefixes = [split_label(lab)[0] for lab in labels]
-    return any(all(p == key for p in prefixes) for key in KEY_PREFIXES[kind])
+def round_kinds(kind: str, picks: np.ndarray) -> RoundKinds:
+    """Key, revealed and check rounds of a run's (rounds × N) picks.
 
+    A key round is one where every party picked the same key setting.
+    Mermin reveals the rounds where every party picked X or Y, and checks
+    all of them.  CHSH reveals every other round, and checks those where
+    some adjacent pair picked a combination of its pair statistic: X or Z
+    on the odd party with XpZ or ZmX on the even one.
+    """
+    n = picks.shape[1]
+    prefixes = [[split_label(label)[0] for label in labels] for labels in party_labels(kind, n)]
 
-def is_check_round(kind: str, labels) -> bool:
-    prefixes = [split_label(lab)[0] for lab in labels]
+    def picked(wanted) -> np.ndarray:
+        """(rounds × N): whether each party picked a prefix in its set of ``wanted``."""
+        table = np.array([[p in allowed for p in ps] for ps, allowed in zip(prefixes, wanted)])
+        return table[np.arange(n), picks]
+
+    key = np.zeros(len(picks), dtype=bool)
+    for prefix in KEY_PREFIXES[kind]:
+        key |= picked([(prefix,)] * n).all(axis=1)
     if kind == "mermin":
-        return all(p in ("X", "Y") for p in prefixes)
-    if is_key_round(kind, labels):
-        return False
-    return any(
-        _chsh_pair_matches(prefixes[k - 1], prefixes[k], first_is_odd=(k % 2 == 1))
-        for k in range(1, len(prefixes))
-    )
+        revealed = picked([("X", "Y")] * n).all(axis=1)
+        return RoundKinds(key, revealed, revealed)
+    # no key round has such a pair: its settings are all Z or all XpZ
+    member = picked([("X", "Z") if k % 2 == 1 else ("XpZ", "ZmX") for k in range(1, n + 1)])
+    return RoundKinds(key, ~key, (member[:, :-1] & member[:, 1:]).any(axis=1))
 
 
-def key_bit(kind: str, party: int, outcome: int | None) -> int | None:
-    """Outcome-to-bit map; adjacent CHSH outcomes alternate, so parity-adjust."""
-    if outcome is None:
-        return None
+def key_bit(kind: str, party, outcome):
+    """Outcome-to-bit map, ERASED_BIT for an erased 0; elementwise over arrays.
+
+    Adjacent CHSH outcomes alternate, so the bit is parity-adjusted by party.
+    """
+    outcome = np.asarray(outcome)
     raw = (1 - outcome) // 2
     if kind == "chsh":
-        return (raw + (party - 1)) % 2
-    return raw
+        raw = (raw + (party - 1)) % 2
+    return np.where(outcome == 0, ERASED_BIT, raw)
 
 
 def _su2_product(axes: tuple[str, ...], angles) -> np.ndarray:
@@ -326,7 +371,6 @@ class _Engine:
         self.indexing = _qudit_indexing(config)
         self.labels = party_labels(self.kind, self.num_parties)
         self.parsed = tuple(tuple(split_label(lab) for lab in labs) for labs in self.labels)
-        self.key_prefixes = KEY_PREFIXES[self.kind]
         self.plus_projectors = {
             prefix: (np.eye(2, dtype=np.complex128) + mat) / 2
             for prefix, mat in LOCAL_MATRICES.items()
@@ -349,13 +393,7 @@ class _Engine:
         self.setting_plus = [np.stack([self.plus_projectors[p] for p, _ in ps]) for ps in self.parsed]
         self.setting_p_plus = [np.array([reference_p_plus[pair] for pair in ps]) for ps in self.parsed]
         self.setting_prepared = [np.stack([self.projected[pair] for pair in ps]) for ps in self.parsed]
-        self.setting_key = [np.array([p in self.key_prefixes for p, _ in ps]) for ps in self.parsed]
-        # per key prefix, the pick that selects it at each party
-        self.key_picks = np.array(
-            [[[p for p, _ in ps].index(key) for ps in self.parsed] for key in self.key_prefixes]
-        )
-        self._pick_codes = 3 ** np.arange(self.num_parties)
-        self._label_cache: dict[int, tuple[str, ...]] = {}
+        self.setting_key = [np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps]) for ps in self.parsed]
         self._open_streams()
 
     # -- construction ----------------------------------------------------
@@ -417,7 +455,7 @@ class _Engine:
         config = self.config
         rounds, n = config.rounds, self.num_parties
         self._g_round = stream_generator(config.seed, "round")
-        self._picks = self._g_round.integers(0, 3, size=(rounds, n))
+        self.picks = self._g_round.integers(0, 3, size=(rounds, n)).astype(np.int8)
         self._born_cols = n + (n - 1 if self.kind == "chsh" else 0)
         masked = config.masking_enabled and self._mask_angle_count
         self._g_mask = stream_generator(config.seed, "masking") if masked else None
@@ -435,7 +473,7 @@ class _Engine:
         rows = slice(self._drawn, self._drawn + size)
         self._drawn += size
         return _Variates(
-            picks=self._picks[rows],
+            picks=self.picks[rows],
             born=self._g_round.random(size=(size, self._born_cols)),
             angles=(
                 None if self._g_mask is None
@@ -553,13 +591,15 @@ class _Engine:
 
     # -- block execution ---------------------------------------------------
 
-    def play_block(self, size: int) -> list[RoundRecord]:
-        """Play the run's next ``size`` rounds as one (size, D) array, party by party."""
-        first_round = self._drawn
+    def play_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Play the run's next ``size`` rounds as one (size, D) array, party by party.
+
+        Returns the block's ``outcomes`` and ``eve_outcomes`` columns.
+        """
         v = self._draw(size)
         n = self.num_parties
-        outcomes = np.empty((size, n), dtype=np.int64)
-        eve_outcomes = np.zeros(size, dtype=np.int64)
+        outcomes = np.empty((size, n), dtype=np.int8)
+        eve_outcomes = np.zeros(size, dtype=np.int8)
 
         pick = v.picks[:, 0]
         outcomes[:, 0] = _choose(self.setting_p_plus[0][pick], v.born[:, 0])
@@ -567,7 +607,7 @@ class _Engine:
         for bob in range(2, n + 1):
             states, hit = self._eve_hook(states, bob - 1, v)
             if hit is not None:
-                eve_outcomes = hit
+                eve_outcomes[:] = hit
             pick = v.picks[:, bob - 1]
             true_outcome, states = self._measure(
                 states, self.setting_plus[bob - 1][pick], self.qudit[bob - 1], v.born[:, bob - 1]
@@ -580,84 +620,45 @@ class _Engine:
                     redraw = _choose(self.setting_p_plus[bob - 1][pick], v.born[:, n + bob - 2])
                     intent = np.where(erased, redraw, intent)
                 states = self._prepare(bob, pick, intent, v)
-        return self._records(first_round, v.picks, outcomes, eve_outcomes)
-
-    def _records(self, first_round: int, picks, outcomes, eve_outcomes) -> list[RoundRecord]:
-        """One RoundRecord per round; round kinds come from the picks."""
-        matches = (picks[None] == self.key_picks[:, None]).all(axis=2)
-        key_round = matches.any(axis=0)
-        mermin = self.kind == "mermin"
-        revealed = (picks != self.key_picks[0]).all(axis=1) if mermin else ~key_round
-        eve_label = self.eve.observable if self.eve is not None else None
-        erasable = isinstance(self.det_noise, LossDetector)
-        cache = self._label_cache
-        records = []
-        rows = zip(
-            (picks @ self._pick_codes).tolist(), outcomes.tolist(), eve_outcomes.tolist(),
-            revealed.tolist(), key_round.tolist(),
-        )
-        for i, (code, outs, eve_outcome, rev, key) in enumerate(rows):
-            labels = cache.get(code) or cache.setdefault(
-                code, tuple(setting[p] for setting, p in zip(self.labels, picks[i].tolist()))
-            )
-            outs = tuple(o or None for o in outs) if erasable else tuple(outs)
-            eve = (eve_label, eve_outcome) if eve_outcome else (None, None)
-            records.append(RoundRecord(first_round + i, labels, outs, *eve, rev, key))
-        return records
+        return outcomes, eve_outcomes
 
 
 def run_protocol(config: ProtocolConfig) -> Transcript:
     """Execute all rounds in order, a block of rounds at a time."""
     engine = _Engine(config)
     block = max(1, AMPLITUDE_BUDGET // config.dim)
-    records = []
-    for start in range(0, config.rounds, block):
-        records += engine.play_block(min(block, config.rounds - start))
-    return Transcript(config=config, records=tuple(records))
+    outcomes, eve_outcomes = zip(*(
+        engine.play_block(min(block, config.rounds - start))
+        for start in range(0, config.rounds, block)
+    ))
+    return Transcript(config, engine.picks, np.concatenate(outcomes), np.concatenate(eve_outcomes))
 
 
 def sift(transcript: Transcript) -> SiftingResult:
     """Partition rounds into key / check / discarded and derive key bits."""
-    kind = transcript.config.kind
-    key_records, check_rounds, discarded = [], [], []
-    checks: dict[tuple[str, ...], bool] = {}  # CHSH check rounds, by label tuple
-    for rec in transcript.records:
-        if rec.key_round:
-            key_records.append(rec)
-        elif kind == "mermin":
-            (check_rounds if rec.revealed else discarded).append(rec.round_id)
-        else:
-            check = checks.get(rec.labels)
-            if check is None:
-                check = checks[rec.labels] = is_check_round(kind, rec.labels)
-            (check_rounds if check else discarded).append(rec.round_id)
-    key_bits = tuple(
-        tuple(key_bit(kind, party, rec.outcomes[party - 1]) for rec in key_records)
-        for party in range(1, transcript.config.num_parties + 1)
+    kinds = transcript.kinds
+    key_rounds = np.flatnonzero(kinds.key)
+    parties = np.arange(1, transcript.config.num_parties + 1)
+    key_bits = key_bit(transcript.config.kind, parties, transcript.outcomes[key_rounds]).T
+    return SiftingResult(
+        key_rounds, np.flatnonzero(kinds.check), np.flatnonzero(~(kinds.key | kinds.check)),
+        key_bits.astype(np.int8),
     )
-    key_rounds = tuple(rec.round_id for rec in key_records)
-    return SiftingResult(key_rounds, tuple(check_rounds), tuple(discarded), key_bits)
 
 
 def extract_key(sifting: SiftingResult) -> KeyMaterial:
     """Aligned per-party bit strings plus the all-party agreement fraction."""
-    num_rounds = len(sifting.key_rounds)
-    complete = 0
-    agree = 0
-    for i in range(num_rounds):
-        column = [bits[i] for bits in sifting.key_bits]
-        if any(b is None for b in column):
-            continue
-        complete += 1
-        if len(set(column)) == 1:
-            agree += 1
-    fraction = agree / complete if complete else None
-    return KeyMaterial(sifting.key_bits, num_rounds, complete, fraction)
+    bits = sifting.key_bits
+    complete = (bits != ERASED_BIT).all(axis=0)
+    num_complete = int(complete.sum())
+    agree = int((complete & (bits == bits[:1]).all(axis=0)).sum())
+    fraction = agree / num_complete if num_complete else None
+    return KeyMaterial(bits, len(sifting.key_rounds), num_complete, fraction)
 
 
 def mermin_check_estimate(transcript: Transcript) -> InequalityEstimate:
     spec = inequality.mermin_spec(transcript.config.num_parties)
-    return inequality.estimate_from_transcript(transcript.records, spec)
+    return inequality.estimate_from_transcript(transcript, spec)
 
 
 def chsh_pair_estimates(transcript: Transcript) -> dict[int, InequalityEstimate]:
@@ -665,7 +666,7 @@ def chsh_pair_estimates(transcript: Transcript) -> dict[int, InequalityEstimate]
     out = {}
     for k in range(1, transcript.config.num_parties):
         spec = inequality.chsh_pair_spec(k, first_party_odd=(k % 2 == 1))
-        out[k] = inequality.estimate_from_transcript(transcript.records, spec)
+        out[k] = inequality.estimate_from_transcript(transcript, spec)
     return out
 
 

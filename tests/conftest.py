@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from contextkey import protocol, qmath
+from contextkey import noise, protocol, qmath
 
 # Wall-clock build time of the shared simulation fixtures, keyed by name;
 # the acceptance suite asserts its runtime budget against these.
@@ -25,6 +25,14 @@ def singlet_state() -> qmath.StateVector:
     amps[1] = 1 / math.sqrt(2)
     amps[2] = -1 / math.sqrt(2)
     return qmath.StateVector(amps)
+
+
+def pair_mutual_information(pairs) -> float:
+    """Plug-in mutual information (bits) of (bit, bit) samples."""
+    joint = np.zeros((2, 2))
+    for x, y in pairs:
+        joint[x, y] += 1
+    return noise.binary_mutual_information(joint / joint.sum())
 
 
 def _timed_run(name: str, config: protocol.ProtocolConfig) -> protocol.Transcript:

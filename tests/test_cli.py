@@ -1,9 +1,28 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from contextkey import cli, inequality, protocol, verification
+from contextkey import cli, inequality, noise, protocol, verification
+from contextkey.adversary import EveConfig
+
+
+ROUND_TRIPS = {
+    "chsh-run": (
+        ["run", "--kind", "chsh", "--parties", "3", "--rounds", "500", "--seed", "11"],
+        protocol.ProtocolConfig("chsh", 3, 500, seed=11),
+    ),
+    "chsh-attack-lossy-half-eve": (
+        ["attack", "--kind", "chsh", "--parties", "3", "--rounds", "500", "--seed", "12",
+         "--detector-noise", "loss:0.6", "--eve-link", "1", "--eve-obs", "Z1", "--eve-activity", "0.5"],
+        protocol.ProtocolConfig(
+            "chsh", 3, 500, seed=12,
+            noise=noise.NoiseConfig(detector=noise.LossDetector(0.6)),
+            eve=EveConfig(1, "Z1", "commuting-measure", activity_rate=0.5),
+        ),
+    ),
+}
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -116,17 +135,50 @@ class TestRun:
         summary = capsys.readouterr().out
         assert "violated=True" in summary
 
-    def test_transcript_round_trip(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv,config", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
+    def test_transcript_round_trip(self, argv, config, tmp_path, monkeypatch):
         out = tmp_path / "rt"
-        run_cli(
-            ["run", "--kind", "chsh", "--parties", "3", "--rounds", "500",
-             "--seed", "11", "--outdir", str(out)],
-            tmp_path, monkeypatch,
-        )
-        config = protocol.ProtocolConfig("chsh", 3, 500, seed=11)
-        transcript = cli.read_transcript(out / "run-transcript.jsonl", config)
+        run_cli([*argv, "--outdir", str(out)], tmp_path, monkeypatch)
+        path = next(out.glob("*-transcript.jsonl"))
+        transcript = cli.read_transcript(path, config)
         direct = protocol.run_protocol(config)
-        assert transcript.records == direct.records
+        for name in ("picks", "outcomes", "eve_outcomes"):
+            assert np.array_equal(getattr(transcript, name), getattr(direct, name)), name
+        if config.eve is not None:  # erasures, written as null, and rounds with and without Eve
+            assert (direct.outcomes == 0).any()
+            assert re.search(r'"outcomes": \[[^\]]*null', path.read_text())
+            assert (direct.eve_outcomes == 0).any() and (direct.eve_outcomes != 0).any()
+
+    def test_read_rejects_foreign_label(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        config = protocol.ProtocolConfig("chsh", 3, 2, seed=1)
+        cli.write_transcript(protocol.run_protocol(config), path)
+        lines = path.read_text().splitlines()
+        # Y1 is a Mermin setting; no CHSH party measures it
+        labels = json.loads(lines[1])["labels"]
+        lines[1] = lines[1].replace(json.dumps(labels), json.dumps(["Y1", *labels[1:]]))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="settings"):
+            cli.read_transcript(path, config)
+
+    def test_read_rejects_foreign_outcome(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        config = protocol.ProtocolConfig("mermin", 3, 2, seed=1)
+        cli.write_transcript(protocol.run_protocol(config), path)
+        raw = [json.loads(line) for line in path.read_text().splitlines()]
+        raw[1]["outcomes"][2] = 300
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in raw))
+        with pytest.raises(ValueError, match="outcomes"):
+            cli.read_transcript(path, config)
+
+    def test_read_rejects_out_of_order_round(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        config = protocol.ProtocolConfig("mermin", 3, 3, seed=1)
+        cli.write_transcript(protocol.run_protocol(config), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
+        with pytest.raises(ValueError, match="round"):
+            cli.read_transcript(path, config)
 
     def test_env_var_outdir(self, tmp_path, monkeypatch):
         code = run_cli(

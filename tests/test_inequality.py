@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from contextkey import inequality, mapping, protocol, qmath
+from contextkey import inequality, mapping, noise, protocol, qmath
+from contextkey.adversary import EveConfig
 from conftest import ghz_state, singlet_state
 
 
@@ -100,25 +101,18 @@ class TestChshValue:
             assert inequality.chsh_value(state) <= 2.0 + 1e-10
 
 
-def synthetic_records(products_by_term, spec, rng):
-    """Check-round records whose per-term products follow given streams."""
-    records = []
-    round_id = 0
+def synthetic_transcript(products_by_term, spec):
+    """A transcript of check rounds whose per-term products follow given streams."""
+    settings = protocol.party_labels("mermin", len(spec.parties))
+    picks, outcomes = [], []
     for (_, labels), products in zip(spec.terms, products_by_term):
-        for product in products:
-            outcomes = [1] * len(labels)
-            if product < 0:
-                outcomes[0] = -1
-            records.append(
-                protocol.RoundRecord(
-                    round_id=round_id,
-                    labels=labels,
-                    outcomes=tuple(outcomes),
-                    revealed=True,
-                )
-            )
-            round_id += 1
-    return records
+        picks.append(np.tile([labs.index(label) for labs, label in zip(settings, labels)], (len(products), 1)))
+        block = np.ones((len(products), len(labels)))
+        block[:, 0] = products
+        outcomes.append(block)
+    picks, outcomes = np.concatenate(picks), np.concatenate(outcomes)
+    config = protocol.ProtocolConfig("mermin", len(spec.parties), len(picks))
+    return protocol.Transcript(config, picks, outcomes, np.zeros(len(picks)))
 
 
 class TestEstimator:
@@ -126,7 +120,7 @@ class TestEstimator:
         spec = inequality.mermin_spec(3)
         rng = np.random.default_rng(10)
         products = [rng.choice([-1, 1], size=5000) for _ in spec.terms]
-        estimate = inequality.estimate_from_transcript(synthetic_records(products, spec, rng), spec)
+        estimate = inequality.estimate_from_transcript(synthetic_transcript(products, spec), spec)
         assert estimate.usable
         assert estimate.value < 4 * estimate.standard_error + 0.05
         assert not estimate.violated
@@ -140,7 +134,7 @@ class TestEstimator:
         products = [
             np.where(rng.random(size=250_000) < p, 1, -1) for p in p_plus
         ]
-        estimate = inequality.estimate_from_transcript(synthetic_records(products, spec, rng), spec)
+        estimate = inequality.estimate_from_transcript(synthetic_transcript(products, spec), spec)
         exact = abs(sum(c * (2 * p - 1) for (c, _), p in zip(spec.terms, p_plus)))
         assert estimate.usable
         assert abs(estimate.value - exact) < 4 * estimate.standard_error
@@ -150,7 +144,7 @@ class TestEstimator:
         rng = np.random.default_rng(12)
         products = [rng.choice([-1, 1], size=10) for _ in spec.terms]
         products[2] = np.array([])  # no rounds for the X1 X2 Y3 term
-        estimate = inequality.estimate_from_transcript(synthetic_records(products, spec, rng), spec)
+        estimate = inequality.estimate_from_transcript(synthetic_transcript(products, spec), spec)
         assert not estimate.usable
         assert not estimate.violated
         assert estimate.samples_per_term["X1X2Y3"] == 0
@@ -163,12 +157,55 @@ class TestEstimator:
 
     def test_erased_outcomes_are_skipped(self):
         spec = inequality.mermin_spec(3)
-        records = [
-            protocol.RoundRecord(0, ("Y1", "X2", "X3"), (1, None, 1), revealed=True),
-            protocol.RoundRecord(1, ("Y1", "X2", "X3"), (1, 1, 1), revealed=True),
-        ]
-        estimate = inequality.estimate_from_transcript(records, spec)
+        transcript = synthetic_transcript([[1, 1]] + [[]] * 3, spec)  # two Y1 X2 X3 rounds
+        transcript.outcomes[0, 1] = 0  # erased
+        estimate = inequality.estimate_from_transcript(transcript, spec)
         assert estimate.samples_per_term["Y1X2X3"] == 1
+
+
+def loop_estimate(transcript, spec) -> inequality.InequalityEstimate:
+    """The per-round loop the columnar estimator replaced, kept as its reference."""
+    kind, n = transcript.config.kind, transcript.config.num_parties
+    settings = protocol.party_labels(kind, n)
+    term_index = {labels: i for i, (_, labels) in enumerate(spec.terms)}
+    sums, counts = [0.0] * len(spec.terms), [0] * len(spec.terms)
+    for picks, outcomes in zip(transcript.picks.tolist(), transcript.outcomes.tolist()):
+        labels = [labs[p] for labs, p in zip(settings, picks)]
+        prefixes = {inequality.split_label(label)[0] for label in labels}
+        if kind == "mermin":
+            revealed = prefixes <= {"X", "Y"}
+        else:
+            revealed = prefixes not in ({"Z"}, {"XpZ"})
+        i = term_index.get(tuple(labels[p - 1] for p in spec.parties))
+        if revealed and i is not None and all(outcomes[p - 1] for p in spec.parties):
+            sums[i] += math.prod(outcomes[p - 1] for p in spec.parties)
+            counts[i] += 1
+    samples = {"".join(labels): counts[i] for i, (_, labels) in enumerate(spec.terms)}
+    if not all(counts):
+        return inequality.InequalityEstimate(0.0, math.inf, samples, spec.classical_bound, usable=False)
+    means = np.array(sums) / counts
+    coeffs = np.array([coeff for coeff, _ in spec.terms])
+    value = abs(float(np.dot(coeffs, means)))
+    stderr = float(np.sqrt(np.sum(coeffs**2 * np.clip(1.0 - means**2, 0.0, None) / counts)))
+    return inequality.InequalityEstimate(value, stderr, samples, spec.classical_bound, usable=True)
+
+
+LOSSY = noise.NoiseConfig(prep=noise.FlipPrep(0.1, 0.2), detector=noise.LossDetector(0.7))
+
+
+class TestEstimatorMatchesLoop:
+    @pytest.mark.parametrize("config", [
+        protocol.ProtocolConfig("mermin", 4, 20_000, seed=61, noise=LOSSY),
+        protocol.ProtocolConfig("chsh", 5, 20_000, seed=62, noise=LOSSY, eve=EveConfig(2, "Z1", "noncommuting-measure")),
+    ], ids=["mermin4-lossy", "chsh5-lossy-eve"])
+    def test_equal_to_per_round_loop(self, config):
+        transcript = protocol.run_protocol(config)
+        if config.kind == "mermin":
+            specs = [inequality.mermin_spec(config.num_parties)]
+        else:
+            specs = [inequality.chsh_pair_spec(k, k % 2 == 1) for k in range(1, config.num_parties)]
+        for spec in specs:
+            assert inequality.estimate_from_transcript(transcript, spec) == loop_estimate(transcript, spec)
 
 
 class TestDecisionRule:

@@ -25,33 +25,6 @@ class TestNoiseTypes:
 
 
 class TestNoisyPreparation:
-    def test_clean_flip_is_pure_target(self):
-        rho = noise.noisy_preparation(0, noise.FlipPrep(0.0, 0.0), "mermin")
-        expected = np.zeros((8, 8))
-        expected[0, 0] = 1.0
-        assert np.allclose(rho.matrix, expected)
-
-    def test_asymmetric_flip_on_bit_one(self):
-        rho = noise.noisy_preparation(1, noise.FlipPrep(0.1, 0.2), "mermin")
-        assert rho.matrix[7, 7] == pytest.approx(0.8)
-        assert rho.matrix[0, 0] == pytest.approx(0.2)
-
-    def test_white_noise_mixture(self):
-        rho = noise.noisy_preparation(0, noise.WhitePrep(0.08), "mermin")
-        assert rho.matrix[0, 0] == pytest.approx(0.92 + 0.01)
-        for idx in range(1, 8):
-            assert rho.matrix[idx, idx] == pytest.approx(0.01)
-
-    def test_chsh_key_basis(self):
-        rho0 = noise.noisy_preparation(0, noise.FlipPrep(0.3, 0.0), "chsh")
-        assert rho0.dim == 4
-        assert rho0.matrix[1, 1] == pytest.approx(0.7)
-        assert rho0.matrix[2, 2] == pytest.approx(0.3)
-
-    def test_rejects_bad_bit(self):
-        with pytest.raises(ValueError):
-            noise.noisy_preparation(2, noise.FlipPrep(0.0, 0.0), "mermin")
-
     def test_sampler_matches_mixture(self):
         # The engine's noisy key preparation samples the mixture: the basis
         # state it emits, one draw per round, for an intended key bit.
@@ -220,6 +193,13 @@ class TestAnalyticKeyRate:
         assert report.key_rate == pytest.approx(1 - h2(2 * 0.1 * 0.9), abs=1e-12)
         assert report.pairwise_mi[(1, 2)] == pytest.approx(1 - h2(0.1), abs=1e-12)
 
+    def test_unknown_convention_is_rejected(self):
+        # also for models without erasures, where no convention is read
+        with pytest.raises(ValueError, match="convention"):
+            noise.analytic_key_rate("flip", convention="bogus")
+        with pytest.raises(ValueError, match="convention"):
+            noise.analytic_key_rate("model2", eta=1.0, convention="bogus")
+
     def test_analytic_restricted_to_three_parties(self):
         with pytest.raises(ValueError):
             noise.analytic_key_rate("flip", num_parties=4)
@@ -307,16 +287,22 @@ class TestNumpyReference:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_plug_in_equals_numpy_table(self, seed):
-        # Records with erasures, as the empirical key rate tables them.
+        # Key records with erasures, as the empirical key rate tables them:
+        # symbols 0, 1 and erased, against a table of the symbols present.
         rng = np.random.default_rng(seed)
-        symbols = [0, 1, noise.ERASED]
-        pairs = [(symbols[a], symbols[b]) for a, b in rng.integers(0, 3, size=(500, 2)).tolist()]
-        xs = sorted({x for x, _ in pairs}, key=str)
-        ys = sorted({y for _, y in pairs}, key=str)
-        table = np.zeros((len(xs), len(ys)))
-        for x, y in pairs:
-            table[xs.index(x), ys.index(y)] += 1.0
-        assert noise.mutual_information_from_pairs(pairs) == _numpy_mutual_information(table / table.sum())
+        outcomes = rng.choice([-1, 0, 1], size=(500, 3))
+        z = protocol.MERMIN_PREFIXES.index("Z")
+        config = protocol.ProtocolConfig("mermin", 3, 500)
+        transcript = protocol.Transcript(config, np.full((500, 3), z), outcomes, np.zeros(500))
+        report = noise.empirical_key_rate(transcript, min_key_rounds=1)
+        symbols = [[1 if o == -1 else 0 if o == 1 else noise.ERASED for o in row] for row in outcomes.tolist()]
+        for i, j in report.pairwise_mi:
+            xs = sorted({row[i - 1] for row in symbols}, key=str)
+            ys = sorted({row[j - 1] for row in symbols}, key=str)
+            table = np.zeros((len(xs), len(ys)))
+            for row in symbols:
+                table[xs.index(row[i - 1]), ys.index(row[j - 1])] += 1.0
+            assert report.pairwise_mi[(i, j)] == _numpy_mutual_information(table / table.sum())
 
 
 class TestEmpiricalKeyRate:

@@ -9,12 +9,15 @@ D-dimensional vectors, one round at a time: it measures with lifted
 eigenprojectors (``mapping.dichotomic_from_local``), masks every sender's
 state eagerly with ``protocol.masking_unitary`` fed the engine's angle row,
 and applies Eve, preparation noise, detector noise and ``fresh-reference``
-resends from their definitions.  Every recorded field must agree exactly.
+resends from their definitions.  Every field of every round must agree
+exactly: labels, outcomes and erasures, Eve's outcome, and whether the
+round is revealed or a key round.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -93,6 +96,27 @@ def _grid() -> dict[str, protocol.ProtocolConfig]:
 
 
 GRID = _grid()
+
+
+class Round(NamedTuple):
+    labels: tuple[str, ...]
+    outcomes: tuple[int | None, ...]  # None for an erased record
+    eve_outcome: int | None  # None where Eve did not measure
+    revealed: bool
+    key_round: bool
+
+
+def transcript_round(transcript: protocol.Transcript, r: int) -> Round:
+    """Round ``r`` of the engine's columns, in the reference player's terms."""
+    picks = transcript.picks[r].tolist()
+    eve = int(transcript.eve_outcomes[r])
+    return Round(
+        labels=tuple(labels[p] for labels, p in zip(transcript.setting_labels, picks)),
+        outcomes=tuple(o or None for o in transcript.outcomes[r].tolist()),
+        eve_outcome=eve or None,
+        revealed=bool(transcript.kinds.revealed[r]),
+        key_round=bool(transcript.kinds.key[r]),
+    )
 
 
 class _AngleRow:
@@ -199,7 +223,7 @@ class DenseReference:
             post = self.project_reference(eve.observable, outcome)
         return post, outcome
 
-    def play(self, round_id: int) -> protocol.RoundRecord:
+    def play(self, round_id: int) -> Round:
         variates = self.variates
         picks = variates.picks[round_id]
         born = variates.born[round_id]
@@ -233,34 +257,27 @@ class DenseReference:
         else:
             key_round = all(p == "Z" for p in prefixes) or all(p == "XpZ" for p in prefixes)
             revealed = not key_round
-        return protocol.RoundRecord(
-            round_id=round_id,
-            labels=labels,
-            outcomes=tuple(outcomes),
-            eve_label=self.config.eve.observable if eve_outcome is not None else None,
-            eve_outcome=eve_outcome,
-            revealed=revealed,
-            key_round=key_round,
-        )
+        return Round(labels, tuple(outcomes), eve_outcome, revealed, key_round)
 
 
 @pytest.mark.parametrize("name", list(GRID))
 def test_engine_matches_dense_reference(name):
     config = GRID[name]
-    records = protocol.run_protocol(config).records
+    transcript = protocol.run_protocol(config)
     oracle = DenseReference(config)
     for round_id in range(config.rounds):
-        assert records[round_id] == oracle.play(round_id), f"round {round_id}"
+        assert transcript_round(transcript, round_id) == oracle.play(round_id), f"round {round_id}"
 
 
 def test_grid_exercises_every_branch():
     # The grid is only a check if its rounds reach the paths it names.
     seen = {"eve": 0, "eve-skipped": 0, "erased": 0, "key": 0, "revealed": 0}
     for name, config in GRID.items():
-        for rec in protocol.run_protocol(config).records:
-            seen["eve"] += rec.eve_outcome is not None
-            seen["eve-skipped"] += config.eve is not None and rec.eve_outcome is None
-            seen["erased"] += None in rec.outcomes
-            seen["key"] += rec.key_round
-            seen["revealed"] += rec.revealed
+        transcript = protocol.run_protocol(config)
+        eve = transcript.eve_outcomes != 0
+        seen["eve"] += eve.sum()
+        seen["eve-skipped"] += config.eve is not None and (~eve).sum()
+        seen["erased"] += (transcript.outcomes == 0).any(axis=1).sum()
+        seen["key"] += transcript.kinds.key.sum()
+        seen["revealed"] += transcript.kinds.revealed.sum()
     assert all(count > 0 for count in seen.values()), seen

@@ -5,6 +5,20 @@ import pytest
 
 from contextkey import cli, inequality, mapping, noise, protocol, qmath
 from contextkey.adversary import EveConfig
+from conftest import pair_mutual_information
+
+
+def label_columns(transcript) -> np.ndarray:
+    """(rounds × N) array of the setting label each party picked."""
+    return np.array(transcript.setting_labels)[np.arange(transcript.config.num_parties), transcript.picks]
+
+
+def same_rounds(a, b, rows=slice(None)) -> bool:
+    """Whether two transcripts hold the same columns in ``rows``."""
+    return all(
+        np.array_equal(getattr(a, name)[rows], getattr(b, name)[rows])
+        for name in ("picks", "outcomes", "eve_outcomes")
+    )
 
 
 class TestConfigValidation:
@@ -54,25 +68,34 @@ class TestLabels:
         assert sets[2] == sets[0]
         assert sets[3] == sets[1]
 
+    @staticmethod
+    def _kinds(kind, *rounds):
+        """(key, revealed, check) of each round given by its labels."""
+        settings = protocol.party_labels(kind, len(rounds[0]))
+        picks = np.array([[labs.index(label) for labs, label in zip(settings, labels)] for labels in rounds])
+        kinds = protocol.round_kinds(kind, picks)
+        return [tuple(bool(column[r]) for column in kinds) for r in range(len(rounds))]
+
     def test_round_classification_mermin(self):
-        assert protocol.is_key_round("mermin", ("Z1", "Z2", "Z3"))
-        assert protocol.is_check_round("mermin", ("X1", "Y2", "X3"))
-        assert not protocol.is_check_round("mermin", ("X1", "Z2", "X3"))
+        assert self._kinds("mermin", ("Z1", "Z2", "Z3"), ("X1", "Y2", "X3"), ("X1", "Z2", "X3")) == [
+            (True, False, False), (False, True, True), (False, False, False),
+        ]
 
     def test_round_classification_chsh(self):
-        assert protocol.is_key_round("chsh", ("Z1", "Z2", "Z1"))
-        assert protocol.is_key_round("chsh", ("XpZ1", "XpZ2", "XpZ1"))
-        assert not protocol.is_key_round("chsh", ("Z1", "XpZ2", "Z1"))
-        # only combination-bearing mixed rounds are checks
-        assert protocol.is_check_round("chsh", ("Z1", "XpZ2", "Z1"))
-        assert not protocol.is_check_round("chsh", ("XpZ1", "Z2", "XpZ1"))
+        kinds = self._kinds(
+            "chsh", ("Z1", "Z2", "Z1"), ("XpZ1", "XpZ2", "XpZ1"), ("Z1", "XpZ2", "Z1"), ("XpZ1", "Z2", "XpZ1"),
+        )
+        assert [key for key, _, _ in kinds] == [True, True, False, False]
+        # every other round is revealed, but only combination-bearing ones are checks
+        assert [revealed for _, revealed, _ in kinds] == [False, False, True, True]
+        assert [check for _, _, check in kinds] == [False, False, True, False]
 
     def test_key_bit_parity_convention(self):
         assert protocol.key_bit("mermin", 2, +1) == 0
         assert protocol.key_bit("chsh", 1, +1) == 0
         assert protocol.key_bit("chsh", 2, -1) == 0
         assert protocol.key_bit("chsh", 3, +1) == 0
-        assert protocol.key_bit("chsh", 2, None) is None
+        assert protocol.key_bit("chsh", 2, 0) == protocol.ERASED_BIT
 
 
 class _ZeroRng:
@@ -151,7 +174,7 @@ class TestMaskingUnitary:
             u = protocol.masking_unitary(1, spec, rng, indexing)
             outcome, _ = qmath.measure_projective(qmath.apply_unitary(state, u), z1, rng)
             pairs.append((bit, (1 - outcome) // 2))
-        assert noise.mutual_information_from_pairs(pairs) < 0.01
+        assert pair_mutual_information(pairs) < 0.01
 
 
 class TestSu2Product:
@@ -189,24 +212,23 @@ class TestSu2Product:
 
 class TestMerminRounds:
     def test_all_z_rounds_are_branch_symmetric(self, mermin3_run):
-        keyed = [r for r in mermin3_run.records if r.key_round]
+        keyed = mermin3_run.outcomes[mermin3_run.kinds.key]
         assert len(keyed) > 2000
-        for rec in keyed[:500]:
-            assert len(set(rec.outcomes)) == 1  # perfectly correlated chain
-        plus_fraction = np.mean([rec.outcomes[0] == 1 for rec in keyed])
+        for outcomes in keyed[:500]:
+            assert len(set(outcomes)) == 1  # perfectly correlated chain
+        plus_fraction = np.mean(keyed[:, 0] == 1)
         assert abs(plus_fraction - 0.5) < 3 * 0.5 / math.sqrt(len(keyed))
 
     def test_appendix_context_y1_then_z_chain(self, mermin3_run):
-        rounds = [r for r in mermin3_run.records if r.labels == ("Y1", "Z2", "Z3")]
+        y, z = protocol.MERMIN_PREFIXES.index("Y"), protocol.MERMIN_PREFIXES.index("Z")
+        rounds = mermin3_run.outcomes[(mermin3_run.picks == [y, z, z]).all(axis=1)]
         assert len(rounds) > 1000
-        for rec in rounds:
-            assert rec.outcomes[1] == rec.outcomes[2]
-        z2_plus = np.mean([rec.outcomes[1] == 1 for rec in rounds])
+        for outcomes in rounds:
+            assert outcomes[1] == outcomes[2]
+        z2_plus = np.mean(rounds[:, 1] == 1)
         assert abs(z2_plus - 0.5) < 3 * 0.5 / math.sqrt(len(rounds))
         # independent of the first party's outcome
-        by_first = {
-            sign: [r.outcomes[1] for r in rounds if r.outcomes[0] == sign] for sign in (1, -1)
-        }
+        by_first = {sign: rounds[rounds[:, 0] == sign, 1] for sign in (1, -1)}
         for sign, z2s in by_first.items():
             assert abs(np.mean(np.array(z2s) == 1) - 0.5) < 4 * 0.5 / math.sqrt(len(z2s))
 
@@ -214,42 +236,40 @@ class TestMerminRounds:
         base = dict(kind="mermin", num_parties=3, rounds=40_000, seed=71)
         on = protocol.run_protocol(protocol.ProtocolConfig(masking_enabled=True, **base))
         off = protocol.run_protocol(protocol.ProtocolConfig(masking_enabled=False, **base))
-        assert all(a.labels == b.labels for a, b in zip(on.records, off.records))
+        assert np.array_equal(on.picks, off.picks)
         est_on = protocol.mermin_check_estimate(on)
         est_off = protocol.mermin_check_estimate(off)
         tolerance = 3 * math.hypot(est_on.standard_error, est_off.standard_error) + 1e-9
         assert abs(est_on.value - est_off.value) <= tolerance
-        key_on = np.mean([r.outcomes[0] == 1 for r in on.records if r.key_round])
-        key_off = np.mean([r.outcomes[0] == 1 for r in off.records if r.key_round])
+        key_on = np.mean(on.outcomes[on.kinds.key, 0] == 1)
+        key_off = np.mean(off.outcomes[off.kinds.key, 0] == 1)
         assert abs(key_on - 0.5) < 0.03 and abs(key_off - 0.5) < 0.03
 
 
 class TestChshRounds:
     def test_aligned_z_pairs_anticorrelate(self, chsh3_run):
-        for rec in chsh3_run.records:
-            for k in range(2):
-                a, b = rec.labels[k], rec.labels[k + 1]
-                if {a, b} == {"Z1", "Z2"}:
-                    assert rec.outcomes[k] * rec.outcomes[k + 1] == -1
+        labels, outcomes = label_columns(chsh3_run), chsh3_run.outcomes.astype(int)
+        for k in range(2):
+            # adjacent parties alternate odd and even, so these are {Z1, Z2}
+            z = np.isin(labels[:, k], ("Z1", "Z2")) & np.isin(labels[:, k + 1], ("Z1", "Z2"))
+            assert np.all(outcomes[z, k] * outcomes[z, k + 1] == -1)
 
     def test_aligned_xpz_pairs_anticorrelate(self, chsh3_run):
+        labels, outcomes = label_columns(chsh3_run), chsh3_run.outcomes.astype(int)
         seen = 0
-        for rec in chsh3_run.records:
-            for k in range(2):
-                if rec.labels[k].startswith("XpZ") and rec.labels[k + 1].startswith("XpZ"):
-                    assert rec.outcomes[k] * rec.outcomes[k + 1] == -1
-                    seen += 1
+        for k in range(2):
+            xpz = np.char.startswith(labels[:, k], "XpZ") & np.char.startswith(labels[:, k + 1], "XpZ")
+            assert np.all(outcomes[xpz, k] * outcomes[xpz, k + 1] == -1)
+            seen += int(xpz.sum())
         assert seen > 5000
 
     def test_z_versus_zmx_pair_statistics(self, chsh3_run):
         # P(product = −1) = cos²(π/8) for the (Z, (Z−X)/√2) setting pair.
-        products = [
-            rec.outcomes[0] * rec.outcomes[1]
-            for rec in chsh3_run.records
-            if rec.labels[0] == "Z1" and rec.labels[1] == "ZmX2"
-        ]
+        labels, outcomes = label_columns(chsh3_run), chsh3_run.outcomes.astype(int)
+        pair = (labels[:, 0] == "Z1") & (labels[:, 1] == "ZmX2")
+        products = outcomes[pair, 0] * outcomes[pair, 1]
         assert len(products) > 5000
-        fraction = np.mean(np.array(products) == -1)
+        fraction = np.mean(products == -1)
         expected = math.cos(math.pi / 8) ** 2
         assert abs(fraction - expected) < 3 * math.sqrt(expected * (1 - expected) / len(products))
 
@@ -268,8 +288,8 @@ class TestSifting:
         assert set(sifting.key_rounds).isdisjoint(sifting.check_rounds)
 
     def test_key_and_revealed_exclusive(self, mermin3_run):
-        for rec in mermin3_run.records:
-            assert not (rec.key_round and rec.revealed)
+        kinds = mermin3_run.kinds
+        assert not (kinds.key & kinds.revealed).any()
 
     def test_mermin_key_fraction(self, mermin3_run):
         sifting = protocol.sift(mermin3_run)
@@ -285,13 +305,11 @@ class TestSifting:
 
     def test_empty_partitions_allowed(self):
         config = protocol.ProtocolConfig("mermin", 3, 2, seed=1)
-        records = (
-            protocol.RoundRecord(0, ("X1", "Z2", "Z3"), (1, 1, 1)),
-            protocol.RoundRecord(1, ("Z1", "X2", "Z3"), (1, 1, 1)),
-        )
-        sifting = protocol.sift(protocol.Transcript(config, records))
-        assert sifting.key_rounds == ()
-        assert sifting.check_rounds == ()
+        x, z = protocol.MERMIN_PREFIXES.index("X"), protocol.MERMIN_PREFIXES.index("Z")
+        picks = [[x, z, z], [z, x, z]]  # X1 Z2 Z3 and Z1 X2 Z3
+        sifting = protocol.sift(protocol.Transcript(config, picks, np.ones((2, 3)), np.zeros(2)))
+        assert len(sifting.key_rounds) == 0
+        assert len(sifting.check_rounds) == 0
         assert len(sifting.discarded) == 2
         key = protocol.extract_key(sifting)
         assert key.num_key_rounds == 0
@@ -316,8 +334,8 @@ class TestKeyAgreement:
         bits = sifting.key_bits
         n = len(sifting.key_rounds)
         assert n > 3000
-        agree_12 = np.mean([bits[0][i] == bits[1][i] for i in range(n)])
-        agree_23 = np.mean([bits[1][i] == bits[2][i] for i in range(n)])
+        agree_12 = np.mean(bits[0] == bits[1])
+        agree_23 = np.mean(bits[1] == bits[2])
         assert abs(agree_12 - 0.9) < 3 * math.sqrt(0.9 * 0.1 / n)
         assert agree_23 == 1.0
 
@@ -325,7 +343,7 @@ class TestKeyAgreement:
 class TestDeterminism:
     def test_transcripts_reproducible(self):
         config = protocol.ProtocolConfig("chsh", 3, 3000, seed=5)
-        assert protocol.run_protocol(config).records == protocol.run_protocol(config).records
+        assert same_rounds(protocol.run_protocol(config), protocol.run_protocol(config))
 
     def test_thread_count_invariance(self, tmp_path, capsys):
         # --threads is accepted and ignored: the transcript is the sequential one.
@@ -334,7 +352,7 @@ class TestDeterminism:
                 "--threads", "4", "--outdir", str(tmp_path)]
         assert cli.main(argv) == cli.EXIT_OK
         threaded = cli.read_transcript(tmp_path / "run-transcript.jsonl", config)
-        assert threaded.records == protocol.run_protocol(config).records
+        assert same_rounds(threaded, protocol.run_protocol(config))
 
     def test_substreams_are_independent(self):
         a = protocol.stream_generator(9, "round").random(4)
@@ -347,18 +365,17 @@ class TestSingleRoundOps:
 
     def test_run_mermin_round(self, monkeypatch):
         config = protocol.ProtocolConfig("mermin", 3, 5, seed=91)
-        whole = protocol.run_protocol(config).records
+        whole = protocol.run_protocol(config)
         monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", config.dim)  # one round a block
-        record = protocol.run_protocol(config).records[2]
-        assert len(record.labels) == 3
-        assert record == whole[2]
+        blocked = protocol.run_protocol(config)
+        assert blocked.picks.shape[1] == 3
+        assert same_rounds(blocked, whole, 2)
 
     def test_run_chsh_round(self, monkeypatch):
         config = protocol.ProtocolConfig("chsh", 4, 5, seed=92)
-        whole = protocol.run_protocol(config).records
+        whole = protocol.run_protocol(config)
         monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", config.dim)
-        record = protocol.run_protocol(config).records[0]
-        assert record == whole[0]
+        assert same_rounds(protocol.run_protocol(config), whole, 0)
 
 
 SEAM_CONFIGS = {
@@ -389,10 +406,10 @@ class TestBlockSeams:
 
     def test_configs_reach_eve_and_erasures(self):
         for config in SEAM_CONFIGS.values():
-            assert any(rec.eve_outcome is not None for rec in protocol.run_protocol(config).records)
-        half = protocol.run_protocol(SEAM_CONFIGS["mermin5-model2-commuting-half"]).records
-        assert any(rec.eve_outcome is None for rec in half)  # rounds she skips
-        assert any(None in rec.outcomes for rec in half)  # erasures
+            assert (protocol.run_protocol(config).eve_outcomes != 0).any()
+        half = protocol.run_protocol(SEAM_CONFIGS["mermin5-model2-commuting-half"])
+        assert (half.eve_outcomes == 0).any()  # rounds she skips
+        assert (half.outcomes == 0).any()  # erasures
 
 
 class TestFourPartyChsh:

@@ -278,28 +278,46 @@ def read_transcript(path: Path, config: protocol.ProtocolConfig) -> protocol.Tra
 
     Raises ValueError on a line whose labels are not the parties' settings,
     whose outcomes are not ±1 or null, or whose round number is out of order.
+
+    A line as ``write_transcript`` writes it ends in ``"round": <n>}``;
+    the text before that, its head, repeats across rounds, so each
+    distinct head is parsed and checked once.  Any other line, such as
+    one with reordered keys or other spacing, is parsed whole.
     """
     picks_of = [
         {label: pick for pick, label in enumerate(labels)}
         for labels in protocol.party_labels(config.kind, config.num_parties)
     ]
+
+    def parse(text: str, expected: int) -> tuple[list[int], list[int], int]:
+        raw = json.loads(text)
+        if raw["round"] != expected:
+            raise ValueError(f"line {expected + 1} holds round {raw['round']}, expected {expected}")
+        labels = raw["labels"]
+        if len(labels) != config.num_parties or any(
+            label not in party for label, party in zip(labels, picks_of)
+        ):
+            raise ValueError(f"round {expected}: labels {labels} are not the parties' settings")
+        recorded = [*raw["outcomes"], raw["eve_outcome"]]
+        if any(o not in (1, -1, None) for o in recorded):
+            raise ValueError(f"round {expected}: outcomes {recorded} are not ±1 or null")
+        picks = [party[label] for label, party in zip(labels, picks_of)]
+        return picks, [o or 0 for o in recorded[:-1]], recorded[-1] or 0
+
+    by_head = {}
     picks, outcomes, eve_outcomes = [], [], []
     with path.open() as handle:
         for expected, line in enumerate(handle):
-            raw = json.loads(line)
-            if raw["round"] != expected:
-                raise ValueError(f"line {expected + 1} holds round {raw['round']}, expected {expected}")
-            labels = raw["labels"]
-            if len(labels) != config.num_parties or any(
-                label not in party for label, party in zip(labels, picks_of)
-            ):
-                raise ValueError(f"round {expected}: labels {labels} are not the parties' settings")
-            recorded = [*raw["outcomes"], raw["eve_outcome"]]
-            if any(o not in (1, -1, None) for o in recorded):
-                raise ValueError(f"round {expected}: outcomes {recorded} are not ±1 or null")
-            picks.append([party[label] for label, party in zip(labels, picks_of)])
-            outcomes.append([o or 0 for o in recorded[:-1]])
-            eve_outcomes.append(recorded[-1] or 0)
+            head, key, tail = line.rpartition('"round": ')
+            if key and tail == f"{expected}}}\n":
+                row = by_head.get(head)
+                if row is None:
+                    row = by_head[head] = parse(line, expected)
+            else:
+                row = parse(line, expected)
+            picks.append(row[0])
+            outcomes.append(row[1])
+            eve_outcomes.append(row[2])
     return protocol.Transcript(config, picks, outcomes, eve_outcomes)
 
 
@@ -495,42 +513,37 @@ def _format_float(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _surface_row(point, reports) -> list[str]:
-    """One CSV row: the grid point, then each report's pair MIs, key rate and argmin pair."""
-    row = [_format_float(value) for value in point]
-    for report in reports:
-        row += [_format_float(report.pairwise_mi[pair]) for pair in ((1, 2), (1, 3), (2, 3))]
-        row += [_format_float(report.key_rate), f"{report.min_pair[0]}-{report.min_pair[1]}"]
-    return row
-
-
 def _sweep_rows(model: str, kind: str, grid: int, eta: float | None):
-    """(header, rows) of the analytic surface for one model."""
+    """(header, rows) of the analytic surface for one model.
+
+    Each row holds the grid point, then under each convention the pair
+    MIs, the key rate and the minimizing pair.
+    """
     if model in ("flip", "model1", "model2"):
         if model != "flip" and eta is None:
             raise UsageError(f"--eta is required for {model}")
-        axis = np.linspace(0.0, 0.5, grid).tolist()
+        axis = np.linspace(0.0, 0.5, grid)
         names = ("eps1", "eps2")
-        points = [(eps1, eps2) for eps1 in axis for eps2 in axis]
-        fixed = {"eta": eta or 0.0}
+        params = {"eps1": np.repeat(axis, grid), "eps2": np.tile(axis, grid), "eta": eta or 0.0}
     else:
         # white: noise weight eps in [0, 1]; detector: misread probability eta
         names = ("eps",) if model == "white" else ("eta",)
-        points = [(value,) for value in np.linspace(0.0, 1.0 if model == "white" else 0.5, grid).tolist()]
-        fixed = {}
+        params = {names[0]: np.linspace(0.0, 1.0 if model == "white" else 0.5, grid)}
     conventions = ("conditional", "throughput") if model == "model2" else ("conditional",)
     header = list(names)
     for conv in conventions:
         tag = f"_{conv}" if model == "model2" else ""
         header += [f"mi_12{tag}", f"mi_13{tag}", f"mi_23{tag}", f"key_rate{tag}", f"min_pair{tag}"]
-    rows = [
-        _surface_row(
-            point,
-            noise.analytic_key_rates(model, kind, conventions=conventions, **dict(zip(names, point)), **fixed),
-        )
-        for point in points
-    ]
-    return header, rows
+
+    def formatted(values: np.ndarray) -> list[str]:
+        return [_format_float(value) for value in values.tolist()]
+
+    columns = [formatted(params[name]) for name in names]
+    pair_labels = [f"{i}-{j}" for i, j in noise.PAIRS]
+    for surface in noise.analytic_key_rate_surfaces(model, kind, conventions=conventions, **params):
+        columns += [formatted(surface.pairwise_mi[pair]) for pair in noise.PAIRS]
+        columns += [formatted(surface.key_rate), [pair_labels[k] for k in surface.min_pair.tolist()]]
+    return header, list(zip(*columns))
 
 
 def _validate_sweep(model: str, kind: str, eta: float | None):

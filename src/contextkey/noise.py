@@ -13,19 +13,32 @@ because the conditioning is not uniquely determined by the model
 statement: ``conditional`` renormalizes each pair's table to rounds where
 both records exist, ``throughput`` multiplies that by the probability of
 both records existing.  Models without erasures are unaffected by the
-choice.  Each grid point of a surface is computed once for every
-convention: one distribution, one set of pair tables, both conventions
-read from them.
+choice.
 
-The tables are at most 3×3, so they are lists of plain Python floats,
-summed in a fixed order: sequential sums from 0.0, row sums left to
-right, column sums top to bottom, the table total over the row-major
-entries, table cells accumulated in the distribution's insertion order,
-logarithms by ``math.log2`` (the C library's scalar ``log2``; numpy's
-``log2`` picks SIMD paths by CPU that are not guaranteed to round the
-same).  The sweep CSVs are pinned byte for byte, and this is the order
-numpy summed them in when they were pinned; a reordered sum can move
-the last bit of a rate and so a printed digit.
+The analytic path is array-valued: every probability is a float64 array
+with one entry per grid point, so ``analytic_key_rate_surfaces`` builds
+a whole surface in one call, and ``analytic_key_rate`` is the same code
+at one point.  The distribution, the three pair tables and both
+conventions are built once per surface.  The operations are those a
+point-by-point computation in plain floats makes, in the same order,
+elementwise: branch products left to right; each record triple's
+probability summed over its branches in enumeration order; table cells
+accumulated in the distribution's insertion order; sequential sums from
+0.0 for the row sums (left to right), the column sums (top to bottom),
+the table total and the erasure convention's weight (row-major); the
+information terms added cell by cell in row-major order.  What a
+point-by-point computation decides per point is a mask here: ``p > 0.0``
+for an information term, a nonzero erased row or column for a pair with
+erasures, ``weight <= 0.0`` for a pair whose records never both exist.
+No branch is pruned: one that a point's parameters rule out only adds an
+exact 0.0 there.  It can list a record triple earlier in the insertion
+order than a pruned enumeration would, so the tests compare whole grids
+bit for bit with a pruned point-by-point reference.  Logarithms are
+taken per element by ``math.log2`` (the C library's scalar ``log2``)
+over ``.tolist()``; numpy's ``log2`` picks SIMD paths by CPU that are
+not guaranteed to round the same.  The sweep CSVs are pinned byte for
+byte, and this is the order numpy summed them in when they were pinned;
+a reordered sum can move the last bit of a rate and so a printed digit.
 """
 
 from __future__ import annotations
@@ -111,9 +124,12 @@ class KeyRateReport:
             raise ValueError("key_rate must be the minimum pairwise mutual information")
 
 
-def _check_unit(name: str, value: float):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} = {value} outside [0, 1]")
+def _check_unit(name: str, value):
+    """Raise unless ``value``, a number or an array of them, lies in [0, 1]."""
+    values = np.asarray(value, dtype=float)
+    outside = values[~((values >= 0.0) & (values <= 1.0))]
+    if outside.size:
+        raise ValueError(f"{name} = {outside[0]} outside [0, 1]")
 
 
 def binary_entropy(p: float) -> float:
@@ -127,31 +143,39 @@ def binary_mutual_information(joint) -> float:
     table = np.asarray(joint, dtype=float)
     if table.ndim != 2:
         raise ValueError("joint table must be two-dimensional")
-    return _table_information(table.tolist())
+    return float(_table_information(list(table[..., None]))[0])
 
 
-def _table_information(rows: list[list[float]]) -> float:
-    """Mutual information (bits) of a joint table given as rows of floats."""
+def _table_information(rows) -> np.ndarray:
+    """Mutual information (bits) of joint tables, one per point.
+
+    ``rows`` are the tables' rows; each cell is an array over the points.
+    """
     total = 0.0
     px = []
     py = [0.0] * (len(rows[0]) if rows else 0)
     for row in rows:
         px_i = 0.0
         for j, p in enumerate(row):
-            if p < -1e-12:
+            if (p < -1e-12).any():
                 raise ValueError("joint table has negative entries")
-            total += p
-            px_i += p
-            py[j] += p
+            total = total + p
+            px_i = px_i + p
+            py[j] = py[j] + p
         px.append(px_i)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"joint table sums to {total}, expected 1")
+    total = np.asarray(total)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"joint table sums to {total[off][0]}, expected 1")
     info = 0.0
     for px_i, row in zip(px, rows):
         for py_j, p in zip(py, row):
-            if p > 0.0:
-                info += p * math.log2(p / (px_i * py_j))
-    return max(info, 0.0)
+            positive = p > 0.0
+            ratio = p[positive] / (px_i[positive] * py_j[positive])
+            term = np.zeros(p.shape)
+            term[positive] = p[positive] * [math.log2(r) for r in ratio.tolist()]
+            info = info + term
+    return np.maximum(info, 0.0)
 
 
 def detector_effects(obs: DichotomicObservable, noise: DetectorNoise) -> list[tuple[object, np.ndarray]]:
@@ -174,35 +198,31 @@ def detector_effects(obs: DichotomicObservable, noise: DetectorNoise) -> list[tu
 
 
 # --- analytic key rates -------------------------------------------------
+#
+# Probabilities are float64 arrays with one entry per grid point (or
+# plain floats where a model fixes them).  No branch is pruned: one that
+# a point's parameters rule out carries an exact 0.0 there.
 
-def _flip(bit: int, prob: float):
+
+def _flip(bit: int, prob):
     """(probability, value) branches of a classical bit flip."""
-    if prob <= 0.0:
-        return [(1.0, bit)]
-    if prob >= 1.0:
-        return [(1.0, 1 - bit)]
     return [(1.0 - prob, bit), (prob, 1 - bit)]
 
 
-def _erase(bit, prob_click: float):
-    if prob_click >= 1.0:
-        return [(1.0, bit)]
-    if prob_click <= 0.0:
-        return [(1.0, ERASED)]
+def _erase(bit, prob_click):
     return [(prob_click, bit), (1.0 - prob_click, ERASED)]
 
 
-def _prep_flip_branches(bit: int, eps1: float, eps2: float):
+def _prep_flip_branches(bit: int, eps1, eps2):
     return _flip(bit, eps1 if bit == 0 else eps2)
 
 
-def _mermin_distribution(model: str, eps1: float, eps2: float, eps: float, eta: float):
+def _mermin_distribution(model: str, eps1, eps2, eps, eta):
     """Joint distribution of the three parties' key records for one round."""
-    dist: dict[tuple, float] = {}
+    dist: dict[tuple, np.ndarray] = {}
 
     def add(prob, triple):
-        if prob > 0.0:
-            dist[triple] = dist.get(triple, 0.0) + prob
+        dist[triple] = dist.get(triple, 0.0) + prob
 
     for b1 in (0, 1):
         p1 = 0.5
@@ -232,19 +252,16 @@ def _mermin_distribution(model: str, eps1: float, eps2: float, eps: float, eta: 
     return dist
 
 
-def _chsh_distribution(model: str, eps1: float, eps2: float, eps: float, eta: float):
+def _chsh_distribution(model: str, eps1, eps2, eps, eta):
     """Same, for the pairwise-grouped protocol where every party re-prepares."""
-    dist: dict[tuple, float] = {}
+    dist: dict[tuple, np.ndarray] = {}
 
     def add(prob, triple):
-        if prob > 0.0:
-            dist[triple] = dist.get(triple, 0.0) + prob
+        dist[triple] = dist.get(triple, 0.0) + prob
 
     def emit(bit):
         """Reader's bit after one noisy preparation of `bit`."""
         if model == "white":
-            if eps <= 0.0:
-                return [(1.0, bit)]
             # Uniform basis emission reads as a fair bit.
             return [(1.0 - eps, bit), (eps / 2, 0), (eps / 2, 1)]
         if model in ("flip", "model1", "model2"):
@@ -270,20 +287,20 @@ def _chsh_distribution(model: str, eps1: float, eps2: float, eps: float, eta: fl
     return dist
 
 
-_PAIRS = ((1, 2), (1, 3), (2, 3))
+PAIRS = ((1, 2), (1, 3), (2, 3))
 
 # Row and column of a record in a pair table.
 _SYMBOL_INDEX = {0: 0, 1: 1, ERASED: 2}
 
 
-def _pair_tables(dist: dict[tuple, float]):
+def _pair_tables(dist: dict[tuple, np.ndarray], shape: tuple[int, ...]):
     """The 3×3 joint tables of records (1, 2), (1, 3) and (2, 3).
 
-    Rows and columns run 0, 1, erased; every outcome of ``dist`` has a
-    positive probability, so a nonzero erased row or column says that the
-    party records erasures at all.
+    Rows and columns run 0, 1, erased; each cell is an array over the
+    points.  A point's erased row or column is nonzero exactly when the
+    party records erasures there at all.
     """
-    t12, t13, t23 = tables = [[[0.0] * 3 for _ in range(3)] for _ in _PAIRS]
+    t12, t13, t23 = tables = [[[np.zeros(shape) for _ in range(3)] for _ in range(3)] for _ in PAIRS]
     for (r1, r2, r3), prob in dist.items():
         s1, s2, s3 = _SYMBOL_INDEX[r1], _SYMBOL_INDEX[r2], _SYMBOL_INDEX[r3]
         t12[s1][s2] += prob
@@ -292,19 +309,78 @@ def _pair_tables(dist: dict[tuple, float]):
     return tables
 
 
-def _pair_information(table, conventions) -> list[float]:
-    """One pair's mutual information under each erasure convention."""
+def _pair_information(table, conventions) -> list[np.ndarray]:
+    """One pair's mutual information under each erasure convention, per point.
+
+    Points without erasures read the bit table as it is, under either
+    convention.  The others condition it on both records existing, or
+    read 0 where they never both exist.
+    """
     bits = [table[0][:2], table[1][:2]]
-    if not (table[0][2] or table[1][2] or any(table[2])):
-        return [_table_information(bits)] * len(conventions)
+    erasures = np.logical_or.reduce([p != 0.0 for p in (table[0][2], table[1][2], *table[2])])
     weight = 0.0
     for row in bits:
         for p in row:
-            weight += p
-    if weight <= 0.0:
-        return [0.0] * len(conventions)
-    conditional = _table_information([[p / weight for p in row] for row in bits])
-    return [conditional if c == "conditional" else conditional * weight for c in conventions]
+            weight = weight + p
+    plain = ~erasures
+    scaled = erasures & ~(weight <= 0.0)
+    conditional = np.zeros(weight.shape)
+    conditional[plain] = _table_information([[p[plain] for p in row] for row in bits])
+    conditional[scaled] = _table_information([[p[scaled] / weight[scaled] for p in row] for row in bits])
+    throughput = np.where(scaled, conditional * weight, conditional)
+    return [conditional if c == "conditional" else throughput for c in conventions]
+
+
+@dataclass(frozen=True)
+class KeyRateSurface:
+    """Exact pairwise mutual informations of one model, one entry per grid point."""
+
+    convention: str
+    pairwise_mi: dict[tuple[int, int], np.ndarray]
+    key_rate: np.ndarray
+    min_pair: np.ndarray  # index into PAIRS of each point's first minimizing pair
+
+
+def analytic_key_rate_surfaces(
+    model: str,
+    kind: str = "mermin",
+    *,
+    eps1=0.0,
+    eps2=0.0,
+    eps=0.0,
+    eta=0.0,
+    num_parties: int = 3,
+    conventions: tuple[str, ...] = ("conditional",),
+) -> list[KeyRateSurface]:
+    """:func:`analytic_key_rate` at every point, under each of ``conventions``.
+
+    The parameters are floats or 1-D arrays of one length, one entry per
+    point.  Each convention's surface is read from one distribution.
+    """
+    if model not in MODELS:
+        raise ValueError(f"unknown noise model {model!r}")
+    if kind not in ("mermin", "chsh"):
+        raise ValueError(f"unknown protocol kind {kind!r}")
+    if num_parties != 3:
+        raise ValueError("the analytic path covers three parties; simulate for other sizes")
+    for convention in conventions:
+        if convention not in CONVENTIONS:
+            raise ValueError(f"unknown erasure convention {convention!r}")
+    params = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (eps1, eps2, eps, eta)))
+    for name, values in zip(("eps1", "eps2", "eps", "eta"), params):
+        _check_unit(name, values)
+    builder = _mermin_distribution if kind == "mermin" else _chsh_distribution
+    tables = _pair_tables(builder(model, *params), params[0].shape)
+    per_pair = [_pair_information(table, conventions) for table in tables]
+    surfaces = []
+    for c, convention in enumerate(conventions):
+        mi = {pair: values[c] for pair, values in zip(PAIRS, per_pair)}
+        # argmin keeps the first minimum in PAIRS order, as min(PAIRS, key=mi.get) does.
+        min_pair = np.argmin([mi[pair] for pair in PAIRS], axis=0)
+        key_rate = np.choose(min_pair, [mi[pair] for pair in PAIRS])
+        effective = convention if model == "model2" else "exact"
+        surfaces.append(KeyRateSurface(effective, mi, key_rate, min_pair))
+    return surfaces
 
 
 def analytic_key_rates(
@@ -319,27 +395,16 @@ def analytic_key_rates(
     conventions: tuple[str, ...] = ("conditional",),
 ) -> list[KeyRateReport]:
     """:func:`analytic_key_rate` under each of ``conventions``, from one distribution."""
-    if model not in MODELS:
-        raise ValueError(f"unknown noise model {model!r}")
-    if kind not in ("mermin", "chsh"):
-        raise ValueError(f"unknown protocol kind {kind!r}")
-    if num_parties != 3:
-        raise ValueError("the analytic path covers three parties; simulate for other sizes")
-    for convention in conventions:
-        if convention not in CONVENTIONS:
-            raise ValueError(f"unknown erasure convention {convention!r}")
-    for name, value in (("eps1", eps1), ("eps2", eps2), ("eps", eps), ("eta", eta)):
-        _check_unit(name, value)
-    builder = _mermin_distribution if kind == "mermin" else _chsh_distribution
-    tables = _pair_tables(builder(model, eps1, eps2, eps, eta))
-    per_pair = [_pair_information(table, conventions) for table in tables]
-    reports = []
-    for c, convention in enumerate(conventions):
-        mi = {pair: values[c] for pair, values in zip(_PAIRS, per_pair)}
-        min_pair = min(_PAIRS, key=mi.__getitem__)
-        effective = convention if model == "model2" else "exact"
-        reports.append(KeyRateReport(model, kind, effective, mi, mi[min_pair], min_pair))
-    return reports
+    surfaces = analytic_key_rate_surfaces(
+        model, kind, eps1=eps1, eps2=eps2, eps=eps, eta=eta, num_parties=num_parties, conventions=conventions,
+    )
+    return [
+        KeyRateReport(
+            model, kind, s.convention, {pair: float(mi[0]) for pair, mi in s.pairwise_mi.items()},
+            float(s.key_rate[0]), PAIRS[s.min_pair[0]],
+        )
+        for s in surfaces
+    ]
 
 
 def analytic_key_rate(

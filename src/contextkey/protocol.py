@@ -448,7 +448,9 @@ class _Engine:
 
         The round stream draws every round's picks before any Born
         variate, and the noise stream its integers after its uniforms, so
-        those two arrays are drawn whole here.  Born, masking and Eve
+        those arrays are drawn whole here.  The integers pick white noise's
+        basis states and are the noise stream's last draw, so they are
+        drawn only under white preparation noise.  Born, masking and Eve
         uniforms are drawn block by block in ``_draw``, which yields the
         same values as one draw for the whole run.
         """
@@ -465,7 +467,8 @@ class _Engine:
             g_noise = stream_generator(config.seed, "noise")
             self._noise_preparers = 1 if self.kind == "mermin" else n - 1
             self._noise_u = g_noise.random(size=(rounds, self._noise_preparers + n - 1))
-            self._white_idx = g_noise.integers(0, self.dim, size=(rounds, self._noise_preparers))
+            if isinstance(config.noise.prep, WhitePrep):
+                self._white_idx = g_noise.integers(0, self.dim, size=(rounds, self._noise_preparers))
         self._drawn = 0
 
     def _draw(self, size: int) -> _Variates:

@@ -180,6 +180,31 @@ class TestRun:
         with pytest.raises(ValueError, match="round"):
             cli.read_transcript(path, config)
 
+    def test_read_accepts_noncanonical_line(self, tmp_path):
+        # Reordered keys and other spacing are parsed whole, to the same columns.
+        path = tmp_path / "t.jsonl"
+        config = protocol.ProtocolConfig("mermin", 3, 3, seed=1)
+        direct = protocol.run_protocol(config)
+        cli.write_transcript(direct, path)
+        lines = path.read_text().splitlines()
+        raw = json.loads(lines[1])
+        lines[1] = json.dumps(dict(reversed(raw.items())), separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        transcript = cli.read_transcript(path, config)
+        for name in ("picks", "outcomes", "eve_outcomes"):
+            assert np.array_equal(getattr(transcript, name), getattr(direct, name)), name
+
+    def test_read_rejects_wrong_round_in_canonical_form(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        config = protocol.ProtocolConfig("mermin", 3, 3, seed=1)
+        cli.write_transcript(protocol.run_protocol(config), path)
+        lines = path.read_text().splitlines()
+        assert lines[1].endswith('"round": 1}')
+        lines[1] = lines[1].removesuffix('"round": 1}') + '"round": 7}'
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="holds round 7"):
+            cli.read_transcript(path, config)
+
     def test_env_var_outdir(self, tmp_path, monkeypatch):
         code = run_cli(
             ["run", "--kind", "mermin", "--parties", "3", "--rounds", "200", "--seed", "2"],

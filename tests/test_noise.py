@@ -207,8 +207,109 @@ class TestAnalyticKeyRate:
             noise.analytic_key_rate("vortex")
 
 
+# Test-local copy of the scalar distribution builders the analytic key rate
+# was pinned with, one point per call; they prune every branch of zero
+# probability, where the module's array builders keep it as an exact 0.0.
+ERASED = noise.ERASED
+
+
+def _flip(bit: int, prob: float):
+    """(probability, value) branches of a classical bit flip."""
+    if prob <= 0.0:
+        return [(1.0, bit)]
+    if prob >= 1.0:
+        return [(1.0, 1 - bit)]
+    return [(1.0 - prob, bit), (prob, 1 - bit)]
+
+
+def _erase(bit, prob_click: float):
+    if prob_click >= 1.0:
+        return [(1.0, bit)]
+    if prob_click <= 0.0:
+        return [(1.0, ERASED)]
+    return [(prob_click, bit), (1.0 - prob_click, ERASED)]
+
+
+def _prep_flip_branches(bit: int, eps1: float, eps2: float):
+    return _flip(bit, eps1 if bit == 0 else eps2)
+
+
+def _mermin_distribution(model: str, eps1: float, eps2: float, eps: float, eta: float):
+    """Joint distribution of the three parties' key records for one round."""
+    dist: dict[tuple, float] = {}
+
+    def add(prob, triple):
+        if prob > 0.0:
+            dist[triple] = dist.get(triple, 0.0) + prob
+
+    for b1 in (0, 1):
+        p1 = 0.5
+        if model == "white":
+            # Emitted basis state determines both readers' records directly.
+            dim = 8
+            target = 0 if b1 == 0 else dim - 1
+            emissions = [(1.0 - eps + eps / dim, target)] + [
+                (eps / dim, s) for s in range(dim) if s != target
+            ]
+            for pe, s in emissions:
+                digits = ((s >> 2) & 1, (s >> 1) & 1, s & 1)
+                add(p1 * pe, (b1, digits[1], digits[2]))
+            continue
+        e1, e2 = (eps1, eps2) if model in ("flip", "model1", "model2") else (0.0, 0.0)
+        for pv, v in _prep_flip_branches(b1, e1, e2):
+            if model in ("detector", "model1"):
+                for p2, r2 in _flip(v, eta):
+                    for p3, r3 in _flip(v, eta):
+                        add(p1 * pv * p2 * p3, (b1, r2, r3))
+            elif model == "model2":
+                for p2, r2 in _erase(v, eta):
+                    for p3, r3 in _erase(v, eta):
+                        add(p1 * pv * p2 * p3, (b1, r2, r3))
+            else:
+                add(p1 * pv, (b1, v, v))
+    return dist
+
+
+def _chsh_distribution(model: str, eps1: float, eps2: float, eps: float, eta: float):
+    """Same, for the pairwise-grouped protocol where every party re-prepares."""
+    dist: dict[tuple, float] = {}
+
+    def add(prob, triple):
+        if prob > 0.0:
+            dist[triple] = dist.get(triple, 0.0) + prob
+
+    def emit(bit):
+        """Reader's bit after one noisy preparation of `bit`."""
+        if model == "white":
+            if eps <= 0.0:
+                return [(1.0, bit)]
+            # Uniform basis emission reads as a fair bit.
+            return [(1.0 - eps, bit), (eps / 2, 0), (eps / 2, 1)]
+        if model in ("flip", "model1", "model2"):
+            return _prep_flip_branches(bit, eps1, eps2)
+        return [(1.0, bit)]
+
+    def detect(true_bit):
+        if model in ("detector", "model1"):
+            return _flip(true_bit, eta)
+        if model == "model2":
+            return _erase(true_bit, eta)
+        return [(1.0, true_bit)]
+
+    for b1 in (0, 1):
+        for pe1, v1 in emit(b1):
+            for pd2, r2 in detect(v1):
+                # An erased record re-prepares from a fresh fair draw.
+                reprep = [(1.0, r2)] if r2 != ERASED else [(0.5, 0), (0.5, 1)]
+                for pr, intent2 in reprep:
+                    for pe2, v2 in emit(intent2):
+                        for pd3, r3 in detect(v2):
+                            add(0.5 * pe1 * pd2 * pr * pe2 * pd3, (b1, r2, r3))
+    return dist
+
+
 # Test-local copy of the numpy pair tables the analytic key rate was first
-# computed with: the reference its exact scalar arithmetic must equal.
+# computed with: the reference its exact arithmetic must equal bit for bit.
 def _numpy_mutual_information(joint) -> float:
     table = np.asarray(joint, dtype=float)
     if table.ndim != 2:
@@ -273,7 +374,7 @@ class TestNumpyReference:
         edges = [dict(zip(names, values)) for values in itertools.product((0.0, 0.5, 1.0), repeat=len(names))]
         rng = np.random.default_rng(20241018)
         randoms = [dict(zip(names, rng.random(len(names)).tolist())) for _ in range(200)]
-        builder = noise._mermin_distribution if kind == "mermin" else noise._chsh_distribution
+        builder = _mermin_distribution if kind == "mermin" else _chsh_distribution
         pairs = [(1, 2), (1, 3), (2, 3)]
         for params in edges + randoms:
             dist = builder(model, *(params.get(name, 0.0) for name in ("eps1", "eps2", "eps", "eta")))
@@ -284,6 +385,38 @@ class TestNumpyReference:
                 min_pair = min(pairs, key=lambda p: expected[p])
                 assert report.min_pair == min_pair
                 assert report.key_rate == expected[min_pair]
+
+    @pytest.mark.parametrize("kind", ["mermin", "chsh"])
+    @pytest.mark.parametrize(
+        "model,eta",
+        [("flip", None), ("model1", 0.1), ("model2", 0.0), ("model2", 0.7), ("model2", 1.0),
+         ("white", None), ("detector", None)],
+    )
+    def test_whole_grid_equals_reference(self, model, eta, kind):
+        # The sweep's grids, computed at once, against the scalar builders
+        # and numpy pair tables one point at a time.
+        if model in ("white", "detector"):
+            name = "eps" if model == "white" else "eta"
+            params = {name: np.linspace(0.0, 1.0 if model == "white" else 0.5, 101)}
+        else:
+            axis = np.linspace(0.0, 0.5, 51)
+            params = {"eps1": np.repeat(axis, 51), "eps2": np.tile(axis, 51), "eta": eta or 0.0}
+        conventions = ("conditional", "throughput")
+        surfaces = noise.analytic_key_rate_surfaces(model, kind, conventions=conventions, **params)
+        size = len(surfaces[0].key_rate)
+        columns = {name: np.broadcast_to(values, size).tolist() for name, values in params.items()}
+        builder = _mermin_distribution if kind == "mermin" else _chsh_distribution
+        pairs = [(1, 2), (1, 3), (2, 3)]
+        for point in range(size):
+            values = {name: column[point] for name, column in columns.items()}
+            dist = builder(model, *(values.get(name, 0.0) for name in ("eps1", "eps2", "eps", "eta")))
+            for convention, surface in zip(conventions, surfaces):
+                expected = {(i, j): _numpy_pair_mi(dist, i - 1, j - 1, convention) for i, j in pairs}
+                got = {pair: mi[point] for pair, mi in surface.pairwise_mi.items()}
+                assert got == expected, (values, convention)
+                min_pair = min(pairs, key=lambda p: expected[p])
+                assert noise.PAIRS[surface.min_pair[point]] == min_pair, (values, convention)
+                assert surface.key_rate[point] == expected[min_pair], (values, convention)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_plug_in_equals_numpy_table(self, seed):

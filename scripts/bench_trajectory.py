@@ -38,7 +38,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     if not done.stdout.strip():
         sys.exit(f"{workload} seed {seed}: bench/run.py printed no result\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        sys.stderr.write(done.stderr)
+    return result
 
 
 def summarize(runs: list[dict]) -> dict:

@@ -9,9 +9,11 @@ BENCHMARK.json and every seed, each run lasting the benchmark's
 holds each workload's end-to-end metrics as median and quartiles over the
 seeds, the failed and attempted command counts, and what the numbers rest
 on: the seeds, `nproc`, the Python and numpy versions and the measured
-commit (`dirty` when tracked files differ from it).  Seeds, workloads and
-run length are the benchmark's own, so two files compare when their seeds
-match.
+commit (`dirty` when tracked files differ from it).  A run that is not
+correct stays in the figures and is listed under `failed_runs` with its
+seed and the end of its standard error, which names the cause.  Seeds,
+workloads and run length are the benchmark's own, so two files compare
+when their seeds match.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+#: lines of a failed run's standard error kept in the record
+STDERR_LINES = 12
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -41,6 +45,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         sys.stderr.write(done.stderr)
+        result["seed"] = seed
+        result["stderr_tail"] = done.stderr.splitlines()[-STDERR_LINES:]
     return result
 
 
@@ -56,6 +62,10 @@ def summarize(runs: list[dict]) -> dict:
         "attempted": sum(run["attempted"] for run in runs),
         "failed": sum(run["failed"] for run in runs),
         "correct": all(run["correct"] for run in runs),
+        "failed_runs": [
+            {"seed": run["seed"], "failed": run["failed"], "stderr_tail": run["stderr_tail"]}
+            for run in runs if not run["correct"]
+        ],
         "metrics": metrics,
     }
 
@@ -83,6 +93,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in workloads:
             runs[name].append(run_once(checkout, name, seed, spec["run_seconds"]))
             print(f"{name} seed {seed}: {json.dumps(runs[name][-1])}", file=sys.stderr)
+    # A tree that changed while it was measured is not the commit it names.
+    dirty = dirty or commit_of(checkout) != (commit, False)
     record = {
         "commit": commit,
         "dirty": dirty,

@@ -278,46 +278,28 @@ def read_transcript(path: Path, config: protocol.ProtocolConfig) -> protocol.Tra
 
     Raises ValueError on a line whose labels are not the parties' settings,
     whose outcomes are not ±1 or null, or whose round number is out of order.
-
-    A line as ``write_transcript`` writes it ends in ``"round": <n>}``;
-    the text before that, its head, repeats across rounds, so each
-    distinct head is parsed and checked once.  Any other line, such as
-    one with reordered keys or other spacing, is parsed whole.
     """
     picks_of = [
         {label: pick for pick, label in enumerate(labels)}
         for labels in protocol.party_labels(config.kind, config.num_parties)
     ]
-
-    def parse(text: str, expected: int) -> tuple[list[int], list[int], int]:
-        raw = json.loads(text)
-        if raw["round"] != expected:
-            raise ValueError(f"line {expected + 1} holds round {raw['round']}, expected {expected}")
-        labels = raw["labels"]
-        if len(labels) != config.num_parties or any(
-            label not in party for label, party in zip(labels, picks_of)
-        ):
-            raise ValueError(f"round {expected}: labels {labels} are not the parties' settings")
-        recorded = [*raw["outcomes"], raw["eve_outcome"]]
-        if any(o not in (1, -1, None) for o in recorded):
-            raise ValueError(f"round {expected}: outcomes {recorded} are not ±1 or null")
-        picks = [party[label] for label, party in zip(labels, picks_of)]
-        return picks, [o or 0 for o in recorded[:-1]], recorded[-1] or 0
-
-    by_head = {}
     picks, outcomes, eve_outcomes = [], [], []
     with path.open() as handle:
         for expected, line in enumerate(handle):
-            head, key, tail = line.rpartition('"round": ')
-            if key and tail == f"{expected}}}\n":
-                row = by_head.get(head)
-                if row is None:
-                    row = by_head[head] = parse(line, expected)
-            else:
-                row = parse(line, expected)
-            picks.append(row[0])
-            outcomes.append(row[1])
-            eve_outcomes.append(row[2])
+            raw = json.loads(line)
+            if raw["round"] != expected:
+                raise ValueError(f"line {expected + 1} holds round {raw['round']}, expected {expected}")
+            labels = raw["labels"]
+            if len(labels) != config.num_parties or any(
+                label not in party for label, party in zip(labels, picks_of)
+            ):
+                raise ValueError(f"round {expected}: labels {labels} are not the parties' settings")
+            recorded = [*raw["outcomes"], raw["eve_outcome"]]
+            if any(o not in (1, -1, None) for o in recorded):
+                raise ValueError(f"round {expected}: outcomes {recorded} are not ±1 or null")
+            picks.append([party[label] for label, party in zip(labels, picks_of)])
+            outcomes.append([o or 0 for o in recorded[:-1]])
+            eve_outcomes.append(recorded[-1] or 0)
     return protocol.Transcript(config, picks, outcomes, eve_outcomes)
 
 

@@ -450,9 +450,10 @@ def empirical_key_rate(transcript, min_key_rounds: int = 1000) -> KeyRateReport:
     num_parties = transcript.config.num_parties
     bits = sifting.key_bits  # symbols 0, 1 and erased (2)
     pairs = [(i, j) for i in range(1, num_parties + 1) for j in range(i + 1, num_parties + 1)]
-    mi = {}
-    for i, j in pairs:
-        joint = np.bincount(3 * bits[i - 1] + bits[j - 1], minlength=9).reshape(3, 3)
-        mi[(i, j)] = binary_mutual_information(joint / num_rounds)
+    # Every pair's table at once, one pair per point, so that the
+    # information is one call however many pairs there are.
+    joint = np.array([np.bincount(3 * bits[i - 1] + bits[j - 1], minlength=9) for i, j in pairs])
+    tables = (joint / num_rounds).T.reshape(3, 3, len(pairs))
+    mi = dict(zip(pairs, _table_information(list(tables)).tolist()))
     min_pair = min(pairs, key=lambda p: mi[p])
     return KeyRateReport("empirical", transcript.config.kind, "empirical", mi, mi[min_pair], min_pair)

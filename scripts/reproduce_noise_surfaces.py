@@ -18,21 +18,21 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="surfaces")
     parser.add_argument("--kind", choices=("mermin", "chsh"), default="mermin")
-    parser.add_argument("--grid", type=int, default=51)
+    parser.add_argument("--grid", type=int, default=None, help="points per axis (default: the CLI's 51 / 101)")
     parser.add_argument("--empirical-rounds", type=int, default=0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
     jobs = [
         ["--model", "flip"],
-        ["--model", "white", "--grid", "101"],
-        ["--model", "detector", "--grid", "101"],
+        ["--model", "white"],
+        ["--model", "detector"],
         ["--model", "model1", "--eta", "0.1"],
         ["--model", "model2", "--eta", "0.7"],
     ]
     for job in jobs:
         argv = ["sweep", *job, "--kind", args.kind, "--outdir", args.outdir]
-        if "--grid" not in job:
+        if args.grid is not None:
             argv += ["--grid", str(args.grid)]
         if args.empirical_rounds:
             argv += ["--empirical-rounds", str(args.empirical_rounds), "--seed", str(args.seed)]

@@ -67,14 +67,11 @@ class LeakageReport:
     sufficient_data: bool
 
 
-def leakage_analysis(
-    transcript, reference_party: int = 1, sifting=None, estimates=None
-) -> LeakageReport:
+def leakage_analysis(transcript, sifting=None, estimates=None) -> LeakageReport:
     """Mutual information between Eve's record and the key, plus detection.
 
-    The key symbol is the reference party's key bit; in the protocols'
-    noiseless runs every party holds the same bit, so the choice only
-    matters under simultaneous noise.  A caller that already holds the
+    The key symbol is party 1's key bit; in the protocols' noiseless runs
+    every party holds the same bit.  A caller that already holds the
     transcript's sifting and check estimates passes them in; otherwise
     they are computed here.
     """
@@ -85,7 +82,7 @@ def leakage_analysis(
     if estimates is None:
         estimates = proto.check_estimates(transcript)
     eve = transcript.eve_outcomes[sifting.key_rounds]
-    bits = sifting.key_bits[reference_party - 1]
+    bits = sifting.key_bits[0]
     seen = (eve != 0) & (bits != proto.ERASED_BIT)
     joint = np.bincount(2 * ((1 - eve[seen]) // 2) + bits[seen], minlength=4).reshape(2, 2)
     if transcript.config.kind == "mermin":

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (inequality violated), 2 inequality not violated
 (eavesdropping indicated), 3 insufficient data (no check with data fails,
-but an inequality term has no samples), 64 usage error, 70 internal
-invariant failure.
+but an inequality term has no samples; or an empirical sweep point has no
+key rounds), 64 usage error, 70 internal invariant failure.
 
 All artifacts are deterministic functions of the seed and flags: the
 transcript (one JSON record per round), the machine report, the key files,
@@ -174,8 +174,19 @@ def _parse_detector_noise(spec: str | None):
 
 def _resolve_outdir(flag_value: str | None) -> Path:
     outdir = Path(flag_value or os.environ.get(OUTDIR_ENV) or "contextkey-out")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {outdir}: {exc.strerror}") from exc
     return outdir
+
+
+def _resolve_output(args, command: str) -> tuple[Path, str]:
+    """The output directory, created, and the file prefix of a run."""
+    prefix = args.prefix or command
+    if "/" in prefix or os.sep in prefix:
+        raise UsageError(f"--prefix {prefix!r} must not contain a path separator")
+    return _resolve_outdir(args.outdir), prefix
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -370,11 +381,9 @@ def _run_report(config, transcript, sifting, key, estimates) -> dict:
 _KEY_CHARS = np.frombuffer(b"01e", dtype=np.uint8)
 
 
-def _write_artifacts(command: str, args, transcript, key, report: dict, started: float):
+def _write_artifacts(command: str, outdir: Path, prefix: str, transcript, key, report: dict, started: float):
     """Write the transcript, report, key files and manifest; print the summary."""
     config = transcript.config
-    outdir = _resolve_outdir(args.outdir)
-    prefix = args.prefix or command
     transcript_path = outdir / f"{prefix}-transcript.jsonl"
     write_transcript(transcript, transcript_path)
     report_path = outdir / f"{prefix}-report.json"
@@ -424,9 +433,11 @@ def _exit_code(report: dict) -> int:
 def cmd_run(args) -> int:
     started = time.monotonic()
     args.seed = _resolve_seed(args.seed)
-    config, transcript, sifting, key, estimates = _execute_protocol(_build_config(args))
+    config = _build_config(args)
+    outdir, prefix = _resolve_output(args, "run")
+    config, transcript, sifting, key, estimates = _execute_protocol(config)
     report = _run_report(config, transcript, sifting, key, estimates)
-    _write_artifacts("run", args, transcript, key, report, started)
+    _write_artifacts("run", outdir, prefix, transcript, key, report, started)
     return _exit_code(report)
 
 
@@ -456,6 +467,7 @@ def cmd_attack(args) -> int:
         config = dataclasses.replace(config, eve=eve)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    outdir, prefix = _resolve_output(args, "attack")
     config, transcript, sifting, key, estimates = _execute_protocol(config)
     leakage = adversary.leakage_analysis(transcript, sifting=sifting, estimates=estimates)
     report = _run_report(config, transcript, sifting, key, estimates)
@@ -477,7 +489,7 @@ def cmd_attack(args) -> int:
         except adversary.InsufficientCheckData as exc:
             report["eve"]["localized_links"] = None
             report["eve"]["localization_error"] = str(exc)
-    _write_artifacts("attack", args, transcript, key, report, started)
+    _write_artifacts("attack", outdir, prefix, transcript, key, report, started)
     mi = leakage.eve_key_mutual_information
     print(f"eve: strategy={eve.strategy} MI={'n/a' if mi is None else f'{mi:.4f}'} bits "
           f"over {leakage.attacked_key_rounds} attacked key rounds; "
@@ -548,8 +560,9 @@ def _validate_sweep(model: str, kind: str, eta: float | None):
 
 
 def _empirical_sweep(model, kind, grid_points, eta, rounds, seed):
+    """(header, rows, points without key rounds); such a point's rate cell is empty."""
     header = ["eps1", "eps2", "key_rate_empirical"] if model in ("flip", "model1", "model2") else ["param", "key_rate_empirical"]
-    rows = []
+    rows, empty = [], 0
     for params in grid_points:
         prep = None
         detector = None
@@ -570,9 +583,12 @@ def _empirical_sweep(model, kind, grid_points, eta, rounds, seed):
             noise=noise.NoiseConfig(prep=prep, detector=detector),
         )
         transcript = protocol.run_protocol(config)
-        report = noise.empirical_key_rate(transcript, min_key_rounds=1)
-        rows.append([_format_float(p) for p in params] + [_format_float(report.key_rate)])
-    return header, rows
+        try:
+            rate = _format_float(noise.empirical_key_rate(transcript, min_key_rounds=1).key_rate)
+        except noise.InsufficientKeyRounds:
+            rate, empty = "", empty + 1
+        rows.append([_format_float(p) for p in params] + [rate])
+    return header, rows, empty
 
 
 def cmd_sweep(args) -> int:
@@ -596,6 +612,7 @@ def cmd_sweep(args) -> int:
         for row in rows:
             handle.write(",".join(row) + "\n")
     outputs = [csv_path]
+    seed, points, empty = args.seed or 0, [], 0
     if args.empirical_rounds:
         seed = _resolve_seed(args.seed)
         coarse = np.linspace(0.0, 0.5, args.empirical_grid)
@@ -603,7 +620,7 @@ def cmd_sweep(args) -> int:
             points = [(a, b) for a in coarse for b in coarse]
         else:
             points = [(a,) for a in coarse]
-        emp_header, emp_rows = _empirical_sweep(
+        emp_header, emp_rows, empty = _empirical_sweep(
             args.model, args.kind, points, args.eta, args.empirical_rounds, seed
         )
         emp_path = outdir / f"sweep-{args.model}-{args.kind}{suffix}-empirical.csv"
@@ -615,13 +632,17 @@ def cmd_sweep(args) -> int:
     manifest = _manifest(
         "sweep",
         {"model": args.model, "kind": args.kind, "grid": grid, "eta": args.eta},
-        args.seed or 0,
+        seed,
         outputs,
         0,
         started,
     )
     _write_json(manifest, outdir / f"sweep-{args.model}-{args.kind}{suffix}-manifest.json")
     print(f"wrote {csv_path}")
+    if empty:
+        print(f"insufficient data: no key rounds at {empty} of {len(points)} empirical points; "
+              "their key_rate_empirical cells are empty", file=sys.stderr)
+        return EXIT_INSUFFICIENT_DATA
     return EXIT_OK
 
 

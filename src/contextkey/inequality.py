@@ -152,10 +152,8 @@ def assemble_operator(spec: InequalitySpec, indexing: PartyIndexing) -> np.ndarr
     return total
 
 
-def evaluate_exact(state, spec: InequalitySpec, indexing: PartyIndexing | None = None) -> float:
-    """|Σ sign·⟨term⟩| evaluated exactly on a pure or mixed state."""
-    if indexing is None:
-        indexing = PartyIndexing(int(round(math.log2(state.dim))))
+def evaluate_exact(state, spec: InequalitySpec, indexing: PartyIndexing) -> float:
+    """|Σ sign·⟨term⟩| evaluated exactly on a pure state."""
     total = 0.0
     for coeff, labels in spec.terms:
         total += coeff * qmath.expectation(state, term_operator(labels, indexing))

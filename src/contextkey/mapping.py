@@ -1,12 +1,13 @@
-"""Isomorphism between N-party qudit systems and a single d^N-level system.
+"""Isomorphism between N qubit parties and a single 2^N-level system.
 
-The bijection sends the product-basis ket with digits (j₁, …, j_N) to the
-single-system ket |Σ d^{N−k} j_k⟩, i.e. party 1 owns the most significant
-digit.  Every module uses this one indexing authority; nothing re-derives
-its own digit order.
+The bijection sends the product-basis ket with bits (j₁, …, j_N) to the
+single-system ket |Σ j_k·stride(k)⟩ with stride(k) = 2^{N−k}, i.e. party 1
+owns the most significant bit.  ``PartyIndexing.stride`` is the one
+indexing authority: the lifting below and the round engine's local
+updates both read the digit order from it.
 
 Lifting a local operator is done by index arithmetic (decompose, substitute
-one digit, recompose) so a D×D array is the only memory cost.  The
+one bit, recompose) so a D×D array is the only memory cost.  The
 tensor-product oracle at the bottom deliberately does the opposite — it
 builds the explicit Kronecker products — and serves as independent ground
 truth for the lifted picture.
@@ -30,71 +31,43 @@ PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 @dataclass(frozen=True)
 class PartyIndexing:
-    """Shape of the mapped system: N parties of local dimension d."""
+    """Shape of the mapped system: N qubit parties, dimension 2^N."""
 
     num_parties: int
-    local_dim: int = 2
 
     def __post_init__(self):
         if self.num_parties < 1:
             raise ValueError("need at least one party")
-        if self.local_dim < 2:
-            raise ValueError("local dimension must be at least 2")
-        if self.num_parties * np.log2(self.local_dim) > MAX_QUBIT_EQUIVALENT + 1e-9:
+        if self.num_parties > MAX_QUBIT_EQUIVALENT:
             raise ValueError(
-                f"total dimension {self.local_dim}**{self.num_parties} exceeds the 2^{MAX_QUBIT_EQUIVALENT} size guard"
+                f"total dimension 2**{self.num_parties} exceeds the 2^{MAX_QUBIT_EQUIVALENT} size guard"
             )
 
     @property
     def total_dim(self) -> int:
-        return self.local_dim**self.num_parties
+        return 2**self.num_parties
 
     def stride(self, party: int) -> int:
-        """Positional weight of the given party's digit (party 1 is most significant)."""
+        """Positional weight of the given party's bit (party 1 is most significant)."""
         self._check_party(party)
-        return self.local_dim ** (self.num_parties - party)
+        return 2 ** (self.num_parties - party)
 
     def _check_party(self, party: int):
         if not 1 <= party <= self.num_parties:
             raise ValueError(f"party {party} out of range 1..{self.num_parties}")
 
 
-def index_from_digits(digits, indexing: PartyIndexing) -> int:
-    """Map per-party digits (j₁, …, j_N) to the single-system basis index."""
-    digits = list(digits)
-    if len(digits) != indexing.num_parties:
-        raise ValueError(f"expected {indexing.num_parties} digits, got {len(digits)}")
-    index = 0
-    for digit in digits:
-        if not 0 <= digit < indexing.local_dim:
-            raise ValueError(f"digit {digit} out of range 0..{indexing.local_dim - 1}")
-        index = index * indexing.local_dim + digit
-    return index
-
-
-def digits_from_index(index: int, indexing: PartyIndexing) -> tuple[int, ...]:
-    """Inverse of :func:`index_from_digits`."""
-    if not 0 <= index < indexing.total_dim:
-        raise ValueError(f"index {index} out of range 0..{indexing.total_dim - 1}")
-    digits = []
-    for party in range(indexing.num_parties, 0, -1):
-        digits.append(index % indexing.local_dim)
-        index //= indexing.local_dim
-    return tuple(reversed(digits))
-
-
 def lift_matrix(local: np.ndarray, party: int, indexing: PartyIndexing) -> np.ndarray:
-    """Matrix of 1⊗…⊗M⊗…⊗1 in the mapped basis, by digit substitution."""
-    d = indexing.local_dim
-    if local.shape != (d, d):
-        raise DimensionMismatch(f"local matrix has shape {local.shape}, expected ({d}, {d})")
+    """Matrix of 1⊗…⊗M⊗…⊗1 in the mapped basis, by bit substitution."""
+    if local.shape != (2, 2):
+        raise DimensionMismatch(f"local matrix has shape {local.shape}, expected (2, 2)")
     stride = indexing.stride(party)
     dim = indexing.total_dim
     out = np.zeros((dim, dim), dtype=np.complex128)
     rows = np.arange(dim)
-    row_digit = (rows // stride) % d
+    row_digit = (rows // stride) % 2
     base = rows - row_digit * stride
-    for col_digit in range(d):
+    for col_digit in range(2):
         out[rows, base + col_digit * stride] = local[row_digit, col_digit]
     return out
 
@@ -113,9 +86,7 @@ def dichotomic_from_local(
 
 
 def pauli(axis: str, party: int, indexing: PartyIndexing) -> DichotomicObservable:
-    """Lifted Pauli observable at one party (qubit parties only)."""
-    if indexing.local_dim != 2:
-        raise ValueError("Pauli observables require local dimension 2")
+    """Lifted Pauli observable at one party."""
     if axis not in PAULI:
         raise ValueError(f"unknown Pauli axis {axis!r}")
     return dichotomic_from_local(PAULI[axis], party, indexing, label=f"{axis}{party}")
@@ -125,7 +96,7 @@ def oracle_expectation(multi_state, local_matrices: list[np.ndarray]) -> float:
     """Expectation in the explicit tensor-product picture.
 
     ``multi_state`` is the amplitude vector over the product basis (same
-    digit order as the index map) and ``local_matrices`` one d×d matrix per
+    digit order as the index map) and ``local_matrices`` one 2×2 matrix per
     party.  The full Kronecker product is built on purpose — this path must
     stay independent of the lifted operators it cross-checks.
     """

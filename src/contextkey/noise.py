@@ -132,12 +132,6 @@ def _check_unit(name: str, value):
         raise ValueError(f"{name} = {outside[0]} outside [0, 1]")
 
 
-def binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-
-
 def binary_mutual_information(joint) -> float:
     """Shannon mutual information (bits) of a small joint probability table."""
     table = np.asarray(joint, dtype=float)
@@ -349,7 +343,6 @@ def analytic_key_rate_surfaces(
     eps2=0.0,
     eps=0.0,
     eta=0.0,
-    num_parties: int = 3,
     conventions: tuple[str, ...] = ("conditional",),
 ) -> list[KeyRateSurface]:
     """:func:`analytic_key_rate` at every point, under each of ``conventions``.
@@ -361,8 +354,6 @@ def analytic_key_rate_surfaces(
         raise ValueError(f"unknown noise model {model!r}")
     if kind not in ("mermin", "chsh"):
         raise ValueError(f"unknown protocol kind {kind!r}")
-    if num_parties != 3:
-        raise ValueError("the analytic path covers three parties; simulate for other sizes")
     for convention in conventions:
         if convention not in CONVENTIONS:
             raise ValueError(f"unknown erasure convention {convention!r}")
@@ -383,30 +374,6 @@ def analytic_key_rate_surfaces(
     return surfaces
 
 
-def analytic_key_rates(
-    model: str,
-    kind: str = "mermin",
-    *,
-    eps1: float = 0.0,
-    eps2: float = 0.0,
-    eps: float = 0.0,
-    eta: float = 0.0,
-    num_parties: int = 3,
-    conventions: tuple[str, ...] = ("conditional",),
-) -> list[KeyRateReport]:
-    """:func:`analytic_key_rate` under each of ``conventions``, from one distribution."""
-    surfaces = analytic_key_rate_surfaces(
-        model, kind, eps1=eps1, eps2=eps2, eps=eps, eta=eta, num_parties=num_parties, conventions=conventions,
-    )
-    return [
-        KeyRateReport(
-            model, kind, s.convention, {pair: float(mi[0]) for pair, mi in s.pairwise_mi.items()},
-            float(s.key_rate[0]), PAIRS[s.min_pair[0]],
-        )
-        for s in surfaces
-    ]
-
-
 def analytic_key_rate(
     model: str,
     kind: str = "mermin",
@@ -415,7 +382,6 @@ def analytic_key_rate(
     eps2: float = 0.0,
     eps: float = 0.0,
     eta: float = 0.0,
-    num_parties: int = 3,
     convention: str = "conditional",
 ) -> KeyRateReport:
     """Exact pairwise mutual informations and their minimum for one model.
@@ -425,10 +391,13 @@ def analytic_key_rate(
     plus misreads), ``model2`` (flips plus lossy detectors with click
     probability eta).
     """
-    return analytic_key_rates(
-        model, kind, eps1=eps1, eps2=eps2, eps=eps, eta=eta, num_parties=num_parties,
-        conventions=(convention,),
-    )[0]
+    (surface,) = analytic_key_rate_surfaces(
+        model, kind, eps1=eps1, eps2=eps2, eps=eps, eta=eta, conventions=(convention,)
+    )
+    return KeyRateReport(
+        model, kind, surface.convention, {pair: float(mi[0]) for pair, mi in surface.pairwise_mi.items()},
+        float(surface.key_rate[0]), PAIRS[surface.min_pair[0]],
+    )
 
 
 class InsufficientKeyRounds(ValueError):

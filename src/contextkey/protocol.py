@@ -377,7 +377,7 @@ class _Engine:
         }
         self.reference = self._reference_state()
         self.pre_post = {
-            party: (2 ** (party - 1), self.dim // 2**party)
+            party: (self.dim // (2 * self.indexing.stride(party)), self.indexing.stride(party))
             for party in range(1, self.indexing.num_parties + 1)
         }
         self.mask_axes = (

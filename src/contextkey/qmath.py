@@ -1,9 +1,10 @@
 """Exact dense complex linear algebra and measurement primitives.
 
-Everything here works on small Hilbert spaces (dimension <= 4096) with
-plain numpy arrays wrapped in thin validating dataclasses.  All values are
-immutable after construction; the only stateful argument anywhere is the
-random generator consumed by the sampling routines.
+Everything here works on pure states of small Hilbert spaces (dimension
+<= 4096) with plain numpy arrays wrapped in thin validating dataclasses,
+each checked to ``DEFAULT_ATOL``.  All values are immutable after
+construction; the only stateful argument anywhere is the random generator
+consumed by the sampling routines.
 """
 
 from __future__ import annotations
@@ -48,15 +49,14 @@ class StateVector:
     """Normalized pure state on a D-dimensional space."""
 
     amplitudes: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > self.atol:
-            raise InvariantViolation(f"state norm {norm} is not 1 within {self.atol}")
+        if abs(norm - 1.0) > DEFAULT_ATOL:
+            raise InvariantViolation(f"state norm {norm} is not 1 within {DEFAULT_ATOL}")
 
     @property
     def dim(self) -> int:
@@ -68,45 +68,17 @@ class StateVector:
         amps[index] = 1.0
         return StateVector(amps)
 
-    def density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
-
-    matrix: np.ndarray
-    atol: float = DEFAULT_ATOL
-
-    def __post_init__(self):
-        mat = _as_complex_matrix(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        if np.max(np.abs(mat - mat.conj().T)) > self.atol:
-            raise InvariantViolation("density matrix is not Hermitian")
-        trace = np.trace(mat)
-        if abs(trace - 1.0) > self.atol:
-            raise InvariantViolation(f"density matrix trace {trace} is not 1")
-        eigvals = np.linalg.eigvalsh(mat)
-        if eigvals.min() < -self.atol:
-            raise InvariantViolation(f"density matrix has negative eigenvalue {eigvals.min()}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class HermitianOperator:
     """Generic observable: a matrix equal to its conjugate transpose."""
 
     matrix: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         mat = _as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", mat)
-        if np.max(np.abs(mat - mat.conj().T)) > self.atol:
+        if np.max(np.abs(mat - mat.conj().T)) > DEFAULT_ATOL:
             raise InvariantViolation("operator is not Hermitian")
 
     @property
@@ -119,13 +91,12 @@ class UnitaryOperator:
     """Operator with U†U = identity."""
 
     matrix: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         mat = _as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", mat)
         residue = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if residue > self.atol:
+        if residue > DEFAULT_ATOL:
             raise InvariantViolation(f"U†U deviates from identity by {residue}")
 
     @property
@@ -144,7 +115,6 @@ class DichotomicObservable:
     plus_projector: np.ndarray
     minus_projector: np.ndarray
     label: str = ""
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         plus = _as_complex_matrix(self.plus_projector)
@@ -153,13 +123,13 @@ class DichotomicObservable:
         object.__setattr__(self, "minus_projector", minus)
         eye = np.eye(plus.shape[0])
         for name, proj in (("plus", plus), ("minus", minus)):
-            if np.max(np.abs(proj - proj.conj().T)) > self.atol:
+            if np.max(np.abs(proj - proj.conj().T)) > DEFAULT_ATOL:
                 raise InvariantViolation(f"{name} projector is not Hermitian")
-            if np.max(np.abs(proj @ proj - proj)) > self.atol:
+            if np.max(np.abs(proj @ proj - proj)) > DEFAULT_ATOL:
                 raise InvariantViolation(f"{name} projector is not idempotent")
-        if np.max(np.abs(plus + minus - eye)) > self.atol:
+        if np.max(np.abs(plus + minus - eye)) > DEFAULT_ATOL:
             raise InvariantViolation("projectors do not resolve the identity")
-        if np.max(np.abs(plus @ minus)) > self.atol:
+        if np.max(np.abs(plus @ minus)) > DEFAULT_ATOL:
             raise InvariantViolation("projectors are not orthogonal")
 
     @property
@@ -171,15 +141,6 @@ class DichotomicObservable:
 
     def operator(self) -> HermitianOperator:
         return HermitianOperator(self.plus_projector - self.minus_projector)
-
-    @staticmethod
-    def from_involution(matrix, label: str = "") -> "DichotomicObservable":
-        """Build from a Hermitian matrix M with M² = identity."""
-        mat = _as_complex_matrix(matrix)
-        eye = np.eye(mat.shape[0])
-        if np.max(np.abs(mat @ mat - eye)) > DEFAULT_ATOL:
-            raise InvariantViolation("matrix does not square to the identity")
-        return DichotomicObservable((eye + mat) / 2, (eye - mat) / 2, label=label)
 
 
 def measure_projective(
@@ -213,39 +174,28 @@ def _sample_branch(p_plus: float, p_minus: float, rng: np.random.Generator) -> i
     return +1 if rng.random() < p_plus / (p_plus + p_minus) else -1
 
 
-def branch_probabilities(
-    state: StateVector | DensityOperator, obs: DichotomicObservable
-) -> tuple[float, float]:
+def branch_probabilities(state: StateVector, obs: DichotomicObservable) -> tuple[float, float]:
     """Probabilities of the +1 and −1 outcomes, without sampling."""
     _check_dims(state.dim, obs.dim)
-    if isinstance(state, StateVector):
-        p_plus = np.real(np.vdot(state.amplitudes, obs.plus_projector @ state.amplitudes))
-        p_minus = np.real(np.vdot(state.amplitudes, obs.minus_projector @ state.amplitudes))
-    else:
-        p_plus = np.real(np.trace(obs.plus_projector @ state.matrix))
-        p_minus = np.real(np.trace(obs.minus_projector @ state.matrix))
+    p_plus = np.real(np.vdot(state.amplitudes, obs.plus_projector @ state.amplitudes))
+    p_minus = np.real(np.vdot(state.amplitudes, obs.minus_projector @ state.amplitudes))
     return float(p_plus), float(p_minus)
 
 
-def expectation(state: StateVector | DensityOperator, op: HermitianOperator | np.ndarray) -> float:
-    """⟨Ψ|op|Ψ⟩ or trace(ρ·op), with the imaginary residue checked and dropped."""
+def expectation(state: StateVector, op: HermitianOperator | np.ndarray) -> float:
+    """⟨Ψ|op|Ψ⟩, with the imaginary residue checked and dropped."""
     mat = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
     _check_dims(state.dim, mat.shape[0])
-    if isinstance(state, StateVector):
-        value = np.vdot(state.amplitudes, mat @ state.amplitudes)
-    else:
-        value = np.trace(state.matrix @ mat)
+    value = np.vdot(state.amplitudes, mat @ state.amplitudes)
     if abs(value.imag) > 1e-8:
         raise InvariantViolation(f"expectation has imaginary residue {value.imag}")
     return float(value.real)
 
 
-def apply_unitary(state: StateVector | DensityOperator, u: UnitaryOperator):
-    """U|Ψ⟩ or UρU†."""
+def apply_unitary(state: StateVector, u: UnitaryOperator) -> StateVector:
+    """U|Ψ⟩."""
     _check_dims(state.dim, u.dim)
-    if isinstance(state, StateVector):
-        return StateVector(u.matrix @ state.amplitudes)
-    return DensityOperator(u.matrix @ state.matrix @ u.matrix.conj().T)
+    return StateVector(u.matrix @ state.amplitudes)
 
 
 def commutator_norm(a, b) -> float:
@@ -255,8 +205,3 @@ def commutator_norm(a, b) -> float:
     _check_dims(mat_a.shape[0], mat_b.shape[0])
     return float(np.max(np.abs(mat_a @ mat_b - mat_b @ mat_a)))
 
-
-def spectral_decomposition(op: HermitianOperator) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalue / eigenvector pairs; reassembling Σ λ|v⟩⟨v| returns the input."""
-    eigvals, eigvecs = np.linalg.eigh(op.matrix)
-    return [(float(eigvals[i]), eigvecs[:, i].copy()) for i in range(op.dim)]

@@ -52,18 +52,6 @@ def _singlet_state() -> qmath.StateVector:
 
 # --- individual checks ----------------------------------------------------
 
-def check_indexing_round_trip():
-    for local_dim in (2, 3):
-        for num_parties in range(1, 7):
-            if local_dim**num_parties > 4096:
-                continue
-            indexing = mapping.PartyIndexing(num_parties, local_dim)
-            for index in range(indexing.total_dim):
-                digits = mapping.digits_from_index(index, indexing)
-                back = mapping.index_from_digits(digits, indexing)
-                _require(back == index, f"round trip failed at {index} (d={local_dim}, N={num_parties})")
-
-
 def check_lifted_vs_tensor_oracle():
     rng = np.random.default_rng(20240 + 11)
     for trial in range(500):
@@ -89,28 +77,6 @@ def check_lift_commutation():
         a = mapping.lift_matrix(_random_hermitian(rng, 2), int(parties[0]), indexing)
         b = mapping.lift_matrix(_random_hermitian(rng, 2), int(parties[1]), indexing)
         _require(qmath.commutator_norm(a, b) < TOL, "lifted observables of distinct parties must commute")
-
-
-def check_spectral_round_trip():
-    rng = np.random.default_rng(20240 + 13)
-    for dim in (2, 4, 8):
-        op = qmath.HermitianOperator(_random_hermitian(rng, dim))
-        rebuilt = sum(lam * np.outer(vec, vec.conj()) for lam, vec in qmath.spectral_decomposition(op))
-        _require(np.max(np.abs(rebuilt - op.matrix)) < TOL, f"spectral round trip failed at dim {dim}")
-
-
-def check_density_matches_pure_probabilities():
-    rng = np.random.default_rng(20240 + 15)
-    indexing = mapping.PartyIndexing(3)
-    for axis in "XYZ":
-        obs = mapping.pauli(axis, 2, indexing)
-        state = _random_state(rng, 8)
-        p_pure = qmath.branch_probabilities(state, obs)
-        p_mixed = qmath.branch_probabilities(state.density(), obs)
-        _require(
-            abs(p_pure[0] - p_mixed[0]) < 1e-12 and abs(p_pure[1] - p_mixed[1]) < 1e-12,
-            f"pure/density branch probabilities disagree on {axis}2",
-        )
 
 
 def check_mermin_values():
@@ -271,11 +237,8 @@ def check_detector_effect_equivalence():
 
 
 ALL_CHECKS = [
-    ("indexing_round_trip", check_indexing_round_trip),
     ("lifted_vs_tensor_oracle", check_lifted_vs_tensor_oracle),
     ("lift_commutation", check_lift_commutation),
-    ("spectral_round_trip", check_spectral_round_trip),
-    ("density_matches_pure_probabilities", check_density_matches_pure_probabilities),
     ("mermin_value_exact", check_mermin_values),
     ("mermin_bound_N3", check_mermin_bounds),
     ("mermin_operator_identity", check_mermin_operator_identity),

@@ -61,6 +61,7 @@ class TestUsage:
         assert code == cli.EXIT_USAGE
 
     ATTACK3 = ["attack", "--kind", "mermin", "--parties", "3", "--rounds", "5", "--seed", "1"]
+    RUN3 = ["run", "--kind", "mermin", "--parties", "3", "--rounds", "5", "--seed", "1"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -76,12 +77,19 @@ class TestUsage:
             ["run", "--config"],
             ATTACK3 + ["--eve-link", "1", "--eve-obs", "Q1"],
             ATTACK3 + ["--eve-link", "2", "--eve-obs", "X3", "--eve-strategy", "commuting-measure"],
+            RUN3 + ["--outdir", "{tmp}/file"],
+            RUN3 + ["--outdir", "{tmp}/file/sub"],
+            RUN3 + ["--prefix", "a/b"],
+            ["sweep", "--model", "flip", "--grid", "3", "--outdir", "{tmp}/file"],
         ],
         ids=["parties-13", "negative-seed", "eta-2", "negative-empirical-rounds",
              "negative-empirical-grid", "sweep-negative-seed", "missing-config",
-             "config-without-path", "bad-eve-label", "false-commuting-claim"],
+             "config-without-path", "bad-eve-label", "false-commuting-claim",
+             "outdir-is-a-file", "outdir-under-a-file", "prefix-with-separator",
+             "sweep-outdir-is-a-file"],
     )
     def test_bad_input_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "file").write_text("")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         code = run_cli(argv, tmp_path, monkeypatch)
         err = capsys.readouterr().err
@@ -345,6 +353,30 @@ class TestSweep:
         emp = (out / "sweep-white-mermin-empirical.csv").read_text().splitlines()
         assert emp[0] == "param,key_rate_empirical"
         assert len(emp) == 3
+
+    def test_empirical_points_without_key_rounds(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "sw6"
+        code = run_cli(
+            ["sweep", "--model", "white", "--grid", "3", "--empirical-rounds", "5",
+             "--empirical-grid", "2", "--seed", "1", "--outdir", str(out)],
+            tmp_path, monkeypatch,
+        )
+        assert code == cli.EXIT_INSUFFICIENT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("insufficient data: no key rounds at 2 of 2 empirical points")
+        assert len(err.strip().splitlines()) == 1
+        emp = (out / "sweep-white-mermin-empirical.csv").read_text().splitlines()
+        assert emp == ["param,key_rate_empirical", "0,", "0.5,"]
+        assert (out / "sweep-white-mermin-manifest.json").exists()
+
+    def test_manifest_seed_reproduces_empirical_csv(self, tmp_path, monkeypatch):
+        argv = ["sweep", "--model", "white", "--grid", "3", "--empirical-rounds", "2000", "--empirical-grid", "2"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(argv + ["--outdir", str(first)], tmp_path, monkeypatch) == cli.EXIT_OK
+        seed = json.loads((first / "sweep-white-mermin-manifest.json").read_text())["seed"]
+        assert run_cli(argv + ["--seed", str(seed), "--outdir", str(second)], tmp_path, monkeypatch) == cli.EXIT_OK
+        name = "sweep-white-mermin-empirical.csv"
+        assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 class TestVerify:

@@ -11,40 +11,41 @@ from conftest import ghz_state, singlet_state
 class TestIndexing:
     def test_two_qubit_examples(self):
         two = mapping.PartyIndexing(2)
-        assert mapping.index_from_digits((0, 1), two) == 1
-        assert mapping.index_from_digits((1, 1), two) == 3
+        assert (two.stride(1), two.stride(2)) == (2, 1)
+        assert two.total_dim == 4
 
     def test_three_qubit_example(self):
-        assert mapping.index_from_digits((1, 0, 1), mapping.PartyIndexing(3)) == 5
+        three = mapping.PartyIndexing(3)
+        assert sum(bit * three.stride(p) for p, bit in zip((1, 2, 3), (1, 0, 1))) == 5
 
     def test_digit_examples(self):
-        assert mapping.digits_from_index(1, mapping.PartyIndexing(2)) == (0, 1)
-        assert mapping.digits_from_index(0, mapping.PartyIndexing(4, 3)) == (0, 0, 0, 0)
-        assert mapping.digits_from_index(7, mapping.PartyIndexing(3)) == (1, 1, 1)
+        def bits(index, indexing):
+            return tuple((index // indexing.stride(p)) % 2 for p in range(1, indexing.num_parties + 1))
+
+        assert bits(1, mapping.PartyIndexing(2)) == (0, 1)
+        assert bits(0, mapping.PartyIndexing(4)) == (0, 0, 0, 0)
+        assert bits(7, mapping.PartyIndexing(3)) == (1, 1, 1)
 
     def test_errors(self):
-        two = mapping.PartyIndexing(2)
         with pytest.raises(ValueError):
-            mapping.index_from_digits((0, 2), two)
+            mapping.PartyIndexing(2).stride(3)
         with pytest.raises(ValueError):
-            mapping.index_from_digits((0, 1, 0), two)
-        with pytest.raises(ValueError):
-            mapping.digits_from_index(4, two)
+            mapping.PartyIndexing(0)
         with pytest.raises(ValueError):
             mapping.PartyIndexing(13)  # beyond the size guard
 
-    @given(
-        local_dim=st.sampled_from([2, 3]),
-        num_parties=st.integers(1, 6),
-        data=st.data(),
-    )
+    @given(num_parties=st.integers(1, 6), data=st.data())
     @settings(max_examples=120, deadline=None)
-    def test_round_trip(self, local_dim, num_parties, data):
-        if local_dim**num_parties > 4096:
-            return
-        indexing = mapping.PartyIndexing(num_parties, local_dim)
+    def test_round_trip(self, num_parties, data):
+        # the bits read through the strides rebuild the index, and are the
+        # bits the lifted Z of each party reads on that basis state
+        indexing = mapping.PartyIndexing(num_parties)
         index = data.draw(st.integers(0, indexing.total_dim - 1))
-        assert mapping.index_from_digits(mapping.digits_from_index(index, indexing), indexing) == index
+        parties = range(1, num_parties + 1)
+        bits = [(index // indexing.stride(p)) % 2 for p in parties]
+        assert sum(bit * indexing.stride(p) for p, bit in zip(parties, bits)) == index
+        for p, bit in zip(parties, bits):
+            assert mapping.lift_matrix(mapping.PAULI["Z"], p, indexing)[index, index] == 1 - 2 * bit
 
 
 class TestLifting:
@@ -142,8 +143,8 @@ class TestPauli:
             assert np.max(np.abs(op @ op - np.eye(8))) < 1e-12
 
     def test_requires_qubits(self):
-        with pytest.raises(ValueError):
-            mapping.pauli("Z", 1, mapping.PartyIndexing(2, local_dim=3))
+        with pytest.raises(qmath.DimensionMismatch):
+            mapping.dichotomic_from_local(np.diag([1.0, -1.0, 1.0]), 1, mapping.PartyIndexing(2))
 
 
 class TestOracle:

@@ -14,6 +14,14 @@ correct stays in the figures and is listed under `failed_runs` with its
 seed and the end of its standard error, which names the cause.  Seeds,
 workloads and run length are the benchmark's own, so two files compare
 when their seeds match.
+
+Beside the workloads it records an engine line, wider than any workload:
+`run_protocol` on mermin N=12 (D=4096, 400 rounds, masked, no Eve), timed
+once per seed in a fresh interpreter of the measured checkout, as raw
+rounds/s with median and quartiles under `engine_lines`, keyed by commit.
+An existing BENCH_<n>.json keeps the engine lines of other commits, so a
+first run with `--checkout` on the parent's tree leaves the parent's line
+beside the change's.
 """
 
 from __future__ import annotations
@@ -50,13 +58,38 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+ENGINE_LINE = "run_protocol, mermin N=12, 400 rounds, masked, no Eve"
+ENGINE_PROGRAM = """
+import sys, time
+from contextkey import protocol
+config = protocol.ProtocolConfig("mermin", 12, 400, seed=int(sys.argv[1]))
+start = time.perf_counter()
+protocol.run_protocol(config)
+print(config.rounds / (time.perf_counter() - start))
+"""
+
+
+def engine_rate(checkout: Path, seed: int) -> float:
+    """Rounds/s of the engine line in a fresh interpreter of the checkout."""
+    done = subprocess.run(
+        [sys.executable, "-c", ENGINE_PROGRAM, str(seed)], cwd=checkout,
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    return float(done.stdout)
+
+
+def quartiles(values: list[float]) -> dict:
+    median = statistics.median(values)
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (median,) * 3
+    return {"q1": q1, "median": median, "q3": q3}
+
+
 def summarize(runs: list[dict]) -> dict:
     metrics = {}
     for name, first in runs[0]["metrics"].items():
         values = [run["metrics"][name]["value"] for run in runs]
-        median = statistics.median(values)
-        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (median,) * 3
-        metrics[name] = {"unit": first["unit"], "q1": q1, "median": median, "q3": q3}
+        metrics[name] = {"unit": first["unit"], **quartiles(values)}
     return {
         "runs": len(runs),
         "attempted": sum(run["attempted"] for run in runs),
@@ -89,10 +122,13 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     commit, dirty = commit_of(checkout)
     runs = {name: [] for name in workloads}
+    rates = []
     for seed in args.seeds:
         for name in workloads:
             runs[name].append(run_once(checkout, name, seed, spec["run_seconds"]))
             print(f"{name} seed {seed}: {json.dumps(runs[name][-1])}", file=sys.stderr)
+        rates.append(engine_rate(checkout, seed))
+        print(f"engine seed {seed}: {rates[-1]:.1f} rounds/s", file=sys.stderr)
     # A tree that changed while it was measured is not the commit it names.
     dirty = dirty or commit_of(checkout) != (commit, False)
     record = {
@@ -106,6 +142,12 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {name: summarize(runs[name]) for name in workloads},
     }
     out = ROOT / f"BENCH_{args.number}.json"
+    lines = json.loads(out.read_text()).get("engine_lines", {}) if out.exists() else {}
+    lines[commit + ("-dirty" if dirty else "")] = {
+        "line": ENGINE_LINE, "seeds": args.seeds,
+        "rounds_per_s": {"unit": "rounds/s", **quartiles(rates)},
+    }
+    record["engine_lines"] = lines
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(out)
     return 0

@@ -5,7 +5,9 @@ Covers the five noise models at their reference settings: preparation
 flips, white noise, misreading detectors, flips+misreads at eta=0.1, and
 flips+lossy detectors at eta=0.7 (emitted under both erasure-accounting
 conventions).  Add --empirical-rounds to append simulated surfaces on a
-coarse grid.
+coarse grid.  A model with no key rounds at some empirical point (exit 3)
+does not stop the others: every model runs, and the script exits 3 at the
+end.  A usage or internal error (64, 70) stops it at once.
 """
 
 import argparse
@@ -30,6 +32,7 @@ def main():
         ["--model", "model1", "--eta", "0.1"],
         ["--model", "model2", "--eta", "0.7"],
     ]
+    result = cli.EXIT_OK
     for job in jobs:
         argv = ["sweep", *job, "--kind", args.kind, "--outdir", args.outdir]
         if args.grid is not None:
@@ -37,9 +40,11 @@ def main():
         if args.empirical_rounds:
             argv += ["--empirical-rounds", str(args.empirical_rounds), "--seed", str(args.seed)]
         code = cli.main(argv)
-        if code != 0:
+        if code == cli.EXIT_INSUFFICIENT_DATA:
+            result = code
+        elif code != cli.EXIT_OK:
             return code
-    return 0
+    return result
 
 
 if __name__ == "__main__":

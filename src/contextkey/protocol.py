@@ -22,13 +22,20 @@ block by block, and the picks and noise rows whole.  A round depends only
 on its own rows, so it is the same whatever block it falls in.  Toggling
 masking, noise, or the eavesdropper never shifts the other streams.
 
-A mask acts only on qudits that were already measured, so it commutes with
-every later measurement: the engine applies only the factors on Eve's qudit,
-where she reads, and no mask at all in a run without her.  The engine is
-the only round player; it applies single-party 2×2 operators by index
-arithmetic.  The dense qmath/mapping path is its test oracle: a reference
-player in the test suite replays the engine's variates with full D×D
-operators, masking eagerly, and must reproduce every recorded outcome.
+Every setting is a rank-1 qubit projector |v⟩⟨v|, so the engine measures
+in the setting's eigenbasis: one half-size contraction c = v†·s over the
+party's qubit gives P(+1) = ‖c+‖², and the post-measurement state is
+v ⊗ c for the outcome's row.  It forms that state only where it is read:
+a Mermin party before the last forwards it, and so does Eve unless she
+resends a fresh reference; the last party's state, and every CHSH party's
+(each re-prepares), are dropped.  A mask acts only on qudits that were
+already measured, so it commutes with every later measurement: the engine
+applies only the factors on Eve's qudit, folded into her bras as v†·M,
+and no mask at all in a run without her.  The engine is the only round
+player, and touches one qubit at a time by index arithmetic.  The dense
+qmath/mapping path is its test oracle: a reference player in the test
+suite replays the engine's variates with full D×D operators, masking
+eagerly, and must reproduce every recorded outcome.
 """
 
 from __future__ import annotations
@@ -288,6 +295,24 @@ def _su2_product(axes: tuple[str, ...], angles) -> np.ndarray:
     return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
 
+def eigenbasis(local: np.ndarray) -> np.ndarray:
+    """Rows v+ and v−: unit eigenvectors of a 2×2 involution for +1 and −1.
+
+    Each row is the largest column of the eigenprojector (1 ± M)/2,
+    normalized, so the Paulis get their textbook kets.
+    """
+    rows = []
+    for sign in (1, -1):
+        projector = (np.eye(2, dtype=np.complex128) + sign * local) / 2
+        column = projector[:, np.argmax(np.linalg.norm(projector, axis=0))]
+        rows.append(column / np.linalg.norm(column))
+    return np.stack(rows)
+
+
+#: Position of each setting prefix in the engine's eigenbasis table.
+_PREFIX_INDEX = {prefix: i for i, prefix in enumerate(LOCAL_MATRICES)}
+
+
 def _qudit_indexing(config: ProtocolConfig) -> PartyIndexing:
     """The qudit parties of one transmitted state: all N, or the CHSH pair."""
     return PartyIndexing(config.num_parties if config.kind == "mermin" else 2)
@@ -332,7 +357,9 @@ def check_eve(config: ProtocolConfig) -> None:
 
 
 #: Amplitudes one block of rounds holds: blocks of max(1, budget // D) rounds.
-AMPLITUDE_BUDGET = 4096
+#: 8192 gives 128 rounds a block at D=64; 16384 added about 1 MB of peak
+#: memory at D=4 (2,048 → 4,096 rounds a block) for no measured speed.
+AMPLITUDE_BUDGET = 8192
 
 
 class _Variates(NamedTuple):
@@ -357,9 +384,13 @@ def _choose(p_plus: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _Engine:
     """Precomputed per-run machinery and the block player.
 
-    Per party, the tables below are indexed by the setting pick (0..2):
-    its plus projector, P(+1) on the reference state, the reference
+    ``basis`` is the one measurement table: each setting prefix's 2×2
+    eigenbasis, rows v+ and v−, in ``LOCAL_MATRICES`` order.  Per party,
+    the tables below are indexed by the setting pick (0..2): its prefix's
+    row of ``basis``, P(+1) on the reference state, the reference
     projections it prepares (rows +1, −1), and whether it is a key setting.
+    A measurement collapses the state only where the state is read next
+    (see the module docstring).
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -371,10 +402,7 @@ class _Engine:
         self.indexing = _qudit_indexing(config)
         self.labels = party_labels(self.kind, self.num_parties)
         self.parsed = tuple(tuple(split_label(lab) for lab in labs) for labs in self.labels)
-        self.plus_projectors = {
-            prefix: (np.eye(2, dtype=np.complex128) + mat) / 2
-            for prefix, mat in LOCAL_MATRICES.items()
-        }
+        self.basis = np.stack([eigenbasis(matrix) for matrix in LOCAL_MATRICES.values()])
         self.reference = self._reference_state()
         self.pre_post = {
             party: (self.dim // (2 * self.indexing.stride(party)), self.indexing.stride(party))
@@ -390,7 +418,7 @@ class _Engine:
         self.eve_parsed = split_label(self.eve.observable) if self.eve is not None else None
         self.projected, reference_p_plus = self._reference_projections()
         self.qudit = [parsed[0][1] for parsed in self.parsed]
-        self.setting_plus = [np.stack([self.plus_projectors[p] for p, _ in ps]) for ps in self.parsed]
+        self.setting_prefix = [np.array([_PREFIX_INDEX[p] for p, _ in ps]) for ps in self.parsed]
         self.setting_p_plus = [np.array([reference_p_plus[pair] for pair in ps]) for ps in self.parsed]
         self.setting_prepared = [np.stack([self.projected[pair] for pair in ps]) for ps in self.parsed]
         self.setting_key = [np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps]) for ps in self.parsed]
@@ -433,14 +461,13 @@ class _Engine:
             observables.add(self.eve_parsed)
         table, p_plus = {}, {}
         for prefix, party in observables:
-            plus = self._apply_local(self.plus_projectors[prefix][None], self.reference[None], party)[0]
-            rows = np.stack([
-                branch / math.sqrt(np.vdot(branch, branch).real)
-                for branch in (plus, self.reference - plus)
-            ])
+            basis = self.basis[_PREFIX_INDEX[prefix]]
+            rest = self._contract(basis.conj(), np.broadcast_to(self.reference, (2, self.dim)), party)
+            weights = np.einsum("ij,ij->i", rest.view(np.float64), rest.view(np.float64))
+            rows = self._collapse(basis / np.sqrt(weights)[:, None], rest, party)
             rows.setflags(write=False)
             table[prefix, party] = rows
-            p_plus[prefix, party] = np.vdot(plus, plus).real
+            p_plus[prefix, party] = weights[0]
         return table, p_plus
 
     def _open_streams(self):
@@ -489,26 +516,42 @@ class _Engine:
 
     # -- batched single-party linear algebra -------------------------------
 
-    def _apply_local(self, mats: np.ndarray, states: np.ndarray, party: int) -> np.ndarray:
-        """Apply (B, 2, 2) operators, or one (1, 2, 2), to party's qudit of (B, D) states."""
+    def _contract(self, bras: np.ndarray, states: np.ndarray, party: int) -> np.ndarray:
+        """(B, D/2) contractions w·s over party's qubit, of (B, 2) bras, or one (1, 2)."""
         pre, post = self.pre_post[party]
         s = states.reshape(len(states), pre, 2, post)
-        m = mats[:, :, :, None, None]
-        out = np.empty_like(s)
-        out[:, :, 0] = m[:, 0, 0] * s[:, :, 0] + m[:, 0, 1] * s[:, :, 1]
-        out[:, :, 1] = m[:, 1, 0] * s[:, :, 0] + m[:, 1, 1] * s[:, :, 1]
-        return out.reshape(len(states), -1)
+        w = bras[:, :, None, None]
+        return (w[:, 0] * s[:, :, 0] + w[:, 1] * s[:, :, 1]).reshape(len(states), -1)
 
-    def _measure(self, states, projectors, party: int, u) -> tuple[np.ndarray, np.ndarray]:
-        """Born-rule branch selection, one uniform variate per round."""
-        plus = self._apply_local(projectors, states, party)
-        flat = plus.view(np.float64)
+    def _collapse(self, kets: np.ndarray, rest: np.ndarray, party: int) -> np.ndarray:
+        """(B, D) states ket ⊗ rest, with party's qubit in the ket, of (B, 2) kets."""
+        pre, post = self.pre_post[party]
+        out = kets[:, None, :, None] * rest.reshape(len(rest), pre, 1, post)
+        return out.reshape(len(rest), -1)
+
+    def _measure(self, states, bases, party: int, u, collapse: bool, mask=None):
+        """Born-rule outcomes, and the post-measurement states if ``collapse``.
+
+        ``bases`` is (B, 2, 2), or one (1, 2, 2), with rows v+ and v−; a
+        (B, 2, 2) ``mask`` acts on party's qubit before the measurement and
+        is folded into the bras, v†·M.  P(+1) is ‖c+‖² for the half-size
+        contraction c+ = v+†·s; the post state is v ⊗ c for the outcome's
+        row, with the norm folded into the 2-vector.  Returns (outcome,
+        post), post being None without ``collapse``.
+        """
+        bras = bases.conj()
+        if mask is not None:
+            bras = bras @ mask
+        flat = self._contract(bras[:, 0], states, party).view(np.float64)
         p_plus = np.einsum("ij,ij->i", flat, flat)
         outcome = _choose(p_plus, u)
-        keep = outcome > 0
-        post = np.where(keep[:, None], plus, states - plus)
-        post /= np.sqrt(np.where(keep, p_plus, np.maximum(1.0 - p_plus, PROB_FLOOR)))[:, None]
-        return outcome, post
+        if not collapse:
+            return outcome, None
+        minus = (outcome < 0)[:, None]
+        rest = self._contract(np.where(minus, bras[:, 1], bras[:, 0]), states, party)
+        norm = np.sqrt(np.where(minus[:, 0], np.maximum(1.0 - p_plus, PROB_FLOOR), p_plus))
+        kets = np.where(minus, bases[:, 1], bases[:, 0]) / norm[:, None]
+        return outcome, self._collapse(kets, rest, party)
 
     # -- per-party steps ---------------------------------------------------
 
@@ -545,10 +588,12 @@ class _Engine:
         if not active.any():
             return states, None
         prefix, party = self.eve_parsed
-        mask = self._mask(v.angles, link, party)
-        seen = states if mask is None else self._apply_local(mask, states, party)
-        outcome, post = self._measure(seen, self.plus_projectors[prefix][None], party, v.eve_u[:, 1])
-        if eve.resend == "fresh-reference":
+        fresh = eve.resend == "fresh-reference"
+        outcome, post = self._measure(
+            states, self.basis[_PREFIX_INDEX[prefix]][None], party, v.eve_u[:, 1],
+            collapse=not fresh, mask=self._mask(v.angles, link, party),
+        )
+        if fresh:
             post = self.projected[prefix, party][(1 - outcome) // 2]
         return np.where(active[:, None], post, states), np.where(active, outcome, 0)
 
@@ -612,9 +657,14 @@ class _Engine:
             if hit is not None:
                 eve_outcomes[:] = hit
             pick = v.picks[:, bob - 1]
-            true_outcome, states = self._measure(
-                states, self.setting_plus[bob - 1][pick], self.qudit[bob - 1], v.born[:, bob - 1]
+            # only a Mermin party before the last forwards its post state
+            forwards = self.kind == "mermin" and bob < n
+            true_outcome, post = self._measure(
+                states, self.basis[self.setting_prefix[bob - 1][pick]], self.qudit[bob - 1],
+                v.born[:, bob - 1], collapse=forwards,
             )
+            if forwards:
+                states = post
             outcomes[:, bob - 1] = self._detector_record(true_outcome, bob, pick, v)
             if self.kind == "chsh" and bob < n:
                 intent = outcomes[:, bob - 1]

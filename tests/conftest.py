@@ -35,6 +35,11 @@ def pair_mutual_information(pairs) -> float:
     return noise.binary_mutual_information(joint / joint.sum())
 
 
+def seam_rounds(dim: int) -> int:
+    """Rounds that fill one default block of a D-dimensional run and spill into the next."""
+    return protocol.AMPLITUDE_BUDGET // dim + 50
+
+
 def _timed_run(name: str, config: protocol.ProtocolConfig) -> protocol.Transcript:
     start = time.perf_counter()
     transcript = protocol.run_protocol(config)

@@ -1,11 +1,21 @@
+import contextlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from contextkey import cli, inequality, noise, protocol, verification
+from contextkey import cli, inequality, mapping, noise, protocol, verification
 from contextkey.adversary import EveConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 ROUND_TRIPS = {
@@ -429,3 +439,78 @@ class TestDeterminism:
                     tmp_path, monkeypatch)
             blobs.append((out / "sweep-flip-mermin.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _optional(flag: str, values) -> st.SearchStrategy:
+    """No argument, or ``flag`` followed by one drawn value."""
+    return st.one_of(st.just([]), values.map(lambda value: [flag, str(value)]))
+
+
+_SEEDS = st.integers(-1, 2**32)
+# Mostly valid values with a few bad ones mixed in, so that most examples
+# get past the parser into the simulation.
+_PROTOCOL_FLAGS = st.tuples(
+    st.sampled_from(["mermin", "mermin", "chsh", "chsh", "e91"]).map(lambda kind: ["--kind", kind]),
+    # within the size guard, so no generated run holds more than 2^12 amplitudes a round
+    st.integers(2, mapping.MAX_QUBIT_EQUIVALENT).map(lambda n: ["--parties", str(n)]),
+    st.integers(0, 50).map(lambda rounds: ["--rounds", str(rounds)]),
+    _SEEDS.map(lambda seed: ["--seed", str(seed)]),
+    st.sampled_from([[], [], [], ["--no-masking"], ["--threads", "3"], ["--flux-capacitor"]]),
+    _optional("--prep-noise", st.sampled_from(["flip:0.1,0.2", "white:0.3", "flip:2,0", "fuzz:0.1"])),
+    _optional("--detector-noise", st.sampled_from(["misread:0.1", "loss:0.7", "loss:1.5", "misread:x"])),
+)
+_EVE_FLAGS = st.tuples(
+    st.integers(1, 12).map(lambda link: ["--eve-link", str(link)]),
+    st.sampled_from(["Z1", "X3", "XpZ2", "ZmX1", "Y2", "Q1"]).map(lambda label: ["--eve-obs", label]),
+    _optional("--eve-strategy", st.sampled_from(
+        ["auto", "commuting-measure", "noncommuting-measure", "measure-resend"]
+    )),
+    _optional("--eve-activity", st.floats(0.0, 1.2)),
+    _optional("--eve-resend", st.sampled_from(["post-state", "fresh-reference"])),
+)
+_ARGV = st.one_of(
+    _PROTOCOL_FLAGS.map(lambda flags: (["run"], *flags)),
+    st.tuples(_PROTOCOL_FLAGS, _EVE_FLAGS).map(lambda both: (["attack"], *both[0], *both[1])),
+    st.tuples(
+        st.just(["sweep"]),
+        st.sampled_from([*noise.MODELS, "bogus"]).map(lambda model: ["--model", model]),
+        _optional("--kind", st.sampled_from(["mermin", "chsh"])),
+        st.integers(1, 6).map(lambda grid: ["--grid", str(grid)]),
+        _optional("--eta", st.floats(-0.5, 1.5)),
+        _optional("--empirical-rounds", st.integers(-1, 20)),
+        _optional("--empirical-grid", st.integers(0, 3)),
+        _optional("--seed", _SEEDS),
+    ),
+)
+
+
+class TestArgvProperty:
+    @settings(max_examples=50, deadline=None)
+    @given(parts=_ARGV)
+    def test_exit_code_is_documented_and_no_traceback(self, parts):
+        argv = [arg for part in parts for arg in part]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as outdir:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--outdir", outdir])
+        assert code in (cli.EXIT_OK, cli.EXIT_NO_VIOLATION, cli.EXIT_INSUFFICIENT_DATA,
+                        cli.EXIT_USAGE, cli.EXIT_INTERNAL), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+
+class TestSurfaceScript:
+    def test_runs_every_model_past_insufficient_data(self, tmp_path):
+        # 5 rounds leave some empirical points without key rounds (exit 3);
+        # every model still writes its surfaces, and the script ends with 3.
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "reproduce_noise_surfaces.py"),
+             "--outdir", str(tmp_path), "--grid", "3", "--empirical-rounds", "5"],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == cli.EXIT_INSUFFICIENT_DATA, done.stderr
+        assert "Traceback" not in done.stderr
+        stems = ["flip-mermin", "white-mermin", "detector-mermin", "model1-mermin-eta0.1", "model2-mermin-eta0.7"]
+        for stem in stems:
+            assert (tmp_path / f"sweep-{stem}.csv").is_file(), stem
+            assert (tmp_path / f"sweep-{stem}-empirical.csv").is_file(), stem

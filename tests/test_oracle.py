@@ -25,6 +25,7 @@ import pytest
 from contextkey import mapping, noise, protocol
 from contextkey.adversary import EveConfig
 from contextkey.inequality import LOCAL_MATRICES, split_label
+from conftest import seam_rounds
 
 ROUNDS = 200
 
@@ -82,13 +83,17 @@ def _grid() -> dict[str, protocol.ProtocolConfig]:
             "chsh", 4, ROUNDS, seed=505, noise=NOISE["model2"],
             eve=EveConfig(3, "XpZ2", "measure-resend", resend="fresh-reference"),
         ),
-        # long enough to cross a default block boundary (512 rounds at D=8,
-        # 1024 at D=4)
+        # long enough to cross a default block boundary
         "mermin3-masked-commuting-seam": protocol.ProtocolConfig(
-            "mermin", 3, 600, seed=506, eve=EveConfig(2, "Z1", "commuting-measure", activity_rate=0.5),
+            "mermin", 3, seam_rounds(8), seed=506,
+            eve=EveConfig(2, "Z1", "commuting-measure", activity_rate=0.5),
         ),
         "chsh3-masked-noncommuting-seam": protocol.ProtocolConfig(
-            "chsh", 3, 1100, seed=507, eve=EveConfig(1, "Z2", "noncommuting-measure"),
+            "chsh", 3, seam_rounds(4), seed=507, eve=EveConfig(1, "Z2", "noncommuting-measure"),
+        ),
+        # D=64, where Eve's masks are folded into her measurement
+        "mermin6-masked-commuting-seam": protocol.ProtocolConfig(
+            "mermin", 6, seam_rounds(64), seed=508, eve=EveConfig(3, "Z1", "commuting-measure"),
         ),
     }
     configs.update(extra)

@@ -5,7 +5,7 @@ import pytest
 
 from contextkey import cli, inequality, mapping, noise, protocol, qmath
 from contextkey.adversary import EveConfig
-from conftest import pair_mutual_information
+from conftest import pair_mutual_information, seam_rounds
 
 
 def label_columns(transcript) -> np.ndarray:
@@ -138,14 +138,12 @@ class TestMaskingUnitary:
     def test_matches_engine_masking(self, kind, parties, include_key):
         # The verified masking is the executed one: fed the engine's angles,
         # masking_unitary of every mask sent by a link, in sender order, is
-        # the matrix of the engine's per-qudit masks at that link, applied
-        # to the basis columns as one batch.
+        # the product of the engine's per-qudit masks at that link, lifted.
         config = protocol.ProtocolConfig(kind, parties, 3, seed=8, masking_include_key=include_key)
         engine = protocol._Engine(config)
         dim = engine.dim
         angles = engine._draw(config.rounds).angles
         for round_id in range(config.rounds):
-            batch = np.repeat(angles[round_id : round_id + 1], dim, axis=0)
             for link in engine.mask_plan:
                 senders = range(1, link + 1) if kind == "mermin" else (link,)
                 hops = [hop for sender in senders for hop in engine.mask_plan[sender]]
@@ -153,12 +151,12 @@ class TestMaskingUnitary:
                 row = np.concatenate([angles[round_id, chunk] for _, chunk in hops])
                 spec = protocol.MaskingSpec(engine.indexing.num_parties, labels)
                 u = protocol.masking_unitary(link, spec, _RowRng(row), engine.indexing)
-                executed = np.eye(dim, dtype=complex)  # row j: basis column j
+                executed = np.eye(dim, dtype=complex)
                 for party in range(1, engine.indexing.num_parties + 1):
-                    mask = engine._mask(batch, link, party)
+                    mask = engine._mask(angles[round_id : round_id + 1], link, party)
                     if mask is not None:
-                        executed = engine._apply_local(mask, executed, party)
-                assert np.max(np.abs(u.matrix - executed.T)) < 1e-12
+                        executed = mapping.lift_matrix(mask[0], party, engine.indexing) @ executed
+                assert np.max(np.abs(u.matrix - executed)) < 1e-12
 
     def test_single_generator_masking_hides_key_basis(self):
         # Interceptor Z statistics on masked |0⟩ / |7⟩ carry < 0.01 bit:
@@ -380,13 +378,17 @@ class TestSingleRoundOps:
 
 SEAM_CONFIGS = {
     "mermin5-model2-commuting-half": protocol.ProtocolConfig(
-        "mermin", 5, 300, seed=97,
+        "mermin", 5, seam_rounds(32), seed=97,
         noise=noise.NoiseConfig(prep=noise.FlipPrep(0.1, 0.1), detector=noise.LossDetector(0.7)),
         eve=EveConfig(2, "Z1", "commuting-measure", activity_rate=0.5),
     ),
     "chsh4-white-fresh-reference": protocol.ProtocolConfig(
-        "chsh", 4, 1100, seed=98, noise=noise.NoiseConfig(prep=noise.WhitePrep(0.3)),
+        "chsh", 4, seam_rounds(4), seed=98, noise=noise.NoiseConfig(prep=noise.WhitePrep(0.3)),
         eve=EveConfig(2, "XpZ2", "measure-resend", resend="fresh-reference"),
+    ),
+    # D=64: Eve's masks are folded into her measurement
+    "mermin6-masked-commuting-z1": protocol.ProtocolConfig(
+        "mermin", 6, seam_rounds(64), seed=99, eve=EveConfig(3, "Z1", "commuting-measure"),
     ),
 }
 
@@ -410,6 +412,60 @@ class TestBlockSeams:
         half = protocol.run_protocol(SEAM_CONFIGS["mermin5-model2-commuting-half"])
         assert (half.eve_outcomes == 0).any()  # rounds she skips
         assert (half.outcomes == 0).any()  # erasures
+
+
+class TestMeasurementKernel:
+    """The engine's eigenbasis measurement against dense lifted projectors."""
+
+    def test_basis_rows_are_orthonormal_eigenvectors(self):
+        engine = protocol._Engine(protocol.ProtocolConfig("mermin", 3, 1))
+        for i, (prefix, local) in enumerate(inequality.LOCAL_MATRICES.items()):
+            basis = protocol.eigenbasis(local)
+            assert np.array_equal(engine.basis[i], basis), prefix
+            for row, sign in zip(basis, (1, -1)):
+                assert abs(np.vdot(row, row) - 1) < 1e-12
+                assert np.max(np.abs(local @ row - sign * row)) < 1e-12
+            assert abs(np.vdot(basis[0], basis[1])) < 1e-12
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("parties", [3, 6])
+    def test_measure_matches_lifted_projectors(self, parties, masked):
+        # P(+1) is pinned by the outcome on either side of the dense value,
+        # and each post state by forcing its outcome with u = 0 or u = 1.
+        rng = np.random.default_rng(parties + 10 * masked)
+        engine = protocol._Engine(protocol.ProtocolConfig("mermin", parties, 1))
+        prefixes = list(inequality.LOCAL_MATRICES)
+        rounds = 12
+        for party in range(1, parties + 1):
+            states = rng.normal(size=(rounds, engine.dim)) + 1j * rng.normal(size=(rounds, engine.dim))
+            states /= np.linalg.norm(states, axis=1, keepdims=True)
+            picked = rng.integers(0, len(prefixes), size=rounds)
+            mask = (
+                protocol._su2_product(("X", "Y", "Z"), rng.uniform(0, 2 * math.pi, size=(rounds, 3)))
+                if masked else None
+            )
+            p_dense, post_dense = [], {+1: [], -1: []}
+            for r in range(rounds):
+                obs = mapping.dichotomic_from_local(
+                    inequality.LOCAL_MATRICES[prefixes[picked[r]]], party, engine.indexing
+                )
+                seen = states[r] if mask is None else mapping.lift_matrix(mask[r], party, engine.indexing) @ states[r]
+                p_dense.append(np.vdot(seen, obs.plus_projector @ seen).real)
+                for outcome in (+1, -1):
+                    branch = obs.projector(outcome) @ seen
+                    post_dense[outcome].append(branch / np.linalg.norm(branch))
+            p_dense = np.array(p_dense)
+
+            def measure(u, collapse=True):
+                return engine._measure(states, engine.basis[picked], party, u, collapse, mask=mask)
+
+            for shift, expected in ((-1e-12, +1), (1e-12, -1)):
+                outcome, post = measure(p_dense + shift, collapse=False)
+                assert post is None and (outcome == expected).all()
+            for u, outcome in ((np.zeros(rounds), +1), (np.ones(rounds), -1)):
+                chosen, post = measure(u)
+                assert (chosen == outcome).all()
+                assert np.max(np.abs(post - np.array(post_dense[outcome]))) < 1e-12
 
 
 class TestFourPartyChsh:

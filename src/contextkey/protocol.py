@@ -16,11 +16,12 @@ transcript writer all read it from there.
 
 All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise), one array row per round.  The engine plays
-blocks of B = max(1, AMPLITUDE_BUDGET // D) rounds as a (B, D) array,
-party by party, on one thread; it draws the Born, masking and Eve rows
-block by block, and the picks and noise rows whole.  A round depends only
-on its own rows, so it is the same whatever block it falls in.  Toggling
-masking, noise, or the eavesdropper never shifts the other streams.
+blocks of B = max(1, AMPLITUDE_BUDGET // D) rounds as one (B, D) array,
+which every step overwrites in place, party by party, on one thread; it
+draws the Born, masking and Eve rows block by block, and the picks and
+noise rows whole.  A round depends only on its own rows, so it is the
+same whatever block it falls in.  Toggling masking, noise, or the
+eavesdropper never shifts the other streams.
 
 Every setting is a rank-1 qubit projector |v⟩⟨v|, so the engine measures
 in the setting's eigenbasis: one half-size contraction c = v†·s over the
@@ -523,21 +524,28 @@ class _Engine:
         w = bras[:, :, None, None]
         return (w[:, 0] * s[:, :, 0] + w[:, 1] * s[:, :, 1]).reshape(len(states), -1)
 
-    def _collapse(self, kets: np.ndarray, rest: np.ndarray, party: int) -> np.ndarray:
-        """(B, D) states ket ⊗ rest, with party's qubit in the ket, of (B, 2) kets."""
-        pre, post = self.pre_post[party]
-        out = kets[:, None, :, None] * rest.reshape(len(rest), pre, 1, post)
-        return out.reshape(len(rest), -1)
+    def _collapse(self, kets: np.ndarray, rest: np.ndarray, party: int, out=None) -> np.ndarray:
+        """(B, D) states ket ⊗ rest, with party's qubit in the ket, of (B, 2) kets.
 
-    def _measure(self, states, bases, party: int, u, collapse: bool, mask=None):
-        """Born-rule outcomes, and the post-measurement states if ``collapse``.
+        Written to ``out``, a contiguous (B, D) array, when one is given.
+        """
+        pre, post = self.pre_post[party]
+        shaped = None if out is None else out.reshape(len(rest), pre, 2, post)
+        product = np.multiply(kets[:, None, :, None], rest.reshape(len(rest), pre, 1, post), out=shaped)
+        return product.reshape(len(rest), -1)
+
+    def _measure(self, states, bases, party: int, u, out=None, mask=None):
+        """Born-rule outcomes, and the post-measurement states written to ``out``.
 
         ``bases`` is (B, 2, 2), or one (1, 2, 2), with rows v+ and v−; a
         (B, 2, 2) ``mask`` acts on party's qubit before the measurement and
         is folded into the bras, v†·M.  P(+1) is ‖c+‖² for the half-size
         contraction c+ = v+†·s; the post state is v ⊗ c for the outcome's
-        row, with the norm folded into the 2-vector.  Returns (outcome,
-        post), post being None without ``collapse``.
+        row, with the norm folded into the 2-vector.  ``out`` is a
+        contiguous (B, D) array and may be ``states`` itself, which the
+        block player overwrites so that a block allocates no new states;
+        without it nothing is collapsed.  Returns (outcome, post), post
+        being None without ``out``.
         """
         bras = bases.conj()
         if mask is not None:
@@ -545,13 +553,13 @@ class _Engine:
         flat = self._contract(bras[:, 0], states, party).view(np.float64)
         p_plus = np.einsum("ij,ij->i", flat, flat)
         outcome = _choose(p_plus, u)
-        if not collapse:
+        if out is None:
             return outcome, None
         minus = (outcome < 0)[:, None]
         rest = self._contract(np.where(minus, bras[:, 1], bras[:, 0]), states, party)
         norm = np.sqrt(np.where(minus[:, 0], np.maximum(1.0 - p_plus, PROB_FLOOR), p_plus))
         kets = np.where(minus, bases[:, 1], bases[:, 0]) / norm[:, None]
-        return outcome, self._collapse(kets, rest, party)
+        return outcome, self._collapse(kets, rest, party, out)
 
     # -- per-party steps ---------------------------------------------------
 
@@ -576,7 +584,8 @@ class _Engine:
         return _su2_product(self.mask_axes * len(columns), angles[:, np.concatenate(columns)])
 
     def _eve_hook(self, states, link: int, v: _Variates):
-        """Forwarded states and Eve's outcomes (0 where she skips the round).
+        """Eve's step on the block's ``states``, in place: the forwarded
+        states and her outcomes (0 where she skips the round).
 
         Returns the states unchanged and None when she attacks no round of
         the block at ``link``.
@@ -591,11 +600,12 @@ class _Engine:
         fresh = eve.resend == "fresh-reference"
         outcome, post = self._measure(
             states, self.basis[_PREFIX_INDEX[prefix]][None], party, v.eve_u[:, 1],
-            collapse=not fresh, mask=self._mask(v.angles, link, party),
+            out=None if fresh else np.empty_like(states), mask=self._mask(v.angles, link, party),
         )
         if fresh:
             post = self.projected[prefix, party][(1 - outcome) // 2]
-        return np.where(active[:, None], post, states), np.where(active, outcome, 0)
+        np.copyto(states, post, where=active[:, None])
+        return states, np.where(active, outcome, 0)
 
     def _detector_record(self, outcome, bob: int, pick, v: _Variates):
         """What ``bob``'s detector records: ±1, or 0 for an erasure."""
@@ -610,8 +620,10 @@ class _Engine:
             return np.where(key & (u >= det.eta), 0, outcome)
         raise TypeError(f"unsupported detector noise {det!r}")
 
-    def _prepare(self, bob: int, pick, outcome, v: _Variates) -> np.ndarray:
+    def _prepare(self, bob: int, pick, outcome, v: _Variates, out=None) -> np.ndarray:
         """States actually emitted when ``bob`` prepares for ``outcome``, one per round.
+
+        Written to ``out``, a (B, D) array, when one is given.
 
         Without noise, and for settings outside the key, this is the
         reference state's projection for the outcome.  A key setting's
@@ -631,7 +643,9 @@ class _Engine:
                 white = key & (u < prep.eps)
             else:
                 raise TypeError(f"unsupported preparation noise {prep!r}")
-        states = self.setting_prepared[bob - 1][pick, (1 - outcome) // 2]
+        rows = self.setting_prepared[bob - 1].reshape(-1, self.dim)  # setting-major, then ±1
+        # mode="clip" writes straight into ``out``; the indices are in range
+        states = np.take(rows, 2 * pick + (1 - outcome) // 2, axis=0, out=out, mode="clip")
         if white is not None and white.any():
             states[white] = 0.0
             states[white, v.white_idx[white, slot]] = 1.0
@@ -649,22 +663,22 @@ class _Engine:
         outcomes = np.empty((size, n), dtype=np.int8)
         eve_outcomes = np.zeros(size, dtype=np.int8)
 
+        # the block's one (size, D) array: every step overwrites it
+        states = np.empty((size, self.dim), dtype=np.complex128)
         pick = v.picks[:, 0]
         outcomes[:, 0] = _choose(self.setting_p_plus[0][pick], v.born[:, 0])
-        states = self._prepare(1, pick, outcomes[:, 0], v)
+        self._prepare(1, pick, outcomes[:, 0], v, out=states)
         for bob in range(2, n + 1):
-            states, hit = self._eve_hook(states, bob - 1, v)
+            _, hit = self._eve_hook(states, bob - 1, v)
             if hit is not None:
                 eve_outcomes[:] = hit
             pick = v.picks[:, bob - 1]
             # only a Mermin party before the last forwards its post state
             forwards = self.kind == "mermin" and bob < n
-            true_outcome, post = self._measure(
+            true_outcome, _ = self._measure(
                 states, self.basis[self.setting_prefix[bob - 1][pick]], self.qudit[bob - 1],
-                v.born[:, bob - 1], collapse=forwards,
+                v.born[:, bob - 1], out=states if forwards else None,
             )
-            if forwards:
-                states = post
             outcomes[:, bob - 1] = self._detector_record(true_outcome, bob, pick, v)
             if self.kind == "chsh" and bob < n:
                 intent = outcomes[:, bob - 1]
@@ -672,7 +686,7 @@ class _Engine:
                 if erased.any():  # an erased record re-prepares from a fresh draw
                     redraw = _choose(self.setting_p_plus[bob - 1][pick], v.born[:, n + bob - 2])
                     intent = np.where(erased, redraw, intent)
-                states = self._prepare(bob, pick, intent, v)
+                self._prepare(bob, pick, intent, v, out=states)
         return outcomes, eve_outcomes
 
 

@@ -456,16 +456,14 @@ class TestMeasurementKernel:
                     post_dense[outcome].append(branch / np.linalg.norm(branch))
             p_dense = np.array(p_dense)
 
-            def measure(u, collapse=True):
-                return engine._measure(states, engine.basis[picked], party, u, collapse, mask=mask)
-
             for shift, expected in ((-1e-12, +1), (1e-12, -1)):
-                outcome, post = measure(p_dense + shift, collapse=False)
+                outcome, post = engine._measure(states, engine.basis[picked], party, p_dense + shift, mask=mask)
                 assert post is None and (outcome == expected).all()
             for u, outcome in ((np.zeros(rounds), +1), (np.ones(rounds), -1)):
-                chosen, post = measure(u)
+                work = states.copy()  # collapsed in place, as the block player does
+                chosen, _ = engine._measure(work, engine.basis[picked], party, u, out=work, mask=mask)
                 assert (chosen == outcome).all()
-                assert np.max(np.abs(post - np.array(post_dense[outcome]))) < 1e-12
+                assert np.max(np.abs(work - np.array(post_dense[outcome]))) < 1e-12
 
 
 class TestFourPartyChsh:

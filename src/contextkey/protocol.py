@@ -522,7 +522,9 @@ class _Engine:
         pre, post = self.pre_post[party]
         s = states.reshape(len(states), pre, 2, post)
         w = bras[:, :, None, None]
-        return (w[:, 0] * s[:, :, 0] + w[:, 1] * s[:, :, 1]).reshape(len(states), -1)
+        out = w[:, 0] * s[:, :, 0]
+        out += w[:, 1] * s[:, :, 1]
+        return out.reshape(len(states), -1)
 
     def _collapse(self, kets: np.ndarray, rest: np.ndarray, party: int, out=None) -> np.ndarray:
         """(B, D) states ket ⊗ rest, with party's qubit in the ket, of (B, 2) kets.

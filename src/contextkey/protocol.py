@@ -537,17 +537,14 @@ class _Engine:
         return product.reshape(len(rest), -1)
 
     def _measure(self, states, bases, party: int, u, out=None, mask=None):
-        """Born-rule outcomes, and the post-measurement states written to ``out``.
+        """Born-rule outcomes, and the post-measurement states if ``out`` is given.
 
         ``bases`` is (B, 2, 2), or one (1, 2, 2), with rows v+ and v−; a
-        (B, 2, 2) ``mask`` acts on party's qubit before the measurement and
-        is folded into the bras, v†·M.  P(+1) is ‖c+‖² for the half-size
-        contraction c+ = v+†·s; the post state is v ⊗ c for the outcome's
-        row, with the norm folded into the 2-vector.  ``out`` is a
-        contiguous (B, D) array and may be ``states`` itself, which the
-        block player overwrites so that a block allocates no new states;
-        without it nothing is collapsed.  Returns (outcome, post), post
-        being None without ``out``.
+        (B, 2, 2) ``mask`` acting first on party's qubit is folded into the
+        bras, v†·M.  P(+1) = ‖c+‖² for the half-size c+ = v+†·s; the post
+        state v ⊗ c of the outcome's row, its norm folded into v, goes to
+        ``out``, a contiguous (B, D) array that may be ``states`` itself.
+        Returns (outcome, post or None).
         """
         bras = bases.conj()
         if mask is not None:

@@ -449,7 +449,9 @@ class TestMeasurementKernel:
                 obs = mapping.dichotomic_from_local(
                     inequality.LOCAL_MATRICES[prefixes[picked[r]]], party, engine.indexing
                 )
-                seen = states[r] if mask is None else mapping.lift_matrix(mask[r], party, engine.indexing) @ states[r]
+                seen = states[r]
+                if mask is not None:
+                    seen = mapping.lift_matrix(mask[r], party, engine.indexing) @ seen
                 p_dense.append(np.vdot(seen, obs.plus_projector @ seen).real)
                 for outcome in (+1, -1):
                     branch = obs.projector(outcome) @ seen

@@ -57,16 +57,24 @@ def _transcript_cases() -> dict[str, dict]:
 
 TRANSCRIPT_CASES = _transcript_cases()
 
+# A 2-point-per-axis empirical surface beside a 3-point analytic one.  Its
+# CSV pins the noise configuration each model runs at each grid point.
+EMPIRICAL = ["--grid", "3", "--empirical-rounds", "1500", "--empirical-grid", "2", "--seed", "5"]
+
 SWEEP_CASES = {
     "sweep-flip": (["--model", "flip", "--grid", "5"], "sweep-flip-mermin.csv"),
     "sweep-white": (["--model", "white", "--grid", "5"], "sweep-white-mermin.csv"),
     "sweep-detector": (["--model", "detector", "--grid", "5"], "sweep-detector-mermin.csv"),
     "sweep-model1": (["--model", "model1", "--eta", "0.1", "--grid", "5"], "sweep-model1-mermin-eta0.1.csv"),
     "sweep-model2": (["--model", "model2", "--eta", "0.7", "--grid", "5"], "sweep-model2-mermin-eta0.7.csv"),
+    "sweep-flip-empirical": (["--model", "flip", *EMPIRICAL], "sweep-flip-mermin-empirical.csv"),
+    "sweep-white-empirical": (["--model", "white", *EMPIRICAL], "sweep-white-mermin-empirical.csv"),
+    "sweep-detector-empirical": (["--model", "detector", *EMPIRICAL], "sweep-detector-mermin-empirical.csv"),
     "sweep-model1-empirical": (
-        ["--model", "model1", "--eta", "0.1", "--grid", "3", "--empirical-rounds", "1500",
-         "--empirical-grid", "2", "--seed", "5"],
-        "sweep-model1-mermin-eta0.1-empirical.csv",
+        ["--model", "model1", "--eta", "0.1", *EMPIRICAL], "sweep-model1-mermin-eta0.1-empirical.csv",
+    ),
+    "sweep-model2-empirical": (
+        ["--model", "model2", "--eta", "0.7", *EMPIRICAL], "sweep-model2-mermin-eta0.7-empirical.csv",
     ),
     "sweep-chsh-flip": (["--model", "flip", "--kind", "chsh", "--grid", "5"], "sweep-flip-chsh.csv"),
     "sweep-chsh-white": (["--model", "white", "--kind", "chsh", "--grid", "5"], "sweep-white-chsh.csv"),
@@ -76,6 +84,10 @@ SWEEP_CASES = {
     ),
     "sweep-chsh-model2": (
         ["--model", "model2", "--kind", "chsh", "--eta", "0.7", "--grid", "5"], "sweep-model2-chsh-eta0.7.csv",
+    ),
+    "sweep-chsh-model2-empirical": (
+        ["--model", "model2", "--kind", "chsh", "--eta", "0.7", *EMPIRICAL],
+        "sweep-model2-chsh-eta0.7-empirical.csv",
     ),
     # The benchmark's own surface, at the default 51-point grid.
     "sweep-model2-grid51": (["--model", "model2", "--eta", "0.7"], "sweep-model2-mermin-eta0.7.csv"),
@@ -115,14 +127,19 @@ DIGESTS = {
     "sweep-chsh-flip": "582fe98edc0a7b3743ca5cb5495352017215f769b0748a03e937db4748c6626a",
     "sweep-chsh-model1": "a95b50ff487f4920dc3daaa1d41f4a65fa7e7c1759a2488b87b02dba94b7ecc9",
     "sweep-chsh-model2": "037979296d120406a1c139167782f66cb35f3d5089cef3af7b9a4e05dc2b04f4",
+    "sweep-chsh-model2-empirical": "1fd7c5917e968ebbd3f7f0250e5e405aabdff96a3fad0a91c3a26009ddd002de",
     "sweep-chsh-white": "d5aeffbbc2170bb42483a6c503ee4b82cd7ce92ff58b2f412362c45605cedfd3",
     "sweep-detector": "0e0dcfc69bf2d85dff9ed019d21fa3247731ecfe8cb1971a0964cf5e2666558a",
+    "sweep-detector-empirical": "525b1b7f3d50d0dfa6004fa7b31db77136654909ecc1073116abb8857664f32c",
     "sweep-flip": "86988c41b5855f39a4745362b95465765f1e3a81a69ecb09760ff52d58564583",
+    "sweep-flip-empirical": "cf8cfedb0e065818c8cdf585cf301c60deddddddfaa8d04e784bed091f4b357a",
     "sweep-model1": "3a6a9912fdaf368512f7d687ef333d24830a14c81dcf7e8cf537a5e2247e1df9",
     "sweep-model1-empirical": "3d07aa320816d14c5033629e64158c47986c1c16e973451b48238c07f40b3353",
     "sweep-model2": "0a98c5f8d4d3af71e9edd469f8e8a1dfd504761c397c9b0b52e70f3c7961ceaf",
+    "sweep-model2-empirical": "c02c2f2d9a6c401e3939fc5a2c0e0b13e3a7c3a89aec0abcd93885893d84c865",
     "sweep-model2-grid51": "f9e8be6d283de0ec80a29f3661f03040f89bd25b7d0da6f26ed55705201b8542",
     "sweep-white": "169b4052a95ae8bb665d24bef3cc1a7a2a1dc118f9d194bdc673c6713d82bdff",
+    "sweep-white-empirical": "e5eb2eb9fb3b915b71d87f149e10712012daf69e0285f7246516fbf4eff5f5dd",
 }
 
 

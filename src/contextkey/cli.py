@@ -58,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_run_flags(parser, with_noise=True):
+def _add_run_flags(parser):
     parser.add_argument("--kind", choices=("mermin", "chsh"), required=True)
     parser.add_argument("--parties", type=int, required=True)
     parser.add_argument("--rounds", type=int, required=True)
@@ -73,9 +73,8 @@ def _add_run_flags(parser, with_noise=True):
     parser.add_argument("--outdir", default=None)
     parser.add_argument("--prefix", default=None, help="output file prefix")
     parser.add_argument("--config", default=None, help="key = value file mirroring these flags")
-    if with_noise:
-        parser.add_argument("--prep-noise", default=None, help="flip:EPS1,EPS2 or white:EPS")
-        parser.add_argument("--detector-noise", default=None, help="misread:ETA or loss:ETA")
+    parser.add_argument("--prep-noise", default=None, help="flip:EPS1,EPS2 or white:EPS")
+    parser.add_argument("--detector-noise", default=None, help="misread:ETA or loss:ETA")
 
 
 def build_parser() -> _Parser:
@@ -143,33 +142,21 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return argv[:1] + tokens + argv[1:]
 
 
-def _parse_prep_noise(spec: str | None):
+def _parse_noise(flag: str, spec: str | None, kinds: dict):
+    """The noise ``KIND:P1,P2,...`` names, ``kinds[KIND](P1, P2, ...)``; None without a spec."""
     if spec is None:
         return None
     kind, _, params = spec.partition(":")
+    if kind not in kinds:
+        raise UsageError(f"unknown {flag} kind {kind!r}")
+    names = [field.name.upper() for field in dataclasses.fields(kinds[kind])]
     try:
-        if kind == "flip":
-            eps1, eps2 = (float(x) for x in params.split(","))
-            return noise.FlipPrep(eps1, eps2)
-        if kind == "white":
-            return noise.WhitePrep(float(params))
+        values = [float(x) for x in params.split(",")]
+        if len(values) != len(names):
+            raise ValueError(f"expected {kind}:{','.join(names)}")
+        return kinds[kind](*values)
     except ValueError as exc:
-        raise UsageError(f"bad --prep-noise {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown preparation noise kind {kind!r}")
-
-
-def _parse_detector_noise(spec: str | None):
-    if spec is None:
-        return None
-    kind, _, params = spec.partition(":")
-    try:
-        if kind == "misread":
-            return noise.MisreadDetector(float(params))
-        if kind == "loss":
-            return noise.LossDetector(float(params))
-    except ValueError as exc:
-        raise UsageError(f"bad --detector-noise {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown detector noise kind {kind!r}")
+        raise UsageError(f"bad {flag} {spec!r}: {exc}") from exc
 
 
 def _resolve_outdir(flag_value: str | None) -> Path:
@@ -181,9 +168,9 @@ def _resolve_outdir(flag_value: str | None) -> Path:
     return outdir
 
 
-def _resolve_output(args, command: str) -> tuple[Path, str]:
+def _resolve_output(args) -> tuple[Path, str]:
     """The output directory, created, and the file prefix of a run."""
-    prefix = args.prefix or command
+    prefix = args.prefix or args.command
     if "/" in prefix or os.sep in prefix:
         raise UsageError(f"--prefix {prefix!r} must not contain a path separator")
     return _resolve_outdir(args.outdir), prefix
@@ -198,11 +185,9 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _build_config(args, eve=None) -> protocol.ProtocolConfig:
-    noise_cfg = None
-    prep = _parse_prep_noise(getattr(args, "prep_noise", None))
-    detector = _parse_detector_noise(getattr(args, "detector_noise", None))
-    if prep is not None or detector is not None:
-        noise_cfg = noise.NoiseConfig(prep=prep, detector=detector)
+    prep = _parse_noise("--prep-noise", args.prep_noise, noise.PREP_NOISE)
+    detector = _parse_noise("--detector-noise", args.detector_noise, noise.DETECTOR_NOISE)
+    noise_cfg = None if prep is None and detector is None else noise.NoiseConfig(prep, detector)
     try:
         return protocol.ProtocolConfig(
             kind=args.kind,
@@ -318,10 +303,11 @@ def _write_json(payload: dict, path: Path):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _manifest(command: str, args_echo: dict, seed: int, outputs: list[Path], rounds: int, started: float) -> dict:
+def _manifest(args, outdir: Path, seed: int, outputs: list[Path], rounds: int, started: float) -> dict:
+    """The run's record; ``config`` holds the parsed flags, outdir resolved."""
     return {
-        "command": command,
-        "config": args_echo,
+        "command": args.command,
+        "config": vars(args) | {"outdir": str(outdir)},
         "seed": seed,
         "artifact_version": __version__,
         "schema_version": 1,
@@ -336,7 +322,7 @@ def _execute_protocol(config: protocol.ProtocolConfig):
     sifting = protocol.sift(transcript)
     key = protocol.extract_key(sifting)
     estimates = protocol.check_estimates(transcript)
-    return config, transcript, sifting, key, estimates
+    return transcript, sifting, key, estimates
 
 
 def _key_rate_section(transcript) -> dict | None:
@@ -353,8 +339,9 @@ def _key_rate_section(transcript) -> dict | None:
     }
 
 
-def _run_report(config, transcript, sifting, key, estimates) -> dict:
-    expected_fraction = (2.0 if config.kind == "chsh" else 1.0) / 3.0**config.num_parties
+def _run_report(transcript, sifting, key, estimates) -> dict:
+    config = transcript.config
+    expected_fraction = len(protocol.KEY_PREFIXES[config.kind]) / 3.0**config.num_parties
     return {
         "kind": config.kind,
         "parties": config.num_parties,
@@ -381,7 +368,7 @@ def _run_report(config, transcript, sifting, key, estimates) -> dict:
 _KEY_CHARS = np.frombuffer(b"01e", dtype=np.uint8)
 
 
-def _write_artifacts(command: str, outdir: Path, prefix: str, transcript, key, report: dict, started: float):
+def _write_artifacts(args, outdir: Path, prefix: str, transcript, key, report: dict, started: float):
     """Write the transcript, report, key files and manifest; print the summary."""
     config = transcript.config
     transcript_path = outdir / f"{prefix}-transcript.jsonl"
@@ -393,7 +380,7 @@ def _write_artifacts(command: str, outdir: Path, prefix: str, transcript, key, r
         path = outdir / f"{prefix}-key-party{party}.txt"
         path.write_text(_KEY_CHARS[bits].tobytes().decode("ascii") + "\n")
         outputs.append(path)
-    manifest = _manifest(command, report | {"outdir": str(outdir)}, config.seed, outputs, config.rounds, started)
+    manifest = _manifest(args, outdir, config.seed, outputs, config.rounds, started)
     _write_json(manifest, outdir / f"{prefix}-manifest.json")
     _print_run_summary(report)
 
@@ -434,10 +421,10 @@ def cmd_run(args) -> int:
     started = time.monotonic()
     args.seed = _resolve_seed(args.seed)
     config = _build_config(args)
-    outdir, prefix = _resolve_output(args, "run")
-    config, transcript, sifting, key, estimates = _execute_protocol(config)
-    report = _run_report(config, transcript, sifting, key, estimates)
-    _write_artifacts("run", outdir, prefix, transcript, key, report, started)
+    outdir, prefix = _resolve_output(args)
+    transcript, sifting, key, estimates = _execute_protocol(config)
+    report = _run_report(transcript, sifting, key, estimates)
+    _write_artifacts(args, outdir, prefix, transcript, key, report, started)
     return _exit_code(report)
 
 
@@ -467,10 +454,10 @@ def cmd_attack(args) -> int:
         config = dataclasses.replace(config, eve=eve)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    outdir, prefix = _resolve_output(args, "attack")
-    config, transcript, sifting, key, estimates = _execute_protocol(config)
+    outdir, prefix = _resolve_output(args)
+    transcript, sifting, key, estimates = _execute_protocol(config)
     leakage = adversary.leakage_analysis(transcript, sifting=sifting, estimates=estimates)
-    report = _run_report(config, transcript, sifting, key, estimates)
+    report = _run_report(transcript, sifting, key, estimates)
     report["eve"] = {
         "link": eve.position,
         "observable": eve.observable,
@@ -489,7 +476,7 @@ def cmd_attack(args) -> int:
         except adversary.InsufficientCheckData as exc:
             report["eve"]["localized_links"] = None
             report["eve"]["localization_error"] = str(exc)
-    _write_artifacts("attack", outdir, prefix, transcript, key, report, started)
+    _write_artifacts(args, outdir, prefix, transcript, key, report, started)
     mi = leakage.eve_key_mutual_information
     print(f"eve: strategy={eve.strategy} MI={'n/a' if mi is None else f'{mi:.4f}'} bits "
           f"over {leakage.attacked_key_rounds} attacked key rounds; "
@@ -507,26 +494,55 @@ def _format_float(value: float) -> str:
     return f"{value:.10g}"
 
 
+def _write_csv(path: Path, header: list[str], rows):
+    with path.open("w") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(row) + "\n")
+
+
+def _sweep_axes(model: str) -> tuple[list[str], float]:
+    """The parameters a model's sweep varies, and the upper end of their range.
+
+    A model sweeps its preparation noise, or its detector if it has no
+    preparation noise; a model with both takes the detector's parameter
+    from ``--eta``.
+    """
+    prep, detector = noise.MODELS[model]
+    swept = noise.PREP_NOISE[prep] if prep else noise.DETECTOR_NOISE[detector]
+    # a white-noise weight runs to 1; flip and misread probabilities to 1/2
+    return [field.name for field in dataclasses.fields(swept)], 1.0 if swept is noise.WhitePrep else 0.5
+
+
+def _noise_at(model: str, point, eta: float | None) -> noise.NoiseConfig:
+    """The noise of one sweep point: the swept kind at ``point``, a detector beside it at ``eta``."""
+    prep, detector = noise.MODELS[model]
+    if prep is None:
+        return noise.NoiseConfig(detector=noise.DETECTOR_NOISE[detector](*point))
+    return noise.NoiseConfig(
+        prep=noise.PREP_NOISE[prep](*point),
+        detector=noise.DETECTOR_NOISE[detector](eta) if detector else None,
+    )
+
+
 def _sweep_rows(model: str, kind: str, grid: int, eta: float | None):
     """(header, rows) of the analytic surface for one model.
 
     Each row holds the grid point, then under each convention the pair
-    MIs, the key rate and the minimizing pair.
+    MIs, the key rate and the minimizing pair.  Only a model with erasures
+    has more than one convention.
     """
-    if model in ("flip", "model1", "model2"):
-        if model != "flip" and eta is None:
-            raise UsageError(f"--eta is required for {model}")
-        axis = np.linspace(0.0, 0.5, grid)
-        names = ("eps1", "eps2")
-        params = {"eps1": np.repeat(axis, grid), "eps2": np.tile(axis, grid), "eta": eta or 0.0}
-    else:
-        # white: noise weight eps in [0, 1]; detector: misread probability eta
-        names = ("eps",) if model == "white" else ("eta",)
-        params = {names[0]: np.linspace(0.0, 1.0 if model == "white" else 0.5, grid)}
-    conventions = ("conditional", "throughput") if model == "model2" else ("conditional",)
+    names, end = _sweep_axes(model)
+    axis = np.linspace(0.0, end, grid)
+    mesh = np.meshgrid(*[axis] * len(names), indexing="ij")
+    params = {name: values.ravel() for name, values in zip(names, mesh)}
+    if eta is not None:
+        params["eta"] = eta
+    erasures = noise.has_erasures(model)
+    conventions = noise.CONVENTIONS if erasures else ("conditional",)
     header = list(names)
     for conv in conventions:
-        tag = f"_{conv}" if model == "model2" else ""
+        tag = f"_{conv}" if erasures else ""
         header += [f"mi_12{tag}", f"mi_13{tag}", f"mi_23{tag}", f"key_rate{tag}", f"min_pair{tag}"]
 
     def formatted(values: np.ndarray) -> list[str]:
@@ -540,15 +556,10 @@ def _sweep_rows(model: str, kind: str, grid: int, eta: float | None):
     return header, list(zip(*columns))
 
 
-def _validate_sweep(model: str, kind: str, eta: float | None):
+def _validate_sweep(model: str, kind: str):
     """Endpoint and symmetry sanity on the analytic surfaces."""
-    zero_noise = {
-        "flip": dict(),
-        "white": dict(),
-        "detector": dict(),
-        "model1": dict(),
-        "model2": dict(eta=1.0),
-    }[model]
+    # a lossy detector is noiseless when it always clicks
+    zero_noise = {"eta": 1.0} if noise.has_erasures(model) else {}
     report = noise.analytic_key_rate(model, kind, **zero_noise)
     if abs(report.key_rate - 1.0) > 1e-12:
         raise InvariantViolation(f"{model}: zero-noise key rate is {report.key_rate}, not 1")
@@ -559,88 +570,58 @@ def _validate_sweep(model: str, kind: str, eta: float | None):
             raise InvariantViolation("flip: key rate is not symmetric in (eps1, eps2)")
 
 
-def _empirical_sweep(model, kind, grid_points, eta, rounds, seed):
+def _empirical_sweep(model, kind, grid, eta, rounds, seed):
     """(header, rows, points without key rounds); such a point's rate cell is empty."""
-    header = ["eps1", "eps2", "key_rate_empirical"] if model in ("flip", "model1", "model2") else ["param", "key_rate_empirical"]
+    names, _ = _sweep_axes(model)
+    header = (names if len(names) > 1 else ["param"]) + ["key_rate_empirical"]
     rows, empty = [], 0
-    for params in grid_points:
-        prep = None
-        detector = None
-        if model in ("flip", "model1", "model2"):
-            prep = noise.FlipPrep(params[0], params[1])
-        if model == "white":
-            prep = noise.WhitePrep(params[0])
-        if model in ("detector", "model1"):
-            detector = noise.MisreadDetector(eta if model == "model1" else params[0])
-        if model == "model2":
-            detector = noise.LossDetector(eta)
-        config = protocol.ProtocolConfig(
-            kind=kind,
-            num_parties=3,
-            rounds=rounds,
-            seed=seed,
-            masking_enabled=False,
-            noise=noise.NoiseConfig(prep=prep, detector=detector),
-        )
+    for point in itertools.product(np.linspace(0.0, 0.5, grid), repeat=len(names)):
+        config = protocol.ProtocolConfig(kind=kind, num_parties=3, rounds=rounds, seed=seed,
+                                         masking_enabled=False, noise=_noise_at(model, point, eta))
         transcript = protocol.run_protocol(config)
         try:
             rate = _format_float(noise.empirical_key_rate(transcript, min_key_rounds=1).key_rate)
         except noise.InsufficientKeyRounds:
             rate, empty = "", empty + 1
-        rows.append([_format_float(p) for p in params] + [rate])
+        rows.append([_format_float(p) for p in point] + [rate])
     return header, rows, empty
 
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
-    grid = args.grid or (51 if args.model in ("flip", "model1", "model2") else 101)
-    if grid < 2:
+    names, _ = _sweep_axes(args.model)
+    args.grid = args.grid or (51 if len(names) == 2 else 101)
+    if args.grid < 2:
         raise UsageError("--grid must be at least 2")
+    takes_eta = None not in noise.MODELS[args.model]
+    if (args.eta is not None) != takes_eta:
+        raise UsageError(f"--eta is {'required for' if takes_eta else 'not taken by'} {args.model}")
     if args.eta is not None and not 0.0 <= args.eta <= 1.0:
         raise UsageError(f"--eta {args.eta:g} outside [0, 1]")
     if args.empirical_rounds is not None and args.empirical_rounds < 0:
         raise UsageError("--empirical-rounds must not be negative")
     if args.empirical_grid < 1:
         raise UsageError("--empirical-grid must be at least 1")
-    _validate_sweep(args.model, args.kind, args.eta)
-    header, rows = _sweep_rows(args.model, args.kind, grid, args.eta)
+    _validate_sweep(args.model, args.kind)
+    header, rows = _sweep_rows(args.model, args.kind, args.grid, args.eta)
     outdir = _resolve_outdir(args.outdir)
-    suffix = f"-eta{args.eta:g}" if args.eta is not None else ""
-    csv_path = outdir / f"sweep-{args.model}-{args.kind}{suffix}.csv"
-    with csv_path.open("w") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+    stem = f"sweep-{args.model}-{args.kind}" + (f"-eta{args.eta:g}" if takes_eta else "")
+    csv_path = outdir / f"{stem}.csv"
+    _write_csv(csv_path, header, rows)
     outputs = [csv_path]
-    seed, points, empty = args.seed or 0, [], 0
+    seed, emp_rows, empty = args.seed or 0, [], 0
     if args.empirical_rounds:
-        seed = _resolve_seed(args.seed)
-        coarse = np.linspace(0.0, 0.5, args.empirical_grid)
-        if args.model in ("flip", "model1", "model2"):
-            points = [(a, b) for a in coarse for b in coarse]
-        else:
-            points = [(a,) for a in coarse]
+        seed = args.seed = _resolve_seed(args.seed)
         emp_header, emp_rows, empty = _empirical_sweep(
-            args.model, args.kind, points, args.eta, args.empirical_rounds, seed
+            args.model, args.kind, args.empirical_grid, args.eta, args.empirical_rounds, seed
         )
-        emp_path = outdir / f"sweep-{args.model}-{args.kind}{suffix}-empirical.csv"
-        with emp_path.open("w") as handle:
-            handle.write(",".join(emp_header) + "\n")
-            for row in emp_rows:
-                handle.write(",".join(row) + "\n")
+        emp_path = outdir / f"{stem}-empirical.csv"
+        _write_csv(emp_path, emp_header, emp_rows)
         outputs.append(emp_path)
-    manifest = _manifest(
-        "sweep",
-        {"model": args.model, "kind": args.kind, "grid": grid, "eta": args.eta},
-        seed,
-        outputs,
-        0,
-        started,
-    )
-    _write_json(manifest, outdir / f"sweep-{args.model}-{args.kind}{suffix}-manifest.json")
+    _write_json(_manifest(args, outdir, seed, outputs, 0, started), outdir / f"{stem}-manifest.json")
     print(f"wrote {csv_path}")
     if empty:
-        print(f"insufficient data: no key rounds at {empty} of {len(points)} empirical points; "
+        print(f"insufficient data: no key rounds at {empty} of {len(emp_rows)} empirical points; "
               "their key_rate_empirical cells are empty", file=sys.stderr)
         return EXIT_INSUFFICIENT_DATA
     return EXIT_OK

@@ -52,8 +52,6 @@ from .qmath import DichotomicObservable
 
 ERASED = "e"
 
-MODELS = ("flip", "white", "detector", "model1", "model2")
-
 CONVENTIONS = ("conditional", "throughput")
 
 
@@ -101,6 +99,24 @@ class LossDetector:
 
 PrepNoise = FlipPrep | WhitePrep
 DetectorNoise = MisreadDetector | LossDetector
+
+# Noise classes by kind name, as the CLI's noise flags and MODELS name them.
+PREP_NOISE = {"flip": FlipPrep, "white": WhitePrep}
+DETECTOR_NOISE = {"misread": MisreadDetector, "loss": LossDetector}
+
+#: Each model's preparation and detector noise kinds, None where it has none.
+MODELS = {
+    "flip": ("flip", None),
+    "white": ("white", None),
+    "detector": (None, "misread"),
+    "model1": ("flip", "misread"),
+    "model2": ("flip", "loss"),
+}
+
+
+def has_erasures(model: str) -> bool:
+    """Whether a model's detectors miss, so that its key rate depends on the erasure convention."""
+    return MODELS[model][1] == "loss"
 
 
 @dataclass(frozen=True)
@@ -211,8 +227,8 @@ def _prep_flip_branches(bit: int, eps1, eps2):
     return _flip(bit, eps1 if bit == 0 else eps2)
 
 
-def _mermin_distribution(model: str, eps1, eps2, eps, eta):
-    """Joint distribution of the three parties' key records for one round."""
+def _mermin_distribution(prep: str | None, detector: str | None, eps1, eps2, eps, eta):
+    """Joint distribution of the three parties' key records for one round, given a model's noise kinds."""
     dist: dict[tuple, np.ndarray] = {}
 
     def add(prob, triple):
@@ -220,7 +236,7 @@ def _mermin_distribution(model: str, eps1, eps2, eps, eta):
 
     for b1 in (0, 1):
         p1 = 0.5
-        if model == "white":
+        if prep == "white":
             # Emitted basis state determines both readers' records directly.
             dim = 8
             target = 0 if b1 == 0 else dim - 1
@@ -231,13 +247,13 @@ def _mermin_distribution(model: str, eps1, eps2, eps, eta):
                 digits = ((s >> 2) & 1, (s >> 1) & 1, s & 1)
                 add(p1 * pe, (b1, digits[1], digits[2]))
             continue
-        e1, e2 = (eps1, eps2) if model in ("flip", "model1", "model2") else (0.0, 0.0)
+        e1, e2 = (eps1, eps2) if prep == "flip" else (0.0, 0.0)
         for pv, v in _prep_flip_branches(b1, e1, e2):
-            if model in ("detector", "model1"):
+            if detector == "misread":
                 for p2, r2 in _flip(v, eta):
                     for p3, r3 in _flip(v, eta):
                         add(p1 * pv * p2 * p3, (b1, r2, r3))
-            elif model == "model2":
+            elif detector == "loss":
                 for p2, r2 in _erase(v, eta):
                     for p3, r3 in _erase(v, eta):
                         add(p1 * pv * p2 * p3, (b1, r2, r3))
@@ -246,7 +262,7 @@ def _mermin_distribution(model: str, eps1, eps2, eps, eta):
     return dist
 
 
-def _chsh_distribution(model: str, eps1, eps2, eps, eta):
+def _chsh_distribution(prep: str | None, detector: str | None, eps1, eps2, eps, eta):
     """Same, for the pairwise-grouped protocol where every party re-prepares."""
     dist: dict[tuple, np.ndarray] = {}
 
@@ -255,17 +271,17 @@ def _chsh_distribution(model: str, eps1, eps2, eps, eta):
 
     def emit(bit):
         """Reader's bit after one noisy preparation of `bit`."""
-        if model == "white":
+        if prep == "white":
             # Uniform basis emission reads as a fair bit.
             return [(1.0 - eps, bit), (eps / 2, 0), (eps / 2, 1)]
-        if model in ("flip", "model1", "model2"):
+        if prep == "flip":
             return _prep_flip_branches(bit, eps1, eps2)
         return [(1.0, bit)]
 
     def detect(true_bit):
-        if model in ("detector", "model1"):
+        if detector == "misread":
             return _flip(true_bit, eta)
-        if model == "model2":
+        if detector == "loss":
             return _erase(true_bit, eta)
         return [(1.0, true_bit)]
 
@@ -361,7 +377,7 @@ def analytic_key_rate_surfaces(
     for name, values in zip(("eps1", "eps2", "eps", "eta"), params):
         _check_unit(name, values)
     builder = _mermin_distribution if kind == "mermin" else _chsh_distribution
-    tables = _pair_tables(builder(model, *params), params[0].shape)
+    tables = _pair_tables(builder(*MODELS[model], *params), params[0].shape)
     per_pair = [_pair_information(table, conventions) for table in tables]
     surfaces = []
     for c, convention in enumerate(conventions):
@@ -369,7 +385,7 @@ def analytic_key_rate_surfaces(
         # argmin keeps the first minimum in PAIRS order, as min(PAIRS, key=mi.get) does.
         min_pair = np.argmin([mi[pair] for pair in PAIRS], axis=0)
         key_rate = np.choose(min_pair, [mi[pair] for pair in PAIRS])
-        effective = convention if model == "model2" else "exact"
+        effective = convention if has_erasures(model) else "exact"
         surfaces.append(KeyRateSurface(effective, mi, key_rate, min_pair))
     return surfaces
 
@@ -386,10 +402,10 @@ def analytic_key_rate(
 ) -> KeyRateReport:
     """Exact pairwise mutual informations and their minimum for one model.
 
-    Models: ``flip`` (preparation flips eps1/eps2), ``white`` (white-noise
-    weight eps), ``detector`` (misread probability eta), ``model1`` (flips
-    plus misreads), ``model2`` (flips plus lossy detectors with click
-    probability eta).
+    Models (``MODELS``): ``flip`` (preparation flips eps1/eps2), ``white``
+    (white-noise weight eps), ``detector`` (misread probability eta),
+    ``model1`` (flips plus misreads), ``model2`` (flips plus lossy
+    detectors with click probability eta).
     """
     (surface,) = analytic_key_rate_surfaces(
         model, kind, eps1=eps1, eps2=eps2, eps=eps, eta=eta, conventions=(convention,)

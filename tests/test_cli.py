@@ -91,12 +91,13 @@ class TestUsage:
             RUN3 + ["--outdir", "{tmp}/file/sub"],
             RUN3 + ["--prefix", "a/b"],
             ["sweep", "--model", "flip", "--grid", "3", "--outdir", "{tmp}/file"],
+            ["sweep", "--model", "detector", "--eta", "0.3", "--grid", "3"],
         ],
         ids=["parties-13", "negative-seed", "eta-2", "negative-empirical-rounds",
              "negative-empirical-grid", "sweep-negative-seed", "missing-config",
              "config-without-path", "bad-eve-label", "false-commuting-claim",
              "outdir-is-a-file", "outdir-under-a-file", "prefix-with-separator",
-             "sweep-outdir-is-a-file"],
+             "sweep-outdir-is-a-file", "eta-on-a-model-without-it"],
     )
     def test_bad_input_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").write_text("")
@@ -152,6 +153,19 @@ class TestRun:
         assert len(keys[1]) == report["sifting"]["key_rounds"]
         summary = capsys.readouterr().out
         assert "violated=True" in summary
+
+    def test_manifest_config_is_the_flags(self, tmp_path, monkeypatch):
+        out = tmp_path / "mf"
+        run_cli(
+            ["run", "--kind", "mermin", "--parties", "3", "--rounds", "300", "--seed", "4",
+             "--prep-noise", "flip:0.1,0.1", "--outdir", str(out)],
+            tmp_path, monkeypatch,
+        )
+        config = json.loads((out / "run-manifest.json").read_text())["config"]
+        assert config["prep_noise"] == "flip:0.1,0.1"
+        assert config["detector_noise"] is None
+        assert config["rounds"] == 300
+        assert config["outdir"] == str(out)
 
     @pytest.mark.parametrize("argv,config", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
     def test_transcript_round_trip(self, argv, config, tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from contextkey import cli, noise, protocol
 from contextkey.adversary import EveConfig
 
 SEED = 2024
-ROUNDS = 2000
+ROUNDS = 2000  # unless a case names its own
 
 NOISE = {
     "flip": noise.NoiseConfig(prep=noise.FlipPrep(0.1, 0.2)),
@@ -52,6 +52,12 @@ def _transcript_cases() -> dict[str, dict]:
     }
     for name, (kind, n, eve) in eves.items():
         cases[name] = dict(kind=kind, num_parties=n, eve=eve)
+    # Long enough to cross the writer's chunk seams and reach five-digit rounds.
+    cases["mermin3-masked-12000"] = dict(kind="mermin", num_parties=3, rounds=12_000)
+    cases["chsh4-model2-eve-half-10500"] = dict(
+        kind="chsh", num_parties=4, rounds=10_500, noise=NOISE["model2"],
+        eve=EveConfig(2, "Z1", "noncommuting-measure", activity_rate=0.5),
+    )
     return cases
 
 
@@ -105,6 +111,7 @@ DIGESTS = {
     "chsh3-white": "1b8743fee1991958a59b320adabb7f2cdd7e1762781d9beeb69baac567575234",
     "chsh4-eve-z1-link2": "dedca1a414548d96cd0e536efa1fecba8ef8b07b783b9fcc7326cd1535807e67",
     "chsh4-masked": "6253ca6b447df5657879480241120c162f3469da5dda156848a4b12f114ca364",
+    "chsh4-model2-eve-half-10500": "7c688e712331d4eeba051c22151adffb62314b616e4eb5bff9d415d5235f53ae",
     "chsh4-unmasked": "6253ca6b447df5657879480241120c162f3469da5dda156848a4b12f114ca364",
     "mermin3-detector": "d7da6e3b6718945fbcfd54c87045e4f718c3c63513ed401b66acd52bf80e748d",
     "mermin3-eve-activity-half": "0cae2ff6d861ac979702af52a9ecbf5e3590f43298460e63903c8ca4cb80f485",
@@ -114,6 +121,7 @@ DIGESTS = {
     "mermin3-exclude-key": "6f577cb347fe888d9d096a15c56433e301c2d0e582e65fc3587831504a2aeaec",
     "mermin3-flip": "19e4e4e6ee5c3f1814a241c539207f8b4fc73ec791f843769cf933dd5e41756f",
     "mermin3-masked": "6f577cb347fe888d9d096a15c56433e301c2d0e582e65fc3587831504a2aeaec",
+    "mermin3-masked-12000": "43714fd90e3fbb6ab6f889619ef555add27f8dca7f1f41283cfbfdfc2bc49ede",
     "mermin3-model1": "22d1e1a0ba6fbe40dc77ab18b20c64e43d59e8af1898dfdde209df73f52cd2f5",
     "mermin3-model2": "452a931a6c25c104e0b7e75d62732593e789e21e02601be9d81e4417100621f6",
     "mermin3-unmasked": "6f577cb347fe888d9d096a15c56433e301c2d0e582e65fc3587831504a2aeaec",
@@ -149,7 +157,7 @@ def _sha256(path) -> str:
 
 @pytest.mark.parametrize("name", sorted(TRANSCRIPT_CASES))
 def test_transcript_digest(name, tmp_path):
-    config = protocol.ProtocolConfig(rounds=ROUNDS, seed=SEED, **TRANSCRIPT_CASES[name])
+    config = protocol.ProtocolConfig(**{"rounds": ROUNDS, "seed": SEED, **TRANSCRIPT_CASES[name]})
     path = tmp_path / "transcript.jsonl"
     cli.write_transcript(protocol.run_protocol(config), path)
     assert _sha256(path) == DIGESTS[name]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -190,14 +191,9 @@ def _build_config(args, eve=None) -> protocol.ProtocolConfig:
     noise_cfg = None if prep is None and detector is None else noise.NoiseConfig(prep, detector)
     try:
         return protocol.ProtocolConfig(
-            kind=args.kind,
-            num_parties=args.parties,
-            rounds=args.rounds,
-            seed=args.seed,
-            masking_enabled=not args.no_masking,
-            masking_include_key=not args.masking_exclude_key,
-            noise=noise_cfg,
-            eve=eve,
+            kind=args.kind, num_parties=args.parties, rounds=args.rounds, seed=args.seed,
+            masking_enabled=not args.no_masking, masking_include_key=not args.masking_exclude_key,
+            noise=noise_cfg, eve=eve,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -217,56 +213,74 @@ def _estimate_dict(est: inequality.InequalityEstimate) -> dict:
 #: Rounds formatted per write, so no copy of a whole transcript's text is held.
 TRANSCRIPT_CHUNK = 4096
 
-# JSON of an int8 byte: an outcome ±1, or null for 0; a round kind flag.
-_OUTCOME_JSON = {1: "1", 255: "-1", 0: "null"}
-_FLAG_JSON = ("false", "true")
+
+def _token_tables(transcript: protocol.Transcript) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Radix weights (columns × tables) and byte-string token tables of a run's lines.
+
+    A line's columns are Eve's outcome, the key flag, each party's setting,
+    each party's outcome and the revealed flag, coded from 0 (an outcome
+    plus one).  A table joins adjacent columns while their tokens combine
+    to at most 3^5 pieces; the columns' mixed-radix code indexes it.
+    """
+    eve = json.dumps(transcript.config.eve.observable) if transcript.config.eve is not None else "null"
+    eves = ((eve, -1), ("null", "null"), (eve, 1))
+    columns = [
+        [f'{{"eve_label": {label}, "eve_outcome": {outcome}, ' for label, outcome in eves],
+        [f'"key_round": {flag}, "labels": [' for flag in ("false", "true")],
+        *([(", " if k else "") + json.dumps(label) for label in labels]
+          for k, labels in enumerate(transcript.setting_labels)),
+        *([(", " if k else '], "outcomes": [') + o for o in ("-1", "null", "1")]
+          for k in range(transcript.config.num_parties)),
+        [f'], "revealed": {flag}, "round": ' for flag in ("false", "true")],
+    ]
+    weights, tables = np.zeros((len(columns), 0), dtype=np.int16), []
+    for k, column in enumerate(columns):
+        if not tables or len(tables[-1]) * len(column) > 3**5:
+            weights, tables = np.column_stack([weights, np.zeros(len(columns), np.int16)]), [*tables, [""]]
+        weights[: k + 1, -1] *= len(column)
+        weights[k, -1] = 1
+        tables[-1] = [head + tail for head, tail in itertools.product(tables[-1], column)]
+    return weights, [np.array([piece.encode() for piece in table]) for table in tables]
 
 
-def _row_keys(*columns) -> list[bytes]:
-    """Each row of the int8 columns, side by side, as one bytes object."""
-    table = np.ascontiguousarray(np.column_stack(columns), dtype=np.int8)
-    return table.view(np.dtype((np.void, table.shape[1]))).ravel().tolist()
+def _round_ends(start: int, stop: int) -> np.ndarray:
+    """The round number, ``}`` and newline ending each line of rounds [start, stop), null-padded."""
+    width = len(str(stop - 1))
+    ends = np.zeros((stop - start, width + 2), dtype=np.uint8)
+    low = start
+    for digits in range(len(str(start)), width + 1):  # one part per digit count
+        high = min(stop, 10**digits)
+        part, rest = ends[low - start : high - start], np.arange(low, high)
+        for place in range(digits - 1, -1, -1):
+            rest, part[:, place] = np.divmod(rest, 10)
+        part[:, :digits] += ord("0")
+        part[:, digits : digits + 2] = (ord("}"), ord("\n"))
+        low = high
+    return ends.view(f"S{width + 2}").ravel()
 
 
 def write_transcript(transcript: protocol.Transcript, path: Path):
     """One JSON object per round, in ``json.dumps(..., sort_keys=True)`` form.
 
     Erased outcomes are written as null, and so are Eve's label and outcome
-    in rounds she did not measure.  Rounds are written a chunk at a time;
-    within a chunk, the text of each distinct row of settings (picks and
-    round kinds) and of outcomes is formatted once.
+    in rounds she did not measure.  Rounds are written a chunk at a time:
+    each token table (``_token_tables``) is indexed by its columns' codes,
+    and the pieces and round numbers are joined elementwise, so a chunk
+    holds its int8 codes, a few byte-string arrays and its own text.
     """
-    config = transcript.config
-    kinds, setting_labels = transcript.kinds, transcript.setting_labels
-    observable = json.dumps(config.eve.observable) if config.eve is not None else "null"
-    eve_json = {0: '"eve_label": null, "eve_outcome": null'}
-    eve_json |= {o: f'"eve_label": {observable}, "eve_outcome": {o}' for o in (1, -1)}
-
-    def around_outcomes(settings: bytes) -> tuple[str, str]:
-        *picks, key_round, revealed = settings
-        labels = json.dumps([labs[p] for labs, p in zip(setting_labels, picks)])
-        return (
-            f'"key_round": {_FLAG_JSON[key_round]}, "labels": {labels}, "outcomes": [',
-            f'], "revealed": {_FLAG_JSON[revealed]}, "round": ',
-        )
-
-    with path.open("w") as handle:
-        for start in range(0, config.rounds, TRANSCRIPT_CHUNK):
-            rows = slice(start, start + TRANSCRIPT_CHUNK)
-            around, between, lines = {}, {}, []
-            for r, eve, settings, outcomes in zip(
-                itertools.count(start),
-                transcript.eve_outcomes[rows].tolist(),
-                _row_keys(transcript.picks[rows], kinds.key[rows], kinds.revealed[rows]),
-                _row_keys(transcript.outcomes[rows]),
-            ):
-                if settings not in around:
-                    around[settings] = around_outcomes(settings)
-                if outcomes not in between:
-                    between[outcomes] = ", ".join(_OUTCOME_JSON[b] for b in outcomes)
-                head, tail = around[settings]
-                lines.append(f"{{{eve_json[eve]}, {head}{between[outcomes]}{tail}{r}}}\n")
-            handle.write("".join(lines))
+    kinds, rounds = transcript.kinds, transcript.config.rounds
+    weights, tables = _token_tables(transcript)
+    with path.open("wb") as handle:
+        for start in range(0, rounds, TRANSCRIPT_CHUNK):
+            rows = slice(start, min(start + TRANSCRIPT_CHUNK, rounds))
+            columns = [
+                transcript.eve_outcomes[rows, None] + 1, kinds.key[rows, None], transcript.picks[rows],
+                transcript.outcomes[rows] + 1, kinds.revealed[rows, None],
+            ]
+            codes = np.concatenate(columns, axis=1, dtype=np.int8) @ weights
+            pieces = [table[code] for table, code in zip(tables, codes.T)]
+            line = functools.reduce(np.char.add, [*pieces, _round_ends(rows.start, rows.stop)])
+            handle.write(b"".join(line.tolist()))
 
 
 def read_transcript(path: Path, config: protocol.ProtocolConfig) -> protocol.Transcript:
@@ -434,11 +448,8 @@ def cmd_attack(args) -> int:
     auto = args.eve_strategy == "auto"
     try:
         eve = adversary.EveConfig(
-            position=args.eve_link,
-            observable=args.eve_obs,
-            strategy="commuting-measure" if auto else args.eve_strategy,
-            activity_rate=args.eve_activity,
-            resend=args.eve_resend,
+            position=args.eve_link, observable=args.eve_obs, activity_rate=args.eve_activity,
+            strategy="commuting-measure" if auto else args.eve_strategy, resend=args.eve_resend,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -590,7 +601,7 @@ def _empirical_sweep(model, kind, grid, eta, rounds, seed):
 def cmd_sweep(args) -> int:
     started = time.monotonic()
     names, _ = _sweep_axes(args.model)
-    args.grid = args.grid or (51 if len(names) == 2 else 101)
+    args.grid = (51 if len(names) == 2 else 101) if args.grid is None else args.grid
     if args.grid < 2:
         raise UsageError("--grid must be at least 2")
     takes_eta = None not in noise.MODELS[args.model]
@@ -648,13 +659,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        handler = {
-            "run": cmd_run,
-            "attack": cmd_attack,
-            "sweep": cmd_sweep,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(args)
+        handler = {"run": cmd_run, "attack": cmd_attack, "sweep": cmd_sweep, "verify": cmd_verify}
+        return handler[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -52,13 +52,7 @@ from . import inequality, qmath
 from .adversary import EveConfig
 from .inequality import LOCAL_MATRICES, InequalityEstimate, split_label
 from .mapping import MAX_QUBIT_EQUIVALENT, PartyIndexing, lift_matrix
-from .noise import (
-    FlipPrep,
-    LossDetector,
-    MisreadDetector,
-    NoiseConfig,
-    WhitePrep,
-)
+from .noise import FlipPrep, LossDetector, MisreadDetector, NoiseConfig, WhitePrep
 from .qmath import InvariantViolation, PROB_FLOOR, UnitaryOperator
 
 KINDS = ("mermin", "chsh")
@@ -240,20 +234,26 @@ def round_kinds(kind: str, picks: np.ndarray) -> RoundKinds:
     n = picks.shape[1]
     prefixes = [[split_label(label)[0] for label in labels] for labels in party_labels(kind, n)]
 
-    def picked(wanted) -> np.ndarray:
-        """(rounds × N): whether each party picked a prefix in its set of ``wanted``."""
-        table = np.array([[p in allowed for p in ps] for ps, allowed in zip(prefixes, wanted)])
-        return table[np.arange(n), picks]
+    def picked(k: int, allowed) -> np.ndarray:
+        """(rounds,): whether party k (from 0) picked a prefix in ``allowed``."""
+        return np.array([p in allowed for p in prefixes[k]])[picks[:, k]]
 
-    key = np.zeros(len(picks), dtype=bool)
-    for prefix in KEY_PREFIXES[kind]:
-        key |= picked([(prefix,)] * n).all(axis=1)
+    def all_picked(allowed) -> np.ndarray:
+        every = picked(0, allowed)
+        for k in range(1, n):
+            every &= picked(k, allowed)
+        return every
+
+    key = np.logical_or.reduce([all_picked((prefix,)) for prefix in KEY_PREFIXES[kind]])
     if kind == "mermin":
-        revealed = picked([("X", "Y")] * n).all(axis=1)
+        revealed = all_picked(("X", "Y"))
         return RoundKinds(key, revealed, revealed)
     # no key round has such a pair: its settings are all Z or all XpZ
-    member = picked([("X", "Z") if k % 2 == 1 else ("XpZ", "ZmX") for k in range(1, n + 1)])
-    return RoundKinds(key, ~key, (member[:, :-1] & member[:, 1:]).any(axis=1))
+    member = [picked(k, ("XpZ", "ZmX") if k % 2 else ("X", "Z")) for k in range(n)]
+    check = np.zeros(len(picks), dtype=bool)
+    for left, right in zip(member, member[1:]):
+        check |= left & right
+    return RoundKinds(key, ~key, check)
 
 
 def key_bit(kind: str, party, outcome):
@@ -409,9 +409,7 @@ class _Engine:
             party: (self.dim // (2 * self.indexing.stride(party)), self.indexing.stride(party))
             for party in range(1, self.indexing.num_parties + 1)
         }
-        self.mask_axes = (
-            ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
-        )
+        self.mask_axes = ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
         self.mask_plan = self._masking_plan()
         self.prep_noise = config.noise.prep if config.noise else None
         self.det_noise = config.noise.detector if config.noise else None
@@ -759,9 +757,5 @@ def all_checks_violated(estimates: dict[str, InequalityEstimate]) -> bool | None
 
 def insufficient_terms(estimates: dict[str, InequalityEstimate]) -> list[str]:
     """``check:term`` for every inequality term without samples, sorted."""
-    return sorted(
-        f"{name}:{term}"
-        for name, est in estimates.items()
-        for term, count in est.samples_per_term.items()
-        if count == 0
-    )
+    return sorted(f"{name}:{term}" for name, est in estimates.items()
+                  for term, count in est.samples_per_term.items() if count == 0)

@@ -35,6 +35,45 @@ ROUND_TRIPS = {
 }
 
 
+def reference_transcript(transcript: protocol.Transcript) -> bytes:
+    """Each round as ``json.dumps(record, sort_keys=True)``, the form ``write_transcript`` promises."""
+    config, kinds = transcript.config, transcript.kinds
+    lines = []
+    for r, (picks, outcomes, eve) in enumerate(zip(
+        transcript.picks.tolist(), transcript.outcomes.tolist(), transcript.eve_outcomes.tolist(),
+    )):
+        record = {
+            "round": r,
+            "labels": [labels[p] for labels, p in zip(transcript.setting_labels, picks)],
+            "outcomes": [o or None for o in outcomes],
+            "key_round": bool(kinds.key[r]),
+            "revealed": bool(kinds.revealed[r]),
+            "eve_label": config.eve.observable if eve else None,
+            "eve_outcome": eve or None,
+        }
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines).encode()
+
+
+LOSSY = noise.NoiseConfig(prep=noise.FlipPrep(0.1, 0.1), detector=noise.LossDetector(0.7))
+HALF_EVE = EveConfig(1, "Z1", "commuting-measure", activity_rate=0.5)
+
+# Round counts at and across the writer's chunk seams and digit widths,
+# labels of different lengths, erasures, and Eve absent, active or skipping.
+WRITER_CASES = {
+    "mermin3-1-round": protocol.ProtocolConfig("mermin", 3, 1, seed=1),
+    "mermin3-10-rounds": protocol.ProtocolConfig("mermin", 3, 10, seed=2),
+    "mermin3-chunk-less-1": protocol.ProtocolConfig("mermin", 3, cli.TRANSCRIPT_CHUNK - 1, seed=3),
+    "mermin3-chunk-plus-1-eve-active": protocol.ProtocolConfig(
+        "mermin", 3, cli.TRANSCRIPT_CHUNK + 1, seed=4, eve=EveConfig(2, "X3", "noncommuting-measure"),
+    ),
+    "mermin4-10001-rounds-eve-skipping": protocol.ProtocolConfig("mermin", 4, 10_001, seed=5, eve=HALF_EVE),
+    "chsh40": protocol.ProtocolConfig("chsh", 40, 300, seed=6),
+    "chsh3-erasures": protocol.ProtocolConfig("chsh", 3, 2000, seed=7, noise=LOSSY),
+    "chsh4-erasures-eve-skipping": protocol.ProtocolConfig("chsh", 4, 3000, seed=8, noise=LOSSY, eve=HALF_EVE),
+}
+
+
 def run_cli(args, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "default-out"))
     return cli.main(args)
@@ -92,12 +131,13 @@ class TestUsage:
             RUN3 + ["--prefix", "a/b"],
             ["sweep", "--model", "flip", "--grid", "3", "--outdir", "{tmp}/file"],
             ["sweep", "--model", "detector", "--eta", "0.3", "--grid", "3"],
+            ["sweep", "--model", "flip", "--grid", "0"],
         ],
         ids=["parties-13", "negative-seed", "eta-2", "negative-empirical-rounds",
              "negative-empirical-grid", "sweep-negative-seed", "missing-config",
              "config-without-path", "bad-eve-label", "false-commuting-claim",
              "outdir-is-a-file", "outdir-under-a-file", "prefix-with-separator",
-             "sweep-outdir-is-a-file", "eta-on-a-model-without-it"],
+             "sweep-outdir-is-a-file", "eta-on-a-model-without-it", "grid-0"],
     )
     def test_bad_input_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").write_text("")
@@ -108,6 +148,25 @@ class TestUsage:
         assert err.startswith("usage error: ")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+class TestTranscriptFormat:
+    @pytest.mark.parametrize("config", WRITER_CASES.values(), ids=list(WRITER_CASES))
+    def test_writer_matches_json_dumps(self, config, tmp_path):
+        transcript = protocol.run_protocol(config)
+        path = tmp_path / "t.jsonl"
+        cli.write_transcript(transcript, path)
+        assert path.read_bytes() == reference_transcript(transcript)
+
+    def test_cases_cover_erasures_and_eve(self):
+        runs = {name: protocol.run_protocol(config) for name, config in WRITER_CASES.items()}
+        assert (runs["chsh3-erasures"].outcomes == 0).any()
+        assert (runs["chsh4-erasures-eve-skipping"].outcomes == 0).any()
+        assert (runs["mermin3-chunk-plus-1-eve-active"].eve_outcomes != 0).all()
+        for name in ("mermin4-10001-rounds-eve-skipping", "chsh4-erasures-eve-skipping"):
+            eve = runs[name].eve_outcomes
+            assert (eve == 0).any() and (eve != 0).any(), name
+        assert (runs["mermin3-10-rounds"].eve_outcomes == 0).all()
 
 
 class TestRun:

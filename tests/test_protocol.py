@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contextkey import cli, inequality, mapping, noise, protocol, qmath
 from contextkey.adversary import EveConfig
@@ -55,6 +56,36 @@ class TestConfigValidation:
         assert protocol.ProtocolConfig("chsh", 5, 1).dim == 4
 
 
+# Prefix sets each round's parties are steered toward where they can, so
+# that random picks hold key, revealed and check rounds at every N.
+_STEERS = [("Z",), ("XpZ",), ("X", "Y"), ("X", "Z"), ("XpZ", "ZmX"), ("X", "Y", "Z", "XpZ", "ZmX")]
+
+
+def _steered_picks(kind: str, n: int, rounds: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    prefixes = [[inequality.split_label(label)[0] for label in labels] for labels in protocol.party_labels(kind, n)]
+    picks = np.empty((rounds, n), dtype=np.int8)
+    for r in range(rounds):
+        steer = _STEERS[rng.integers(len(_STEERS))]
+        for k, party in enumerate(prefixes):
+            picks[r, k] = rng.choice([i for i, p in enumerate(party) if p in steer] or [0, 1, 2])
+    return picks
+
+
+def _reference_kinds(kind: str, labels: list[str]) -> tuple[bool, bool, bool]:
+    """(key, revealed, check) of one round, read from its setting labels."""
+    prefixes = [inequality.split_label(label)[0] for label in labels]
+    if kind == "mermin":
+        revealed = all(p in ("X", "Y") for p in prefixes)
+        return all(p == "Z" for p in prefixes), revealed, revealed
+    key = prefixes in (["Z"] * len(prefixes), ["XpZ"] * len(prefixes))
+    check = False
+    for k in range(len(prefixes) - 1):  # party k + 1 is odd when k is even
+        odd, even = (prefixes[k], prefixes[k + 1]) if k % 2 == 0 else (prefixes[k + 1], prefixes[k])
+        check |= odd in ("X", "Z") and even in ("XpZ", "ZmX")
+    return key, not key, check
+
+
 class TestLabels:
     def test_mermin_labels(self):
         sets = protocol.party_labels("mermin", 3)
@@ -89,6 +120,20 @@ class TestLabels:
         # every other round is revealed, but only combination-bearing ones are checks
         assert [revealed for _, revealed, _ in kinds] == [False, False, True, True]
         assert [check for _, _, check in kinds] == [False, False, True, False]
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind,fewest,most", [("mermin", 3, 12), ("chsh", 2, 40)])
+    def test_round_kinds_match_per_round_reference(self, kind, fewest, most, data):
+        n = data.draw(st.integers(fewest, most), label="parties")
+        picks = _steered_picks(kind, n, 60, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kinds = protocol.round_kinds(kind, picks)
+        for column in kinds:
+            assert column.dtype == bool and column.shape == (60,)
+        setting_labels = protocol.party_labels(kind, n)
+        for r, row in enumerate(picks.tolist()):
+            labels = [labs[p] for labs, p in zip(setting_labels, row)]
+            assert tuple(bool(column[r]) for column in kinds) == _reference_kinds(kind, labels), labels
 
     def test_key_bit_parity_convention(self):
         assert protocol.key_bit("mermin", 2, +1) == 0

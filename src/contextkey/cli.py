@@ -191,9 +191,14 @@ def _build_config(args, eve=None) -> protocol.ProtocolConfig:
     noise_cfg = None if prep is None and detector is None else noise.NoiseConfig(prep, detector)
     try:
         return protocol.ProtocolConfig(
-            kind=args.kind, num_parties=args.parties, rounds=args.rounds, seed=args.seed,
-            masking_enabled=not args.no_masking, masking_include_key=not args.masking_exclude_key,
-            noise=noise_cfg, eve=eve,
+            kind=args.kind,
+            num_parties=args.parties,
+            rounds=args.rounds,
+            seed=args.seed,
+            masking_enabled=not args.no_masking,
+            masking_include_key=not args.masking_exclude_key,
+            noise=noise_cfg,
+            eve=eve,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -237,7 +242,7 @@ def _token_tables(transcript: protocol.Transcript) -> tuple[np.ndarray, list[np.
     for k, column in enumerate(columns):
         if not tables or len(tables[-1]) * len(column) > 3**5:
             weights, tables = np.column_stack([weights, np.zeros(len(columns), np.int16)]), [*tables, [""]]
-        weights[: k + 1, -1] *= len(column)
+        weights[: k + 1, -1] *= len(column)  # the table's earlier columns move up a digit
         weights[k, -1] = 1
         tables[-1] = [head + tail for head, tail in itertools.product(tables[-1], column)]
     return weights, [np.array([piece.encode() for piece in table]) for table in tables]
@@ -448,8 +453,11 @@ def cmd_attack(args) -> int:
     auto = args.eve_strategy == "auto"
     try:
         eve = adversary.EveConfig(
-            position=args.eve_link, observable=args.eve_obs, activity_rate=args.eve_activity,
-            strategy="commuting-measure" if auto else args.eve_strategy, resend=args.eve_resend,
+            position=args.eve_link,
+            observable=args.eve_obs,
+            strategy="commuting-measure" if auto else args.eve_strategy,
+            activity_rate=args.eve_activity,
+            resend=args.eve_resend,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -659,8 +667,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        handler = {"run": cmd_run, "attack": cmd_attack, "sweep": cmd_sweep, "verify": cmd_verify}
-        return handler[args.command](args)
+        handler = {
+            "run": cmd_run,
+            "attack": cmd_attack,
+            "sweep": cmd_sweep,
+            "verify": cmd_verify,
+        }[args.command]
+        return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -52,7 +52,13 @@ from . import inequality, qmath
 from .adversary import EveConfig
 from .inequality import LOCAL_MATRICES, InequalityEstimate, split_label
 from .mapping import MAX_QUBIT_EQUIVALENT, PartyIndexing, lift_matrix
-from .noise import FlipPrep, LossDetector, MisreadDetector, NoiseConfig, WhitePrep
+from .noise import (
+    FlipPrep,
+    LossDetector,
+    MisreadDetector,
+    NoiseConfig,
+    WhitePrep,
+)
 from .qmath import InvariantViolation, PROB_FLOOR, UnitaryOperator
 
 KINDS = ("mermin", "chsh")
@@ -239,10 +245,7 @@ def round_kinds(kind: str, picks: np.ndarray) -> RoundKinds:
         return np.array([p in allowed for p in prefixes[k]])[picks[:, k]]
 
     def all_picked(allowed) -> np.ndarray:
-        every = picked(0, allowed)
-        for k in range(1, n):
-            every &= picked(k, allowed)
-        return every
+        return np.logical_and.reduce([picked(k, allowed) for k in range(n)])
 
     key = np.logical_or.reduce([all_picked((prefix,)) for prefix in KEY_PREFIXES[kind]])
     if kind == "mermin":
@@ -250,10 +253,7 @@ def round_kinds(kind: str, picks: np.ndarray) -> RoundKinds:
         return RoundKinds(key, revealed, revealed)
     # no key round has such a pair: its settings are all Z or all XpZ
     member = [picked(k, ("XpZ", "ZmX") if k % 2 else ("X", "Z")) for k in range(n)]
-    check = np.zeros(len(picks), dtype=bool)
-    for left, right in zip(member, member[1:]):
-        check |= left & right
-    return RoundKinds(key, ~key, check)
+    return RoundKinds(key, ~key, np.logical_or.reduce([a & b for a, b in zip(member, member[1:])]))
 
 
 def key_bit(kind: str, party, outcome):
@@ -409,7 +409,9 @@ class _Engine:
             party: (self.dim // (2 * self.indexing.stride(party)), self.indexing.stride(party))
             for party in range(1, self.indexing.num_parties + 1)
         }
-        self.mask_axes = ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
+        self.mask_axes = (
+            ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
+        )
         self.mask_plan = self._masking_plan()
         self.prep_noise = config.noise.prep if config.noise else None
         self.det_noise = config.noise.detector if config.noise else None
@@ -757,5 +759,9 @@ def all_checks_violated(estimates: dict[str, InequalityEstimate]) -> bool | None
 
 def insufficient_terms(estimates: dict[str, InequalityEstimate]) -> list[str]:
     """``check:term`` for every inequality term without samples, sorted."""
-    return sorted(f"{name}:{term}" for name, est in estimates.items()
-                  for term, count in est.samples_per_term.items() if count == 0)
+    return sorted(
+        f"{name}:{term}"
+        for name, est in estimates.items()
+        for term, count in est.samples_per_term.items()
+        if count == 0
+    )

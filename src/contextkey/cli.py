@@ -283,9 +283,10 @@ def write_transcript(transcript: protocol.Transcript, path: Path):
                 transcript.outcomes[rows] + 1, kinds.revealed[rows, None],
             ]
             codes = np.concatenate(columns, axis=1, dtype=np.int8) @ weights
-            pieces = [table[code] for table, code in zip(tables, codes.T)]
-            line = functools.reduce(np.char.add, [*pieces, _round_ends(rows.start, rows.stop)])
-            handle.write(b"".join(line.tolist()))
+            ends = _round_ends(rows.start, rows.stop)
+            pieces = itertools.chain((table[code] for table, code in zip(tables, codes.T)), [ends])
+            # a piece is dropped once added, and the joined lines once listed
+            handle.write(b"".join(functools.reduce(np.char.add, pieces).tolist()))
 
 
 def read_transcript(path: Path, config: protocol.ProtocolConfig) -> protocol.Transcript:

@@ -610,7 +610,8 @@ def _empirical_sweep(model, kind, grid, eta, rounds, seed):
 def cmd_sweep(args) -> int:
     started = time.monotonic()
     names, _ = _sweep_axes(args.model)
-    args.grid = (51 if len(names) == 2 else 101) if args.grid is None else args.grid
+    if args.grid is None:
+        args.grid = 51 if len(names) == 2 else 101
     if args.grid < 2:
         raise UsageError("--grid must be at least 2")
     takes_eta = None not in noise.MODELS[args.model]

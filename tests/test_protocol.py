@@ -63,7 +63,8 @@ _STEERS = [("Z",), ("XpZ",), ("X", "Y"), ("X", "Z"), ("XpZ", "ZmX"), ("X", "Y", 
 
 def _steered_picks(kind: str, n: int, rounds: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    prefixes = [[inequality.split_label(label)[0] for label in labels] for labels in protocol.party_labels(kind, n)]
+    party_settings = protocol.party_labels(kind, n)
+    prefixes = [[inequality.split_label(label)[0] for label in labels] for labels in party_settings]
     picks = np.empty((rounds, n), dtype=np.int8)
     for r in range(rounds):
         steer = _STEERS[rng.integers(len(_STEERS))]

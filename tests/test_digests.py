@@ -54,6 +54,12 @@ def _transcript_cases() -> dict[str, dict]:
         cases[name] = dict(kind=kind, num_parties=n, eve=eve)
     # Long enough to cross the writer's chunk seams and reach five-digit rounds.
     cases["mermin3-masked-12000"] = dict(kind="mermin", num_parties=3, rounds=12_000)
+    # The widest attacked state (D=64), across five 128-round blocks.
+    for name, rate in (("mermin6-eve-commuting-z1-640", 1.0), ("mermin6-eve-activity-half-640", 0.5)):
+        cases[name] = dict(
+            kind="mermin", num_parties=6, rounds=640,
+            eve=EveConfig(3, "Z1", "commuting-measure", activity_rate=rate),
+        )
     cases["chsh4-model2-eve-half-10500"] = dict(
         kind="chsh", num_parties=4, rounds=10_500, noise=NOISE["model2"],
         eve=EveConfig(2, "Z1", "noncommuting-measure", activity_rate=0.5),
@@ -129,6 +135,8 @@ DIGESTS = {
     "mermin5-exclude-key": "840a7d9bd03b9e49b09c8d22d12bd3bd79252d689d82a0c92aa42d6f5ba5d53b",
     "mermin5-masked": "840a7d9bd03b9e49b09c8d22d12bd3bd79252d689d82a0c92aa42d6f5ba5d53b",
     "mermin5-unmasked": "840a7d9bd03b9e49b09c8d22d12bd3bd79252d689d82a0c92aa42d6f5ba5d53b",
+    "mermin6-eve-activity-half-640": "3acd2c9fece7f6e49293f15a26076724ce96a38df3b32541e28e2566e7cc2734",
+    "mermin6-eve-commuting-z1-640": "33fe2165408aa222e0648f38133ffcc6852e9e3ada638615759fa7f41d1bf21c",
     "mermin8-masked": "75da31177d295711e9291940ea9d67382b9c606462a940f1d4b2d2ae02613b51",
     "mermin8-unmasked": "75da31177d295711e9291940ea9d67382b9c606462a940f1d4b2d2ae02613b51",
     "sweep-chsh-detector": "c11354f6316b23c2a952475e22858124612e2b380d80138512ea7656612a6c9a",

@@ -16,12 +16,20 @@ transcript writer all read it from there.
 
 All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise), one array row per round.  The engine plays
-blocks of B = max(1, AMPLITUDE_BUDGET // D) rounds as one (B, D) array,
-which every step overwrites in place, party by party, on one thread; it
-draws the Born, masking and Eve rows block by block, and the picks and
-noise rows whole.  A round depends only on its own rows, so it is the
-same whatever block it falls in.  Toggling masking, noise, or the
-eavesdropper never shifts the other streams.
+blocks of B = max(MIN_BLOCK_ROUNDS, AMPLITUDE_BUDGET // D) rounds as one
+(D, B) array, amplitude-major with the rounds innermost, which every step
+overwrites in place, party by party, on one thread; it draws the Born,
+masking and Eve rows block by block, and the picks and noise rows whole.
+A round depends only on its own rows, so it is the same whatever block it
+falls in.  Toggling masking, noise, or the eavesdropper never shifts the
+other streams.
+
+The rounds are innermost because a step on one qubit pairs amplitudes a
+stride apart, and the stride is 1 for the last qubit: viewed as
+(pre, 2, post, B), every contraction, collapse and preparation is an
+elementwise operation over contiguous B-long rows, whichever qubit it
+touches, where a (B, D) block would run its inner loops over the `post`
+amplitudes below the qubit, 32 down to 1 at D=64.
 
 Every setting is a rank-1 qubit projector |v⟩⟨v|, so the engine measures
 in the setting's eigenbasis: one half-size contraction c = v†·s over the
@@ -283,17 +291,20 @@ def _su2_product(axes: tuple[str, ...], angles) -> np.ndarray:
     a = np.ones(angles.shape[:-1], dtype=np.complex128)
     b, c, d = np.zeros_like(a), np.zeros_like(a), a.copy()
     for j, axis in enumerate(axes):
-        co, si = cos[..., j], sin[..., j]
-        if axis == "X":
-            ra, rb, rc, rd = co, 1j * si, 1j * si, co
-        elif axis == "Y":
-            ra, rb, rc, rd = co, si, -si, co
-        elif axis == "Z":
-            ra, rb, rc, rd = co + 1j * si, 0j, 0j, co - 1j * si
-        else:
-            raise ValueError(f"masking axis must be a Pauli label, got {axis!r}")
+        ra, rb, rc, rd = _rotation(axis, cos[..., j], sin[..., j])
         a, b, c, d = ra * a + rb * c, ra * b + rb * d, rc * a + rd * c, rc * b + rd * d
     return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+
+
+def _rotation(axis: str, cos, sin):
+    """Entries a, b, c, d of exp(iθ·σ_axis) = [[a, b], [c, d]], from cos θ and sin θ."""
+    if axis == "X":
+        return cos, 1j * sin, 1j * sin, cos
+    if axis == "Y":
+        return cos, sin, -sin, cos
+    if axis == "Z":
+        return cos + 1j * sin, 0j, 0j, cos - 1j * sin
+    raise ValueError(f"masking axis must be a Pauli label, got {axis!r}")
 
 
 def eigenbasis(local: np.ndarray) -> np.ndarray:
@@ -357,10 +368,18 @@ def check_eve(config: ProtocolConfig) -> None:
             )
 
 
-#: Amplitudes one block of rounds holds: blocks of max(1, budget // D) rounds.
-#: 8192 gives 128 rounds a block at D=64; 16384 added about 1 MB of peak
-#: memory at D=4 (2,048 → 4,096 rounds a block) for no measured speed.
+#: Amplitudes one block of rounds holds: blocks of max(MIN_BLOCK_ROUNDS,
+#: budget // D) rounds.  8192 gives 128 rounds a block at D=64 and 1,024 at
+#: D=8.  Against it, in 15 alternating runs of each engine (2 cores), 16384
+#: took 0.76x the time at D=64 (a mermin-6 attack) but 1.52x at D=8 (mermin-3)
+#: and 1.22x at D=4 (a chsh-4 attack); 4096 took 1.48x, 1.26x and 1.19x.
 AMPLITUDE_BUDGET = 8192
+
+#: Fewest rounds a block holds.  Every kernel's innermost loop runs over the
+#: block's rounds, so with fewer its per-row start-up dominates: at D=4096
+#: (mermin N=12) blocks of 2 rounds played 680-720 rounds/s, blocks of 8
+#: 1,660-1,770, for 0.5 MB more peak memory.
+MIN_BLOCK_ROUNDS = 8
 
 
 class _Variates(NamedTuple):
@@ -372,6 +391,11 @@ class _Variates(NamedTuple):
     eve_u: np.ndarray | None
     noise_u: np.ndarray | None
     white_idx: np.ndarray | None
+
+
+def _squared_norms(amplitudes: np.ndarray) -> np.ndarray:
+    """‖column‖² of a (rows, B) complex array, one per round."""
+    return (amplitudes.real**2 + amplitudes.imag**2).sum(axis=0)
 
 
 def _choose(p_plus: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -419,9 +443,13 @@ class _Engine:
         self.eve_parsed = split_label(self.eve.observable) if self.eve is not None else None
         self.projected, reference_p_plus = self._reference_projections()
         self.qudit = [parsed[0][1] for parsed in self.parsed]
-        self.setting_prefix = [np.array([_PREFIX_INDEX[p] for p, _ in ps]) for ps in self.parsed]
+        # (row v±, component, setting): ``np.take`` over the last axis gives a block's (2, 2, B)
+        self.setting_basis = [
+            np.ascontiguousarray(self.basis[[_PREFIX_INDEX[p] for p, _ in ps]].transpose(1, 2, 0))
+            for ps in self.parsed
+        ]
         self.setting_p_plus = [np.array([reference_p_plus[pair] for pair in ps]) for ps in self.parsed]
-        self.setting_prepared = [np.stack([self.projected[pair] for pair in ps]) for ps in self.parsed]
+        self.setting_prepared = [np.hstack([self.projected[pair] for pair in ps]) for ps in self.parsed]
         self.setting_key = [np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps]) for ps in self.parsed]
         self._open_streams()
 
@@ -453,21 +481,21 @@ class _Engine:
         """Read-only normalized projections of the reference state, and P(+1).
 
         Keyed by (prefix, party) for every setting and for Eve's
-        observable: rows +1 and −1 hold what a party prepares for an
-        outcome, and what Eve forwards under the ``fresh-reference`` resend
-        rule; beside them, P(+1) when the reference itself is measured.
+        observable: (D, 2) columns +1 and −1 hold what a party prepares
+        for an outcome, and what Eve forwards under the ``fresh-reference``
+        resend rule; beside them, P(+1) when the reference itself is measured.
         """
         observables = {pair for parsed in self.parsed for pair in parsed}
         if self.eve_parsed is not None:
             observables.add(self.eve_parsed)
         table, p_plus = {}, {}
         for prefix, party in observables:
-            basis = self.basis[_PREFIX_INDEX[prefix]]
-            rest = self._contract(basis.conj(), np.broadcast_to(self.reference, (2, self.dim)), party)
-            weights = np.einsum("ij,ij->i", rest.view(np.float64), rest.view(np.float64))
-            rows = self._collapse(basis / np.sqrt(weights)[:, None], rest, party)
-            rows.setflags(write=False)
-            table[prefix, party] = rows
+            kets = self.basis[_PREFIX_INDEX[prefix]].T  # (component, row v±)
+            rest = self._contract(kets.conj(), np.broadcast_to(self.reference[:, None], (self.dim, 2)), party)
+            weights = _squared_norms(rest)
+            columns = self._collapse(kets / np.sqrt(weights), rest, party)
+            columns.setflags(write=False)
+            table[prefix, party] = columns
             p_plus[prefix, party] = weights[0]
         return table, p_plus
 
@@ -518,69 +546,76 @@ class _Engine:
     # -- batched single-party linear algebra -------------------------------
 
     def _contract(self, bras: np.ndarray, states: np.ndarray, party: int) -> np.ndarray:
-        """(B, D/2) contractions w·s over party's qubit, of (B, 2) bras, or one (1, 2)."""
+        """(D/2, B) contractions w·s over party's qubit, of (2, B) bras, or one (2, 1)."""
         pre, post = self.pre_post[party]
-        s = states.reshape(len(states), pre, 2, post)
-        w = bras[:, :, None, None]
-        out = w[:, 0] * s[:, :, 0]
-        out += w[:, 1] * s[:, :, 1]
-        return out.reshape(len(states), -1)
+        s = states.reshape(pre, 2, post, -1)
+        out = bras[0] * s[:, 0]
+        out += bras[1] * s[:, 1]
+        return out.reshape(-1, states.shape[-1])
 
     def _collapse(self, kets: np.ndarray, rest: np.ndarray, party: int, out=None) -> np.ndarray:
-        """(B, D) states ket ⊗ rest, with party's qubit in the ket, of (B, 2) kets.
+        """(D, B) states ket ⊗ rest, with party's qubit in the ket, of (2, B) kets.
 
-        Written to ``out``, a contiguous (B, D) array, when one is given.
+        Written to ``out``, a contiguous (D, B) array, when one is given.
         """
         pre, post = self.pre_post[party]
-        shaped = None if out is None else out.reshape(len(rest), pre, 2, post)
-        product = np.multiply(kets[:, None, :, None], rest.reshape(len(rest), pre, 1, post), out=shaped)
-        return product.reshape(len(rest), -1)
+        width = rest.shape[-1]
+        shaped = None if out is None else out.reshape(pre, 2, post, width)
+        product = np.multiply(kets[None, :, None], rest.reshape(pre, 1, post, width), out=shaped)
+        return product.reshape(-1, width)
 
-    def _measure(self, states, bases, party: int, u, out=None, mask=None):
+    def _measure(self, states, bases, party: int, u, out=None, bras=None):
         """Born-rule outcomes, and the post-measurement states if ``out`` is given.
 
-        ``bases`` is (B, 2, 2), or one (1, 2, 2), with rows v+ and v−; a
-        (B, 2, 2) ``mask`` acting first on party's qubit is folded into the
-        bras, v†·M.  P(+1) = ‖c+‖² for the half-size c+ = v+†·s; the post
-        state v ⊗ c of the outcome's row, its norm folded into v, goes to
-        ``out``, a contiguous (B, D) array that may be ``states`` itself.
-        Returns (outcome, post or None).
+        ``bases`` is (2, 2, B), or one (2, 2, 1): rows v+ and v−, then
+        their components.  ``bras`` defaults to v†; Eve's are v†·M, with
+        her mask folded in (``_mask``).  P(+1) = ‖c+‖² for the half-size
+        c+ = v+†·s; the post state v ⊗ c of the outcome's row, its norm
+        folded into v, goes to ``out``, a contiguous (D, B) array that may
+        be ``states`` itself.  Returns (outcome, post or None).
         """
-        bras = bases.conj()
-        if mask is not None:
-            bras = bras @ mask
-        flat = self._contract(bras[:, 0], states, party).view(np.float64)
-        p_plus = np.einsum("ij,ij->i", flat, flat)
+        if bras is None:
+            bras = bases.conj()
+        p_plus = _squared_norms(self._contract(bras[0], states, party))
         outcome = _choose(p_plus, u)
         if out is None:
             return outcome, None
-        minus = (outcome < 0)[:, None]
-        rest = self._contract(np.where(minus, bras[:, 1], bras[:, 0]), states, party)
-        norm = np.sqrt(np.where(minus[:, 0], np.maximum(1.0 - p_plus, PROB_FLOOR), p_plus))
-        kets = np.where(minus, bases[:, 1], bases[:, 0]) / norm[:, None]
+        minus = outcome < 0
+        rest = self._contract(np.where(minus, bras[1], bras[0]), states, party)
+        norm = np.sqrt(np.where(minus, np.maximum(1.0 - p_plus, PROB_FLOOR), p_plus))
+        kets = np.where(minus, bases[1], bases[0]) / norm
         return outcome, self._collapse(kets, rest, party, out)
 
     # -- per-party steps ---------------------------------------------------
 
-    def _mask(self, angles, link: int, party: int) -> np.ndarray | None:
-        """The masking that has acted on qudit ``party`` of a state crossing ``link``.
+    def _mask(self, bras, angles, link: int, party: int) -> np.ndarray:
+        """``bras`` (2, 2, B or 1) times the masking M that has acted on qudit
+        ``party`` of a state crossing ``link``: v†·M, shaped (2, 2, B).
 
         A mask acts only on qudits that were already measured, so it
         commutes with every later measurement and is applied only where
         Eve reads: the factors on her qudit, in sender order.  Mermin
         senders 1..link mask qudits 1..sender; in CHSH only the link's
-        sender has masked the re-prepared pair.  (B, 2, 2), or None.
+        sender has masked the re-prepared pair.  M is the product of
+        those factors, the first applied first, so the bras take them
+        last factor first.  Without factors the bras are returned as given.
         """
         if angles is None:
-            return None
+            return bras
         senders = range(1, link + 1) if self.kind == "mermin" else (link,)
         columns = [
             np.arange(chunk.start, chunk.stop)
             for sender in senders for hop, chunk in self.mask_plan[sender] if hop == party
         ]
         if not columns:
-            return None
-        return _su2_product(self.mask_axes * len(columns), angles[:, np.concatenate(columns)])
+            return bras
+        angles = angles[:, np.concatenate(columns)].T
+        w0, w1 = bras[:, 0], bras[:, 1]
+        factors = list(zip(self.mask_axes * len(columns), np.cos(angles), np.sin(angles)))
+        for axis, cos, sin in reversed(factors):
+            ra, rb, rc, rd = _rotation(axis, cos, sin)
+            w0, w1 = w0 * ra + w1 * rc, w0 * rb + w1 * rd
+        return np.stack([w0, w1], axis=1)
 
     def _eve_hook(self, states, link: int, v: _Variates):
         """Eve's step on the block's ``states``, in place: the forwarded
@@ -596,14 +631,18 @@ class _Engine:
         if not active.any():
             return states, None
         prefix, party = self.eve_parsed
+        bases = self.basis[_PREFIX_INDEX[prefix], :, :, None]
         fresh = eve.resend == "fresh-reference"
+        # a fully attacked block collapses in place; otherwise skipped rounds keep their states
+        out = None if fresh else states if active.all() else np.empty_like(states)
         outcome, post = self._measure(
-            states, self.basis[_PREFIX_INDEX[prefix]][None], party, v.eve_u[:, 1],
-            out=None if fresh else np.empty_like(states), mask=self._mask(v.angles, link, party),
+            states, bases, party, v.eve_u[:, 1], out=out,
+            bras=self._mask(bases.conj(), v.angles, link, party),
         )
         if fresh:
-            post = self.projected[prefix, party][(1 - outcome) // 2]
-        np.copyto(states, post, where=active[:, None])
+            post = self.projected[prefix, party][:, (1 - outcome) // 2]
+        if post is not states:
+            np.copyto(states, post, where=active)
         return states, np.where(active, outcome, 0)
 
     def _detector_record(self, outcome, bob: int, pick, v: _Variates):
@@ -622,7 +661,7 @@ class _Engine:
     def _prepare(self, bob: int, pick, outcome, v: _Variates, out=None) -> np.ndarray:
         """States actually emitted when ``bob`` prepares for ``outcome``, one per round.
 
-        Written to ``out``, a (B, D) array, when one is given.
+        Written to ``out``, a (D, B) array, when one is given.
 
         Without noise, and for settings outside the key, this is the
         reference state's projection for the outcome.  A key setting's
@@ -642,18 +681,18 @@ class _Engine:
                 white = key & (u < prep.eps)
             else:
                 raise TypeError(f"unsupported preparation noise {prep!r}")
-        rows = self.setting_prepared[bob - 1].reshape(-1, self.dim)  # setting-major, then ±1
+        columns = self.setting_prepared[bob - 1]  # (D, 6): setting-major, then ±1
         # mode="clip" writes straight into ``out``; the indices are in range
-        states = np.take(rows, 2 * pick + (1 - outcome) // 2, axis=0, out=out, mode="clip")
+        states = np.take(columns, 2 * pick + (1 - outcome) // 2, axis=1, out=out, mode="clip")
         if white is not None and white.any():
-            states[white] = 0.0
-            states[white, v.white_idx[white, slot]] = 1.0
+            states[:, white] = 0.0
+            states[v.white_idx[white, slot], white] = 1.0
         return states
 
     # -- block execution ---------------------------------------------------
 
     def play_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Play the run's next ``size`` rounds as one (size, D) array, party by party.
+        """Play the run's next ``size`` rounds as one (D, size) array, party by party.
 
         Returns the block's ``outcomes`` and ``eve_outcomes`` columns.
         """
@@ -662,8 +701,8 @@ class _Engine:
         outcomes = np.empty((size, n), dtype=np.int8)
         eve_outcomes = np.zeros(size, dtype=np.int8)
 
-        # the block's one (size, D) array: every step overwrites it
-        states = np.empty((size, self.dim), dtype=np.complex128)
+        # the block's one (D, size) array: every step overwrites it
+        states = np.empty((self.dim, size), dtype=np.complex128)
         pick = v.picks[:, 0]
         outcomes[:, 0] = _choose(self.setting_p_plus[0][pick], v.born[:, 0])
         self._prepare(1, pick, outcomes[:, 0], v, out=states)
@@ -675,7 +714,7 @@ class _Engine:
             # only a Mermin party before the last forwards its post state
             forwards = self.kind == "mermin" and bob < n
             true_outcome, _ = self._measure(
-                states, self.basis[self.setting_prefix[bob - 1][pick]], self.qudit[bob - 1],
+                states, np.take(self.setting_basis[bob - 1], pick, axis=-1), self.qudit[bob - 1],
                 v.born[:, bob - 1], out=states if forwards else None,
             )
             outcomes[:, bob - 1] = self._detector_record(true_outcome, bob, pick, v)
@@ -692,7 +731,7 @@ class _Engine:
 def run_protocol(config: ProtocolConfig) -> Transcript:
     """Execute all rounds in order, a block of rounds at a time."""
     engine = _Engine(config)
-    block = max(1, AMPLITUDE_BUDGET // config.dim)
+    block = max(MIN_BLOCK_ROUNDS, AMPLITUDE_BUDGET // config.dim)
     outcomes, eve_outcomes = zip(*(
         engine.play_block(min(block, config.rounds - start))
         for start in range(0, config.rounds, block)

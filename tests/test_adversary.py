@@ -85,8 +85,8 @@ def _eve_engine(eve: EveConfig, rounds: int = 12) -> protocol._Engine:
 
 
 def _basis(index: int, rounds: int = 1) -> np.ndarray:
-    """A block of ``rounds`` copies of one basis state."""
-    return np.repeat(qmath.StateVector.basis(8, index).amplitudes[None], rounds, axis=0)
+    """A (D, rounds) block, as the engine holds one, of ``rounds`` copies of one basis state."""
+    return np.repeat(qmath.StateVector.basis(8, index).amplitudes[:, None], rounds, axis=1)
 
 
 class TestEveIntercept:
@@ -99,7 +99,7 @@ class TestEveIntercept:
         engine = _eve_engine(EveConfig(position=2, observable="X1", strategy="commuting-measure"))
         posts, outcomes = engine._eve_hook(_basis(0, 12), 2, engine._draw(12))
         seen = set()
-        for post, outcome in zip(posts, outcomes.tolist()):
+        for post, outcome in zip(posts.T, outcomes.tolist()):
             seen.add(outcome)
             expected = np.zeros(8, dtype=complex)
             expected[0], expected[4] = 1 / math.sqrt(2), outcome / math.sqrt(2)
@@ -118,7 +118,7 @@ class TestEveIntercept:
         indexing = mapping.PartyIndexing(3)
         engine = _eve_engine(EveConfig(position=2, observable="X3", strategy="noncommuting-measure"))
         post, _ = engine._eve_hook(_basis(0), 2, engine._draw(1))
-        z3_plus, z3_minus = qmath.branch_probabilities(qmath.StateVector(post[0]), mapping.pauli("Z", 3, indexing))
+        z3_plus, z3_minus = qmath.branch_probabilities(qmath.StateVector(post[:, 0]), mapping.pauli("Z", 3, indexing))
         assert z3_plus == pytest.approx(0.5, abs=1e-12)
         assert z3_minus == pytest.approx(0.5, abs=1e-12)
 
@@ -239,18 +239,16 @@ class TestMaskingEfficacy:
         rng = np.random.default_rng(27)
         bits = rng.random(40_000) < 0.5
         born = rng.random(40_000)
-        pairs = []
-        for bit, u in zip(bits, born):
-            state = np.zeros(dim, dtype=complex)
-            state[basis_states[int(bit)]] = 1.0
-            su2 = protocol._su2_product(("X", "Y", "Z"), rng.uniform(0, 2 * math.pi, 3))
-            s3 = state.reshape(pre, 2, post)
-            masked = np.einsum("ab,pbq->paq", su2, s3)
-            branch = np.einsum("ab,pbq->paq", plus_local, masked)
-            p_plus = float(np.vdot(branch, branch).real)
-            outcome = +1 if u < p_plus else -1
-            pairs.append((int(bit), (1 - outcome) // 2))
-        assert pair_mutual_information(pairs) < 0.01
+        # one row of three angles per draw, the doubles in the order of one draw at a time
+        su2 = protocol._su2_product(("X", "Y", "Z"), rng.uniform(0, 2 * math.pi, size=(40_000, 3)))
+        states = np.zeros((40_000, dim), dtype=complex)
+        states[np.arange(40_000), np.array(basis_states)[bits.astype(int)]] = 1.0
+        s3 = states.reshape(-1, pre, 2, post)
+        masked = np.einsum("nab,npbq->npaq", su2, s3)
+        branch = np.einsum("ab,npbq->npaq", plus_local, masked)
+        p_plus = np.einsum("npaq,npaq->n", branch.conj(), branch).real
+        outcome = np.where(born < p_plus, 1, -1)
+        assert pair_mutual_information(zip(bits.astype(int), (1 - outcome) // 2)) < 0.01
 
 
 class TestLocalization:

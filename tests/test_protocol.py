@@ -199,9 +199,9 @@ class TestMaskingUnitary:
                 u = protocol.masking_unitary(link, spec, _RowRng(row), engine.indexing)
                 executed = np.eye(dim, dtype=complex)
                 for party in range(1, engine.indexing.num_parties + 1):
-                    mask = engine._mask(angles[round_id : round_id + 1], link, party)
-                    if mask is not None:
-                        executed = mapping.lift_matrix(mask[0], party, engine.indexing) @ executed
+                    # the identity's rows, masked: M itself, or the identity where nothing masked
+                    mask = engine._mask(np.eye(2, dtype=complex)[:, :, None], angles[round_id : round_id + 1], link, party)
+                    executed = mapping.lift_matrix(mask[:, :, 0], party, engine.indexing) @ executed
                 assert np.max(np.abs(u.matrix - executed)) < 1e-12
 
     def test_single_generator_masking_hides_key_basis(self):
@@ -411,6 +411,7 @@ class TestSingleRoundOps:
         config = protocol.ProtocolConfig("mermin", 3, 5, seed=91)
         whole = protocol.run_protocol(config)
         monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", config.dim)  # one round a block
+        monkeypatch.setattr(protocol, "MIN_BLOCK_ROUNDS", 1)
         blocked = protocol.run_protocol(config)
         assert blocked.picks.shape[1] == 3
         assert same_rounds(blocked, whole, 2)
@@ -419,6 +420,7 @@ class TestSingleRoundOps:
         config = protocol.ProtocolConfig("chsh", 4, 5, seed=92)
         whole = protocol.run_protocol(config)
         monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", config.dim)
+        monkeypatch.setattr(protocol, "MIN_BLOCK_ROUNDS", 1)
         assert same_rounds(protocol.run_protocol(config), whole, 0)
 
 
@@ -449,6 +451,7 @@ class TestBlockSeams:
         assert config.rounds > protocol.AMPLITUDE_BUDGET // config.dim  # crosses a default seam
         cli.write_transcript(protocol.run_protocol(config), tmp_path / "default.jsonl")
         monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", rounds_per_block * config.dim)
+        monkeypatch.setattr(protocol, "MIN_BLOCK_ROUNDS", 1)
         cli.write_transcript(protocol.run_protocol(config), tmp_path / "seams.jsonl")
         assert (tmp_path / "seams.jsonl").read_bytes() == (tmp_path / "default.jsonl").read_bytes()
 
@@ -504,14 +507,17 @@ class TestMeasurementKernel:
                     post_dense[outcome].append(branch / np.linalg.norm(branch))
             p_dense = np.array(p_dense)
 
+            # the engine's block is (D, rounds), its bases (row, component, round), its bras v†·M
+            bases = engine.basis[picked].transpose(1, 2, 0)
+            bras = None if mask is None else (engine.basis[picked].conj() @ mask).transpose(1, 2, 0)
             for shift, expected in ((-1e-12, +1), (1e-12, -1)):
-                outcome, post = engine._measure(states, engine.basis[picked], party, p_dense + shift, mask=mask)
+                outcome, post = engine._measure(states.T, bases, party, p_dense + shift, bras=bras)
                 assert post is None and (outcome == expected).all()
             for u, outcome in ((np.zeros(rounds), +1), (np.ones(rounds), -1)):
-                work = states.copy()  # collapsed in place, as the block player does
-                chosen, _ = engine._measure(work, engine.basis[picked], party, u, out=work, mask=mask)
+                work = states.T.copy()  # collapsed in place, as the block player does
+                chosen, _ = engine._measure(work, bases, party, u, out=work, bras=bras)
                 assert (chosen == outcome).all()
-                assert np.max(np.abs(work - np.array(post_dense[outcome]))) < 1e-12
+                assert np.max(np.abs(work.T - np.array(post_dense[outcome]))) < 1e-12
 
 
 class TestFourPartyChsh:

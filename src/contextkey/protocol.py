@@ -378,7 +378,7 @@ AMPLITUDE_BUDGET = 8192
 #: Fewest rounds a block holds.  Every kernel's innermost loop runs over the
 #: block's rounds, so with fewer its per-row start-up dominates: at D=4096
 #: (mermin N=12) blocks of 2 rounds played 680-720 rounds/s, blocks of 8
-#: 1,660-1,770, for 0.5 MB more peak memory.
+#: 1,660-1,770, for under 1 MB more peak memory.
 MIN_BLOCK_ROUNDS = 8
 
 
@@ -444,10 +444,7 @@ class _Engine:
         self.projected, reference_p_plus = self._reference_projections()
         self.qudit = [parsed[0][1] for parsed in self.parsed]
         # (row v±, component, setting): ``np.take`` over the last axis gives a block's (2, 2, B)
-        self.setting_basis = [
-            np.ascontiguousarray(self.basis[[_PREFIX_INDEX[p] for p, _ in ps]].transpose(1, 2, 0))
-            for ps in self.parsed
-        ]
+        self.setting_basis = [self.basis[[_PREFIX_INDEX[p] for p, _ in ps]].transpose(1, 2, 0) for ps in self.parsed]
         self.setting_p_plus = [np.array([reference_p_plus[pair] for pair in ps]) for ps in self.parsed]
         self.setting_prepared = [np.hstack([self.projected[pair] for pair in ps]) for ps in self.parsed]
         self.setting_key = [np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps]) for ps in self.parsed]
@@ -589,10 +586,10 @@ class _Engine:
     # -- per-party steps ---------------------------------------------------
 
     def _mask(self, bras, angles, link: int, party: int) -> np.ndarray:
-        """``bras`` (2, 2, B or 1) times the masking M that has acted on qudit
-        ``party`` of a state crossing ``link``: v†·M, shaped (2, 2, B).
+        """Eve's ``bras`` times the masking M on qudit ``party`` of a state crossing ``link``: v†·M.
 
-        A mask acts only on qudits that were already measured, so it
+        ``bras`` is (2, 2, B) or (2, 2, 1), as ``_measure`` takes it.  A
+        mask acts only on qudits that were already measured, so it
         commutes with every later measurement and is applied only where
         Eve reads: the factors on her qudit, in sender order.  Mermin
         senders 1..link mask qudits 1..sender; in CHSH only the link's

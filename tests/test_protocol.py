@@ -200,7 +200,8 @@ class TestMaskingUnitary:
                 executed = np.eye(dim, dtype=complex)
                 for party in range(1, engine.indexing.num_parties + 1):
                     # the identity's rows, masked: M itself, or the identity where nothing masked
-                    mask = engine._mask(np.eye(2, dtype=complex)[:, :, None], angles[round_id : round_id + 1], link, party)
+                    identity = np.eye(2, dtype=complex)[:, :, None]
+                    mask = engine._mask(identity, angles[round_id : round_id + 1], link, party)
                     executed = mapping.lift_matrix(mask[:, :, 0], party, engine.indexing) @ executed
                 assert np.max(np.abs(u.matrix - executed)) < 1e-12
 

@@ -376,9 +376,11 @@ def check_eve(config: ProtocolConfig) -> None:
 AMPLITUDE_BUDGET = 8192
 
 #: Fewest rounds a block holds.  Every kernel's innermost loop runs over the
-#: block's rounds, so with fewer its per-row start-up dominates: at D=4096
-#: (mermin N=12) blocks of 2 rounds played 680-720 rounds/s, blocks of 8
-#: 1,660-1,770, for under 1 MB more peak memory.
+#: block's rounds, so with fewer its per-row start-up dominates.  In 8
+#: alternating fresh interpreters each (2 cores), mermin N=12 (D=4096)
+#: played 605-794 rounds/s in blocks of 2 and 1,342-1,963 in blocks of 8,
+#: and N=11 (D=2048) 2,034-2,744 in blocks of 4 and 2,684-3,920 in blocks
+#: of 8, for under 1 MB more peak memory.
 MIN_BLOCK_ROUNDS = 8
 
 
@@ -433,6 +435,7 @@ class _Engine:
             party: (self.dim // (2 * self.indexing.stride(party)), self.indexing.stride(party))
             for party in range(1, self.indexing.num_parties + 1)
         }
+        self._product = np.empty(0, dtype=np.complex128)  # ``_contract``'s kept second product
         self.mask_axes = (
             ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
         )
@@ -545,10 +548,16 @@ class _Engine:
     def _contract(self, bras: np.ndarray, states: np.ndarray, party: int) -> np.ndarray:
         """(D/2, B) contractions w·s over party's qubit, of (2, B) bras, or one (2, 1)."""
         pre, post = self.pre_post[party]
-        s = states.reshape(pre, 2, post, -1)
+        width = states.shape[-1]
+        s = states.reshape(pre, 2, post, width)
         out = bras[0] * s[:, 0]
-        out += bras[1] * s[:, 1]
-        return out.reshape(-1, states.shape[-1])
+        # the second product goes to a kept buffer: a fresh temporary, freed at
+        # once, page-faulted on every step at some block sizes (mermin N=11 in
+        # blocks of 8: 228 minor faults a round, at about half the speed)
+        if self._product.size < out.size:
+            self._product = np.empty(out.size, dtype=np.complex128)
+        out += np.multiply(bras[1], s[:, 1], out=self._product[:out.size].reshape(out.shape))
+        return out.reshape(-1, width)
 
     def _collapse(self, kets: np.ndarray, rest: np.ndarray, party: int, out=None) -> np.ndarray:
         """(D, B) states ket ⊗ rest, with party's qubit in the ket, of (2, B) kets.
@@ -630,16 +639,13 @@ class _Engine:
         prefix, party = self.eve_parsed
         bases = self.basis[_PREFIX_INDEX[prefix], :, :, None]
         fresh = eve.resend == "fresh-reference"
-        # a fully attacked block collapses in place; otherwise skipped rounds keep their states
-        out = None if fresh else states if active.all() else np.empty_like(states)
         outcome, post = self._measure(
-            states, bases, party, v.eve_u[:, 1], out=out,
+            states, bases, party, v.eve_u[:, 1], out=None if fresh else np.empty_like(states),
             bras=self._mask(bases.conj(), v.angles, link, party),
         )
         if fresh:
             post = self.projected[prefix, party][:, (1 - outcome) // 2]
-        if post is not states:
-            np.copyto(states, post, where=active)
+        np.copyto(states, post, where=active)
         return states, np.where(active, outcome, 0)
 
     def _detector_record(self, outcome, bob: int, pick, v: _Variates):

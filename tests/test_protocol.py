@@ -439,6 +439,10 @@ SEAM_CONFIGS = {
     "mermin6-masked-commuting-z1": protocol.ProtocolConfig(
         "mermin", 6, seam_rounds(64), seed=99, eve=EveConfig(3, "Z1", "commuting-measure"),
     ),
+    # D=2048: the default blocks hold MIN_BLOCK_ROUNDS rounds, more than the budget's 4
+    "mermin11-masked-commuting-z1": protocol.ProtocolConfig(
+        "mermin", 11, seam_rounds(2048), seed=100, eve=EveConfig(3, "Z1", "commuting-measure"),
+    ),
 }
 
 
@@ -449,7 +453,8 @@ class TestBlockSeams:
     @pytest.mark.parametrize("name", list(SEAM_CONFIGS))
     def test_block_size_invariance(self, name, rounds_per_block, tmp_path, monkeypatch):
         config = SEAM_CONFIGS[name]
-        assert config.rounds > protocol.AMPLITUDE_BUDGET // config.dim  # crosses a default seam
+        default_block = max(protocol.MIN_BLOCK_ROUNDS, protocol.AMPLITUDE_BUDGET // config.dim)
+        assert config.rounds > default_block  # crosses a default seam
         cli.write_transcript(protocol.run_protocol(config), tmp_path / "default.jsonl")
         monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", rounds_per_block * config.dim)
         monkeypatch.setattr(protocol, "MIN_BLOCK_ROUNDS", 1)

@@ -5,11 +5,12 @@
 
 Runs the checkout's `bench/run.py --trace 0` once for every workload in
 BENCHMARK.json and every seed, each run lasting the benchmark's
-`run_seconds`, and writes BENCH_<n>.json beside this directory.  The file
-holds each workload's end-to-end metrics as median and quartiles over the
-seeds, the failed and attempted command counts, and what the numbers rest
-on: the seeds, `nproc`, the Python and numpy versions and the measured
-commit (`dirty` when tracked files differ from it).  A run that is not
+`run_seconds`, and writes BENCH_<n>.json beside this directory.  Under
+`workloads`, keyed by commit, the file holds each workload's end-to-end
+metrics as median and quartiles over the seeds, with the seeds and the
+failed and attempted command counts.  Beside them it names what the last
+numbers rest on: its seeds, `nproc`, the Python and numpy versions and the
+measured commit (`dirty` when tracked files differ from it).  A run that is not
 correct stays in the figures and is listed under `failed_runs` with its
 seed and the end of its standard error, which names the cause.  Seeds,
 workloads and run length are the benchmark's own, so two files compare
@@ -19,9 +20,9 @@ Beside the workloads it records an engine line, wider than any workload:
 `run_protocol` on mermin N=12 (D=4096, 400 rounds, masked, no Eve), timed
 once per seed in a fresh interpreter of the measured checkout, as raw
 rounds/s with median and quartiles under `engine_lines`, keyed by commit.
-An existing BENCH_<n>.json keeps the engine lines of other commits, so a
-first run with `--checkout` on the parent's tree leaves the parent's line
-beside the change's.
+An existing BENCH_<n>.json keeps the workloads and engine lines of other
+commits, so a first run with `--checkout` on the parent's tree leaves the
+parent's medians beside the change's.
 """
 
 from __future__ import annotations
@@ -85,12 +86,13 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs: list[dict]) -> dict:
+def summarize(runs: list[dict], seeds: list[int]) -> dict:
     metrics = {}
     for name, first in runs[0]["metrics"].items():
         values = [run["metrics"][name]["value"] for run in runs]
         metrics[name] = {"unit": first["unit"], **quartiles(values)}
     return {
+        "seeds": seeds,
         "runs": len(runs),
         "attempted": sum(run["attempted"] for run in runs),
         "failed": sum(run["failed"] for run in runs),
@@ -108,6 +110,18 @@ def commit_of(checkout: Path) -> tuple[str, bool]:
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True).stdout
 
     return git("rev-parse", "HEAD").strip(), bool(git("status", "--porcelain", "--untracked-files=no").strip())
+
+
+def carried(out: Path) -> tuple[dict, dict]:
+    """The workloads and engine lines, keyed by commit, that an existing BENCH_<n>.json holds."""
+    if not out.exists():
+        return {}, {}
+    old = json.loads(out.read_text())
+    workloads = old["workloads"]
+    if any("metrics" in entry for entry in workloads.values()):
+        # written before workloads were keyed by commit: they are its one commit's
+        workloads = {old["commit"] + ("-dirty" if old["dirty"] else ""): workloads}
+    return workloads, old.get("engine_lines", {})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,6 +145,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"engine seed {seed}: {rates[-1]:.1f} rounds/s", file=sys.stderr)
     # A tree that changed while it was measured is not the commit it names.
     dirty = dirty or commit_of(checkout) != (commit, False)
+    key = commit + ("-dirty" if dirty else "")
+    out = ROOT / f"BENCH_{args.number}.json"
+    measured, lines = carried(out)
+    measured[key] = {name: summarize(runs[name], args.seeds) for name in workloads}
+    lines[key] = {
+        "line": ENGINE_LINE, "seeds": args.seeds,
+        "rounds_per_s": {"unit": "rounds/s", **quartiles(rates)},
+    }
     record = {
         "commit": commit,
         "dirty": dirty,
@@ -139,15 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "workloads": {name: summarize(runs[name]) for name in workloads},
+        "workloads": measured,
+        "engine_lines": lines,
     }
-    out = ROOT / f"BENCH_{args.number}.json"
-    lines = json.loads(out.read_text()).get("engine_lines", {}) if out.exists() else {}
-    lines[commit + ("-dirty" if dirty else "")] = {
-        "line": ENGINE_LINE, "seeds": args.seeds,
-        "rounds_per_s": {"unit": "rounds/s", **quartiles(rates)},
-    }
-    record["engine_lines"] = lines
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(out)
     return 0

@@ -1,11 +1,12 @@
-"""Mermin and CHSH contextuality operators, exact values, and estimators.
+"""Mermin and CHSH inequalities as signed terms, and their estimators.
 
 The Mermin operator is expanded into its Pauli-string terms (odd number of
 Y factors, sign (−1)^((#Y−1)/2)); the CHSH pair statistic is expressed in
 the settings the protocol parties actually measure, with ±1/√2
 coefficients reconstructing ⟨X₁X₂ + Z₁Z₂⟩ from the four revealed setting
 combinations.  A violation is declared only when the estimate clears the
-classical bound by three standard errors.
+classical bound by three standard errors.  Exact values live in the
+tests' dense reference layer, ``tests/dense.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qmath
-from .mapping import PAULI, PartyIndexing, lift_matrix
+from .qmath import PAULI
 
 VIOLATION_SIGMAS = 3.0
 
@@ -124,74 +124,6 @@ def chsh_pair_spec(first_party: int, first_party_odd: bool) -> InequalitySpec:
         classical_bound=SQRT2,
         terms=terms,
     )
-
-
-def chsh_spec() -> InequalitySpec:
-    """The two-term CHSH form ⟨X₁X₂⟩ + ⟨Z₁Z₂⟩ with bound √2."""
-    return InequalitySpec(
-        kind="chsh",
-        parties=(1, 2),
-        classical_bound=SQRT2,
-        terms=((1.0, ("X1", "X2")), (1.0, ("Z1", "Z2"))),
-    )
-
-
-def term_operator(labels: tuple[str, ...], indexing: PartyIndexing) -> np.ndarray:
-    """Product of the lifted observables named by one term."""
-    out = np.eye(indexing.total_dim, dtype=np.complex128)
-    for label in labels:
-        prefix, party = split_label(label)
-        out = out @ lift_matrix(LOCAL_MATRICES[prefix], party, indexing)
-    return out
-
-
-def assemble_operator(spec: InequalitySpec, indexing: PartyIndexing) -> np.ndarray:
-    total = np.zeros((indexing.total_dim, indexing.total_dim), dtype=np.complex128)
-    for coeff, labels in spec.terms:
-        total += coeff * term_operator(labels, indexing)
-    return total
-
-
-def evaluate_exact(state, spec: InequalitySpec, indexing: PartyIndexing) -> float:
-    """|Σ sign·⟨term⟩| evaluated exactly on a pure state."""
-    total = 0.0
-    for coeff, labels in spec.terms:
-        total += coeff * qmath.expectation(state, term_operator(labels, indexing))
-    return abs(total)
-
-
-def mermin_value(state, spec: InequalitySpec | None = None) -> float:
-    num_parties = int(round(math.log2(state.dim)))
-    if spec is None:
-        spec = mermin_spec(num_parties)
-    if 2 ** len(spec.parties) != state.dim:
-        raise qmath.DimensionMismatch(
-            f"state dim {state.dim} does not match {len(spec.parties)} parties"
-        )
-    return evaluate_exact(state, spec, PartyIndexing(num_parties))
-
-
-def chsh_value(state) -> float:
-    if state.dim != 4:
-        raise qmath.DimensionMismatch("CHSH value is defined on dimension 4")
-    return evaluate_exact(state, chsh_spec(), PartyIndexing(2))
-
-
-def mermin_operator_direct(num_parties: int) -> np.ndarray:
-    """(1/2i)[∏(X_k + iY_k) − ∏(X_k − iY_k)] built by raw matrix arithmetic.
-
-    Independent of the term expansion; used to cross-check it.
-    """
-    indexing = PartyIndexing(num_parties)
-    dim = indexing.total_dim
-    plus = np.eye(dim, dtype=np.complex128)
-    minus = np.eye(dim, dtype=np.complex128)
-    for k in range(1, num_parties + 1):
-        x_k = lift_matrix(PAULI["X"], k, indexing)
-        y_k = lift_matrix(PAULI["Y"], k, indexing)
-        plus = plus @ (x_k + 1j * y_k)
-        minus = minus @ (x_k - 1j * y_k)
-    return (plus - minus) / 2j
 
 
 def estimate_from_transcript(transcript, spec: InequalitySpec) -> InequalityEstimate:

@@ -48,8 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DichotomicObservable
-
 ERASED = "e"
 
 CONVENTIONS = ("conditional", "throughput")
@@ -186,25 +184,6 @@ def _table_information(rows) -> np.ndarray:
             term[positive] = p[positive] * [math.log2(r) for r in ratio.tolist()]
             info = info + term
     return np.maximum(info, 0.0)
-
-
-def detector_effects(obs: DichotomicObservable, noise: DetectorNoise) -> list[tuple[object, np.ndarray]]:
-    """Measurement effects of a noisy detector for one dichotomic observable.
-
-    Misreading mixes the two projectors; loss scales them and adds a
-    no-click effect.  Both are mixtures/scalings of the ideal projectors,
-    so sampling them as an ideal measurement followed by a classical flip
-    (or erasure) of the record is exactly equivalent.
-    """
-    plus, minus = obs.plus_projector, obs.minus_projector
-    if isinstance(noise, MisreadDetector):
-        eta = noise.eta
-        return [(+1, (1 - eta) * plus + eta * minus), (-1, eta * plus + (1 - eta) * minus)]
-    if isinstance(noise, LossDetector):
-        eta = noise.eta
-        eye = np.eye(obs.dim)
-        return [(+1, eta * plus), (-1, eta * minus), (ERASED, (1 - eta) * eye)]
-    raise TypeError(f"unsupported detector noise {noise!r}")
 
 
 # --- analytic key rates -------------------------------------------------

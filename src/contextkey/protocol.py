@@ -41,10 +41,10 @@ resends a fresh reference; the last party's state, and every CHSH party's
 already measured, so it commutes with every later measurement: the engine
 applies only the factors on Eve's qudit, folded into her bras as v†·M,
 and no mask at all in a run without her.  The engine is the only round
-player, and touches one qubit at a time by index arithmetic.  The dense
-qmath/mapping path is its test oracle: a reference player in the test
-suite replays the engine's variates with full D×D operators, masking
-eagerly, and must reproduce every recorded outcome.
+player, and touches one qubit at a time by index arithmetic.  Its test
+oracle is the dense reference layer in ``tests/dense.py``: a reference
+player in the test suite replays the engine's variates with full D×D
+operators, masking eagerly, and must reproduce every recorded outcome.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import numpy as np
 from . import inequality, qmath
 from .adversary import EveConfig
 from .inequality import LOCAL_MATRICES, InequalityEstimate, split_label
-from .mapping import MAX_QUBIT_EQUIVALENT, PartyIndexing, lift_matrix
 from .noise import (
     FlipPrep,
     LossDetector,
@@ -67,7 +66,8 @@ from .noise import (
     NoiseConfig,
     WhitePrep,
 )
-from .qmath import InvariantViolation, PROB_FLOOR, UnitaryOperator
+# lift_matrix is not called here; it stays bound because bench/spans.py wraps protocol.lift_matrix.
+from .qmath import MAX_QUBIT_EQUIVALENT, PROB_FLOOR, InvariantViolation, PartyIndexing, lift_matrix  # noqa: F401
 
 KINDS = ("mermin", "chsh")
 
@@ -123,38 +123,6 @@ class ProtocolConfig:
     @property
     def dim(self) -> int:
         return 2**self.num_parties if self.kind == "mermin" else 4
-
-
-@dataclass(frozen=True)
-class MaskingSpec:
-    """Generators available for one masking transformation."""
-
-    num_parties: int
-    generator_labels: tuple[str, ...]
-
-
-def masking_unitary(
-    k: int, spec: MaskingSpec, rng: np.random.Generator, indexing: PartyIndexing | None = None
-) -> UnitaryOperator:
-    """Lifted product of exp(iθⱼGⱼ), θⱼ ~ U[0, 2π), one factor per spec label.
-
-    The first label's rotation acts first, as in the engine's masking, so
-    the X, Y, Z labels of one party give exactly the rotation the engine
-    applies for them.  Every generator must be a Pauli on parties 1..k, so
-    the result commutes with all observables of parties k+1..N.
-    """
-    if indexing is None:
-        indexing = PartyIndexing(spec.num_parties)
-    matrix = np.eye(indexing.total_dim, dtype=np.complex128)
-    for label in spec.generator_labels:
-        prefix, party = split_label(label)
-        if party > k:
-            raise InvariantViolation(
-                f"masking generator {label} leaks onto party {party} > {k}"
-            )
-        theta = rng.uniform(0.0, TWO_PI)
-        matrix = lift_matrix(_su2_product((prefix,), (theta,)), party, indexing) @ matrix
-    return UnitaryOperator(matrix)
 
 
 # Key-bit symbol of an erased record; key bits are 0 and 1.
@@ -274,26 +242,6 @@ def key_bit(kind: str, party, outcome):
     if kind == "chsh":
         raw = (raw + (party - 1)) % 2
     return np.where(outcome == 0, ERASED_BIT, raw)
-
-
-def _su2_product(axes: tuple[str, ...], angles) -> np.ndarray:
-    """Composition of exp(iθ·σ_axis) factors, earliest listed applied first.
-
-    The last dimension of ``angles`` holds one angle per axis; leading
-    dimensions are a batch, so the result has shape ``batch + (2, 2)``.
-    Composing rotations about distinct fixed axes with independent uniform
-    angles makes the ensemble-average Bloch map vanish identically, which
-    a single exponential of a summed generator does not achieve (the
-    component along the mean rotation axis survives).
-    """
-    angles = np.asarray(angles, dtype=np.float64)
-    cos, sin = np.cos(angles), np.sin(angles)
-    a = np.ones(angles.shape[:-1], dtype=np.complex128)
-    b, c, d = np.zeros_like(a), np.zeros_like(a), a.copy()
-    for j, axis in enumerate(axes):
-        ra, rb, rc, rd = _rotation(axis, cos[..., j], sin[..., j])
-        a, b, c, d = ra * a + rb * c, ra * b + rb * d, rc * a + rd * c, rc * b + rd * d
-    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
 
 def _rotation(axis: str, cos, sin):

@@ -4,27 +4,28 @@ import time
 import numpy as np
 import pytest
 
-from contextkey import noise, protocol, qmath
+import dense
+from contextkey import noise, protocol
 
 # Wall-clock build time of the shared simulation fixtures, keyed by name;
 # the acceptance suite asserts its runtime budget against these.
 RUN_TIMES: dict[str, float] = {}
 
 
-def ghz_state(num_parties: int) -> qmath.StateVector:
+def ghz_state(num_parties: int) -> dense.StateVector:
     """(|0…0⟩ + i|1…1⟩)/√2 in the single-qudit indexing."""
     amps = np.zeros(2**num_parties, dtype=np.complex128)
     amps[0] = 1 / math.sqrt(2)
     amps[-1] = 1j / math.sqrt(2)
-    return qmath.StateVector(amps)
+    return dense.StateVector(amps)
 
 
-def singlet_state() -> qmath.StateVector:
+def singlet_state() -> dense.StateVector:
     """(|1⟩ − |2⟩)/√2, the mapped two-qubit singlet."""
     amps = np.zeros(4, dtype=np.complex128)
     amps[1] = 1 / math.sqrt(2)
     amps[2] = -1 / math.sqrt(2)
-    return qmath.StateVector(amps)
+    return dense.StateVector(amps)
 
 
 def pair_mutual_information(pairs) -> float:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import conftest
-from contextkey import adversary, cli, inequality, mapping, noise, protocol, qmath
+import dense
+from contextkey import adversary, cli, inequality, noise, protocol, qmath
 from contextkey.adversary import EveConfig
 from conftest import ghz_state, singlet_state
 
@@ -33,13 +34,13 @@ class TestCriterion1ExactMermin:
         start = time.perf_counter()
         for num_parties in (2, 3, 4, 5):
             state = ghz_state(num_parties)
-            value = inequality.mermin_value(state)
+            value = dense.mermin_value(state)
             expected = 2.0 ** (num_parties - 1)
             assert abs(value - expected) < 1e-10
             spec = inequality.mermin_spec(num_parties)
             oracle = abs(sum(
-                coeff * mapping.oracle_expectation(
-                    state, [mapping.PAULI[inequality.split_label(lab)[0]] for lab in labels]
+                coeff * dense.oracle_expectation(
+                    state, [qmath.PAULI[inequality.split_label(lab)[0]] for lab in labels]
                 )
                 for coeff, labels in spec.terms
             ))
@@ -51,7 +52,7 @@ class TestCriterion1ExactMermin:
     @pytest.mark.parametrize("num_parties", [3, 4, 5])
     def test_strict_violation(self, num_parties):
         spec = inequality.mermin_spec(num_parties)
-        value = inequality.mermin_value(ghz_state(num_parties), spec)
+        value = dense.mermin_value(ghz_state(num_parties), spec)
         report(f"1 (strict violation, N={num_parties})", value > spec.classical_bound + 1e-10,
                f"{value:.1f} > {spec.classical_bound:.1f}")
 
@@ -63,14 +64,14 @@ class TestCriterion1ExactMermin:
     )
     def test_strict_violation_n2(self):
         spec = inequality.mermin_spec(2)
-        value = inequality.mermin_value(ghz_state(2), spec)
+        value = dense.mermin_value(ghz_state(2), spec)
         assert value > spec.classical_bound + 1e-10
 
 
 class TestCriterion2ExactChsh:
     def test_singlet_value(self):
         start = time.perf_counter()
-        value = inequality.chsh_value(singlet_state())
+        value = dense.chsh_value(singlet_state())
         elapsed = time.perf_counter() - start
         ok = abs(value - 2.0) < 1e-10 and value > SQRT2 and elapsed < 1.0
         report("2 (exact CHSH violation)", ok, f"value {value:.12f} > √2; {elapsed:.2f}s")
@@ -134,34 +135,34 @@ class TestCriterion5KeyAgreement:
 class TestCriterion6MaskingInvariance:
     def test_operator_identities_thousand_draws(self):
         rng = np.random.default_rng(606)
-        indexing = mapping.PartyIndexing(3)
-        spec1 = protocol.MaskingSpec(3, ("X1", "Y1", "Z1"))
-        spec2 = protocol.MaskingSpec(3, ("X1", "Y1", "Z1", "X2", "Y2", "Z2"))
-        spec3 = protocol.MaskingSpec(3, tuple(f"{a}{p}" for p in (1, 2, 3) for a in "XYZ"))
+        indexing = qmath.PartyIndexing(3)
+        spec1 = dense.MaskingSpec(3, ("X1", "Y1", "Z1"))
+        spec2 = dense.MaskingSpec(3, ("X1", "Y1", "Z1", "X2", "Y2", "Z2"))
+        spec3 = dense.MaskingSpec(3, tuple(f"{a}{p}" for p in (1, 2, 3) for a in "XYZ"))
         worst = 0.0
         for _ in range(1000):
             amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-            state = qmath.StateVector(amps / np.linalg.norm(amps))
-            u1 = protocol.masking_unitary(1, spec1, rng, indexing)
-            u12 = protocol.masking_unitary(2, spec2, rng, indexing)
-            u123 = protocol.masking_unitary(3, spec3, rng, indexing)
-            masked = qmath.apply_unitary(state, u1)
+            state = dense.StateVector(amps / np.linalg.norm(amps))
+            u1 = dense.masking_unitary(1, spec1, rng, indexing)
+            u12 = dense.masking_unitary(2, spec2, rng, indexing)
+            u123 = dense.masking_unitary(3, spec3, rng, indexing)
+            masked = dense.apply_unitary(state, u1)
             # (i) expectations of later-party observables are invariant
             axis = "XYZ"[int(rng.integers(3))]
             party = int(rng.integers(2, 4))
-            obs = mapping.pauli(axis, party, indexing)
-            op = qmath.HermitianOperator(obs.operator().matrix)
-            worst = max(worst, abs(qmath.expectation(masked, op) - qmath.expectation(state, op)))
+            obs = dense.pauli(axis, party, indexing)
+            op = dense.HermitianOperator(obs.operator().matrix)
+            worst = max(worst, abs(dense.expectation(masked, op) - dense.expectation(state, op)))
             # (ii) eigenstates of later-party observables stay eigenstates
-            outcome, eigenstate = qmath.measure_projective(state, obs, rng)
-            rotated = qmath.apply_unitary(eigenstate, u1)
+            outcome, eigenstate = dense.measure_projective(state, obs, rng)
+            rotated = dense.apply_unitary(eigenstate, u1)
             worst = max(
                 worst,
                 float(np.max(np.abs(op.matrix @ rotated.amplitudes - outcome * rotated.amplitudes))),
             )
             # (iii) sequential correlations are invariant
             projectors = [
-                mapping.pauli("XYZ"[int(rng.integers(3))], party, indexing).projector(
+                dense.pauli("XYZ"[int(rng.integers(3))], party, indexing).projector(
                     1 if rng.random() < 0.5 else -1
                 )
                 for party in (1, 2, 3)
@@ -311,18 +312,18 @@ class TestCriterion11OracleEquivalence:
         worst = 0.0
         for _ in range(500):
             num_parties = int(rng.integers(1, 4))
-            indexing = mapping.PartyIndexing(num_parties)
+            indexing = qmath.PartyIndexing(num_parties)
             amps = rng.normal(size=indexing.total_dim) + 1j * rng.normal(size=indexing.total_dim)
-            state = qmath.StateVector(amps / np.linalg.norm(amps))
+            state = dense.StateVector(amps / np.linalg.norm(amps))
             locals_ = []
             lifted = np.eye(indexing.total_dim, dtype=complex)
             for party in range(1, num_parties + 1):
                 raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                 local = (raw + raw.conj().T) / 2
                 locals_.append(local)
-                lifted = lifted @ mapping.lift_matrix(local, party, indexing)
-            via_lift = qmath.expectation(state, qmath.HermitianOperator((lifted + lifted.conj().T) / 2))
-            worst = max(worst, abs(via_lift - mapping.oracle_expectation(state, locals_)))
+                lifted = lifted @ qmath.lift_matrix(local, party, indexing)
+            via_lift = dense.expectation(state, dense.HermitianOperator((lifted + lifted.conj().T) / 2))
+            worst = max(worst, abs(via_lift - dense.oracle_expectation(state, locals_)))
         report("11 (lifted vs tensor oracle, 500 draws)", worst < 1e-10, f"worst {worst:.2e}")
 
 

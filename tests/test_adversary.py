@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from contextkey import adversary, inequality, mapping, protocol, qmath
+import dense
+from contextkey import adversary, inequality, protocol, qmath
 from contextkey.adversary import EveConfig
 from conftest import pair_mutual_information
 
@@ -57,7 +58,7 @@ class TestEveConfigValidation:
 
         def lifted(label):
             prefix, party = inequality.split_label(label)
-            return mapping.lift_matrix(inequality.LOCAL_MATRICES[prefix], party, indexing)
+            return qmath.lift_matrix(inequality.LOCAL_MATRICES[prefix], party, indexing)
 
         for link in range(1, 4):
             for label in sorted(labels):
@@ -86,7 +87,7 @@ def _eve_engine(eve: EveConfig, rounds: int = 12) -> protocol._Engine:
 
 def _basis(index: int, rounds: int = 1) -> np.ndarray:
     """A (D, rounds) block, as the engine holds one, of ``rounds`` copies of one basis state."""
-    return np.repeat(qmath.StateVector.basis(8, index).amplitudes[:, None], rounds, axis=1)
+    return np.repeat(dense.StateVector.basis(8, index).amplitudes[:, None], rounds, axis=1)
 
 
 class TestEveIntercept:
@@ -95,7 +96,7 @@ class TestEveIntercept:
     def test_x1_interception_fixture(self):
         # |0⟩ of three qubit-parties: X1 gives ±1 evenly, the post state is
         # (|0⟩ ± |4⟩)/√2, and the third party's Z outcome stays +1.
-        indexing = mapping.PartyIndexing(3)
+        indexing = qmath.PartyIndexing(3)
         engine = _eve_engine(EveConfig(position=2, observable="X1", strategy="commuting-measure"))
         posts, outcomes = engine._eve_hook(_basis(0, 12), 2, engine._draw(12))
         seen = set()
@@ -104,7 +105,7 @@ class TestEveIntercept:
             expected = np.zeros(8, dtype=complex)
             expected[0], expected[4] = 1 / math.sqrt(2), outcome / math.sqrt(2)
             assert np.max(np.abs(post - expected)) < 1e-10
-            z3_plus, _ = qmath.branch_probabilities(qmath.StateVector(post), mapping.pauli("Z", 3, indexing))
+            z3_plus, _ = dense.branch_probabilities(dense.StateVector(post), dense.pauli("Z", 3, indexing))
             assert z3_plus == pytest.approx(1.0, abs=1e-12)
         assert seen == {1, -1}
 
@@ -115,10 +116,10 @@ class TestEveIntercept:
         assert np.allclose(post, _basis(0))
 
     def test_x3_interception_randomizes_downstream_key(self):
-        indexing = mapping.PartyIndexing(3)
+        indexing = qmath.PartyIndexing(3)
         engine = _eve_engine(EveConfig(position=2, observable="X3", strategy="noncommuting-measure"))
         post, _ = engine._eve_hook(_basis(0), 2, engine._draw(1))
-        z3_plus, z3_minus = qmath.branch_probabilities(qmath.StateVector(post[:, 0]), mapping.pauli("Z", 3, indexing))
+        z3_plus, z3_minus = dense.branch_probabilities(dense.StateVector(post[:, 0]), dense.pauli("Z", 3, indexing))
         assert z3_plus == pytest.approx(0.5, abs=1e-12)
         assert z3_minus == pytest.approx(0.5, abs=1e-12)
 
@@ -240,7 +241,7 @@ class TestMaskingEfficacy:
         bits = rng.random(40_000) < 0.5
         born = rng.random(40_000)
         # one row of three angles per draw, the doubles in the order of one draw at a time
-        su2 = protocol._su2_product(("X", "Y", "Z"), rng.uniform(0, 2 * math.pi, size=(40_000, 3)))
+        su2 = dense._su2_product(("X", "Y", "Z"), rng.uniform(0, 2 * math.pi, size=(40_000, 3)))
         states = np.zeros((40_000, dim), dtype=complex)
         states[np.arange(40_000), np.array(basis_states)[bits.astype(int)]] = 1.0
         s3 = states.reshape(-1, pre, 2, post)

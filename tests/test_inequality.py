@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from contextkey import inequality, mapping, noise, protocol, qmath
+import dense
+from contextkey import inequality, noise, protocol, qmath
 from contextkey.adversary import EveConfig
 from conftest import ghz_state, singlet_state
 
@@ -29,6 +30,8 @@ class TestMerminSpec:
         spec = inequality.mermin_spec(4)
         assert len(spec.terms) == 8
         assert spec.classical_bound == 4.0
+        bounds = [inequality.mermin_spec(n).classical_bound for n in (2, 3, 4, 5)]
+        assert bounds == [2.0, 2.0, 4.0, 4.0]
 
     def test_rejects_single_party(self):
         with pytest.raises(ValueError):
@@ -36,16 +39,16 @@ class TestMerminSpec:
 
     @pytest.mark.parametrize("num_parties", [2, 3, 4])
     def test_expansion_matches_direct_operator(self, num_parties):
-        indexing = mapping.PartyIndexing(num_parties)
-        assembled = inequality.assemble_operator(inequality.mermin_spec(num_parties), indexing)
-        direct = inequality.mermin_operator_direct(num_parties)
+        indexing = qmath.PartyIndexing(num_parties)
+        assembled = dense.assemble_operator(inequality.mermin_spec(num_parties), indexing)
+        direct = dense.mermin_operator_direct(num_parties)
         assert np.max(np.abs(assembled - direct)) < 1e-10
 
 
 class TestMerminValue:
     @pytest.mark.parametrize("num_parties", [2, 3, 4, 5])
     def test_reference_state_value(self, num_parties):
-        value = inequality.mermin_value(ghz_state(num_parties))
+        value = dense.mermin_value(ghz_state(num_parties))
         assert value == pytest.approx(2.0 ** (num_parties - 1), abs=1e-10)
 
     @pytest.mark.parametrize("num_parties", [2, 3])
@@ -53,51 +56,51 @@ class TestMerminValue:
         spec = inequality.mermin_spec(num_parties)
         total = 0.0
         for coeff, labels in spec.terms:
-            locals_ = [mapping.PAULI[inequality.split_label(lab)[0]] for lab in labels]
-            total += coeff * mapping.oracle_expectation(ghz_state(num_parties), locals_)
+            locals_ = [qmath.PAULI[inequality.split_label(lab)[0]] for lab in labels]
+            total += coeff * dense.oracle_expectation(ghz_state(num_parties), locals_)
         assert abs(total) == pytest.approx(2.0 ** (num_parties - 1), abs=1e-10)
 
     def test_computational_basis_state_gives_zero(self):
-        assert inequality.mermin_value(qmath.StateVector.basis(8, 0)) == pytest.approx(0.0, abs=1e-12)
+        assert dense.mermin_value(dense.StateVector.basis(8, 0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_gives_zero(self):
         # the value on the maximally mixed state 1/8 is |trace(M)| / 8
-        operator = inequality.assemble_operator(inequality.mermin_spec(3), mapping.PartyIndexing(3))
+        operator = dense.assemble_operator(inequality.mermin_spec(3), qmath.PartyIndexing(3))
         assert abs(np.trace(operator)) / 8 == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(qmath.DimensionMismatch):
-            inequality.mermin_value(ghz_state(3), inequality.mermin_spec(4))
+            dense.mermin_value(ghz_state(3), inequality.mermin_spec(4))
 
 
 class TestChshValue:
     def test_singlet_violates(self):
-        value = inequality.chsh_value(singlet_state())
+        value = dense.chsh_value(singlet_state())
         assert value == pytest.approx(2.0, abs=1e-10)
         assert value > math.sqrt(2)
 
     def test_basis_state(self):
-        assert inequality.chsh_value(qmath.StateVector.basis(4, 0)) == pytest.approx(1.0, abs=1e-12)
+        assert dense.chsh_value(dense.StateVector.basis(4, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        operator = inequality.assemble_operator(inequality.chsh_spec(), mapping.PartyIndexing(2))
+        operator = dense.assemble_operator(dense.chsh_spec(), qmath.PartyIndexing(2))
         assert abs(np.trace(operator)) / 4 == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_dimension_four(self):
         with pytest.raises(qmath.DimensionMismatch):
-            inequality.chsh_value(ghz_state(3))
+            dense.chsh_value(ghz_state(3))
 
     def test_quantum_bound_over_random_states(self):
         # The operator X1X2 + Z1Z2 has norm 2, so no state exceeds 2.
-        indexing = mapping.PartyIndexing(2)
-        operator = inequality.assemble_operator(inequality.chsh_spec(), indexing)
+        indexing = qmath.PartyIndexing(2)
+        operator = dense.assemble_operator(dense.chsh_spec(), indexing)
         eigenvalues = np.linalg.eigvalsh(operator)
         assert np.max(np.abs(eigenvalues)) == pytest.approx(2.0, abs=1e-12)
         rng = np.random.default_rng(9)
         for _ in range(1000):
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-            state = qmath.StateVector(amps / np.linalg.norm(amps))
-            assert inequality.chsh_value(state) <= 2.0 + 1e-10
+            state = dense.StateVector(amps / np.linalg.norm(amps))
+            assert dense.chsh_value(state) <= 2.0 + 1e-10
 
 
 def synthetic_transcript(products_by_term, spec):
@@ -244,5 +247,5 @@ class TestChshPairSpec:
     def test_exact_pair_value_on_singlet(self):
         # The four-combination reconstruction equals the two-term form.
         spec = inequality.chsh_pair_spec(1, first_party_odd=True)
-        value = inequality.evaluate_exact(singlet_state(), spec, mapping.PartyIndexing(2))
+        value = dense.evaluate_exact(singlet_state(), spec, qmath.PartyIndexing(2))
         assert value == pytest.approx(2.0, abs=1e-10)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextkey import mapping, noise, protocol, qmath
+import dense
+from contextkey import noise, protocol, qmath
 
 
 def h2(p):
@@ -52,37 +53,37 @@ class TestNoisyPreparation:
 
 class TestDetectorEffects:
     def test_zero_misread_is_ideal(self):
-        obs = mapping.pauli("Z", 2, mapping.PartyIndexing(3))
-        effects = noise.detector_effects(obs, noise.MisreadDetector(0.0))
+        obs = dense.pauli("Z", 2, qmath.PartyIndexing(3))
+        effects = dense.detector_effects(obs, noise.MisreadDetector(0.0))
         assert np.allclose(effects[0][1], obs.plus_projector)
         assert np.allclose(effects[1][1], obs.minus_projector)
 
     def test_misread_flips_an_eigenstate(self):
-        obs = mapping.pauli("Z", 1, mapping.PartyIndexing(3))
-        effects = noise.detector_effects(obs, noise.MisreadDetector(0.1))
-        plus_state = qmath.StateVector.basis(8, 0)
-        p_read_minus = qmath.expectation(plus_state, qmath.HermitianOperator(effects[1][1]))
+        obs = dense.pauli("Z", 1, qmath.PartyIndexing(3))
+        effects = dense.detector_effects(obs, noise.MisreadDetector(0.1))
+        plus_state = dense.StateVector.basis(8, 0)
+        p_read_minus = dense.expectation(plus_state, dense.HermitianOperator(effects[1][1]))
         assert p_read_minus == pytest.approx(0.1, abs=1e-12)
 
     def test_loss_erases_with_the_complement(self):
-        obs = mapping.pauli("Z", 1, mapping.PartyIndexing(3))
-        effects = noise.detector_effects(obs, noise.LossDetector(0.7))
+        obs = dense.pauli("Z", 1, qmath.PartyIndexing(3))
+        effects = dense.detector_effects(obs, noise.LossDetector(0.7))
         assert effects[2][0] == noise.ERASED
-        state = qmath.StateVector(np.ones(8, dtype=complex) / math.sqrt(8))
-        p_erased = qmath.expectation(state, qmath.HermitianOperator(effects[2][1]))
+        state = dense.StateVector(np.ones(8, dtype=complex) / math.sqrt(8))
+        p_erased = dense.expectation(state, dense.HermitianOperator(effects[2][1]))
         assert p_erased == pytest.approx(0.3, abs=1e-12)
 
     def test_effect_equals_flip_composition_exactly(self):
         rng = np.random.default_rng(1)
-        obs = mapping.pauli("Z", 2, mapping.PartyIndexing(3))
+        obs = dense.pauli("Z", 2, qmath.PartyIndexing(3))
         for eta in (0.05, 0.25, 0.5):
-            effects = noise.detector_effects(obs, noise.MisreadDetector(eta))
+            effects = dense.detector_effects(obs, noise.MisreadDetector(eta))
             for _ in range(20):
                 amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-                state = qmath.StateVector(amps / np.linalg.norm(amps))
-                p_plus, p_minus = qmath.branch_probabilities(state, obs)
+                state = dense.StateVector(amps / np.linalg.norm(amps))
+                p_plus, p_minus = dense.branch_probabilities(state, obs)
                 flip_plus = (1 - eta) * p_plus + eta * p_minus
-                assert abs(flip_plus - qmath.expectation(state, qmath.HermitianOperator(effects[0][1]))) < 1e-12
+                assert abs(flip_plus - dense.expectation(state, dense.HermitianOperator(effects[0][1]))) < 1e-12
 
 
 class TestBinaryMutualInformation:

@@ -6,8 +6,8 @@ The reference player below replays the same rounds from the variates the
 engine draws for one block covering the whole run, so the layout of the
 random streams has a single owner, but it does every quantum step on full
 D-dimensional vectors, one round at a time: it measures with lifted
-eigenprojectors (``mapping.dichotomic_from_local``), masks every sender's
-state eagerly with ``protocol.masking_unitary`` fed the engine's angle row,
+eigenprojectors (``dense.dichotomic_from_local``), masks every sender's
+state eagerly with ``dense.masking_unitary`` fed the engine's angle row,
 and applies Eve, preparation noise, detector noise and ``fresh-reference``
 resends from their definitions.  Every field of every round must agree
 exactly: labels, outcomes and erasures, Eve's outcome, and whether the
@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from contextkey import mapping, noise, protocol
+import dense
+from contextkey import noise, protocol, qmath
 from contextkey.adversary import EveConfig
 from contextkey.inequality import LOCAL_MATRICES, split_label
 from conftest import seam_rounds
@@ -147,7 +148,7 @@ class DenseReference:
         self.n = config.num_parties
         self.variates = protocol._Engine(config)._draw(config.rounds)
         qudits = self.n if self.kind == "mermin" else 2
-        self.indexing = mapping.PartyIndexing(qudits)
+        self.indexing = qmath.PartyIndexing(qudits)
         dim = self.indexing.total_dim
         self.reference = np.zeros(dim, dtype=np.complex128)
         if self.kind == "mermin":  # (|0…0⟩ + i|1…1⟩)/√2
@@ -163,7 +164,7 @@ class DenseReference:
     def observable(self, label: str):
         if label not in self._observables:
             prefix, party = split_label(label)
-            self._observables[label] = mapping.dichotomic_from_local(
+            self._observables[label] = dense.dichotomic_from_local(
                 LOCAL_MATRICES[prefix], party, self.indexing, label
             )
         return self._observables[label]
@@ -212,9 +213,9 @@ class DenseReference:
         else:
             side = 1 if sender % 2 == 1 else 2
             labels = tuple(f"{a}{side}" for a in "XYZ")
-        spec = protocol.MaskingSpec(self.indexing.num_parties, labels)
+        spec = dense.MaskingSpec(self.indexing.num_parties, labels)
         k = sender if self.kind == "mermin" else self.indexing.num_parties
-        return protocol.masking_unitary(k, spec, angle_row, self.indexing).matrix @ state
+        return dense.masking_unitary(k, spec, angle_row, self.indexing).matrix @ state
 
     def intercept(self, state, link: int, round_id: int):
         eve = self.config.eve

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextkey import cli, inequality, mapping, noise, protocol, qmath
+import dense
+from contextkey import cli, inequality, noise, protocol, qmath
 from contextkey.adversary import EveConfig
 from conftest import pair_mutual_information, seam_rounds
 
@@ -48,8 +49,8 @@ class TestConfigValidation:
 
     def test_rejects_parties_beyond_size_guard(self):
         with pytest.raises(ValueError):
-            protocol.ProtocolConfig("mermin", mapping.MAX_QUBIT_EQUIVALENT + 1, 10)
-        protocol.ProtocolConfig("chsh", mapping.MAX_QUBIT_EQUIVALENT + 1, 10)  # D = 4 always
+            protocol.ProtocolConfig("mermin", qmath.MAX_QUBIT_EQUIVALENT + 1, 10)
+        protocol.ProtocolConfig("chsh", qmath.MAX_QUBIT_EQUIVALENT + 1, 10)  # D = 4 always
 
     def test_dimension(self):
         assert protocol.ProtocolConfig("mermin", 4, 1).dim == 16
@@ -161,22 +162,23 @@ class _RowRng:
 
 class TestMaskingUnitary:
     def test_zero_angles_give_identity(self):
-        spec = protocol.MaskingSpec(3, ("X1", "Y1", "Z1"))
-        u = protocol.masking_unitary(1, spec, _ZeroRng())
+        spec = dense.MaskingSpec(3, ("X1", "Y1", "Z1"))
+        u = dense.masking_unitary(1, spec, _ZeroRng())
         assert np.allclose(u.matrix, np.eye(8))
 
     def test_generator_leak_is_rejected(self):
-        spec = protocol.MaskingSpec(3, ("X1", "X2"))
+        spec = dense.MaskingSpec(3, ("X1", "X2"))
         with pytest.raises(qmath.InvariantViolation):
-            protocol.masking_unitary(1, spec, np.random.default_rng(0))
+            dense.masking_unitary(1, spec, np.random.default_rng(0))
 
     def test_commutes_with_later_party_observables(self):
         rng = np.random.default_rng(1)
-        indexing = mapping.PartyIndexing(3)
-        spec = protocol.MaskingSpec(3, ("X1", "Y1", "Z1", "X2", "Y2", "Z2"))
+        indexing = qmath.PartyIndexing(3)
+        spec = dense.MaskingSpec(3, ("X1", "Y1", "Z1", "X2", "Y2", "Z2"))
         for _ in range(20):
-            u = protocol.masking_unitary(2, spec, rng, indexing)
-            assert qmath.commutator_norm(u.matrix, mapping.lift_matrix(mapping.PAULI["Z"], 3, indexing)) < 1e-10
+            u = dense.masking_unitary(2, spec, rng, indexing)
+            for axis in "XYZ":
+                assert qmath.commutator_norm(u.matrix, qmath.lift_matrix(qmath.PAULI[axis], 3, indexing)) < 1e-10
 
     @pytest.mark.parametrize("kind,parties,include_key", [
         ("mermin", 3, True), ("mermin", 3, False), ("mermin", 4, True), ("chsh", 4, True),
@@ -195,29 +197,29 @@ class TestMaskingUnitary:
                 hops = [hop for sender in senders for hop in engine.mask_plan[sender]]
                 labels = tuple(f"{axis}{party}" for party, _ in hops for axis in engine.mask_axes)
                 row = np.concatenate([angles[round_id, chunk] for _, chunk in hops])
-                spec = protocol.MaskingSpec(engine.indexing.num_parties, labels)
-                u = protocol.masking_unitary(link, spec, _RowRng(row), engine.indexing)
+                spec = dense.MaskingSpec(engine.indexing.num_parties, labels)
+                u = dense.masking_unitary(link, spec, _RowRng(row), engine.indexing)
                 executed = np.eye(dim, dtype=complex)
                 for party in range(1, engine.indexing.num_parties + 1):
                     # the identity's rows, masked: M itself, or the identity where nothing masked
                     identity = np.eye(2, dtype=complex)[:, :, None]
                     mask = engine._mask(identity, angles[round_id : round_id + 1], link, party)
-                    executed = mapping.lift_matrix(mask[:, :, 0], party, engine.indexing) @ executed
+                    executed = qmath.lift_matrix(mask[:, :, 0], party, engine.indexing) @ executed
                 assert np.max(np.abs(u.matrix - executed)) < 1e-12
 
     def test_single_generator_masking_hides_key_basis(self):
         # Interceptor Z statistics on masked |0⟩ / |7⟩ carry < 0.01 bit:
         # the ensemble mean of cos(2θ) over uniform angles vanishes.
         rng = np.random.default_rng(2)
-        indexing = mapping.PartyIndexing(3)
-        spec = protocol.MaskingSpec(3, ("X1",))
-        z1 = mapping.pauli("Z", 1, indexing)
+        indexing = qmath.PartyIndexing(3)
+        spec = dense.MaskingSpec(3, ("X1",))
+        z1 = dense.pauli("Z", 1, indexing)
         pairs = []
         for _ in range(10_000):
             bit = int(rng.random() < 0.5)
-            state = qmath.StateVector.basis(8, 7 if bit else 0)
-            u = protocol.masking_unitary(1, spec, rng, indexing)
-            outcome, _ = qmath.measure_projective(qmath.apply_unitary(state, u), z1, rng)
+            state = dense.StateVector.basis(8, 7 if bit else 0)
+            u = dense.masking_unitary(1, spec, rng, indexing)
+            outcome, _ = dense.measure_projective(dense.apply_unitary(state, u), z1, rng)
             pairs.append((bit, (1 - outcome) // 2))
         assert pair_mutual_information(pairs) < 0.01
 
@@ -227,15 +229,15 @@ class TestSu2Product:
         rng = np.random.default_rng(3)
         for axis in "XYZ":
             theta = float(rng.uniform(0, 2 * math.pi))
-            direct = protocol._su2_product((axis,), [theta])
+            direct = dense._su2_product((axis,), [theta])
             expm = math.cos(theta) * np.eye(2) + 1j * math.sin(theta) * inequality.LOCAL_MATRICES[axis]
             assert np.max(np.abs(direct - expm)) < 1e-12
 
     def test_composition_order(self):
         thetas = [0.3, 1.1]
-        composed = protocol._su2_product(("X", "Y"), thetas)
-        first = protocol._su2_product(("X",), thetas[:1])
-        second = protocol._su2_product(("Y",), thetas[1:])
+        composed = dense._su2_product(("X", "Y"), thetas)
+        first = dense._su2_product(("X",), thetas[:1])
+        second = dense._su2_product(("Y",), thetas[1:])
         assert np.max(np.abs(composed - second @ first)) < 1e-12
 
     def test_scrambles_every_bloch_direction(self):
@@ -249,7 +251,7 @@ class TestSu2Product:
             total = 0.0
             n = 20_000
             for _ in range(n):
-                u = protocol._su2_product(("X", "Y", "Z"), rng.uniform(0, 2 * math.pi, 3))
+                u = dense._su2_product(("X", "Y", "Z"), rng.uniform(0, 2 * math.pi, 3))
                 rotated = u @ ket
                 total += (np.conj(rotated) @ inequality.LOCAL_MATRICES[name] @ rotated).real
             assert abs(total / n) < 4 / math.sqrt(n) + 0.02
@@ -496,17 +498,17 @@ class TestMeasurementKernel:
             states /= np.linalg.norm(states, axis=1, keepdims=True)
             picked = rng.integers(0, len(prefixes), size=rounds)
             mask = (
-                protocol._su2_product(("X", "Y", "Z"), rng.uniform(0, 2 * math.pi, size=(rounds, 3)))
+                dense._su2_product(("X", "Y", "Z"), rng.uniform(0, 2 * math.pi, size=(rounds, 3)))
                 if masked else None
             )
             p_dense, post_dense = [], {+1: [], -1: []}
             for r in range(rounds):
-                obs = mapping.dichotomic_from_local(
+                obs = dense.dichotomic_from_local(
                     inequality.LOCAL_MATRICES[prefixes[picked[r]]], party, engine.indexing
                 )
                 seen = states[r]
                 if mask is not None:
-                    seen = mapping.lift_matrix(mask[r], party, engine.indexing) @ seen
+                    seen = qmath.lift_matrix(mask[r], party, engine.indexing) @ seen
                 p_dense.append(np.vdot(seen, obs.plus_projector @ seen).real)
                 for outcome in (+1, -1):
                     branch = obs.projector(outcome) @ seen

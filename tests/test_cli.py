@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextkey import cli, noise, protocol, qmath
+import dense
+import test_inequality
+import test_protocol
+from contextkey import cli, inequality, noise, protocol, qmath
 from contextkey.adversary import EveConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -463,6 +466,32 @@ class TestSweep:
         assert run_cli(argv + ["--seed", str(seed), "--outdir", str(second)], tmp_path, monkeypatch) == cli.EXIT_OK
         name = "sweep-white-mermin-empirical.csv"
         assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+class TestVerify:
+    """The suite holds the checks ``contextkey verify`` ran: a mutation that
+    one of them named must fail the test that now asserts it, and only under
+    the mutation."""
+
+    def test_mutated_bound_is_named(self, monkeypatch):
+        check = test_inequality.TestMerminSpec().test_four_party_size_and_bound
+        check()
+        monkeypatch.setattr(inequality, "mermin_classical_bound", lambda n: 1.5)
+        with pytest.raises(AssertionError):
+            check()
+
+    def test_leaking_masking_generator_is_named(self, monkeypatch):
+        check = test_protocol.TestMaskingUnitary().test_commutes_with_later_party_observables
+        check()
+        true_masking = dense.masking_unitary
+
+        def leaking(k, spec, rng, indexing=None):
+            widened = dense.MaskingSpec(spec.num_parties, spec.generator_labels + ("X3",))
+            return true_masking(k + 10, widened, rng, indexing)
+
+        monkeypatch.setattr(dense, "masking_unitary", leaking)
+        with pytest.raises(AssertionError):
+            check()
 
 
 class TestDeterminism:

@@ -18,8 +18,9 @@ import numpy as np
 
 from .inequality import InequalityEstimate
 from .noise import binary_mutual_information
+from .protocol import ERASED_BIT, all_checks_violated
 
-STRATEGIES = ("none", "commuting-measure", "noncommuting-measure", "measure-resend")
+STRATEGIES = ("commuting-measure", "noncommuting-measure", "measure-resend")
 RESEND_MODES = ("post-state", "fresh-reference")
 
 
@@ -47,8 +48,8 @@ class EveConfig:
             raise ValueError("activity_rate must lie in [0, 1]")
         if self.position < 1:
             raise ValueError("position is a 1-based link index")
-        if self.strategy != "none" and self.observable is None:
-            raise ValueError("an active eve needs an observable label")
+        if self.observable is None:
+            raise ValueError("eve needs an observable label")
 
 
 @dataclass(frozen=True)
@@ -67,29 +68,23 @@ class LeakageReport:
     sufficient_data: bool
 
 
-def leakage_analysis(transcript, sifting=None, estimates=None) -> LeakageReport:
+def leakage_analysis(transcript) -> LeakageReport:
     """Mutual information between Eve's record and the key, plus detection.
 
     The key symbol is party 1's key bit; in the protocols' noiseless runs
-    every party holds the same bit.  A caller that already holds the
-    transcript's sifting and check estimates passes them in; otherwise
-    they are computed here.
+    every party holds the same bit.  The sifting and check estimates are
+    the transcript's own.
     """
-    from . import protocol as proto
-
-    if sifting is None:
-        sifting = proto.sift(transcript)
-    if estimates is None:
-        estimates = proto.check_estimates(transcript)
+    sifting, estimates = transcript.sifting, transcript.estimates
     eve = transcript.eve_outcomes[sifting.key_rounds]
     bits = sifting.key_bits[0]
-    seen = (eve != 0) & (bits != proto.ERASED_BIT)
+    seen = (eve != 0) & (bits != ERASED_BIT)
     joint = np.bincount(2 * ((1 - eve[seen]) // 2) + bits[seen], minlength=4).reshape(2, 2)
     if transcript.config.kind == "mermin":
         expected = {"mermin": 2.0 ** (transcript.config.num_parties - 1)}
     else:
         expected = {name: 2.0 for name in estimates}
-    verdict = proto.all_checks_violated(estimates)
+    verdict = all_checks_violated(estimates)
     detected = None if verdict is None else not verdict
     attacked = int(seen.sum())
     mi = binary_mutual_information(joint / attacked) if attacked else None

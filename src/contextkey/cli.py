@@ -339,14 +339,6 @@ def _manifest(args, outdir: Path, seed: int, outputs: list[Path], rounds: int, s
     }
 
 
-def _execute_protocol(config: protocol.ProtocolConfig):
-    transcript = protocol.run_protocol(config)
-    sifting = protocol.sift(transcript)
-    key = protocol.extract_key(sifting)
-    estimates = protocol.check_estimates(transcript)
-    return transcript, sifting, key, estimates
-
-
 def _key_rate_section(transcript) -> dict | None:
     if transcript.config.noise is None:
         return None
@@ -361,8 +353,9 @@ def _key_rate_section(transcript) -> dict | None:
     }
 
 
-def _run_report(transcript, sifting, key, estimates) -> dict:
-    config = transcript.config
+def _run_report(transcript) -> dict:
+    config, sifting, estimates = transcript.config, transcript.sifting, transcript.estimates
+    key = protocol.extract_key(sifting)
     expected_fraction = len(protocol.KEY_PREFIXES[config.kind]) / 3.0**config.num_parties
     return {
         "kind": config.kind,
@@ -390,7 +383,7 @@ def _run_report(transcript, sifting, key, estimates) -> dict:
 _KEY_CHARS = np.frombuffer(b"01e", dtype=np.uint8)
 
 
-def _write_artifacts(args, outdir: Path, prefix: str, transcript, key, report: dict, started: float):
+def _write_artifacts(args, outdir: Path, prefix: str, transcript, report: dict, started: float):
     """Write the transcript, report, key files and manifest; print the summary."""
     config = transcript.config
     transcript_path = outdir / f"{prefix}-transcript.jsonl"
@@ -398,7 +391,7 @@ def _write_artifacts(args, outdir: Path, prefix: str, transcript, key, report: d
     report_path = outdir / f"{prefix}-report.json"
     _write_json(report, report_path)
     outputs = [transcript_path, report_path]
-    for party, bits in enumerate(key.bits, start=1):
+    for party, bits in enumerate(transcript.sifting.key_bits, start=1):
         path = outdir / f"{prefix}-key-party{party}.txt"
         path.write_text(_KEY_CHARS[bits].tobytes().decode("ascii") + "\n")
         outputs.append(path)
@@ -444,9 +437,9 @@ def cmd_run(args) -> int:
     args.seed = _resolve_seed(args.seed)
     config = _build_config(args)
     outdir, prefix = _resolve_output(args)
-    transcript, sifting, key, estimates = _execute_protocol(config)
-    report = _run_report(transcript, sifting, key, estimates)
-    _write_artifacts(args, outdir, prefix, transcript, key, report, started)
+    transcript = protocol.run_protocol(config)
+    report = _run_report(transcript)
+    _write_artifacts(args, outdir, prefix, transcript, report, started)
     return _exit_code(report)
 
 
@@ -477,9 +470,9 @@ def cmd_attack(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     outdir, prefix = _resolve_output(args)
-    transcript, sifting, key, estimates = _execute_protocol(config)
-    leakage = adversary.leakage_analysis(transcript, sifting=sifting, estimates=estimates)
-    report = _run_report(transcript, sifting, key, estimates)
+    transcript = protocol.run_protocol(config)
+    report = _run_report(transcript)
+    leakage = adversary.leakage_analysis(transcript)
     report["eve"] = {
         "link": eve.position,
         "observable": eve.observable,
@@ -492,13 +485,13 @@ def cmd_attack(args) -> int:
     }
     if config.kind == "chsh":
         try:
-            pairs = {k: estimates[f"pair_{k}"] for k in range(1, config.num_parties)}
+            pairs = {k: transcript.estimates[f"pair_{k}"] for k in range(1, config.num_parties)}
             links = adversary.localize_eve(pairs)
             report["eve"]["localized_links"] = sorted(links)
         except adversary.InsufficientCheckData as exc:
             report["eve"]["localized_links"] = None
             report["eve"]["localization_error"] = str(exc)
-    _write_artifacts(args, outdir, prefix, transcript, key, report, started)
+    _write_artifacts(args, outdir, prefix, transcript, report, started)
     mi = leakage.eve_key_mutual_information
     print(f"eve: strategy={eve.strategy} MI={'n/a' if mi is None else f'{mi:.4f}'} bits "
           f"over {leakage.attacked_key_rounds} attacked key rounds; "
@@ -625,6 +618,8 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--eta {args.eta:g} outside [0, 1]")
     if args.empirical_rounds is not None and args.empirical_rounds < 0:
         raise UsageError("--empirical-rounds must not be negative")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     if args.empirical_grid < 1:
         raise UsageError("--empirical-grid must be at least 1")
     _validate_sweep(args.model, args.kind)

@@ -404,9 +404,7 @@ def empirical_key_rate(transcript, min_key_rounds: int = 1000) -> KeyRateReport:
 
     Erased records enter the tables as a third symbol.
     """
-    from .protocol import sift
-
-    sifting = sift(transcript)
+    sifting = transcript.sifting
     num_rounds = len(sifting.key_rounds)
     needed = max(min_key_rounds, 1)
     if num_rounds < needed:

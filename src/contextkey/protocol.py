@@ -52,12 +52,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import inequality, qmath
-from .adversary import EveConfig
 from .inequality import LOCAL_MATRICES, InequalityEstimate, split_label
 from .noise import (
     FlipPrep,
@@ -68,6 +67,9 @@ from .noise import (
 )
 # lift_matrix is not called here; it stays bound because bench/spans.py wraps protocol.lift_matrix.
 from .qmath import MAX_QUBIT_EQUIVALENT, PROB_FLOOR, InvariantViolation, PartyIndexing, lift_matrix  # noqa: F401
+
+if TYPE_CHECKING:  # an annotation only: adversary imports this module
+    from .adversary import EveConfig
 
 KINDS = ("mermin", "chsh")
 
@@ -160,6 +162,16 @@ class Transcript:
     def kinds(self) -> RoundKinds:
         """Every round's kinds, decided by ``round_kinds``."""
         return round_kinds(self.config.kind, self.picks)
+
+    @cached_property
+    def sifting(self) -> SiftingResult:
+        """The run's key, check and discarded rounds, decided by ``sift``."""
+        return sift(self)
+
+    @cached_property
+    def estimates(self) -> dict[str, InequalityEstimate]:
+        """The run's violation statistics, from ``check_estimates``."""
+        return check_estimates(self)
 
 
 @dataclass(frozen=True)
@@ -299,7 +311,7 @@ def check_eve(config: ProtocolConfig) -> None:
     matrices decide.
     """
     eve = config.eve
-    if eve is None or eve.strategy == "none":
+    if eve is None:
         return
     prefix, party = split_label(eve.observable)
     _qudit_indexing(config)._check_party(party)
@@ -390,7 +402,7 @@ class _Engine:
         self.mask_plan = self._masking_plan()
         self.prep_noise = config.noise.prep if config.noise else None
         self.det_noise = config.noise.detector if config.noise else None
-        self.eve = config.eve if (config.eve and config.eve.strategy != "none") else None
+        self.eve = config.eve
         self.eve_parsed = split_label(self.eve.observable) if self.eve is not None else None
         self.projected, reference_p_plus = self._reference_projections()
         self.qudit = [parsed[0][1] for parsed in self.parsed]

@@ -87,9 +87,7 @@ def lift_matrix(local: np.ndarray, party: int, indexing: PartyIndexing) -> np.nd
     return out
 
 
-def commutator_norm(a, b) -> float:
+def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     """Max absolute entry of AB − BA."""
-    mat_a = a.matrix if hasattr(a, "matrix") else np.asarray(a)
-    mat_b = b.matrix if hasattr(b, "matrix") else np.asarray(b)
-    _check_dims(mat_a.shape[0], mat_b.shape[0])
-    return float(np.max(np.abs(mat_a @ mat_b - mat_b @ mat_a)))
+    _check_dims(a.shape[0], b.shape[0])
+    return float(np.max(np.abs(a @ b - b @ a)))

@@ -130,12 +130,6 @@ class TestEveIntercept:
         assert outcome is None
         assert post is state
 
-    def test_none_strategy_passes_through(self):
-        engine = _eve_engine(EveConfig(position=1, strategy="none"))
-        state = _basis(3, 12)
-        post, outcome = engine._eve_hook(state, 1, engine._draw(12))
-        assert outcome is None and post is state
-
 
 @pytest.fixture(scope="module")
 def unmasked_attack():

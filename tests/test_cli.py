@@ -137,13 +137,14 @@ class TestUsage:
             ["sweep", "--model", "flip", "--grid", "0"],
             ["sweep", "--model", "flip", "--grid", "100000000"],
             ["verify"],
+            ["sweep", "--model", "flip", "--grid", "3", "--seed", "-7"],
         ],
         ids=["parties-13", "negative-seed", "eta-2", "negative-empirical-rounds",
              "negative-empirical-grid", "sweep-negative-seed", "missing-config",
              "config-without-path", "bad-eve-label", "false-commuting-claim",
              "outdir-is-a-file", "outdir-under-a-file", "prefix-with-separator",
              "sweep-outdir-is-a-file", "eta-on-a-model-without-it", "grid-0",
-             "grid-too-large", "verify-is-unknown"],
+             "grid-too-large", "verify-is-unknown", "sweep-negative-seed-analytic-only"],
     )
     def test_bad_input_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").write_text("")
@@ -389,6 +390,32 @@ class TestAttack:
         report = json.loads((out / "attack-report.json").read_text())
         assert report["eve"]["localized_links"] == [2]
         assert "localization" in capsys.readouterr().out
+
+
+class TestSiftsOnce:
+    """A command sifts its transcript once, however many analyses read it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--kind", "mermin", "--parties", "3", "--rounds", "3000", "--seed", "21",
+             "--prep-noise", "flip:0.1,0.1"],
+            ["attack", "--kind", "chsh", "--parties", "3", "--rounds", "3000", "--seed", "22",
+             "--eve-link", "1", "--eve-obs", "Z1", "--detector-noise", "loss:0.7"],
+        ],
+        ids=["noisy-run", "noisy-chsh-attack"],
+    )
+    def test_noisy_command_sifts_once(self, argv, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = protocol.sift
+
+        def counted(transcript):
+            calls.append(transcript)
+            return original(transcript)
+
+        monkeypatch.setattr(protocol, "sift", counted)
+        run_cli(argv + ["--outdir", str(tmp_path / "out")], tmp_path, monkeypatch)
+        assert len(calls) == 1
 
 
 class TestSweep:

@@ -219,7 +219,7 @@ class DenseReference:
 
     def intercept(self, state, link: int, round_id: int):
         eve = self.config.eve
-        if eve is None or eve.strategy == "none" or eve.position != link:
+        if eve is None or eve.position != link:
             return state, None
         u_active, u_measure = self.variates.eve_u[round_id]
         if u_active >= eve.activity_rate:

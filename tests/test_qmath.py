@@ -152,8 +152,10 @@ class TestUnitaryFromGenerator:
 
 class TestPlumbing:
     def test_commutator_norms(self):
-        assert qmath.commutator_norm(lifted_pauli_op("X", 1, 2), lifted_pauli_op("X", 2, 2)) < 1e-12
-        assert qmath.commutator_norm(lifted_pauli_op("X", 2, 2), lifted_pauli_op("Z", 2, 2)) == pytest.approx(2.0)
+        assert qmath.commutator_norm(lifted_pauli_op("X", 1, 2).matrix, lifted_pauli_op("X", 2, 2).matrix) < 1e-12
+        assert qmath.commutator_norm(
+            lifted_pauli_op("X", 2, 2).matrix, lifted_pauli_op("Z", 2, 2).matrix
+        ) == pytest.approx(2.0)
 
     def test_tensor_matches_lift(self):
         lifted = lift_matrix(PAULI["X"], 2, PartyIndexing(2))

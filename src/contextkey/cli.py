@@ -3,7 +3,9 @@
 Exit codes: 0 success (inequality violated), 2 inequality not violated
 (eavesdropping indicated), 3 insufficient data (no check with data fails,
 but an inequality term has no samples; or an empirical sweep point has no
-key rounds), 64 usage error, 70 internal invariant failure.
+key rounds), 64 usage error, 70 internal invariant failure or an
+allocation the machine cannot satisfy (say, a whole-run array for a huge
+``--rounds``).
 
 All artifacts are deterministic functions of the seed and flags: the
 transcript (one JSON record per round), the machine report, the key files,
@@ -38,8 +40,9 @@ EXIT_INTERNAL = 70
 
 OUTDIR_ENV = "CONTEXTKEY_OUTDIR"
 
-#: Most points (grid^axes) an analytic sweep surface may have.  At this
-#: limit (model2, grid 500) a sweep peaked at 272-309 MB in three runs.
+#: Most points (grid^axes) an analytic sweep surface, or an empirical one
+#: (empirical grid^axes), may have.  At this limit (model2, grid 500) an
+#: analytic sweep peaked at 272-309 MB in three runs.
 MAX_SWEEP_POINTS = 250_000
 
 OBSERVABLE_HELP = """\
@@ -622,6 +625,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--seed must be non-negative")
     if args.empirical_grid < 1:
         raise UsageError("--empirical-grid must be at least 1")
+    if args.empirical_grid ** len(names) > MAX_SWEEP_POINTS:
+        raise UsageError(f"--empirical-grid {args.empirical_grid} gives more than {MAX_SWEEP_POINTS:,} points")
     _validate_sweep(args.model, args.kind)
     header, rows = _sweep_rows(args.model, args.kind, args.grid, args.eta)
     outdir = _resolve_outdir(args.outdir)
@@ -670,6 +675,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except InvariantViolation as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError as exc:
+        print(f"internal failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -16,7 +16,7 @@ transcript writer all read it from there.
 
 All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise), one array row per round.  The engine plays
-blocks of B = max(MIN_BLOCK_ROUNDS, AMPLITUDE_BUDGET // D) rounds as one
+blocks of B = ``block_rounds(D)`` rounds as one
 (D, B) array, amplitude-major with the rounds innermost, which every step
 overwrites in place, party by party, on one thread; it draws the Born,
 masking and Eve rows block by block, and the picks and noise rows whole.
@@ -328,20 +328,29 @@ def check_eve(config: ProtocolConfig) -> None:
             )
 
 
-#: Amplitudes one block of rounds holds: blocks of max(MIN_BLOCK_ROUNDS,
-#: budget // D) rounds.  8192 gives 128 rounds a block at D=64 and 1,024 at
-#: D=8.  Against it, in 15 alternating runs of each engine (2 cores), 16384
-#: took 0.76x the time at D=64 (a mermin-6 attack) but 1.52x at D=8 (mermin-3)
-#: and 1.22x at D=4 (a chsh-4 attack); 4096 took 1.48x, 1.26x and 1.19x.
-AMPLITUDE_BUDGET = 8192
+def block_rounds(dim: int) -> int:
+    """Rounds one engine block of a D-dimensional run holds.
 
-#: Fewest rounds a block holds.  Every kernel's innermost loop runs over the
-#: block's rounds, so with fewer its per-row start-up dominates.  In 8
-#: alternating fresh interpreters each (2 cores), mermin N=12 (D=4096)
-#: played 605-794 rounds/s in blocks of 2 and 1,342-1,963 in blocks of 8,
-#: and N=11 (D=2048) 2,034-2,744 in blocks of 4 and 2,684-3,920 in blocks
-#: of 8, for under 1 MB more peak memory.
-MIN_BLOCK_ROUNDS = 8
+    Blocks of 8,192 amplitudes, but at least 512 rounds and never more than
+    32,768 amplitudes: 2,048 rounds at D=4, 1,024 at D=8, 512 from D=16 to
+    D=64, then 32768 // D, down to 8 at D=4096 (the size guard's widest).
+    Every kernel's innermost loop runs over the block's rounds, so short
+    blocks pay per-row start-up, and long wide ones leave the cache.  In
+    7-15 fresh interpreters per width, candidates alternating (2 cores),
+    ``run_protocol`` took, against the old rule max(8, 8192 // D):
+    mermin-6 attack (D=64) 0.73-0.82x in blocks of 512 against 128 (a whole
+    ``attack`` command 0.61x, for 0.9 MB more peak RSS; 1,024 rounds 0.69x
+    for 2.7 MB more); mermin N=5 0.78-0.86x at 512 against 256; N=7 0.63x
+    at 256 against 64; N=8 0.68x at 128 against 32; N=9 0.62x at 64 against
+    16; N=10 0.61x at 32 against 8; N=11 0.81x at 16 against 8.  N=12 took
+    1.04x at 16, so it keeps 8; below 8 it played under half the rounds/s.
+    D=4 and D=8 keep their blocks: as whole commands, a chsh-4 attack in
+    blocks of 1,024 read 0.86x in one set of runs and 1.08x in another,
+    and at D=8 blocks of 2,048 read 0.90x on a mermin-3 ``run`` but 1.05x,
+    with 0.5 MB more peak RSS, on a model2 sweep.  Every block size gave
+    the same outcomes.
+    """
+    return min(32768 // dim, max(512, 8192 // dim))
 
 
 class _Variates(NamedTuple):
@@ -694,7 +703,7 @@ class _Engine:
 def run_protocol(config: ProtocolConfig) -> Transcript:
     """Execute all rounds in order, a block of rounds at a time."""
     engine = _Engine(config)
-    block = max(MIN_BLOCK_ROUNDS, AMPLITUDE_BUDGET // config.dim)
+    block = block_rounds(config.dim)
     outcomes, eve_outcomes = zip(*(
         engine.play_block(min(block, config.rounds - start))
         for start in range(0, config.rounds, block)

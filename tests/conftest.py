@@ -38,7 +38,7 @@ def pair_mutual_information(pairs) -> float:
 
 def seam_rounds(dim: int) -> int:
     """Rounds that fill one default block of a D-dimensional run and spill into the next."""
-    return protocol.AMPLITUDE_BUDGET // dim + 50
+    return protocol.block_rounds(dim) + 50
 
 
 def _timed_run(name: str, config: protocol.ProtocolConfig) -> protocol.Transcript:

@@ -138,13 +138,16 @@ class TestUsage:
             ["sweep", "--model", "flip", "--grid", "100000000"],
             ["verify"],
             ["sweep", "--model", "flip", "--grid", "3", "--seed", "-7"],
+            ["sweep", "--model", "model2", "--eta", "0.5", "--grid", "3", "--empirical-rounds", "10",
+             "--empirical-grid", "501"],
         ],
         ids=["parties-13", "negative-seed", "eta-2", "negative-empirical-rounds",
              "negative-empirical-grid", "sweep-negative-seed", "missing-config",
              "config-without-path", "bad-eve-label", "false-commuting-claim",
              "outdir-is-a-file", "outdir-under-a-file", "prefix-with-separator",
              "sweep-outdir-is-a-file", "eta-on-a-model-without-it", "grid-0",
-             "grid-too-large", "verify-is-unknown", "sweep-negative-seed-analytic-only"],
+             "grid-too-large", "verify-is-unknown", "sweep-negative-seed-analytic-only",
+             "empirical-grid-too-large"],
     )
     def test_bad_input_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").write_text("")
@@ -199,6 +202,19 @@ class TestRun:
         samples = report["estimates"]["mermin"]["samples_per_term"]
         assert report["insufficient_data"] == sorted(f"mermin:{t}" for t, n in samples.items() if n == 0)
         assert report["insufficient_data"]
+
+    def test_unallocatable_run_is_internal_failure(self, tmp_path, monkeypatch, capsys):
+        # The int64 picks of 10^15 rounds would take 24 PB: numpy refuses the
+        # allocation at once, and the run ends with one line, no traceback.
+        code = run_cli(
+            ["run", "--kind", "mermin", "--parties", "3", "--rounds", str(10**15),
+             "--seed", "1", "--outdir", str(tmp_path / "out")],
+            tmp_path, monkeypatch,
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INTERNAL
+        assert err.startswith("internal failure: out of memory")
+        assert len(err.strip().splitlines()) == 1
 
     def test_writes_all_artifacts(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "runout"

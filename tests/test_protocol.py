@@ -411,8 +411,7 @@ class TestSingleRoundOps:
     def test_run_mermin_round(self, monkeypatch):
         config = protocol.ProtocolConfig("mermin", 3, 5, seed=91)
         whole = protocol.run_protocol(config)
-        monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", config.dim)  # one round a block
-        monkeypatch.setattr(protocol, "MIN_BLOCK_ROUNDS", 1)
+        monkeypatch.setattr(protocol, "block_rounds", lambda dim: 1)
         blocked = protocol.run_protocol(config)
         assert blocked.picks.shape[1] == 3
         assert same_rounds(blocked, whole, 2)
@@ -420,8 +419,7 @@ class TestSingleRoundOps:
     def test_run_chsh_round(self, monkeypatch):
         config = protocol.ProtocolConfig("chsh", 4, 5, seed=92)
         whole = protocol.run_protocol(config)
-        monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", config.dim)
-        monkeypatch.setattr(protocol, "MIN_BLOCK_ROUNDS", 1)
+        monkeypatch.setattr(protocol, "block_rounds", lambda dim: 1)
         assert same_rounds(protocol.run_protocol(config), whole, 0)
 
 
@@ -439,11 +437,25 @@ SEAM_CONFIGS = {
     "mermin6-masked-commuting-z1": protocol.ProtocolConfig(
         "mermin", 6, seam_rounds(64), seed=99, eve=EveConfig(3, "Z1", "commuting-measure"),
     ),
-    # D=2048: the default blocks hold MIN_BLOCK_ROUNDS rounds, more than the budget's 4
+    # D=2048: the default blocks hold 16 rounds
     "mermin11-masked-commuting-z1": protocol.ProtocolConfig(
         "mermin", 11, seam_rounds(2048), seed=100, eve=EveConfig(3, "Z1", "commuting-measure"),
     ),
 }
+
+
+class TestBlockRule:
+    def test_every_config_width(self):
+        dims = {protocol.ProtocolConfig("chsh", 2, 1).dim} | {
+            protocol.ProtocolConfig("mermin", n, 1).dim
+            for n in range(3, qmath.MAX_QUBIT_EQUIVALENT + 1)
+        }
+        assert dims == {4} | {2**n for n in range(3, 13)}
+        for dim in dims:
+            block = protocol.block_rounds(dim)
+            assert 8 <= block and block * dim <= 32768, dim
+        # the narrow states keep the blocks they had under the 8,192-amplitude budget
+        assert (protocol.block_rounds(4), protocol.block_rounds(8)) == (2048, 1024)
 
 
 class TestBlockSeams:
@@ -453,11 +465,10 @@ class TestBlockSeams:
     @pytest.mark.parametrize("name", list(SEAM_CONFIGS))
     def test_block_size_invariance(self, name, rounds_per_block, tmp_path, monkeypatch):
         config = SEAM_CONFIGS[name]
-        default_block = max(protocol.MIN_BLOCK_ROUNDS, protocol.AMPLITUDE_BUDGET // config.dim)
+        default_block = protocol.block_rounds(config.dim)
         assert config.rounds > default_block  # crosses a default seam
         cli.write_transcript(protocol.run_protocol(config), tmp_path / "default.jsonl")
-        monkeypatch.setattr(protocol, "AMPLITUDE_BUDGET", rounds_per_block * config.dim)
-        monkeypatch.setattr(protocol, "MIN_BLOCK_ROUNDS", 1)
+        monkeypatch.setattr(protocol, "block_rounds", lambda dim: rounds_per_block)
         cli.write_transcript(protocol.run_protocol(config), tmp_path / "seams.jsonl")
         assert (tmp_path / "seams.jsonl").read_bytes() == (tmp_path / "default.jsonl").read_bytes()
 

@@ -16,10 +16,10 @@ transcript writer all read it from there.
 
 All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise), one array row per round.  The engine plays
-blocks of B = ``block_rounds(D)`` rounds as one
-(D, B) array, amplitude-major with the rounds innermost, which every step
-overwrites in place, party by party, on one thread; it draws the Born,
-masking and Eve rows block by block, and the picks and noise rows whole.
+blocks of B = ``block_rounds(D)`` rounds as one (D, B) array,
+amplitude-major with the rounds innermost, which every step overwrites in
+place, party by party, on one thread; it draws the Born, masking and Eve
+rows block by block, and the picks and noise rows whole.
 A round depends only on its own rows, so it is the same whatever block it
 falls in.  Toggling masking, noise, or the eavesdropper never shifts the
 other streams.
@@ -331,24 +331,18 @@ def check_eve(config: ProtocolConfig) -> None:
 def block_rounds(dim: int) -> int:
     """Rounds one engine block of a D-dimensional run holds.
 
-    Blocks of 8,192 amplitudes, but at least 512 rounds and never more than
-    32,768 amplitudes: 2,048 rounds at D=4, 1,024 at D=8, 512 from D=16 to
-    D=64, then 32768 // D, down to 8 at D=4096 (the size guard's widest).
-    Every kernel's innermost loop runs over the block's rounds, so short
-    blocks pay per-row start-up, and long wide ones leave the cache.  In
-    7-15 fresh interpreters per width, candidates alternating (2 cores),
-    ``run_protocol`` took, against the old rule max(8, 8192 // D):
-    mermin-6 attack (D=64) 0.73-0.82x in blocks of 512 against 128 (a whole
-    ``attack`` command 0.61x, for 0.9 MB more peak RSS; 1,024 rounds 0.69x
-    for 2.7 MB more); mermin N=5 0.78-0.86x at 512 against 256; N=7 0.63x
-    at 256 against 64; N=8 0.68x at 128 against 32; N=9 0.62x at 64 against
-    16; N=10 0.61x at 32 against 8; N=11 0.81x at 16 against 8.  N=12 took
-    1.04x at 16, so it keeps 8; below 8 it played under half the rounds/s.
-    D=4 and D=8 keep their blocks: as whole commands, a chsh-4 attack in
-    blocks of 1,024 read 0.86x in one set of runs and 1.08x in another,
-    and at D=8 blocks of 2,048 read 0.90x on a mermin-3 ``run`` but 1.05x,
-    with 0.5 MB more peak RSS, on a model2 sweep.  Every block size gave
-    the same outcomes.
+    Blocks of 8,192 amplitudes, but at least 512 rounds and at most 32,768
+    amplitudes: 2,048 rounds at D=4, 1,024 at D=8, 512 for D=16..64, then
+    32768 // D, down to 8 at D=4096.  The kernels' inner loops run over the
+    rounds, so short blocks pay per-row start-up.  Against the old rule
+    max(8, 8192 // D), in 7-15 alternating fresh interpreters (2 cores),
+    ``run_protocol`` took 0.73-0.82x at D=64 (a mermin-6 attack; a whole
+    command 0.61x for 0.9 MB more peak RSS, 1,024 rounds 2.7 MB more) and
+    0.61-0.86x for mermin N=5 and N=7..11.  N=12 took 1.04x in blocks of
+    16, so it keeps 8; below 8 it played under half the rounds/s.  D=4 and
+    D=8 keep their blocks: whole commands read 0.86-1.08x at D=4 in blocks
+    of 1,024 and 0.90-1.05x at D=8 in blocks of 2,048, the sign changing
+    between runs and workloads.  Every block size gave the same outcomes.
     """
     return min(32768 // dim, max(512, 8192 // dim))
 

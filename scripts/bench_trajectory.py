@@ -1,7 +1,7 @@
 """Record one point of the benchmark trajectory as BENCH_<n>.json.
 
     python3 scripts/bench_trajectory.py 2 --seeds 1 2 3 4 5
-    python3 scripts/bench_trajectory.py 1 --seeds 1 2 3 4 5 --checkout ../parent-clone
+    python3 scripts/bench_trajectory.py 2 --seeds 1 2 3 4 5 --parent ../parent-clone
 
 Runs the checkout's `bench/run.py --trace 0` once for every workload in
 BENCHMARK.json and every seed, each run lasting the benchmark's
@@ -20,9 +20,16 @@ Beside the workloads it records an engine line, wider than any workload:
 `run_protocol` on mermin N=12 (D=4096, 400 rounds, masked, no Eve), timed
 once per seed in a fresh interpreter of the measured checkout, as raw
 rounds/s with median and quartiles under `engine_lines`, keyed by commit.
+With `--parent` a second tree, the parent commit's, is measured beside the
+checkout: for each seed, every workload and then the engine line runs on
+both trees back to back, the parent first on odd-numbered seeds (the 1st,
+3rd, ...) and the checkout first on the others, so the host's drift falls
+on both sides alike.  Both commits' figures are written.
+
 An existing BENCH_<n>.json keeps the workloads and engine lines of other
-commits, so a first run with `--checkout` on the parent's tree leaves the
-parent's medians beside the change's.
+commits and every top-level key this script does not write (a hand-added
+`tier1` record, say), so a run with `--checkout` on the parent's tree and a
+later one on the change's also leave both commits' medians side by side.
 """
 
 from __future__ import annotations
@@ -112,16 +119,16 @@ def commit_of(checkout: Path) -> tuple[str, bool]:
     return git("rev-parse", "HEAD").strip(), bool(git("status", "--porcelain", "--untracked-files=no").strip())
 
 
-def carried(out: Path) -> tuple[dict, dict]:
-    """The workloads and engine lines, keyed by commit, that an existing BENCH_<n>.json holds."""
+def carried(out: Path) -> dict:
+    """What an existing BENCH_<n>.json holds, with its workloads keyed by commit."""
     if not out.exists():
-        return {}, {}
+        return {"workloads": {}}
     old = json.loads(out.read_text())
     workloads = old["workloads"]
     if any("metrics" in entry for entry in workloads.values()):
         # written before workloads were keyed by commit: they are its one commit's
-        workloads = {old["commit"] + ("-dirty" if old["dirty"] else ""): workloads}
-    return workloads, old.get("engine_lines", {})
+        old["workloads"] = {old["commit"] + ("-dirty" if old["dirty"] else ""): workloads}
+    return old
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -129,33 +136,41 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("number", type=int, help="n of the BENCH_<n>.json to write")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--checkout", type=Path, default=ROOT, help="the tree to measure (default: this one)")
+    parser.add_argument("--parent", type=Path, help="the parent commit's tree, measured in pairs with the checkout")
     args = parser.parse_args(argv)
 
     checkout = args.checkout.resolve()
+    trees = [args.parent.resolve(), checkout] if args.parent else [checkout]
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    commit, dirty = commit_of(checkout)
-    runs = {name: [] for name in workloads}
-    rates = []
-    for seed in args.seeds:
+    commits = {tree: commit_of(tree) for tree in trees}
+    runs = {tree: {name: [] for name in workloads} for tree in trees}
+    rates = {tree: [] for tree in trees}
+    for i, seed in enumerate(args.seeds):
+        order = trees if i % 2 == 0 else trees[::-1]
         for name in workloads:
-            runs[name].append(run_once(checkout, name, seed, spec["run_seconds"]))
-            print(f"{name} seed {seed}: {json.dumps(runs[name][-1])}", file=sys.stderr)
-        rates.append(engine_rate(checkout, seed))
-        print(f"engine seed {seed}: {rates[-1]:.1f} rounds/s", file=sys.stderr)
-    # A tree that changed while it was measured is not the commit it names.
-    dirty = dirty or commit_of(checkout) != (commit, False)
-    key = commit + ("-dirty" if dirty else "")
+            for tree in order:
+                runs[tree][name].append(run_once(tree, name, seed, spec["run_seconds"]))
+                print(f"{tree} {name} seed {seed}: {json.dumps(runs[tree][name][-1])}", file=sys.stderr)
+        for tree in order:
+            rates[tree].append(engine_rate(tree, seed))
+            print(f"{tree} engine seed {seed}: {rates[tree][-1]:.1f} rounds/s", file=sys.stderr)
     out = ROOT / f"BENCH_{args.number}.json"
-    measured, lines = carried(out)
-    measured[key] = {name: summarize(runs[name], args.seeds) for name in workloads}
-    lines[key] = {
-        "line": ENGINE_LINE, "seeds": args.seeds,
-        "rounds_per_s": {"unit": "rounds/s", **quartiles(rates)},
-    }
+    old = carried(out)
+    measured, lines = old["workloads"], old.get("engine_lines", {})
+    for tree, (commit, dirty) in commits.items():
+        # A tree that changed while it was measured is not the commit it names.
+        dirty = dirty or commit_of(tree) != (commit, False)
+        commits[tree] = commit, dirty
+        key = commit + ("-dirty" if dirty else "")
+        measured[key] = {name: summarize(runs[tree][name], args.seeds) for name in workloads}
+        lines[key] = {
+            "line": ENGINE_LINE, "seeds": args.seeds,
+            "rounds_per_s": {"unit": "rounds/s", **quartiles(rates[tree])},
+        }
     record = {
-        "commit": commit,
-        "dirty": dirty,
+        "commit": commits[checkout][0],
+        "dirty": commits[checkout][1],
         "seeds": args.seeds,
         "run_seconds": spec["run_seconds"],
         "nproc": len(os.sched_getaffinity(0)),
@@ -164,6 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": measured,
         "engine_lines": lines,
     }
+    record.update({name: value for name, value in old.items() if name not in record})
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(out)
     return 0

@@ -28,6 +28,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily, which would fall inside the first command)
 
 from . import __version__, adversary, inequality, noise, protocol
 from .qmath import InvariantViolation
@@ -508,15 +509,12 @@ def cmd_attack(args) -> int:
     return _exit_code(report)
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.10g}"
+#: A CSV number: ``%`` gives the text of ``format(value, ".10g")``, a whole row in one call.
+_FLOAT = "%.10g"
 
 
-def _write_csv(path: Path, header: list[str], rows):
-    with path.open("w") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+def _write_csv(path: Path, header: list[str], lines: list[str]):
+    path.write_text("\n".join([",".join(header), *lines, ""]))
 
 
 def _sweep_axes(model: str) -> tuple[list[str], float]:
@@ -563,15 +561,13 @@ def _sweep_rows(model: str, kind: str, grid: int, eta: float | None):
         tag = f"_{conv}" if erasures else ""
         header += [f"mi_12{tag}", f"mi_13{tag}", f"mi_23{tag}", f"key_rate{tag}", f"min_pair{tag}"]
 
-    def formatted(values: np.ndarray) -> list[str]:
-        return [_format_float(value) for value in values.tolist()]
-
-    columns = [formatted(params[name]) for name in names]
+    row = ",".join([_FLOAT] * len(names) + ([_FLOAT] * 4 + ["%s"]) * len(conventions))
+    columns = [params[name].tolist() for name in names]
     pair_labels = [f"{i}-{j}" for i, j in noise.PAIRS]
     for surface in noise.analytic_key_rate_surfaces(model, kind, conventions=conventions, **params):
-        columns += [formatted(surface.pairwise_mi[pair]) for pair in noise.PAIRS]
-        columns += [formatted(surface.key_rate), [pair_labels[k] for k in surface.min_pair.tolist()]]
-    return header, list(zip(*columns))
+        columns += [surface.pairwise_mi[pair].tolist() for pair in noise.PAIRS]
+        columns += [surface.key_rate.tolist(), [pair_labels[k] for k in surface.min_pair.tolist()]]
+    return header, [row % values for values in zip(*columns)]
 
 
 def _validate_sweep(model: str, kind: str):
@@ -592,16 +588,17 @@ def _empirical_sweep(model, kind, grid, eta, rounds, seed):
     """(header, rows, points without key rounds); such a point's rate cell is empty."""
     names, _ = _sweep_axes(model)
     header = (names if len(names) > 1 else ["param"]) + ["key_rate_empirical"]
+    row = ",".join([_FLOAT] * len(names) + ["%s"])
     rows, empty = [], 0
     for point in itertools.product(np.linspace(0.0, 0.5, grid), repeat=len(names)):
         config = protocol.ProtocolConfig(kind=kind, num_parties=3, rounds=rounds, seed=seed,
                                          masking_enabled=False, noise=_noise_at(model, point, eta))
         transcript = protocol.run_protocol(config)
         try:
-            rate = _format_float(noise.empirical_key_rate(transcript, min_key_rounds=1).key_rate)
+            rate = _FLOAT % noise.empirical_key_rate(transcript, min_key_rounds=1).key_rate
         except noise.InsufficientKeyRounds:
             rate, empty = "", empty + 1
-        rows.append([_format_float(p) for p in point] + [rate])
+        rows.append(row % (*point, rate))
     return header, rows, empty
 
 

@@ -181,7 +181,7 @@ def _table_information(rows) -> np.ndarray:
             positive = p > 0.0
             ratio = p[positive] / (px_i[positive] * py_j[positive])
             term = np.zeros(p.shape)
-            term[positive] = p[positive] * [math.log2(r) for r in ratio.tolist()]
+            term[positive] = p[positive] * list(map(math.log2, ratio.tolist()))
             info = info + term
     return np.maximum(info, 0.0)
 

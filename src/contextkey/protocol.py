@@ -283,6 +283,9 @@ def eigenbasis(local: np.ndarray) -> np.ndarray:
 
 #: Position of each setting prefix in the engine's eigenbasis table.
 _PREFIX_INDEX = {prefix: i for i, prefix in enumerate(LOCAL_MATRICES)}
+#: The read-only eigenbasis table: each prefix's rows v+ and v−, in ``LOCAL_MATRICES`` order.
+_BASIS = np.stack([eigenbasis(matrix) for matrix in LOCAL_MATRICES.values()])
+_BASIS.setflags(write=False)
 
 
 def _qudit_indexing(config: ProtocolConfig) -> PartyIndexing:
@@ -374,8 +377,8 @@ def _choose(p_plus: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _Engine:
     """Precomputed per-run machinery and the block player.
 
-    ``basis`` is the one measurement table: each setting prefix's 2×2
-    eigenbasis, rows v+ and v−, in ``LOCAL_MATRICES`` order.  Per party,
+    ``basis`` is the one measurement table, the module's ``_BASIS``: each
+    setting prefix's 2×2 eigenbasis, rows v+ and v−.  Per party,
     the tables below are indexed by the setting pick (0..2): its prefix's
     row of ``basis``, P(+1) on the reference state, the reference
     projections it prepares (rows +1, −1), and whether it is a key setting.
@@ -392,8 +395,7 @@ class _Engine:
         self.indexing = _qudit_indexing(config)
         self.labels = party_labels(self.kind, self.num_parties)
         self.parsed = tuple(tuple(split_label(lab) for lab in labs) for labs in self.labels)
-        self.basis = np.stack([eigenbasis(matrix) for matrix in LOCAL_MATRICES.values()])
-        self.reference = self._reference_state()
+        self.basis = _BASIS
         self.pre_post = {
             party: (self.dim // (2 * self.indexing.stride(party)), self.indexing.stride(party))
             for party in range(1, self.indexing.num_parties + 1)
@@ -418,14 +420,6 @@ class _Engine:
 
     # -- construction ----------------------------------------------------
 
-    def _reference_state(self) -> np.ndarray:
-        amps = np.zeros(self.dim, dtype=np.complex128)
-        if self.kind == "mermin":
-            amps[0], amps[-1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
-        else:
-            amps[1], amps[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        return amps
-
     def _masking_plan(self):
         """Per sending party: (qudit party, angle-slice) pairs to re-randomize."""
         width = len(self.mask_axes)
@@ -443,23 +437,31 @@ class _Engine:
     def _reference_projections(self):
         """Read-only normalized projections of the reference state, and P(+1).
 
-        Keyed by (prefix, party) for every setting and for Eve's
-        observable: (D, 2) columns +1 and −1 hold what a party prepares
-        for an outcome, and what Eve forwards under the ``fresh-reference``
-        resend rule; beside them, P(+1) when the reference itself is measured.
+        The reference is (|0…0⟩ + i|1…1⟩)/√2 for Mermin, the singlet
+        (|01⟩ − |10⟩)/√2 for CHSH.  Keyed by (prefix, party) for every setting
+        and Eve's observable: (D, 2) columns +1 and −1 hold what a party
+        prepares for an outcome, and what Eve forwards under
+        ``fresh-reference``; beside them, P(+1) on the reference.  A qudit's
+        observables share one contraction and one collapse.
         """
-        observables = {pair for parsed in self.parsed for pair in parsed}
-        if self.eve_parsed is not None:
-            observables.add(self.eve_parsed)
+        reference = np.zeros((self.dim, 1), dtype=np.complex128)
+        if self.kind == "mermin":
+            reference[0], reference[-1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
+        else:
+            reference[1], reference[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+        observables = {pair for parsed in self.parsed for pair in parsed} | {self.eve_parsed}  # None: no Eve
         table, p_plus = {}, {}
-        for prefix, party in observables:
-            kets = self.basis[_PREFIX_INDEX[prefix]].T  # (component, row v±)
-            rest = self._contract(kets.conj(), np.broadcast_to(self.reference[:, None], (self.dim, 2)), party)
+        for party in range(1, self.indexing.num_parties + 1):
+            prefixes = [prefix for prefix in _PREFIX_INDEX if (prefix, party) in observables]
+            # (component, 2·k + row v±) for the k-th prefix
+            kets = _BASIS[[_PREFIX_INDEX[p] for p in prefixes]].transpose(2, 0, 1).reshape(2, -1)
+            rest = self._contract(kets.conj(), np.broadcast_to(reference, (self.dim, kets.shape[1])), party)
             weights = _squared_norms(rest)
             columns = self._collapse(kets / np.sqrt(weights), rest, party)
             columns.setflags(write=False)
-            table[prefix, party] = columns
-            p_plus[prefix, party] = weights[0]
+            for k, prefix in enumerate(prefixes):
+                table[prefix, party] = columns[:, 2 * k:2 * k + 2]
+                p_plus[prefix, party] = weights[2 * k]
         return table, p_plus
 
     def _open_streams(self):

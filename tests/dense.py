@@ -221,6 +221,16 @@ def pauli(axis: str, party: int, indexing: PartyIndexing) -> DichotomicObservabl
     return dichotomic_from_local(PAULI[axis], party, indexing, label=f"{axis}{party}")
 
 
+def reference_state(kind: str, qudits: int) -> StateVector:
+    """The state a round starts from: (|0…0⟩ + i|1…1⟩)/√2 for Mermin, the singlet for CHSH."""
+    amps = np.zeros(2**qudits, dtype=np.complex128)
+    if kind == "mermin":
+        amps[0], amps[-1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
+    else:  # (|01⟩ − |10⟩)/√2
+        amps[1], amps[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    return StateVector(amps)
+
+
 def oracle_expectation(multi_state, local_matrices: list[np.ndarray]) -> float:
     """Expectation in the explicit tensor-product picture.
 

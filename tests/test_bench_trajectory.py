@@ -58,3 +58,53 @@ def test_workloads_of_one_commit_file_are_kept(checkout, monkeypatch):
     record = _measure(monkeypatch, checkout, "new", 0.1)
     assert set(record["workloads"]) == {"old", "new"}
     assert record["workloads"]["old"] == {"run-a": {"metrics": {}}}
+
+
+def test_other_top_level_keys_survive_a_run(checkout, monkeypatch):
+    _measure(monkeypatch, checkout, "parent", 0.2)
+    path = checkout / "BENCH_6.json"
+    tier1 = {"command": "pytest -q", "runs": {"parent": {"passed": 3, "pytest_s": 1.5}}}
+    path.write_text(json.dumps({**json.loads(path.read_text()), "tier1": tier1}))
+    record = _measure(monkeypatch, checkout, "change", 0.1)
+    assert record["tier1"] == tier1
+    assert set(record["workloads"]) == {"parent", "change"}
+
+
+def test_parent_and_checkout_run_in_alternating_pairs(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        tree.mkdir()
+    spec = {"run_seconds": 1, "workloads": [{"name": "run-a"}, {"name": "sweep-b"}]}
+    (change / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_trajectory, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_trajectory, "commit_of", lambda tree: (tree.name, False))
+    calls = []
+
+    def run_once(tree, name, seed, _seconds):
+        calls.append((tree.name, name, seed))
+        factor = 0.2 if tree == parent else 0.1
+        return {
+            "correct": True, "attempted": 3, "failed": 0,
+            "metrics": {"command_s": {"value": factor * seed, "unit": "s"}},
+        }
+
+    def engine_rate(tree, seed):
+        calls.append((tree.name, "engine", seed))
+        return (100.0 if tree == parent else 300.0) * seed
+
+    monkeypatch.setattr(bench_trajectory, "run_once", run_once)
+    monkeypatch.setattr(bench_trajectory, "engine_rate", engine_rate)
+    argv = ["7", "--seeds", "1", "2", "3", "--checkout", str(change), "--parent", str(parent)]
+    assert bench_trajectory.main(argv) == 0
+
+    def pairs(first, second, seed):
+        return [(tree, step, seed) for step in ("run-a", "sweep-b", "engine") for tree in (first, second)]
+
+    assert calls == pairs("parent", "change", 1) + pairs("change", "parent", 2) + pairs("parent", "change", 3)
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert (record["commit"], record["dirty"]) == ("change", False)
+    assert set(record["workloads"]) == set(record["engine_lines"]) == {"parent", "change"}
+    assert record["workloads"]["parent"]["run-a"]["metrics"]["command_s"]["median"] == pytest.approx(0.4)
+    assert record["workloads"]["change"]["sweep-b"]["metrics"]["command_s"]["median"] == pytest.approx(0.2)
+    assert record["engine_lines"]["parent"]["rounds_per_s"]["median"] == pytest.approx(200.0)
+    assert record["engine_lines"]["change"]["rounds_per_s"]["median"] == pytest.approx(600.0)

@@ -511,6 +511,55 @@ class TestSweep:
         assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
+#: Floats whose shortest text, exponent form or rounding to 10 digits is easy to get wrong.
+AWKWARD_FLOATS = [0.0, 1.0, 0.5, 1e-05, 1.5e-10, 0.1 + 0.2, 123456789.123, 5e-324]
+
+
+class TestCsvRows:
+    """Each CSV line is one ``%`` format: the text of ``format(v, ".10g")`` joined by commas."""
+
+    def test_analytic_rows(self, monkeypatch):
+        values = np.array(AWKWARD_FLOATS + [0.25])  # the 9 points of a 3×3 grid
+        per_convention = {"conditional": values, "throughput": values[::-1].copy()}
+        min_pair = np.arange(9) % 3
+
+        def surfaces(model, kind, conventions, **params):
+            return [
+                noise.KeyRateSurface(conv, {pair: per_convention[conv] for pair in noise.PAIRS},
+                                     per_convention[conv], min_pair)
+                for conv in conventions
+            ]
+
+        monkeypatch.setattr(noise, "analytic_key_rate_surfaces", surfaces)
+        header, rows = cli._sweep_rows("model2", "mermin", 3, 0.7)
+        assert len(header) == 12 and len(rows) == 9
+        axis = [0.0, 0.25, 0.5]
+        labels = ["1-2", "1-3", "2-3"]
+        for k, row in enumerate(rows):
+            numbers = [axis[k // 3], axis[k % 3]]
+            cells = [format(v, ".10g") for v in numbers]
+            for conv in ("conditional", "throughput"):
+                cells += [format(float(per_convention[conv][k]), ".10g")] * 4 + [labels[min_pair[k]]]
+            assert row == ",".join(cells)
+
+    def test_empirical_rows_with_an_empty_cell(self, monkeypatch):
+        rates = iter([*AWKWARD_FLOATS, None])
+
+        def empirical_key_rate(transcript, min_key_rounds):
+            rate = next(rates)
+            if rate is None:
+                raise noise.InsufficientKeyRounds("no key rounds")
+            return noise.KeyRateReport("empirical", "mermin", "throughput", {(1, 2): rate}, rate, (1, 2))
+
+        monkeypatch.setattr(protocol, "run_protocol", lambda config: None)
+        monkeypatch.setattr(noise, "empirical_key_rate", empirical_key_rate)
+        header, rows, empty = cli._empirical_sweep("white", "mermin", 9, None, 10, 1)
+        assert header == ["param", "key_rate_empirical"] and empty == 1
+        points = np.linspace(0.0, 0.5, 9).tolist()
+        cells = [format(rate, ".10g") for rate in AWKWARD_FLOATS] + [""]
+        assert rows == [f"{format(p, '.10g')},{cell}" for p, cell in zip(points, cells)]
+
+
 class TestVerify:
     """The suite holds the checks ``contextkey verify`` ran: a mutation that
     one of them named must fail the test that now asserts it, and only under

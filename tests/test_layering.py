@@ -3,11 +3,15 @@
 Every import sits at module level, so a module's dependencies are stated
 in one place, and the module-level imports between package modules form
 no cycle.  An ``if TYPE_CHECKING:`` block is ignored: it names a type for
-annotations and runs no import.
+annotations and runs no import.  Importing the command line also loads
+``numpy.random``, which numpy itself loads only on first use.
 """
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +79,13 @@ def test_cycle_is_caught_and_type_checking_is_ignored():
     cyclic = {"a": "from .b import B\n", "b": "import contextkey.a\n"}
     with pytest.raises(graphlib.CycleError):
         graphlib.TopologicalSorter(import_graph(cyclic)).prepare()
+
+
+def test_numpy_random_loads_with_the_command_line():
+    # loaded lazily, numpy.random would be imported inside the first run's first draw
+    program = "import sys, contextkey.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", program], env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "True"

@@ -480,6 +480,56 @@ class TestBlockSeams:
         assert (half.outcomes == 0).any()  # erasures
 
 
+REFERENCE_CONFIGS = {
+    **{
+        # Eve reads qudit 1 at the last link, in a basis no Mermin party uses
+        f"mermin{n}-eve-XpZ1": protocol.ProtocolConfig(
+            "mermin", n, 1, eve=EveConfig(n - 1, "XpZ1", "measure-resend", resend="fresh-reference"),
+        )
+        for n in range(3, 7)
+    },
+    **{f"chsh{n}": protocol.ProtocolConfig("chsh", n, 1) for n in range(2, 6)},
+}
+
+
+class TestReferenceProjections:
+    """The engine's per-run tables against the dense reference state's projections."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_tables_match_dense_projections(self, name):
+        config = REFERENCE_CONFIGS[name]
+        engine = protocol._Engine(config)
+        qudits = engine.indexing.num_parties
+        indexing = qmath.PartyIndexing(qudits)
+        reference = dense.reference_state(config.kind, qudits)
+        labels = [label for labels in engine.labels for label in labels]
+        if config.eve is not None:
+            labels.append(config.eve.observable)
+        assert {inequality.split_label(label) for label in labels} <= set(engine.projected)
+        for (prefix, party), columns in engine.projected.items():
+            obs = dense.dichotomic_from_local(inequality.LOCAL_MATRICES[prefix], party, indexing)
+            assert columns.shape == (engine.dim, 2)
+            assert not columns.flags.writeable
+            for column, outcome in zip(columns.T, (1, -1)):
+                branch = obs.projector(outcome) @ reference.amplitudes
+                assert np.max(np.abs(column - branch / np.linalg.norm(branch))) < 1e-12, (prefix, party, outcome)
+        for bob, party_labels in enumerate(engine.labels):
+            for pick, label in enumerate(party_labels):
+                prefix, party = inequality.split_label(label)
+                obs = dense.dichotomic_from_local(inequality.LOCAL_MATRICES[prefix], party, indexing)
+                p_plus, _ = dense.branch_probabilities(reference, obs)
+                assert engine.setting_p_plus[bob][pick] == pytest.approx(p_plus, abs=1e-12), label
+                prepared = engine.setting_prepared[bob][:, 2 * pick:2 * pick + 2]
+                assert np.array_equal(prepared, engine.projected[prefix, party])
+
+    def test_basis_table_is_one_read_only_constant(self):
+        engines = [protocol._Engine(config) for config in REFERENCE_CONFIGS.values()]
+        assert all(engine.basis is protocol._BASIS for engine in engines)
+        assert not protocol._BASIS.flags.writeable
+        with pytest.raises(ValueError):
+            protocol._BASIS[0, 0, 0] = 0.0
+
+
 class TestMeasurementKernel:
     """The engine's eigenbasis measurement against dense lifted projectors."""
 

@@ -22,8 +22,8 @@ once per seed in a fresh interpreter of the measured checkout, as raw
 rounds/s with median and quartiles under `engine_lines`, keyed by commit.
 With `--parent` a second tree, the parent commit's, is measured beside the
 checkout: for each seed, every workload and then the engine line runs on
-both trees back to back, the parent first on odd-numbered seeds (the 1st,
-3rd, ...) and the checkout first on the others, so the host's drift falls
+both trees back to back, the parent first on the 1st, 3rd, ... seed of
+`--seeds` and the checkout first on the others, so the host's drift falls
 on both sides alike.  Both commits' figures are written.
 
 An existing BENCH_<n>.json keeps the workloads and engine lines of other

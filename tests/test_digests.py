@@ -2,8 +2,10 @@
 
 Each transcript case hashes the bytes ``cli.write_transcript`` writes for
 one configuration; each sweep case hashes one CSV that ``contextkey sweep``
-writes.  A change that moves a digest changes what a seed produces, and
-must name the case and say why it moved.
+writes; each command case pins what one ``run`` or ``attack`` command line
+leaves behind: its exit code and the digests of its report, its key files
+and its stdout summary.  A change that moves a digest changes what a seed
+produces, and must name the case and say why it moved.
 """
 
 from __future__ import annotations
@@ -176,3 +178,109 @@ def test_sweep_digest(name, tmp_path, capsys):
     argv, csv_name = SWEEP_CASES[name]
     assert cli.main(["sweep", *argv, "--outdir", str(tmp_path)]) == cli.EXIT_OK
     assert _sha256(tmp_path / csv_name) == DIGESTS[name]
+
+
+NOISY = ["--prep-noise", "flip:0.1,0.2", "--detector-noise", "loss:0.7"]
+
+# Command lines covering the three verdicts (exit 0, 2 and 3), an empirical
+# key-rate section and its error, a check failing beside an empty one, and
+# localization.
+COMMAND_CASES = {
+    "run-mermin3-2000": ["run", "--kind", "mermin", "--parties", "3", "--rounds", "2000", "--seed", "1"],
+    "run-mermin3-20": ["run", "--kind", "mermin", "--parties", "3", "--rounds", "20", "--seed", "1"],
+    "run-mermin3-noisy-40000": [
+        "run", "--kind", "mermin", "--parties", "3", "--rounds", "40000", "--seed", "2", *NOISY,
+    ],
+    # 71 key rounds: the key-rate section holds the error
+    "run-chsh4-noisy-3000": ["run", "--kind", "chsh", "--parties", "4", "--rounds", "3000", "--seed", "2", *NOISY],
+    # 6 check rounds, violated on a zero standard error
+    "run-mermin3-30": ["run", "--kind", "mermin", "--parties", "3", "--rounds", "30", "--seed", "4"],
+    "attack-mermin6-z1": [
+        "attack", "--kind", "mermin", "--parties", "6", "--rounds", "3000", "--seed", "1",
+        "--eve-link", "3", "--eve-obs", "Z1",
+    ],
+    "attack-mermin3-x3": [
+        "attack", "--kind", "mermin", "--parties", "3", "--rounds", "4000", "--seed", "1",
+        "--eve-link", "2", "--eve-obs", "X3",
+    ],
+    "attack-chsh4-8000": [
+        "attack", "--kind", "chsh", "--parties", "4", "--rounds", "8000", "--seed", "1",
+        "--eve-link", "2", "--eve-obs", "Z1",
+    ],
+    # a failing check beside empty ones: exit 2, with a localization error
+    "attack-chsh4-10": [
+        "attack", "--kind", "chsh", "--parties", "4", "--rounds", "10", "--seed", "1",
+        "--eve-link", "2", "--eve-obs", "Z1",
+    ],
+}
+
+COMMAND_DIGESTS = {
+    "attack-chsh4-10": {
+        "exit": 2,
+        "report": "cb260d686ee71de38741928bc93e6539cf240c39ead22d7611cfbb334bfdd84e",
+        "keys": "545c38b0922de19734fbffde62792c37c2aef6a3216cfa472449173165220f7d",
+        "stdout": "2addcfb01d53dbb7f37fa1a8e208b0ac1584fdfdea5b001088f4dbd11b5cee70",
+    },
+    "attack-chsh4-8000": {
+        "exit": 2,
+        "report": "a041eca6fad95ae8d585ad77daef07a5d5241f4d9bcc2a679cd9383cbf8f95d1",
+        "keys": "895c66bbe003c4ed466de031afa1f200cbb094e63d228207304e0e52a72ffe14",
+        "stdout": "b358a176b3ab66ddf4e561011aa4352dd4c940c6e53673dde205465265cc12bc",
+    },
+    "attack-mermin3-x3": {
+        "exit": 2,
+        "report": "514468bb508043a64af6b493a47f89d25a452dda0cdeddb151681e346fe6d5b6",
+        "keys": "357dafb2e1678e39e9f09626fb7ac20736d3a89a5fd8b4d5010c69826136c4a2",
+        "stdout": "5358c76061d452a1db663aec759db5ef5ed6746cfd7bf09e0a9aea32f38a06d5",
+    },
+    "attack-mermin6-z1": {
+        "exit": 3,
+        "report": "baac55ef4708bb140c5d3e2bb83241b02c54c4a094b4418818bd560998cd5a73",
+        "keys": "c415c9bf2d35d840bccaa4bdc2618f0c5e4d303ea7bcb4ebce6095288ae6bd0e",
+        "stdout": "f9c3a93641d96adea1c4429b5328796019b0f3e155fab341103047049d24e13c",
+    },
+    "run-chsh4-noisy-3000": {
+        "exit": 0,
+        "report": "5d8ff1fb7c586ffd7abe2341f92368715153d206fe9befb6346fda60723f305f",
+        "keys": "ebe54ce255c764c5847843559aa08b6e5f7da02c4478c04ec56aeaa24ab9a76c",
+        "stdout": "cf7945113e21d33049509067c47be711bda1c58b9234be1753567b143b78877e",
+    },
+    "run-mermin3-20": {
+        "exit": 3,
+        "report": "e3c45ff3ec93513c2bc05060e11462184f17b473a2372a64dda1bfa5b402a54a",
+        "keys": "6a3cf5192354f71615ac51034b3e97c20eda99643fcaf5bbe6d41ad59bd12167",
+        "stdout": "fbac135221c31dbebab165cc3dba9b0cdb0712111787a5b2c0a6e999c3b248f5",
+    },
+    "run-mermin3-2000": {
+        "exit": 0,
+        "report": "4f5b4a87284cd156746da37fe3b69bb699ae064e57aec99c778808a76a3dcf41",
+        "keys": "3586cd850f7281c13aed18d7eddb493d850fa5d3393e5d2234546a3e174a360f",
+        "stdout": "f9373ccc6d3dd31b8402a44af5d6722094aaafa3dfdfe6002038a4a3fbb14c19",
+    },
+    "run-mermin3-30": {
+        "exit": 0,
+        "report": "1f4ef146b962a014b244541d9144e9b677557c47370e03a6995bec669b59aa53",
+        "keys": "398c62950ad52e0af0479a7c85b1808ed3e19aa4b850f936a9f62978a33c6cf2",
+        "stdout": "35dda8e530bb3223e1ab60d98dd16a1b02363e9245d2af191cee0e5b57b556bd",
+    },
+    "run-mermin3-noisy-40000": {
+        "exit": 0,
+        "report": "69f2ce259623ba9895f2f7e8d2987dd5829d242ff111e9a3680fb690b295b4c2",
+        "keys": "8499d9cee9539f04cfbcc9d6d0155824bb4615c44b1ecc0f4e500cd0bffc37dc",
+        "stdout": "6c0be2a2265a9d114f5849ccc01f77e5c863e9c8bbf039775ffad5a2c25971c8",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_CASES))
+def test_command_digest(name, tmp_path, capsys):
+    argv = COMMAND_CASES[name]
+    code = cli.main([*argv, "--outdir", str(tmp_path)])
+    keys = sorted(tmp_path.glob(f"{argv[0]}-key-party*.txt"))
+    pinned = {
+        "exit": code,
+        "report": _sha256(tmp_path / f"{argv[0]}-report.json"),
+        "keys": hashlib.sha256(b"".join(path.read_bytes() for path in keys)).hexdigest(),
+        "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+    }
+    assert pinned == COMMAND_DIGESTS[name]

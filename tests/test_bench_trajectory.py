@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 from pathlib import Path
@@ -108,3 +109,17 @@ def test_parent_and_checkout_run_in_alternating_pairs(tmp_path, monkeypatch):
     assert record["workloads"]["change"]["sweep-b"]["metrics"]["command_s"]["median"] == pytest.approx(0.2)
     assert record["engine_lines"]["parent"]["rounds_per_s"]["median"] == pytest.approx(200.0)
     assert record["engine_lines"]["change"]["rounds_per_s"]["median"] == pytest.approx(600.0)
+
+
+def test_engine_line_imports_numpy_random_before_its_clock():
+    # numpy loads numpy.random lazily, which would fall inside the timed run
+    body = ast.parse(bench_trajectory.ENGINE_PROGRAM).body
+    imports = [
+        i for i, node in enumerate(body)
+        if isinstance(node, ast.Import) and "numpy.random" in [alias.name for alias in node.names]
+    ]
+    clocks = [
+        i for i, node in enumerate(body)
+        if isinstance(node, ast.Assign) and "perf_counter" in ast.unparse(node.value)
+    ]
+    assert imports and clocks and imports[0] < clocks[0]

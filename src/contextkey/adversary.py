@@ -18,7 +18,7 @@ import numpy as np
 
 from .inequality import InequalityEstimate
 from .noise import binary_mutual_information
-from .protocol import ERASED_BIT, all_checks_violated
+from .protocol import ERASED_BIT
 
 STRATEGIES = ("commuting-measure", "noncommuting-measure", "measure-resend")
 RESEND_MODES = ("post-state", "fresh-reference")
@@ -56,14 +56,13 @@ class EveConfig:
 class LeakageReport:
     """How much key Eve learned, and whether the checks caught her.
 
-    ``detected`` is None when no check with data fails but some check has
-    a term without samples.
+    ``detected`` negates the transcript's verdict, and is None when no
+    check with data fails but some check has a term without samples.
     """
 
     eve_key_mutual_information: float | None
     attacked_key_rounds: int
     observed: dict[str, InequalityEstimate]
-    expected_clean: dict[str, float]
     detected: bool | None
     sufficient_data: bool
 
@@ -72,28 +71,21 @@ def leakage_analysis(transcript) -> LeakageReport:
     """Mutual information between Eve's record and the key, plus detection.
 
     The key symbol is party 1's key bit; in the protocols' noiseless runs
-    every party holds the same bit.  The sifting and check estimates are
-    the transcript's own.
+    every party holds the same bit.  The sifting, check estimates and
+    verdict are the transcript's own.
     """
-    sifting, estimates = transcript.sifting, transcript.estimates
+    sifting, violated = transcript.sifting, transcript.verdict.violated
     eve = transcript.eve_outcomes[sifting.key_rounds]
     bits = sifting.key_bits[0]
     seen = (eve != 0) & (bits != ERASED_BIT)
     joint = np.bincount(2 * ((1 - eve[seen]) // 2) + bits[seen], minlength=4).reshape(2, 2)
-    if transcript.config.kind == "mermin":
-        expected = {"mermin": 2.0 ** (transcript.config.num_parties - 1)}
-    else:
-        expected = {name: 2.0 for name in estimates}
-    verdict = all_checks_violated(estimates)
-    detected = None if verdict is None else not verdict
     attacked = int(seen.sum())
     mi = binary_mutual_information(joint / attacked) if attacked else None
     return LeakageReport(
         eve_key_mutual_information=mi,
         attacked_key_rounds=attacked,
-        observed=estimates,
-        expected_clean=expected,
-        detected=detected,
+        observed=transcript.estimates,
+        detected=None if violated is None else not violated,
         sufficient_data=attacked > 0,
     )
 

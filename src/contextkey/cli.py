@@ -5,7 +5,8 @@ Exit codes: 0 success (inequality violated), 2 inequality not violated
 but an inequality term has no samples; or an empirical sweep point has no
 key rounds), 64 usage error, 70 internal invariant failure or an
 allocation the machine cannot satisfy (say, a whole-run array for a huge
-``--rounds``).
+``--rounds``).  ``run`` and ``attack`` take 0, 2 or 3 from the one owner of
+the overall status, ``Transcript.verdict``, through ``VERDICTS``.
 
 All artifacts are deterministic functions of the seed and flags: the
 transcript (one JSON record per round), the machine report, the key files,
@@ -38,6 +39,13 @@ EXIT_NO_VIOLATION = 2
 EXIT_INSUFFICIENT_DATA = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+
+#: Each overall status of ``Transcript.verdict``: its summary text and its exit code.
+VERDICTS = {
+    True: ("inequality violated (no eavesdropping indicated)", EXIT_OK),
+    False: ("NO violation (presence of eavesdropping is indicated)", EXIT_NO_VIOLATION),
+    None: ("insufficient data", EXIT_INSUFFICIENT_DATA),
+}
 
 OUTDIR_ENV = "CONTEXTKEY_OUTDIR"
 
@@ -358,7 +366,7 @@ def _key_rate_section(transcript) -> dict | None:
 
 
 def _run_report(transcript) -> dict:
-    config, sifting, estimates = transcript.config, transcript.sifting, transcript.estimates
+    config, sifting, verdict = transcript.config, transcript.sifting, transcript.verdict
     key = protocol.extract_key(sifting)
     expected_fraction = len(protocol.KEY_PREFIXES[config.kind]) / 3.0**config.num_parties
     return {
@@ -376,9 +384,9 @@ def _run_report(transcript) -> dict:
         "expected_key_fraction": expected_fraction,
         "key_agreement": key.agreement_fraction,
         "complete_key_rounds": key.num_complete,
-        "estimates": {name: _estimate_dict(est) for name, est in sorted(estimates.items())},
-        "violated": protocol.all_checks_violated(estimates),
-        "insufficient_data": protocol.insufficient_terms(estimates),
+        "estimates": {name: _estimate_dict(est) for name, est in sorted(transcript.estimates.items())},
+        "violated": verdict.violated,
+        "insufficient_data": verdict.empty_terms,
         "empirical_key_rate": _key_rate_section(transcript),
     }
 
@@ -401,10 +409,10 @@ def _write_artifacts(args, outdir: Path, prefix: str, transcript, report: dict, 
         outputs.append(path)
     manifest = _manifest(args, outdir, config.seed, outputs, config.rounds, started)
     _write_json(manifest, outdir / f"{prefix}-manifest.json")
-    _print_run_summary(report)
+    _print_run_summary(report, transcript.verdict.violated)
 
 
-def _print_run_summary(report: dict):
+def _print_run_summary(report: dict, status: bool | None):
     print(f"kind={report['kind']} parties={report['parties']} rounds={report['rounds']} seed={report['seed']}")
     sift_line = report["sifting"]
     print(
@@ -422,18 +430,7 @@ def _print_run_summary(report: dict):
         )
     agreement = report["key_agreement"]
     print(f"key agreement: {'n/a' if agreement is None else f'{agreement:.4f}'}")
-    if report["violated"] is None:
-        print("verdict: insufficient data")
-    elif report["violated"]:
-        print("verdict: inequality violated (no eavesdropping indicated)")
-    else:
-        print("verdict: NO violation (presence of eavesdropping is indicated)")
-
-
-def _exit_code(report: dict) -> int:
-    if report["violated"] is None:
-        return EXIT_INSUFFICIENT_DATA
-    return EXIT_OK if report["violated"] else EXIT_NO_VIOLATION
+    print(f"verdict: {VERDICTS[status][0]}")
 
 
 def cmd_run(args) -> int:
@@ -444,7 +441,7 @@ def cmd_run(args) -> int:
     transcript = protocol.run_protocol(config)
     report = _run_report(transcript)
     _write_artifacts(args, outdir, prefix, transcript, report, started)
-    return _exit_code(report)
+    return VERDICTS[transcript.verdict.violated][1]
 
 
 def cmd_attack(args) -> int:
@@ -506,7 +503,7 @@ def cmd_attack(args) -> int:
             print("localization: insufficient check data")
         else:
             print(f"localization: {'links ' + str(localized) if localized else 'no failing link'}")
-    return _exit_code(report)
+    return VERDICTS[transcript.verdict.violated][1]
 
 
 #: A CSV number: ``%`` gives the text of ``format(value, ".10g")``, a whole row in one call.

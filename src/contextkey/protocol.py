@@ -12,7 +12,10 @@ A run is a ``Transcript`` of int8 columns, row r being round r: ``picks``
 ``eve_outcomes`` holds Eve's ±1 with 0 where she did not measure.  Whether
 a round is a key, revealed or check round depends on its picks alone and
 is decided in one place, ``round_kinds``; sifting, the estimators and the
-transcript writer all read it from there.
+transcript writer all read it from there.  Whether the run keeps its key
+is decided in one place too: ``Transcript.verdict`` (by ``verdict``) owns
+the overall status, and the report, the summary, the exit code and the
+leakage analysis all read it.
 
 All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise), one array row per round.  The engine plays
@@ -66,7 +69,7 @@ from .noise import (
     WhitePrep,
 )
 # lift_matrix is not called here; it stays bound because bench/spans.py wraps protocol.lift_matrix.
-from .qmath import MAX_QUBIT_EQUIVALENT, PROB_FLOOR, InvariantViolation, PartyIndexing, lift_matrix  # noqa: F401
+from .qmath import MAX_QUBIT_EQUIVALENT, PROB_FLOOR, InvariantViolation, lift_matrix  # noqa: F401
 
 if TYPE_CHECKING:  # an annotation only: adversary imports this module
     from .adversary import EveConfig
@@ -172,6 +175,11 @@ class Transcript:
     def estimates(self) -> dict[str, InequalityEstimate]:
         """The run's violation statistics, from ``check_estimates``."""
         return check_estimates(self)
+
+    @cached_property
+    def verdict(self) -> Verdict:
+        """The run's overall status, decided by ``verdict``."""
+        return verdict(self.estimates)
 
 
 @dataclass(frozen=True)
@@ -288,11 +296,6 @@ _BASIS = np.stack([eigenbasis(matrix) for matrix in LOCAL_MATRICES.values()])
 _BASIS.setflags(write=False)
 
 
-def _qudit_indexing(config: ProtocolConfig) -> PartyIndexing:
-    """The qudit parties of one transmitted state: all N, or the CHSH pair."""
-    return PartyIndexing(config.num_parties if config.kind == "mermin" else 2)
-
-
 def _future_labels(config: ProtocolConfig, link: int) -> list[str]:
     """Observables that may still be measured on a state crossing ``link``."""
     labels = party_labels(config.kind, config.num_parties)
@@ -317,7 +320,9 @@ def check_eve(config: ProtocolConfig) -> None:
     if eve is None:
         return
     prefix, party = split_label(eve.observable)
-    _qudit_indexing(config)._check_party(party)
+    qudits = config.dim.bit_length() - 1  # the state's qudit parties: all N, or the CHSH pair
+    if not 1 <= party <= qudits:
+        raise ValueError(f"party {party} out of range 1..{qudits}")
     if eve.strategy != "commuting-measure":
         return
     for label in _future_labels(config, eve.position):
@@ -392,14 +397,12 @@ class _Engine:
         self.kind = config.kind
         self.num_parties = config.num_parties
         self.dim = config.dim
-        self.indexing = _qudit_indexing(config)
+        self.qudits = self.dim.bit_length() - 1
         self.labels = party_labels(self.kind, self.num_parties)
         self.parsed = tuple(tuple(split_label(lab) for lab in labs) for labs in self.labels)
         self.basis = _BASIS
-        self.pre_post = {
-            party: (self.dim // (2 * self.indexing.stride(party)), self.indexing.stride(party))
-            for party in range(1, self.indexing.num_parties + 1)
-        }
+        # party 1 owns the most significant bit: (pre, post) amplitudes above and below it
+        self.pre_post = {party: (2 ** (party - 1), self.dim >> party) for party in range(1, self.qudits + 1)}
         self._product = np.empty(0, dtype=np.complex128)  # ``_contract``'s kept second product
         self.mask_axes = (
             ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
@@ -451,7 +454,7 @@ class _Engine:
             reference[1], reference[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
         observables = {pair for parsed in self.parsed for pair in parsed} | {self.eve_parsed}  # None: no Eve
         table, p_plus = {}, {}
-        for party in range(1, self.indexing.num_parties + 1):
+        for party in range(1, self.qudits + 1):
             prefixes = [prefix for prefix in _PREFIX_INDEX if (prefix, party) in observables]
             # (component, 2·k + row v±) for the k-th prefix
             kets = _BASIS[[_PREFIX_INDEX[p] for p in prefixes]].transpose(2, 0, 1).reshape(2, -1)
@@ -750,25 +753,30 @@ def check_estimates(transcript: Transcript) -> dict[str, InequalityEstimate]:
     return {f"pair_{k}": est for k, est in chsh_pair_estimates(transcript).items()}
 
 
-def all_checks_violated(estimates: dict[str, InequalityEstimate]) -> bool | None:
+class Verdict(NamedTuple):
+    """The run's overall status: whether it keeps its key.
+
+    ``violated`` is True, False, or None for insufficient data;
+    ``empty_terms`` the sorted ``check:term`` names of terms without samples.
+    """
+
+    violated: bool | None
+    empty_terms: list[str]
+
+
+def verdict(estimates: dict[str, InequalityEstimate]) -> Verdict:
     """Whether every check statistic violates its classical bound.
 
     False as soon as a check with samples for every term fails to violate;
     otherwise None while some check has a term without samples, because
     missing data is no evidence of eavesdropping.
     """
-    if any(est.usable and not est.violated for est in estimates.values()):
-        return False
-    if any(not est.usable for est in estimates.values()):
-        return None
-    return True
-
-
-def insufficient_terms(estimates: dict[str, InequalityEstimate]) -> list[str]:
-    """``check:term`` for every inequality term without samples, sorted."""
-    return sorted(
+    empty = sorted(
         f"{name}:{term}"
         for name, est in estimates.items()
         for term, count in est.samples_per_term.items()
         if count == 0
     )
+    if any(est.usable and not est.violated for est in estimates.values()):
+        return Verdict(False, empty)
+    return Verdict(True if all(est.usable for est in estimates.values()) else None, empty)

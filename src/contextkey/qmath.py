@@ -2,11 +2,11 @@
 
 The bijection sends the product-basis ket with bits (j₁, …, j_N) to the
 single-system ket |Σ j_k·stride(k)⟩ with stride(k) = 2^{N−k}, i.e. party 1
-owns the most significant bit.  ``PartyIndexing.stride`` is the one
-indexing authority: the round engine's local updates and ``lift_matrix``
-both read the digit order from it.  Lifting is index arithmetic
-(decompose, substitute one bit, recompose), so a D×D array is the only
-memory cost.  The dense reference layer the engine is tested against
+owns the most significant bit.  ``lift_matrix`` reads that digit order
+from ``PartyIndexing.stride``; the round engine keeps it as two integers
+per party, the amplitudes above and below the party's bit.  Lifting is
+index arithmetic (decompose, substitute one bit, recompose), so a D×D
+array is the only memory cost.  The dense reference layer the engine is tested against
 (validated states and operators, the Kronecker-product oracle, exact
 inequality values, the eager masking unitary) is ``tests/dense.py``.
 """

@@ -189,7 +189,7 @@ class TestMaskingUnitary:
         # the product of the engine's per-qudit masks at that link, lifted.
         config = protocol.ProtocolConfig(kind, parties, 3, seed=8, masking_include_key=include_key)
         engine = protocol._Engine(config)
-        dim = engine.dim
+        dim, indexing = engine.dim, qmath.PartyIndexing(engine.qudits)
         angles = engine._draw(config.rounds).angles
         for round_id in range(config.rounds):
             for link in engine.mask_plan:
@@ -197,14 +197,14 @@ class TestMaskingUnitary:
                 hops = [hop for sender in senders for hop in engine.mask_plan[sender]]
                 labels = tuple(f"{axis}{party}" for party, _ in hops for axis in engine.mask_axes)
                 row = np.concatenate([angles[round_id, chunk] for _, chunk in hops])
-                spec = dense.MaskingSpec(engine.indexing.num_parties, labels)
-                u = dense.masking_unitary(link, spec, _RowRng(row), engine.indexing)
+                spec = dense.MaskingSpec(engine.qudits, labels)
+                u = dense.masking_unitary(link, spec, _RowRng(row), indexing)
                 executed = np.eye(dim, dtype=complex)
-                for party in range(1, engine.indexing.num_parties + 1):
+                for party in range(1, engine.qudits + 1):
                     # the identity's rows, masked: M itself, or the identity where nothing masked
                     identity = np.eye(2, dtype=complex)[:, :, None]
                     mask = engine._mask(identity, angles[round_id : round_id + 1], link, party)
-                    executed = qmath.lift_matrix(mask[:, :, 0], party, engine.indexing) @ executed
+                    executed = qmath.lift_matrix(mask[:, :, 0], party, indexing) @ executed
                 assert np.max(np.abs(u.matrix - executed)) < 1e-12
 
     def test_single_generator_masking_hides_key_basis(self):
@@ -499,7 +499,7 @@ class TestReferenceProjections:
     def test_tables_match_dense_projections(self, name):
         config = REFERENCE_CONFIGS[name]
         engine = protocol._Engine(config)
-        qudits = engine.indexing.num_parties
+        qudits = engine.qudits
         indexing = qmath.PartyIndexing(qudits)
         reference = dense.reference_state(config.kind, qudits)
         labels = [label for labels in engine.labels for label in labels]
@@ -550,6 +550,7 @@ class TestMeasurementKernel:
         # and each post state by forcing its outcome with u = 0 or u = 1.
         rng = np.random.default_rng(parties + 10 * masked)
         engine = protocol._Engine(protocol.ProtocolConfig("mermin", parties, 1))
+        indexing = qmath.PartyIndexing(engine.qudits)
         prefixes = list(inequality.LOCAL_MATRICES)
         rounds = 12
         for party in range(1, parties + 1):
@@ -563,11 +564,11 @@ class TestMeasurementKernel:
             p_dense, post_dense = [], {+1: [], -1: []}
             for r in range(rounds):
                 obs = dense.dichotomic_from_local(
-                    inequality.LOCAL_MATRICES[prefixes[picked[r]]], party, engine.indexing
+                    inequality.LOCAL_MATRICES[prefixes[picked[r]]], party, indexing
                 )
                 seen = states[r]
                 if mask is not None:
-                    seen = qmath.lift_matrix(mask[r], party, engine.indexing) @ seen
+                    seen = qmath.lift_matrix(mask[r], party, indexing) @ seen
                 p_dense.append(np.vdot(seen, obs.plus_projector @ seen).real)
                 for outcome in (+1, -1):
                     branch = obs.projector(outcome) @ seen
@@ -632,8 +633,8 @@ class TestVerdict:
         ok = self._estimate(2.8, {"X1X2": 5, "Z1Z2": 5})
         failing = self._estimate(1.0, {"X1X2": 5, "Z1Z2": 5})
         empty = self._estimate(0.0, {"X1X2": 0, "Z1Z2": 3})
-        assert protocol.all_checks_violated({"pair_1": ok, "pair_2": ok}) is True
-        assert protocol.all_checks_violated({"pair_1": ok, "pair_2": empty}) is None
+        assert protocol.verdict({"pair_1": ok, "pair_2": ok}).violated is True
+        assert protocol.verdict({"pair_1": ok, "pair_2": empty}).violated is None
         # a check with data that fails still indicates eavesdropping
-        assert protocol.all_checks_violated({"pair_1": failing, "pair_2": empty}) is False
-        assert protocol.insufficient_terms({"pair_1": ok, "pair_2": empty}) == ["pair_2:X1X2"]
+        assert protocol.verdict({"pair_1": failing, "pair_2": empty}).violated is False
+        assert protocol.verdict({"pair_1": ok, "pair_2": empty}).empty_terms == ["pair_2:X1X2"]

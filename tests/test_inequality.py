@@ -199,7 +199,10 @@ class TestEstimatorMatchesLoop:
     @pytest.mark.parametrize("config", [
         protocol.ProtocolConfig("mermin", 4, 20_000, seed=61, noise=LOSSY),
         protocol.ProtocolConfig("chsh", 5, 20_000, seed=62, noise=LOSSY, eve=EveConfig(2, "Z1", "noncommuting-measure")),
-    ], ids=["mermin4-lossy", "chsh5-lossy-eve"])
+        # the place values of parties 6 and 7, 3**5 and 3**6, do not fit in int8
+        protocol.ProtocolConfig("mermin", 6, 20_000, seed=63, noise=LOSSY),
+        protocol.ProtocolConfig("mermin", 7, 20_000, seed=64, noise=LOSSY),
+    ], ids=["mermin4-lossy", "chsh5-lossy-eve", "mermin6-lossy", "mermin7-lossy"])
     def test_equal_to_per_round_loop(self, config):
         transcript = protocol.run_protocol(config)
         if config.kind == "mermin":

@@ -588,6 +588,31 @@ class TestMeasurementKernel:
                 assert np.max(np.abs(work.T - np.array(post_dense[outcome]))) < 1e-12
 
 
+class TestChoose:
+    """``_choose``: +1 where u < P(+1), with P(+1) or P(−1) under PROB_FLOOR taken as 0."""
+
+    U = np.array([0.0, 1e-13, 0.25, 0.5, 0.75, 1.0 - 1e-13, 1.0])
+
+    @pytest.mark.parametrize("p_plus", [0.0, 1e-13, 0.5 * qmath.PROB_FLOOR])
+    def test_p_under_the_floor_gives_minus_for_every_u(self, p_plus):
+        assert (protocol._choose(np.full(self.U.shape, p_plus), self.U) == -1).all()
+
+    @pytest.mark.parametrize("p_plus", [1.0, 1.0 - 0.5 * qmath.PROB_FLOOR])
+    def test_p_minus_under_the_floor_gives_plus_for_every_u(self, p_plus):
+        assert (protocol._choose(np.full(self.U.shape, p_plus), self.U) == 1).all()
+
+    def test_u_equal_to_p_gives_minus(self):
+        p_plus = np.array([0.1, 0.25, 0.5, 0.9])
+        assert (protocol._choose(p_plus, p_plus.copy()) == -1).all()
+        assert (protocol._choose(p_plus, np.nextafter(p_plus, 0.0)) == 1).all()
+
+    def test_int64_in_the_shape_of_u(self):
+        u = np.linspace(0.0, 1.0, 12)
+        outcome = protocol._choose(np.full(12, 0.5), u)
+        assert outcome.dtype == np.int64 and outcome.shape == u.shape
+        assert outcome.tolist() == [1] * 6 + [-1] * 6
+
+
 class TestFourPartyChsh:
     def test_key_fraction_and_pairs(self):
         config = protocol.ProtocolConfig("chsh", 4, 40_000, seed=93)

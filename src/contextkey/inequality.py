@@ -7,6 +7,10 @@ coefficients reconstructing ⟨X₁X₂ + Z₁Z₂⟩ from the four revealed set
 combinations.  A violation is declared only when the estimate clears the
 classical bound by three standard errors.  Exact values live in the
 tests' dense reference layer, ``tests/dense.py``.
+
+The estimator reads the run's int8 columns one party at a time and counts
+rounds by intp codes: over a few columns, an int8 fancy index, an integer
+``@`` or a ``prod(axis=1)`` runs numpy's slow generic loops.
 """
 
 from __future__ import annotations
@@ -134,18 +138,32 @@ def estimate_from_transcript(transcript, spec: InequalitySpec) -> InequalityEsti
     are skipped.  Rounds are counted per term by the code of their picks
     there; their ±1 products sum exactly in floating point.  The standard
     error propagates each term's sample variance.
+
+    The code and the product are built party by party over the revealed
+    rows, the code in intp: the int8 columns' place values reach 3**(N−1),
+    past int8 from N=6 on.  An erased outcome zeroes the product, which
+    drops its round.  Over so few columns an integer ``@`` or a
+    ``prod(axis=1)`` runs numpy's generic loops: on one chsh-4 pair spec
+    over 8,000 rounds the estimate took 784 µs with them (the ``@`` alone
+    63, the ``prod`` 181) and takes about 153 this way.
     """
     positions = [p - 1 for p in spec.parties]
     settings = [transcript.setting_labels[p] for p in positions]
-    place = 3 ** np.arange(len(positions))
-    outcomes = transcript.outcomes[:, positions]
-    used = transcript.kinds.revealed & (outcomes != 0).all(axis=1)
-    codes = transcript.picks[:, positions][used] @ place
+    place = [3**k for k in range(len(positions))]
+    picks, outcomes = transcript.picks, transcript.outcomes
+    rows = np.flatnonzero(transcript.kinds.revealed)
+    codes = np.zeros(len(rows), dtype=np.intp)
+    products = np.ones(len(rows), dtype=np.int8)
+    for p, w in zip(positions, place):
+        codes += picks[:, p][rows].astype(np.intp) * w
+        products *= outcomes[:, p][rows]
+    used = products != 0
+    codes, products = codes[used], products[used]
     width = 3 ** len(positions)
     counts_by_code = np.bincount(codes, minlength=width)
-    sums_by_code = np.bincount(codes, weights=outcomes[used].prod(axis=1), minlength=width)
+    sums_by_code = np.bincount(codes, weights=products, minlength=width)
     term_codes = [
-        sum(labs.index(label) * w for label, labs, w in zip(labels, settings, place.tolist()))
+        sum(labs.index(label) * w for label, labs, w in zip(labels, settings, place))
         for _, labels in spec.terms
     ]
     sums, counts = sums_by_code[term_codes], counts_by_code[term_codes]

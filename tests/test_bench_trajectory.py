@@ -123,3 +123,38 @@ def test_engine_line_imports_numpy_random_before_its_clock():
         if isinstance(node, ast.Assign) and "perf_counter" in ast.unparse(node.value)
     ]
     assert imports and clocks and imports[0] < clocks[0]
+
+
+def test_parent_pass_refuses_trees_that_import_differently(tmp_path, monkeypatch):
+    # a tree with compiled bytecode imports without compiling, and reads a lower peak RSS
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        tree.mkdir()
+    spec = {"run_seconds": 1, "workloads": [{"name": "run-a"}]}
+    (change / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_trajectory, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_trajectory, "commit_of", lambda tree: (tree.name, False))
+    runs = []
+
+    def run_once(tree, _name, seed, _seconds):
+        runs.append(tree.name)
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"command_s": {"value": 0.1, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_trajectory, "run_once", run_once)
+    monkeypatch.setattr(bench_trajectory, "engine_rate", lambda _tree, seed: 100.0)
+    argv = ["9", "--seeds", "1", "--checkout", str(change), "--parent", str(parent)]
+    cache = change / bench_trajectory.BYTECODE
+    cache.mkdir(parents=True)
+    (cache / "cli.cpython-311.pyc").write_bytes(b"")
+    with pytest.raises(SystemExit) as refused:
+        bench_trajectory.main(argv)
+    assert str(refused.value) == (
+        f"refusing the pair: only {cache} holds bytecode, so the trees import differently"
+    )
+    assert runs == [] and not (tmp_path / "BENCH_9.json").exists()
+
+    (parent / bench_trajectory.BYTECODE).mkdir(parents=True)
+    (parent / bench_trajectory.BYTECODE / "cli.cpython-311.pyc").write_bytes(b"")
+    assert bench_trajectory.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_9.json").read_text())
+    assert record["bytecode_cached"] == {"parent": True, "change": True}

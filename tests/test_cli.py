@@ -285,6 +285,34 @@ class TestRun:
         with pytest.raises(ValueError, match="outcomes"):
             cli.read_transcript(path, config)
 
+    @pytest.mark.parametrize("field, value", [
+        ("outcomes", True), ("outcomes", 1.0), ("eve_outcome", True),
+    ], ids=["outcome-true", "outcome-float", "eve-outcome-true"])
+    def test_read_rejects_outcome_that_only_equals_one(self, tmp_path, field, value):
+        # True == 1.0 == 1 in Python, but a transcript writes its outcomes as the ints ±1
+        path = tmp_path / "t.jsonl"
+        config = protocol.ProtocolConfig("mermin", 3, 2, seed=1)
+        cli.write_transcript(protocol.run_protocol(config), path)
+        raw = [json.loads(line) for line in path.read_text().splitlines()]
+        if field == "outcomes":
+            raw[1]["outcomes"][0] = value
+        else:
+            raw[1]["eve_outcome"] = value
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in raw))
+        with pytest.raises(ValueError, match="outcomes"):
+            cli.read_transcript(path, config)
+
+    def test_read_rejects_boolean_round(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        config = protocol.ProtocolConfig("mermin", 3, 2, seed=1)
+        cli.write_transcript(protocol.run_protocol(config), path)
+        lines = path.read_text().splitlines()
+        assert lines[1].endswith('"round": 1}')
+        lines[1] = lines[1].removesuffix('"round": 1}') + '"round": true}'
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="holds round True"):
+            cli.read_transcript(path, config)
+
     def test_read_rejects_out_of_order_round(self, tmp_path):
         path = tmp_path / "t.jsonl"
         config = protocol.ProtocolConfig("mermin", 3, 3, seed=1)

@@ -26,10 +26,11 @@ checkout: for each seed, every workload and then the engine line runs on
 both trees back to back, the parent first on the 1st, 3rd, ... seed of
 `--seeds` and the checkout first on the others, so the host's drift falls
 on both sides alike.  Both commits' figures are written.  It refuses, before
-measuring, a pair of trees of which exactly one holds compiled bytecode
-under `src/contextkey/__pycache__`: such a tree's first import compiles
-nothing, and read about 0.8 MB less `peak_rss_mb` on run-mermin3 (43.6
-against 44.4 MB) with the same code.  Each commit's `bytecode_cached` flag,
+measuring, a pair of trees of which exactly one holds current compiled
+bytecode under `src/contextkey/__pycache__`: such a tree's first import
+compiles nothing, and read about 0.8 MB less `peak_rss_mb` on run-mermin3
+(43.5 against 44.3 MB, two pairs of 8 s runs, 2 cores) with the same code.  Bytecode of an older source,
+which an import ignores, does not count.  Each commit's `bytecode_cached` flag,
 taken before its first run, is written beside its figures.
 
 An existing BENCH_<n>.json keeps the workloads and engine lines of other
@@ -41,10 +42,12 @@ later one on the change's also leave both commits' medians side by side.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import statistics
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -98,8 +101,20 @@ def engine_rate(checkout: Path, seed: int) -> float:
 
 
 def bytecode_cached(tree: Path) -> bool:
-    """Whether the tree's package holds compiled bytecode, so that its first import compiles nothing."""
-    return any((tree / BYTECODE).glob("*.pyc"))
+    """Whether every module of the tree's package has current bytecode, so that its first import compiles nothing."""
+    sources = sorted((tree / BYTECODE).parent.glob("*.py"))
+    return bool(sources) and all(map(_bytecode_current, sources))
+
+
+def _bytecode_current(source: Path) -> bool:
+    """Whether the source's cached bytecode holds the header an import checks it by: magic, flags, mtime, size."""
+    try:
+        header = Path(importlib.util.cache_from_source(str(source))).read_bytes()[:16]
+    except OSError:
+        return False
+    stat = source.stat()
+    mtime, size = int(stat.st_mtime) & 0xFFFFFFFF, stat.st_size & 0xFFFFFFFF
+    return header == importlib.util.MAGIC_NUMBER + struct.pack("<III", 0, mtime, size)
 
 
 def quartiles(values: list[float]) -> dict:

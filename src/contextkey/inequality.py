@@ -140,12 +140,9 @@ def estimate_from_transcript(transcript, spec: InequalitySpec) -> InequalityEsti
     error propagates each term's sample variance.
 
     The code and the product are built party by party over the revealed
-    rows, the code in intp: the int8 columns' place values reach 3**(N−1),
-    past int8 from N=6 on.  An erased outcome zeroes the product, which
-    drops its round.  Over so few columns an integer ``@`` or a
-    ``prod(axis=1)`` runs numpy's generic loops: on one chsh-4 pair spec
-    over 8,000 rounds the estimate took 784 µs with them (the ``@`` alone
-    63, the ``prod`` 181) and takes about 153 this way.
+    rows, the code in intp: its place values reach 3**(N−1), past int8
+    from N=6 on.  An erased outcome zeroes the product, which drops its
+    round.
     """
     positions = [p - 1 for p in spec.parties]
     settings = [transcript.setting_labels[p] for p in positions]

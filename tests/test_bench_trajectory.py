@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import json
+import py_compile
 import sys
 from pathlib import Path
 
@@ -143,18 +144,31 @@ def test_parent_pass_refuses_trees_that_import_differently(tmp_path, monkeypatch
     monkeypatch.setattr(bench_trajectory, "run_once", run_once)
     monkeypatch.setattr(bench_trajectory, "engine_rate", lambda _tree, seed: 100.0)
     argv = ["9", "--seeds", "1", "--checkout", str(change), "--parent", str(parent)]
-    cache = change / bench_trajectory.BYTECODE
-    cache.mkdir(parents=True)
-    (cache / "cli.cpython-311.pyc").write_bytes(b"")
+    sources = {}
+    for tree in (parent, change):
+        sources[tree] = tree / bench_trajectory.BYTECODE.parent / "cli.py"
+        sources[tree].parent.mkdir(parents=True)
+        sources[tree].write_text("VALUE = 1\n")
+
+    def compile_tree(tree):
+        py_compile.compile(str(sources[tree]), doraise=True, invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+
+    compile_tree(change)
     with pytest.raises(SystemExit) as refused:
         bench_trajectory.main(argv)
     assert str(refused.value) == (
-        f"refusing the pair: only {cache} holds bytecode, so the trees import differently"
+        f"refusing the pair: only {change / bench_trajectory.BYTECODE} holds bytecode, so the trees import differently"
     )
     assert runs == [] and not (tmp_path / "BENCH_9.json").exists()
 
-    (parent / bench_trajectory.BYTECODE).mkdir(parents=True)
-    (parent / bench_trajectory.BYTECODE / "cli.cpython-311.pyc").write_bytes(b"")
+    # bytecode of an older source is not loaded, so it does not count
+    compile_tree(parent)
+    sources[parent].write_text("VALUE = 22\n")
+    with pytest.raises(SystemExit) as refused_again:
+        bench_trajectory.main(argv)
+    assert str(refused_again.value) == str(refused.value)
+
+    compile_tree(parent)
     assert bench_trajectory.main(argv) == 0
     record = json.loads((tmp_path / "BENCH_9.json").read_text())
     assert record["bytecode_cached"] == {"parent": True, "change": True}

@@ -25,13 +25,11 @@ With `--parent` a second tree, the parent commit's, is measured beside the
 checkout: for each seed, every workload and then the engine line runs on
 both trees back to back, the parent first on the 1st, 3rd, ... seed of
 `--seeds` and the checkout first on the others, so the host's drift falls
-on both sides alike.  Both commits' figures are written.  It refuses, before
-measuring, a pair of trees of which exactly one holds current compiled
-bytecode under `src/contextkey/__pycache__`: such a tree's first import
-compiles nothing, and read about 0.8 MB less `peak_rss_mb` on run-mermin3
-(43.5 against 44.3 MB, two pairs of 8 s runs, 2 cores) with the same code.  Bytecode of an older source,
-which an import ignores, does not count.  Each commit's `bytecode_cached` flag,
-taken before its first run, is written beside its figures.
+on both sides alike.  Both commits' figures are written.  Before measuring,
+every tree's `src` is compiled to bytecode, so no tree's first run compiles
+while the others import cached bytecode: with the same code, a tree holding
+bytecode read about 0.8 MB less `peak_rss_mb` on run-mermin3 (43.5 against
+44.3 MB, two pairs of 8 s runs, 2 cores).
 
 An existing BENCH_<n>.json keeps the workloads and engine lines of other
 commits and every top-level key this script does not write (a hand-added
@@ -42,12 +40,11 @@ later one on the change's also leave both commits' medians side by side.
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import compileall
 import json
 import os
 import platform
 import statistics
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -57,8 +54,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 #: lines of a failed run's standard error kept in the record
 STDERR_LINES = 12
-#: where a tree's compiled bytecode lives, relative to the tree
-BYTECODE = Path("src", "contextkey", "__pycache__")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -98,23 +93,6 @@ def engine_rate(checkout: Path, seed: int) -> float:
         capture_output=True, text=True, timeout=600, check=True,
     )
     return float(done.stdout)
-
-
-def bytecode_cached(tree: Path) -> bool:
-    """Whether every module of the tree's package has current bytecode, so that its first import compiles nothing."""
-    sources = sorted((tree / BYTECODE).parent.glob("*.py"))
-    return bool(sources) and all(map(_bytecode_current, sources))
-
-
-def _bytecode_current(source: Path) -> bool:
-    """Whether the source's cached bytecode holds the header an import checks it by: magic, flags, mtime, size."""
-    try:
-        header = Path(importlib.util.cache_from_source(str(source))).read_bytes()[:16]
-    except OSError:
-        return False
-    stat = source.stat()
-    mtime, size = int(stat.st_mtime) & 0xFFFFFFFF, stat.st_size & 0xFFFFFFFF
-    return header == importlib.util.MAGIC_NUMBER + struct.pack("<III", 0, mtime, size)
 
 
 def quartiles(values: list[float]) -> dict:
@@ -173,10 +151,8 @@ def main(argv: list[str] | None = None) -> int:
     trees = [args.parent.resolve(), checkout] if args.parent else [checkout]
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    cached = {tree: bytecode_cached(tree) for tree in trees}
-    if len(set(cached.values())) > 1:
-        holder = next(tree for tree in trees if cached[tree])
-        sys.exit(f"refusing the pair: only {holder / BYTECODE} holds bytecode, so the trees import differently")
+    for tree in trees:
+        compileall.compile_dir(tree / "src", quiet=1)
     commits = {tree: commit_of(tree) for tree in trees}
     runs = {tree: {name: [] for name in workloads} for tree in trees}
     rates = {tree: [] for tree in trees}
@@ -191,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{tree} engine seed {seed}: {rates[tree][-1]:.1f} rounds/s", file=sys.stderr)
     out = ROOT / f"BENCH_{args.number}.json"
     old = carried(out)
-    measured, lines, bytecode = old["workloads"], old.get("engine_lines", {}), old.get("bytecode_cached", {})
+    measured, lines = old["workloads"], old.get("engine_lines", {})
     for tree, (commit, dirty) in commits.items():
         # A tree that changed while it was measured is not the commit it names.
         dirty = dirty or commit_of(tree) != (commit, False)
@@ -202,7 +178,6 @@ def main(argv: list[str] | None = None) -> int:
             "line": ENGINE_LINE, "seeds": args.seeds,
             "rounds_per_s": {"unit": "rounds/s", **quartiles(rates[tree])},
         }
-        bytecode[key] = cached[tree]
     record = {
         "commit": commits[checkout][0],
         "dirty": commits[checkout][1],
@@ -213,7 +188,6 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": np.__version__,
         "workloads": measured,
         "engine_lines": lines,
-        "bytecode_cached": bytecode,
     }
     record.update({name: value for name, value in old.items() if name not in record})
     out.write_text(json.dumps(record, indent=2) + "\n")

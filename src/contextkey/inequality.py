@@ -9,8 +9,7 @@ classical bound by three standard errors.  Exact values live in the
 tests' dense reference layer, ``tests/dense.py``.
 
 The estimator reads the run's int8 columns one party at a time and counts
-rounds by intp codes: over a few columns, an int8 fancy index, an integer
-``@`` or a ``prod(axis=1)`` runs numpy's slow generic loops.
+rounds by intp codes (the ``protocol`` docstring says why).
 """
 
 from __future__ import annotations

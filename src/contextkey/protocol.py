@@ -22,9 +22,8 @@ indexes with intp (or compares, or goes through ``np.take``), and the
 per-party columns are combined by in-place elementwise loops (``+=``,
 ``*=``, ``&=``, ``|=``).  Over 2-6 int8 columns, a fancy index by a
 strided int8 column, an integer ``@`` and a ``prod(axis=1)`` run numpy's
-generic loops, slow for such shapes: on the 8,000 rounds of a chsh-4
-attack, ``round_kinds`` took 467 µs that way and one pair estimate
-784 µs, against about 174 and 153 µs now.
+generic loops, slow for such shapes (README's internals section gives
+the figures).
 
 All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise), one array row per round.  The engine plays
@@ -243,8 +242,7 @@ def round_kinds(kind: str, picks: np.ndarray) -> RoundKinds:
     on the odd party with XpZ or ZmX on the even one.
 
     Each party's int8 column is compared with its allowed picks, and the
-    parties' booleans are combined in place with ``&=`` and ``|=``, not by
-    a logical reduce over a list, which stacks a (parties, rounds) array.
+    parties' booleans are combined in place with ``&=`` and ``|=``.
     """
     n = picks.shape[1]
     prefixes = [[split_label(label)[0] for label in labels] for labels in party_labels(kind, n)]
@@ -640,8 +638,8 @@ class _Engine:
         prefix, party = self.eve_parsed
         bases = self.basis[_PREFIX_INDEX[prefix], :, :, None]
         fresh = eve.resend == "fresh-reference"
-        # her post states go to a kept (D, B) buffer, not a fresh block-sized array
-        # each block (128 KB at D=4); the copy below keeps one path at every activity rate
+        # her post states go to a kept (D, B) buffer; the copy below keeps one path
+        # at every activity rate
         if not fresh and self._eve_post.size < states.size:
             self._eve_post = np.empty(states.size, dtype=np.complex128)
         outcome, post = self._measure(

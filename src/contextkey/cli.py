@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -259,7 +258,7 @@ def _token_tables(transcript: protocol.Transcript) -> tuple[np.ndarray, list[np.
         weights[: k + 1, -1] *= len(column)  # the table's earlier columns move up a digit
         weights[k, -1] = 1
         tables[-1] = [head + tail for head, tail in itertools.product(tables[-1], column)]
-    return weights, [np.array([piece.encode() for piece in table]) for table in tables]
+    return weights, [np.array([piece.encode() for piece in table], dtype=object) for table in tables]
 
 
 def _round_ends(start: int, stop: int) -> np.ndarray:
@@ -283,12 +282,13 @@ def write_transcript(transcript: protocol.Transcript, path: Path):
 
     Erased outcomes are written as null, and so are Eve's label and outcome
     in rounds she did not measure.  Rounds are written a chunk at a time:
-    each token table (``_token_tables``) is indexed by its columns' codes,
-    and the pieces and round numbers are joined elementwise, so a chunk
-    holds its int16 codes, a few byte-string arrays and its own text.  The
-    codes are multiply-adds of the int8 columns, row by row of a (tables,
-    chunk) array, each product taken in int16 whatever numpy's scalar
-    promotion: a weight reaches 81, which an int8 product would wrap.
+    each token table (``_token_tables``), indexed by its columns' codes,
+    fills one column of a (chunk, tables + 1) object grid and the round ends
+    the last, and the grid is joined row by row, so a chunk holds its int16
+    codes, one grid of references to shared bytes and its own text.  The
+    codes are multiply-adds of the int8 columns, each product taken in
+    int16 whatever numpy's scalar promotion: a weight reaches 81, which an
+    int8 product would wrap.
     """
     kinds, rounds, n = transcript.kinds, transcript.config.rounds, transcript.config.num_parties
     weights, tables = _token_tables(transcript)
@@ -303,10 +303,12 @@ def write_transcript(transcript: protocol.Transcript, path: Path):
             codes[:] = offsets[:, None]
             for column, table, w in terms:
                 codes[table] += np.multiply(column[rows], w, dtype=np.int16)
-            ends = _round_ends(rows.start, rows.stop)
-            pieces = itertools.chain(map(np.take, tables, codes), [ends])
-            # a piece is dropped once added, and the joined lines once listed
-            handle.write(b"".join(functools.reduce(np.char.add, pieces).tolist()))
+            grid = np.empty((rows.stop - rows.start, len(tables) + 1), dtype=object)
+            for column, (table, code) in enumerate(zip(tables, codes)):
+                grid[:, column] = table.take(code)
+            grid[:, -1] = _round_ends(rows.start, rows.stop)
+            handle.write(b"".join(grid.ravel().tolist()))
+            del grid  # before the next chunk's grid is built
 
 
 def read_transcript(path: Path, config: protocol.ProtocolConfig) -> protocol.Transcript:

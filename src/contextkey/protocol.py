@@ -30,7 +30,8 @@ All randomness flows from one 64-bit seed through named streams
 blocks of B = ``block_rounds(D)`` rounds as one (D, B) array,
 amplitude-major with the rounds innermost, which every step overwrites in
 place, party by party, on one thread; it draws the Born, masking and Eve
-rows block by block, and the picks and noise rows whole.
+rows block by block (masking rows only in a run with Eve, their one
+reader), and the picks and noise rows whole.
 A round depends only on its own rows, so it is the same whatever block it
 falls in.  Toggling masking, noise, or the eavesdropper never shifts the
 other streams.
@@ -50,8 +51,9 @@ a Mermin party before the last forwards it, and so does Eve unless she
 resends a fresh reference; the last party's state, and every CHSH party's
 (each re-prepares), are dropped.  A mask acts only on qudits that were
 already measured, so it commutes with every later measurement: the engine
-applies only the factors on Eve's qudit, folded into her bras as v†·M,
-and no mask at all in a run without her.  The engine is the only round
+applies only the factors on Eve's qudit, composed as one SU(2) matrix M a
+round and folded into her bras as v†·M, and draws no masking angle at
+all in a run without her.  The engine is the only round
 player, and touches one qubit at a time by index arithmetic.  Its test
 oracle is the dense reference layer in ``tests/dense.py``: a reference
 player in the test suite replays the engine's variates with full D×D
@@ -292,17 +294,6 @@ def key_bit(kind: str, party, outcome):
     return np.where(outcome == 0, ERASED_BIT, raw)
 
 
-def _rotation(axis: str, cos, sin):
-    """Entries a, b, c, d of exp(iθ·σ_axis) = [[a, b], [c, d]], from cos θ and sin θ."""
-    if axis == "X":
-        return cos, 1j * sin, 1j * sin, cos
-    if axis == "Y":
-        return cos, sin, -sin, cos
-    if axis == "Z":
-        return cos + 1j * sin, 0j, 0j, cos - 1j * sin
-    raise ValueError(f"masking axis must be a Pauli label, got {axis!r}")
-
-
 def eigenbasis(local: np.ndarray) -> np.ndarray:
     """Rows v+ and v−: unit eigenvectors of a 2×2 involution for +1 and −1.
 
@@ -370,15 +361,8 @@ def block_rounds(dim: int) -> int:
     Blocks of 8,192 amplitudes, but at least 512 rounds and at most 32,768
     amplitudes: 2,048 rounds at D=4, 1,024 at D=8, 512 for D=16..64, then
     32768 // D, down to 8 at D=4096.  The kernels' inner loops run over the
-    rounds, so short blocks pay per-row start-up.  Against the old rule
-    max(8, 8192 // D), in 7-15 alternating fresh interpreters (2 cores),
-    ``run_protocol`` took 0.73-0.82x at D=64 (a mermin-6 attack; a whole
-    command 0.61x for 0.9 MB more peak RSS, 1,024 rounds 2.7 MB more) and
-    0.61-0.86x for mermin N=5 and N=7..11.  N=12 took 1.04x in blocks of
-    16, so it keeps 8; below 8 it played under half the rounds/s.  D=4 and
-    D=8 keep their blocks: whole commands read 0.86-1.08x at D=4 in blocks
-    of 1,024 and 0.90-1.05x at D=8 in blocks of 2,048, the sign changing
-    between runs and workloads.  Every block size gave the same outcomes.
+    rounds, so short blocks pay per-row start-up (README's internals section
+    gives the measurements).  Every block size gives the same outcomes.
     """
     return min(32768 // dim, max(512, 8192 // dim))
 
@@ -507,14 +491,16 @@ class _Engine:
         basis states and are the noise stream's last draw, so they are
         drawn only under white preparation noise.  Born, masking and Eve
         uniforms are drawn block by block in ``_draw``, which yields the
-        same values as one draw for the whole run.
+        same values as one draw for the whole run.  Only Eve reads masks
+        (``_mask``), so only a masked run with her opens the masking stream;
+        the streams are independent, so no other variate moves.
         """
         config = self.config
         rounds, n = config.rounds, self.num_parties
         self._g_round = stream_generator(config.seed, "round")
         self.picks = self._g_round.integers(0, 3, size=(rounds, n)).astype(np.int8)
         self._born_cols = n + (n - 1 if self.kind == "chsh" else 0)
-        masked = config.masking_enabled and self._mask_angle_count
+        masked = config.masking_enabled and self._mask_angle_count and self.eve is not None
         self._g_mask = stream_generator(config.seed, "masking") if masked else None
         self._g_eve = stream_generator(config.seed, "eve") if self.eve is not None else None
         self._noise_u = self._white_idx = None
@@ -527,7 +513,7 @@ class _Engine:
         self._drawn = 0
 
     def _draw(self, size: int) -> _Variates:
-        """Every stream's rows for the next ``size`` rounds of the run."""
+        """Every stream's rows for the next ``size`` rounds (``angles`` only where Eve reads masks)."""
         rows = slice(self._drawn, self._drawn + size)
         self._drawn += size
         return _Variates(
@@ -601,9 +587,13 @@ class _Engine:
         commutes with every later measurement and is applied only where
         Eve reads: the factors on her qudit, in sender order.  Mermin
         senders 1..link mask qudits 1..sender; in CHSH only the link's
-        sender has masked the re-prepared pair.  M is the product of
-        those factors, the first applied first, so the bras take them
-        last factor first.  Without factors the bras are returned as given.
+        sender has masked the re-prepared pair.  M, the product of those
+        factors with the first applied first, is composed per round as the
+        SU(2) pair (a, b) of [[a, b], [−b*, a*]]: exp(iθσ) is (cos, i·sin)
+        for X, (cos, sin) for Y and (cos + i·sin, 0) for Z, and a later
+        factor (a1, b1) times (a, b) is (a1·a − b1·b*, a1·b + b1·a*).  The
+        bras take M once: w·M = (w0·a − w1·b*, w0·b + w1·a*).  Without
+        factors the bras are returned as given.
         """
         if angles is None:
             return bras
@@ -615,12 +605,16 @@ class _Engine:
         if not columns:
             return bras
         angles = angles[:, np.concatenate(columns)].T
+        a, b = 1.0, 0.0  # the identity
+        for axis, cos, sin in zip(self.mask_axes * len(columns), np.cos(angles), np.sin(angles)):
+            if axis == "Z":
+                z = cos + 1j * sin
+                a, b = z * a, z * b
+            else:
+                b1 = 1j * sin if axis == "X" else sin
+                a, b = cos * a - b1 * np.conj(b), cos * b + b1 * np.conj(a)
         w0, w1 = bras[:, 0], bras[:, 1]
-        factors = list(zip(self.mask_axes * len(columns), np.cos(angles), np.sin(angles)))
-        for axis, cos, sin in reversed(factors):
-            ra, rb, rc, rd = _rotation(axis, cos, sin)
-            w0, w1 = w0 * ra + w1 * rc, w0 * rb + w1 * rd
-        return np.stack([w0, w1], axis=1)
+        return np.stack([w0 * a - w1 * np.conj(b), w0 * b + w1 * np.conj(a)], axis=1)
 
     def _eve_hook(self, states, link: int, v: _Variates):
         """Eve's step on the block's ``states``, in place: the forwarded

@@ -20,7 +20,7 @@ import numpy as np
 
 from contextkey.inequality import LOCAL_MATRICES, SQRT2, InequalitySpec, mermin_spec, split_label
 from contextkey.noise import ERASED, DetectorNoise, LossDetector, MisreadDetector
-from contextkey.protocol import TWO_PI, _rotation
+from contextkey.protocol import TWO_PI
 from contextkey.qmath import (
     PAULI,
     PROB_FLOOR,
@@ -357,6 +357,17 @@ def masking_unitary(
         theta = rng.uniform(0.0, TWO_PI)
         matrix = lift_matrix(_su2_product((prefix,), (theta,)), party, indexing) @ matrix
     return UnitaryOperator(matrix)
+
+
+def _rotation(axis: str, cos, sin):
+    """Entries a, b, c, d of exp(iθ·σ_axis) = [[a, b], [c, d]], from cos θ and sin θ."""
+    if axis == "X":
+        return cos, 1j * sin, 1j * sin, cos
+    if axis == "Y":
+        return cos, sin, -sin, cos
+    if axis == "Z":
+        return cos + 1j * sin, 0j, 0j, cos - 1j * sin
+    raise ValueError(f"masking axis must be a Pauli label, got {axis!r}")
 
 
 def _su2_product(axes: tuple[str, ...], angles) -> np.ndarray:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,10 @@ WRITER_CASES = {
     "chsh40": protocol.ProtocolConfig("chsh", 40, 300, seed=6),
     "chsh3-erasures": protocol.ProtocolConfig("chsh", 3, 2000, seed=7, noise=LOSSY),
     "chsh4-erasures-eve-skipping": protocol.ProtocolConfig("chsh", 4, 3000, seed=8, noise=LOSSY, eve=HALF_EVE),
+    # two-digit party labels, Eve's among them
+    "mermin10-eve-z10": protocol.ProtocolConfig(
+        "mermin", 10, 300, seed=9, eve=EveConfig(9, "Z10", "noncommuting-measure"),
+    ),
 }
 
 
@@ -177,6 +182,23 @@ class TestTranscriptFormat:
             eve = runs[name].eve_outcomes
             assert (eve == 0).any() and (eve != 0).any(), name
         assert (runs["mermin3-10-rounds"].eve_outcomes == 0).all()
+        assert (runs["mermin10-eve-z10"].eve_outcomes != 0).all()
+
+    def test_writer_holds_a_chunk_not_the_transcript(self, tmp_path):
+        # the writer's peak allocation must not grow with the run's length
+        peaks = []
+        for chunks in (3, 12):
+            transcript = protocol.run_protocol(
+                protocol.ProtocolConfig("mermin", 3, chunks * cli.TRANSCRIPT_CHUNK, seed=10)
+            )
+            transcript.kinds  # cached before tracing, so only the writer's allocations count
+            tracemalloc.start()
+            try:
+                cli.write_transcript(transcript, tmp_path / "t.jsonl")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5e6, peaks
 
 
 class TestRun:

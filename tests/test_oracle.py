@@ -7,7 +7,8 @@ engine draws for one block covering the whole run, so the layout of the
 random streams has a single owner, but it does every quantum step on full
 D-dimensional vectors, one round at a time: it measures with lifted
 eigenprojectors (``dense.dichotomic_from_local``), masks every sender's
-state eagerly with ``dense.masking_unitary`` fed the engine's angle row,
+state eagerly with ``dense.masking_unitary`` fed the masking stream's row
+(drawn here: the engine draws it only where Eve reads a mask),
 and applies Eve, preparation noise, detector noise and ``fresh-reference``
 resends from their definitions.  Every field of every round must agree
 exactly: labels, outcomes and erasures, Eve's outcome, and whether the
@@ -146,7 +147,12 @@ class DenseReference:
         self.config = config
         self.kind = config.kind
         self.n = config.num_parties
-        self.variates = protocol._Engine(config)._draw(config.rounds)
+        engine = protocol._Engine(config)
+        self.variates = engine._draw(config.rounds)
+        self.angles = None
+        if config.masking_enabled:
+            masking = protocol.stream_generator(config.seed, "masking")
+            self.angles = masking.random(size=(config.rounds, engine._mask_angle_count)) * protocol.TWO_PI
         qudits = self.n if self.kind == "mermin" else 2
         self.indexing = qmath.PartyIndexing(qudits)
         dim = self.indexing.total_dim
@@ -233,7 +239,7 @@ class DenseReference:
         variates = self.variates
         picks = variates.picks[round_id]
         born = variates.born[round_id]
-        angle_row = _AngleRow(variates.angles[round_id]) if variates.angles is not None else None
+        angle_row = _AngleRow(self.angles[round_id]) if self.angles is not None else None
         labels = tuple(self.settings[k][picks[k]] for k in range(self.n))
         outcomes = []
         eve_outcome = None

@@ -184,13 +184,16 @@ class TestMaskingUnitary:
         ("mermin", 3, True), ("mermin", 3, False), ("mermin", 4, True), ("chsh", 4, True),
     ])
     def test_matches_engine_masking(self, kind, parties, include_key):
-        # The verified masking is the executed one: fed the engine's angles,
+        # The verified masking is the executed one: fed the same angles,
         # masking_unitary of every mask sent by a link, in sender order, is
         # the product of the engine's per-qudit masks at that link, lifted.
+        # The engine draws angles only where Eve reads them, so they come
+        # from the masking stream itself.
         config = protocol.ProtocolConfig(kind, parties, 3, seed=8, masking_include_key=include_key)
         engine = protocol._Engine(config)
         dim, indexing = engine.dim, qmath.PartyIndexing(engine.qudits)
-        angles = engine._draw(config.rounds).angles
+        masking = protocol.stream_generator(config.seed, "masking")
+        angles = masking.random(size=(config.rounds, engine._mask_angle_count)) * protocol.TWO_PI
         for round_id in range(config.rounds):
             for link in engine.mask_plan:
                 senders = range(1, link + 1) if kind == "mermin" else (link,)
@@ -403,6 +406,19 @@ class TestDeterminism:
         a = protocol.stream_generator(9, "round").random(4)
         b = protocol.stream_generator(9, "masking").random(4)
         assert not np.allclose(a, b)
+
+    def test_masked_run_without_eve_opens_no_masking_stream(self):
+        # only Eve reads masks, so a run without her draws no angles
+        engine = protocol._Engine(protocol.ProtocolConfig("mermin", 3, 10, seed=9))
+        assert engine._g_mask is None
+        assert engine._draw(10).angles is None
+
+    def test_eve_reads_the_masking_stream_block_by_block(self):
+        config = protocol.ProtocolConfig("chsh", 3, 40, seed=9, eve=EveConfig(1, "Z1", "commuting-measure"))
+        engine = protocol._Engine(config)
+        whole = protocol.stream_generator(9, "masking").random(size=(40, engine._mask_angle_count))
+        assert np.array_equal(engine._draw(25).angles, whole[:25] * protocol.TWO_PI)
+        assert np.array_equal(engine._draw(15).angles, whole[25:] * protocol.TWO_PI)
 
 
 class TestSingleRoundOps:

@@ -21,18 +21,25 @@ Beside the workloads it records an engine line, wider than any workload:
 once per seed in a fresh interpreter of the measured checkout, with
 `numpy.random` imported before the clock starts, as raw rounds/s with
 median and quartiles under `engine_lines`, keyed by commit.
+Beside it, a long-run line watches time and memory as `--rounds` grows:
+`cli.main` on each of `LONG_RUNS` (noisy chsh N=8 and mermin N=3 `run`
+commands) at 10^6 rounds, each once per seed in a fresh interpreter of the
+measured checkout, writing its artifacts to a temporary directory.  It
+records the command's seconds and the interpreter's peak RSS
+(`ru_maxrss`), with median and quartiles, and the exit codes, under
+`long_run_lines`, keyed by commit.
 With `--parent` a second tree, the parent commit's, is measured beside the
-checkout: for each seed, every workload and then the engine line runs on
-both trees back to back, the parent first on the 1st, 3rd, ... seed of
-`--seeds` and the checkout first on the others, so the host's drift falls
-on both sides alike.  Both commits' figures are written.  Before measuring,
+checkout: for each seed, every workload, then the engine line and then
+each long run runs on both trees back to back, the parent first on the
+1st, 3rd, ... seed of `--seeds` and the checkout first on the others, so
+the host's drift falls on both sides alike.  Both commits' figures are written.  Before measuring,
 every tree's `src` is compiled to bytecode, so no tree's first run compiles
 while the others import cached bytecode: with the same code, a tree holding
 bytecode read about 0.8 MB less `peak_rss_mb` on run-mermin3 (43.5 against
 44.3 MB, two pairs of 8 s runs, 2 cores).
 
-An existing BENCH_<n>.json keeps the workloads and engine lines of other
-commits and every top-level key this script does not write (a hand-added
+An existing BENCH_<n>.json keeps the workloads, engine and long-run lines of
+other commits and every top-level key this script does not write (a hand-added
 `tier1` record, say), so a run with `--checkout` on the parent's tree and a
 later one on the change's also leave both commits' medians side by side.
 """
@@ -93,6 +100,40 @@ def engine_rate(checkout: Path, seed: int) -> float:
         capture_output=True, text=True, timeout=600, check=True,
     )
     return float(done.stdout)
+
+
+LONG_RUN_ROUNDS = 1_000_000
+#: the long-run line's commands, without rounds, seed and output directory
+LONG_RUNS = {
+    "chsh8-noisy": [
+        "run", "--kind", "chsh", "--parties", "8", "--prep-noise", "flip:0.1,0.1", "--detector-noise", "loss:0.7",
+    ],
+    "mermin3": ["run", "--kind", "mermin", "--parties", "3"],
+}
+# the command prints its summary first; the last line is the measurement
+LONG_RUN_PROGRAM = """
+import json, resource, sys, tempfile, time
+import numpy.random
+from contextkey import cli
+argv = json.loads(sys.argv[1])
+with tempfile.TemporaryDirectory() as outdir:
+    start = time.perf_counter()
+    code = cli.main([*argv, "--outdir", outdir])
+    seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"exit": code, "seconds": seconds, "peak_rss_mb": peak}))
+"""
+
+
+def long_run(checkout: Path, name: str, seed: int) -> dict:
+    """Exit code, seconds and peak RSS (MB) of one long run in a fresh interpreter of the checkout."""
+    argv = [*LONG_RUNS[name], "--rounds", str(LONG_RUN_ROUNDS), "--seed", str(seed)]
+    done = subprocess.run(
+        [sys.executable, "-c", LONG_RUN_PROGRAM, json.dumps(argv)], cwd=checkout,
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def quartiles(values: list[float]) -> dict:
@@ -156,6 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     commits = {tree: commit_of(tree) for tree in trees}
     runs = {tree: {name: [] for name in workloads} for tree in trees}
     rates = {tree: [] for tree in trees}
+    long_runs = {tree: {name: [] for name in LONG_RUNS} for tree in trees}
     for i, seed in enumerate(args.seeds):
         order = trees if i % 2 == 0 else trees[::-1]
         for name in workloads:
@@ -165,9 +207,13 @@ def main(argv: list[str] | None = None) -> int:
         for tree in order:
             rates[tree].append(engine_rate(tree, seed))
             print(f"{tree} engine seed {seed}: {rates[tree][-1]:.1f} rounds/s", file=sys.stderr)
+        for name in LONG_RUNS:
+            for tree in order:
+                long_runs[tree][name].append(long_run(tree, name, seed))
+                print(f"{tree} {name} seed {seed}: {json.dumps(long_runs[tree][name][-1])}", file=sys.stderr)
     out = ROOT / f"BENCH_{args.number}.json"
     old = carried(out)
-    measured, lines = old["workloads"], old.get("engine_lines", {})
+    measured, lines, long_lines = old["workloads"], old.get("engine_lines", {}), old.get("long_run_lines", {})
     for tree, (commit, dirty) in commits.items():
         # A tree that changed while it was measured is not the commit it names.
         dirty = dirty or commit_of(tree) != (commit, False)
@@ -177,6 +223,15 @@ def main(argv: list[str] | None = None) -> int:
         lines[key] = {
             "line": ENGINE_LINE, "seeds": args.seeds,
             "rounds_per_s": {"unit": "rounds/s", **quartiles(rates[tree])},
+        }
+        long_lines[key] = {
+            name: {
+                "argv": [*argv, "--rounds", str(LONG_RUN_ROUNDS)], "seeds": args.seeds,
+                "exit_codes": [run["exit"] for run in long_runs[tree][name]],
+                "seconds": {"unit": "s", **quartiles([run["seconds"] for run in long_runs[tree][name]])},
+                "peak_rss_mb": {"unit": "MB", **quartiles([run["peak_rss_mb"] for run in long_runs[tree][name]])},
+            }
+            for name, argv in LONG_RUNS.items()
         }
     record = {
         "commit": commits[checkout][0],
@@ -188,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": np.__version__,
         "workloads": measured,
         "engine_lines": lines,
+        "long_run_lines": long_lines,
     }
     record.update({name: value for name, value in old.items() if name not in record})
     out.write_text(json.dumps(record, indent=2) + "\n")

@@ -27,14 +27,28 @@ the figures).
 
 All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise), one array row per round.  The engine plays
-blocks of B = ``block_rounds(D)`` rounds as one (D, B) array,
-amplitude-major with the rounds innermost, which every step overwrites in
-place, party by party, on one thread; it draws the Born, masking and Eve
-rows block by block (masking rows only in a run with Eve, their one
-reader), and the picks and noise rows whole.
+blocks of B = ``block_rounds(D)`` rounds, party by party, on one thread;
+it draws the Born, masking and Eve rows block by block (masking rows only
+in a run with Eve, their one reader), and the picks and noise rows whole.
 A round depends only on its own rows, so it is the same whatever block it
 falls in.  Toggling masking, noise, or the eavesdropper never shifts the
 other streams.
+
+Until Eve touches it, the state reaching a party is one of K states fixed
+by the earlier picks and outcomes: one of the 6 the previous party
+prepares (with the D basis states under white noise), or one of 6^(k−1)
+post states before Mermin party k.  Each party's hop table, built once a
+run, holds P(+1) for the 3K (state, pick) pairs and, for a forwarding
+Mermin party, the 6K post states; a block then looks its outcomes up by
+integer codes.  The first party without a table gathers the codes into
+one (D, B) array, amplitude-major with the rounds innermost, which every
+later step overwrites in place.  A hop has a table only while Eve sits
+neither at its link nor, for Mermin, before it (a masked state is one per
+round), and only while 3K ≤ B, so a table holds at most two blocks'
+amplitudes.  A table entry is the dense step's arithmetic on the same
+state, so no pinned byte moves; numpy's vector and scalar loops may round
+its P(+1) one ulp apart, which moves an outcome only when the round's
+variate falls inside that ulp.
 
 The rounds are innermost because a step on one qubit pairs amplitudes a
 stride apart, and the stride is 1 for the last qubit: viewed as
@@ -378,6 +392,18 @@ class _Variates(NamedTuple):
     white_idx: np.ndarray | None
 
 
+class _Hop(NamedTuple):
+    """A party's hop table, for an incoming state that is one of K columns.
+
+    ``p_plus`` (3K,) holds P(+1) of pair = code·3 + pick; ``post`` (D, 6K),
+    for a forwarding Mermin party only, the normalized post state of pair
+    and outcome in column pair·2 + (outcome < 0), the next party's code.
+    """
+
+    p_plus: np.ndarray
+    post: np.ndarray | None
+
+
 def _squared_norms(amplitudes: np.ndarray) -> np.ndarray:
     """‖column‖² of a (rows, B) complex array, one per round."""
     return (amplitudes.real**2 + amplitudes.imag**2).sum(axis=0)
@@ -401,8 +427,9 @@ class _Engine:
     the tables below are indexed by the setting pick (0..2): its prefix's
     row of ``basis``, P(+1) on the reference state, the reference
     projections it prepares (rows +1, −1), and whether it is a key setting.
-    A measurement collapses the state only where the state is read next
-    (see the module docstring).
+    ``hops`` holds each party's hop table, or None where it measures dense
+    states.  A measurement collapses the state only where the state is read
+    next (see the module docstring).
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -434,6 +461,7 @@ class _Engine:
         self.setting_p_plus = [np.array([reference_p_plus[pair] for pair in ps]) for ps in self.parsed]
         self.setting_prepared = [np.hstack([self.projected[pair] for pair in ps]) for ps in self.parsed]
         self.setting_key = [np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps]) for ps in self.parsed]
+        self.hops = self._hop_tables()
         self._open_streams()
 
     # -- construction ----------------------------------------------------
@@ -481,6 +509,47 @@ class _Engine:
                 table[prefix, party] = columns[:, 2 * k:2 * k + 2]
                 p_plus[prefix, party] = weights[2 * k]
         return table, p_plus
+
+    def _hop_tables(self) -> list[_Hop | None]:
+        """Per party (index bob − 1), its hop table, or None where it measures dense states.
+
+        A party's K incoming columns are what the previous party prepares
+        (``setting_prepared``'s 6, then basis state j as code 6 + j under
+        white noise), or for a later Mermin party the previous table's post
+        columns.  The 3K pairs go through the block player's kernels as one
+        (D, 3K) stack.  Normalizing by the floored probabilities keeps an
+        unreachable outcome's column finite; ``_choose`` never picks it, so
+        it is never read.  The module docstring says which hops get tables.
+        """
+        cap = block_rounds(self.dim)
+        eve_link = self.eve.position if self.eve is not None else self.num_parties
+        white = self.dim if isinstance(self.prep_noise, WhitePrep) else 0
+        hops, columns = [None] * self.num_parties, None
+        for bob in range(2, self.num_parties + 1):
+            if self.kind == "chsh" or bob == 2:
+                columns = None if 3 * (6 + white) > cap else np.hstack(
+                    [self.setting_prepared[bob - 2], np.eye(self.dim, white, dtype=np.complex128)]
+                )
+            reached = eve_link <= bob - 1 if self.kind == "mermin" else eve_link == bob - 1
+            if columns is None or reached or 3 * columns.shape[1] > cap:
+                columns = None
+                continue
+            party = self.qudit[bob - 1]
+            states = np.repeat(columns, 3, axis=1)  # column pair = code·3 + pick
+            bases = np.tile(self.setting_basis[bob - 1], columns.shape[1])
+            bras = bases.conj()
+            p_plus = _squared_norms(self._contract(bras[0], states, party))
+            columns = None
+            if self.kind == "mermin" and bob < self.num_parties:
+                columns = np.stack([
+                    self._collapse(bases[row] / np.sqrt(np.maximum(p, PROB_FLOOR)),
+                                   self._contract(bras[row], states, party), party)
+                    for row, p in ((0, p_plus), (1, 1.0 - p_plus))
+                ], axis=-1).reshape(self.dim, -1)
+                columns.setflags(write=False)
+            p_plus.setflags(write=False)
+            hops[bob - 1] = _Hop(p_plus, columns)
+        return hops
 
     def _open_streams(self):
         """Open the named streams; draw whole the arrays other draws follow.
@@ -659,15 +728,14 @@ class _Engine:
             return np.where(key & (u >= det.eta), 0, outcome)
         raise TypeError(f"unsupported detector noise {det!r}")
 
-    def _prepare(self, bob: int, pick, outcome, v: _Variates, out=None) -> np.ndarray:
-        """States actually emitted when ``bob`` prepares for ``outcome``, one per round.
+    def _prepare(self, bob: int, pick, outcome, v: _Variates) -> np.ndarray:
+        """Codes (intp) of the states ``bob`` emits when preparing for ``outcome``, one per round.
 
-        Written to ``out``, a (D, B) array, when one is given.
-
-        Without noise, and for settings outside the key, this is the
-        reference state's projection for the outcome.  A key setting's
-        flip noise first flips the outcome, with eps1 or eps2 chosen by its
-        key bit; white noise instead emits a uniformly drawn basis state.
+        Code 2·pick + (outcome < 0) is a column of ``bob``'s
+        ``setting_prepared``: the reference state's projection for the
+        outcome.  A key setting's flip noise first flips the outcome, with
+        eps1 or eps2 chosen by its key bit; white noise instead emits a
+        uniformly drawn basis state j, code 6 + j.
         """
         prep = self.prep_noise
         white = None
@@ -682,45 +750,71 @@ class _Engine:
                 white = key & (u < prep.eps)
             else:
                 raise TypeError(f"unsupported preparation noise {prep!r}")
-        columns = self.setting_prepared[bob - 1]  # (D, 6): setting-major, then ±1
-        # mode="clip" writes straight into ``out``; the indices are in range
-        states = np.take(columns, 2 * pick + (1 - outcome) // 2, axis=1, out=out, mode="clip")
-        if white is not None and white.any():
-            states[:, white] = 0.0
-            states[v.white_idx[white, slot], white] = 1.0
-        return states
+        code = 2 * pick + (outcome < 0)
+        if white is not None:
+            np.copyto(code, 6 + v.white_idx[:, slot], where=white)
+        return code
+
+    @staticmethod
+    def _gather(columns: np.ndarray, code: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The states ``columns[:, code]``, written to ``out``, a (D, B) array.
+
+        A code past the K columns is basis state code − K (white noise).
+        """
+        # mode="clip" writes straight into ``out``; the basis states are set below
+        np.take(columns, code, axis=1, out=out, mode="clip")
+        width = columns.shape[1]
+        basis = code >= width
+        if basis.any():
+            out[:, basis] = 0.0
+            out[code[basis] - width, basis] = 1.0
+        return out
 
     # -- block execution ---------------------------------------------------
 
     def play_block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Play the run's next ``size`` rounds as one (D, size) array, party by party.
+        """Play the run's next ``size`` rounds, party by party.
 
-        Returns the block's ``outcomes`` and ``eve_outcomes`` columns.
+        While a party has a hop table, each round's incoming state is a
+        code into the table's columns and the party looks its P(+1) up; the
+        first party without one gathers the codes into the block's (D, size)
+        array, which every later step overwrites in place.  Returns the
+        block's ``outcomes`` and ``eve_outcomes`` columns.
         """
         v = self._draw(size)
         n = self.num_parties
         outcomes = np.empty((size, n), dtype=np.int8)
         eve_outcomes = np.zeros(size, dtype=np.int8)
 
-        # the block's one (D, size) array: every step overwrites it
         states = np.empty((self.dim, size), dtype=np.complex128)
         # each party's picks as a contiguous intp row, cast once a block: a table
         # indexed by a strided int8 column runs numpy's slow generic loop
         picks = np.ascontiguousarray(v.picks.T, dtype=np.intp)
         pick = picks[0]
         outcomes[:, 0] = _choose(self.setting_p_plus[0][pick], v.born[:, 0])
-        self._prepare(1, pick, outcomes[:, 0], v, out=states)
+        # the incoming states as codes into ``columns``, or None once ``states`` holds them
+        code, columns = self._prepare(1, pick, outcomes[:, 0], v), self.setting_prepared[0]
         for bob in range(2, n + 1):
+            hop = self.hops[bob - 1]
+            if hop is None and columns is not None:
+                self._gather(columns, code, out=states)
+                columns = None
             _, hit = self._eve_hook(states, bob - 1, v)
             if hit is not None:
                 eve_outcomes[:] = hit
             pick = picks[bob - 1]
             # only a Mermin party before the last forwards its post state
             forwards = self.kind == "mermin" and bob < n
-            true_outcome, _ = self._measure(
-                states, np.take(self.setting_basis[bob - 1], pick, axis=-1), self.qudit[bob - 1],
-                v.born[:, bob - 1], out=states if forwards else None,
-            )
+            if hop is not None:
+                pair = code * 3 + pick
+                true_outcome = _choose(hop.p_plus[pair], v.born[:, bob - 1])
+                if forwards:
+                    code, columns = 2 * pair + (true_outcome < 0), hop.post
+            else:
+                true_outcome, _ = self._measure(
+                    states, np.take(self.setting_basis[bob - 1], pick, axis=-1), self.qudit[bob - 1],
+                    v.born[:, bob - 1], out=states if forwards else None,
+                )
             outcomes[:, bob - 1] = self._detector_record(true_outcome, bob, pick, v)
             if self.kind == "chsh" and bob < n:
                 intent = outcomes[:, bob - 1]
@@ -728,7 +822,7 @@ class _Engine:
                 if erased.any():  # an erased record re-prepares from a fresh draw
                     redraw = _choose(self.setting_p_plus[bob - 1][pick], v.born[:, n + bob - 2])
                     intent = np.where(erased, redraw, intent)
-                self._prepare(bob, pick, intent, v, out=states)
+                code, columns = self._prepare(bob, pick, intent, v), self.setting_prepared[bob - 1]
         return outcomes, eve_outcomes
 
 

@@ -14,6 +14,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import bench_trajectory  # noqa: E402
 
 SEEDS = ["1", "2", "3"]
+REAL_LONG_RUN = bench_trajectory.long_run
+
+
+def _long_run(_checkout, name, seed):
+    """A long run that reads ``seed`` seconds and 100 MB plus its seed (chsh8) or 50 MB (mermin3)."""
+    return {"exit": 0, "seconds": float(seed), "peak_rss_mb": (100.0 if name.startswith("chsh") else 50.0) + seed}
+
+
+@pytest.fixture(autouse=True)
+def no_long_runs(monkeypatch):
+    # a real long run plays 10^6 rounds in a fresh interpreter
+    monkeypatch.setattr(bench_trajectory, "long_run", _long_run)
 
 
 def _measure(monkeypatch, checkout: Path, commit: str, command_s: float, number: int = 6) -> dict:
@@ -93,13 +105,19 @@ def test_parent_and_checkout_run_in_alternating_pairs(tmp_path, monkeypatch):
         calls.append((tree.name, "engine", seed))
         return (100.0 if tree == parent else 300.0) * seed
 
+    def long_run(tree, name, seed):
+        calls.append((tree.name, name, seed))
+        return _long_run(tree, name, seed)
+
     monkeypatch.setattr(bench_trajectory, "run_once", run_once)
     monkeypatch.setattr(bench_trajectory, "engine_rate", engine_rate)
+    monkeypatch.setattr(bench_trajectory, "long_run", long_run)
     argv = ["7", "--seeds", "1", "2", "3", "--checkout", str(change), "--parent", str(parent)]
     assert bench_trajectory.main(argv) == 0
 
     def pairs(first, second, seed):
-        return [(tree, step, seed) for step in ("run-a", "sweep-b", "engine") for tree in (first, second)]
+        steps = ("run-a", "sweep-b", "engine", *bench_trajectory.LONG_RUNS)
+        return [(tree, step, seed) for step in steps for tree in (first, second)]
 
     assert calls == pairs("parent", "change", 1) + pairs("change", "parent", 2) + pairs("parent", "change", 3)
     record = json.loads((tmp_path / "BENCH_7.json").read_text())
@@ -109,6 +127,28 @@ def test_parent_and_checkout_run_in_alternating_pairs(tmp_path, monkeypatch):
     assert record["workloads"]["change"]["sweep-b"]["metrics"]["command_s"]["median"] == pytest.approx(0.2)
     assert record["engine_lines"]["parent"]["rounds_per_s"]["median"] == pytest.approx(200.0)
     assert record["engine_lines"]["change"]["rounds_per_s"]["median"] == pytest.approx(600.0)
+
+
+def test_long_run_line_records_seconds_and_peak_rss(checkout, monkeypatch):
+    _measure(monkeypatch, checkout, "parent", 0.2)
+    record = _measure(monkeypatch, checkout, "change", 0.1)
+    assert set(record["long_run_lines"]) == {"parent", "change"}
+    lines = record["long_run_lines"]["change"]
+    assert set(lines) == set(bench_trajectory.LONG_RUNS) == {"chsh8-noisy", "mermin3"}
+    chsh = lines["chsh8-noisy"]
+    assert chsh["argv"][-2:] == ["--rounds", "1000000"] and "--parties" in chsh["argv"]
+    assert chsh["seeds"] == [1, 2, 3] and chsh["exit_codes"] == [0, 0, 0]
+    assert chsh["seconds"]["median"] == pytest.approx(2.0)
+    assert chsh["peak_rss_mb"]["median"] == pytest.approx(102.0)
+    assert lines["mermin3"]["peak_rss_mb"]["q1"] < lines["mermin3"]["peak_rss_mb"]["q3"]
+
+
+def test_long_run_measures_a_command_in_a_fresh_interpreter(monkeypatch):
+    # the command prints its summary first, then the program its measurement
+    monkeypatch.setattr(bench_trajectory, "LONG_RUN_ROUNDS", 200)
+    result = REAL_LONG_RUN(bench_trajectory.ROOT, "mermin3", 1)
+    assert result["exit"] in (0, 2, 3)
+    assert result["seconds"] > 0 and result["peak_rss_mb"] > 1
 
 
 def test_engine_line_imports_numpy_random_before_its_clock():

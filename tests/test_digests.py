@@ -6,16 +6,27 @@ writes; each command case pins what one ``run`` or ``attack`` command line
 leaves behind: its exit code and the digests of its report, its key files
 and its stdout summary.  A change that moves a digest changes what a seed
 produces, and must name the case and say why it moved.
+
+Every pin here was made on numpy 2.4.6 (``PINNED_ON_NUMPY``), and
+byte-identity is checked on that version only: the artifacts rest on
+numpy's ``Generator`` streams, which NEP 19 leaves free to change between
+releases.  The stream fingerprints come first, so a numpy that draws
+differently fails one test that names its version before the artifact
+digests fail.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from contextkey import cli, noise, protocol
 from contextkey.adversary import EveConfig
+
+#: The numpy version every pin in this file was made on.
+PINNED_ON_NUMPY = "2.4.6"
 
 SEED = 2024
 ROUNDS = 2000  # unless a case names its own
@@ -159,6 +170,57 @@ DIGESTS = {
     "sweep-white": "169b4052a95ae8bb665d24bef3cc1a7a2a1dc118f9d194bdc673c6713d82bdff",
     "sweep-white-empirical": "e5eb2eb9fb3b915b71d87f149e10712012daf69e0285f7246516fbf4eff5f5dd",
 }
+
+
+# The draw calls ``protocol._Engine`` makes on each named stream at seed 1,
+# in order, for one 64-round block of a masked mermin N=3 run with Eve at
+# link 1, white preparation noise and a misreading detector: method,
+# arguments and shape.  The picks are drawn as int64 and then cast.
+FINGERPRINT_ROUNDS = 64
+STREAM_CALLS = {
+    "round": (("integers", (0, 3), (64, 3)), ("random", (), (64, 3))),  # picks, then Born variates
+    "masking": (("random", (), (64, 9)),),  # nine angles a round, times 2π
+    "eve": (("random", (), (64, 2)),),  # activity, then her Born variate
+    "noise": (("random", (), (64, 3)), ("integers", (0, 8), (64, 1))),  # uniforms, then white basis states
+}
+STREAM_DIGESTS = {
+    "eve": "d24dbe49d91e5eefcc9837332c980f6260b42f9bad187b21ed9a0b920c29a00c",
+    "masking": "728b3c661a0a4461d9f9edb11361fc8254a4c0e6446f72b14d02ca94a0ed9e1f",
+    "noise": "3bfa2b3f9e6270fa71a081bfc72d0756ca34ae7c97a95198f2580c15455b9265",
+    "round": "e183932a7b0d0d3f51a5d0e9e08fb2861488578ff6d9eedc645e474d00869ea3",
+}
+
+
+def _stream_draws(name: str) -> list[np.ndarray]:
+    generator = protocol.stream_generator(1, name)
+    return [getattr(generator, method)(*args, size=shape) for method, args, shape in STREAM_CALLS[name]]
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CALLS))
+def test_stream_fingerprint(name):
+    digest = hashlib.sha256(b"".join(draw.tobytes() for draw in _stream_draws(name))).hexdigest()
+    assert digest == STREAM_DIGESTS[name], (
+        f"numpy {np.__version__} draws the {name!r} stream differently from numpy {PINNED_ON_NUMPY}, "
+        "on which every digest in this file was pinned"
+    )
+
+
+def test_stream_calls_are_the_engines():
+    config = protocol.ProtocolConfig(
+        "mermin", 3, FINGERPRINT_ROUNDS, seed=1, eve=EveConfig(1, "Z1", "noncommuting-measure"),
+        noise=noise.NoiseConfig(prep=noise.WhitePrep(0.3), detector=noise.MisreadDetector(0.1)),
+    )
+    engine = protocol._Engine(config)
+    variates = engine._draw(FINGERPRINT_ROUNDS)
+    (picks, born), (angles,), (eve_u,), (noise_u, white_idx) = (
+        _stream_draws(name) for name in ("round", "masking", "eve", "noise")
+    )
+    assert np.array_equal(engine.picks, picks.astype(np.int8))
+    assert np.array_equal(variates.born, born)
+    assert np.array_equal(variates.angles, angles * protocol.TWO_PI)
+    assert np.array_equal(variates.eve_u, eve_u)
+    assert np.array_equal(variates.noise_u, noise_u)
+    assert variates.white_idx.dtype == white_idx.dtype and np.array_equal(variates.white_idx, white_idx)
 
 
 def _sha256(path) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -494,6 +495,111 @@ class TestBlockSeams:
         half = protocol.run_protocol(SEAM_CONFIGS["mermin5-model2-commuting-half"])
         assert (half.eve_outcomes == 0).any()  # rounds she skips
         assert (half.outcomes == 0).any()  # erasures
+
+
+HOP_NOISE = {
+    "noiseless": None,
+    "flip": noise.NoiseConfig(prep=noise.FlipPrep(0.1, 0.2)),
+    "white": noise.NoiseConfig(prep=noise.WhitePrep(0.3)),
+}
+HOP_CONFIGS = {
+    f"{kind}{n}-{tag}": protocol.ProtocolConfig(kind, n, 1, noise=config)
+    for kind, sizes in (("mermin", range(3, 7)), ("chsh", range(2, 6)))
+    for n in sizes
+    for tag, config in HOP_NOISE.items()
+}
+# P(+1) of a table against the block player's dense value: numpy's vector and
+# scalar loops may round the same sum one ulp apart
+HOP_P_TOLERANCE = 4.5e-16
+
+
+def tabled_parties(config: protocol.ProtocolConfig) -> list[int]:
+    """The parties (from 1) whose hops have tables."""
+    return [bob for bob, hop in enumerate(protocol._Engine(config).hops, 1) if hop is not None]
+
+
+class TestHopTables:
+    """Each (incoming column, pick) pair measured once per run, against the dense kernels."""
+
+    @pytest.mark.parametrize("name", sorted(HOP_CONFIGS))
+    def test_tables_match_the_dense_measurement(self, name):
+        # every pair as one round of a shuffled dense block, as the block player would hold it
+        config = HOP_CONFIGS[name]
+        engine = protocol._Engine(config)
+        white = engine.dim if name.endswith("white") else 0
+        rng = np.random.default_rng(len(name))
+        checked = 0
+        for bob in range(2, config.num_parties + 1):
+            if config.kind == "chsh" or bob == 2:  # what party bob − 1 prepares
+                columns = np.hstack([engine.setting_prepared[bob - 2], np.eye(engine.dim, white)])
+            hop = engine.hops[bob - 1]
+            if hop is None:
+                continue
+            pairs = rng.permutation(3 * columns.shape[1])
+            assert hop.p_plus.shape == pairs.shape
+            code, pick = np.divmod(pairs, 3)
+            states = np.ascontiguousarray(columns[:, code])
+            bases = np.take(engine.setting_basis[bob - 1], pick, axis=-1)
+            party = engine.qudit[bob - 1]
+            p = hop.p_plus[pairs]
+            plus, minus = p >= qmath.PROB_FLOOR, 1.0 - p >= qmath.PROB_FLOOR
+            # P(+1) pinned by the dense outcome on either side of the table's value
+            for shift, expected in ((-HOP_P_TOLERANCE, 1), (HOP_P_TOLERANCE, -1)):
+                outcome, _ = engine._measure(states, bases, party, p + shift)
+                assert (outcome[plus & minus] == expected).all(), (bob, shift)
+            outcome, _ = engine._measure(states, bases, party, np.full(pairs.shape, 0.5))
+            assert (outcome[~plus] == -1).all() and (outcome[~minus] == 1).all()
+            if hop.post is not None:
+                assert hop.post.shape == (engine.dim, 2 * pairs.size)
+                for u, row, reachable in ((0.0, 0, plus), (1.0, 1, minus)):
+                    work = states.copy()
+                    engine._measure(work, bases, party, np.full(pairs.shape, u), out=work)
+                    post = hop.post[:, 2 * pairs + row]
+                    assert np.max(np.abs(work - post)[:, reachable]) < 1e-15, (bob, row)
+                columns = hop.post
+            checked += 1
+        assert checked == len(tabled_parties(config)) > 0
+
+    def test_tables_stop_at_eve_and_at_the_cap(self):
+        def config(kind, n, link=None, prep=None):
+            eve = None if link is None else EveConfig(link, "Z1", "noncommuting-measure")
+            return protocol.ProtocolConfig(kind, n, 1, eve=eve, noise=prep and noise.NoiseConfig(prep=prep))
+
+        assert tabled_parties(config("mermin", 3)) == [2, 3]
+        # party 4 would measure 6³ columns under 3 picks: 648 pairs, past a 512-round block
+        assert tabled_parties(config("mermin", 6)) == [2, 3]
+        assert tabled_parties(config("mermin", 12)) == []  # 8-round blocks
+        # Eve at a link stops every later Mermin table; CHSH tables resume after the re-preparation
+        assert tabled_parties(config("mermin", 5, link=2)) == [2]
+        assert tabled_parties(config("mermin", 5, link=1)) == []
+        assert tabled_parties(config("chsh", 5, link=2)) == [2, 4, 5]
+        assert tabled_parties(config("chsh", 2, link=1)) == []
+        # white noise adds the D basis states to the first party's 6 columns
+        assert tabled_parties(config("mermin", 3, prep=noise.WhitePrep(0.3))) == [2, 3]
+        assert tabled_parties(config("mermin", 5, prep=noise.WhitePrep(0.3))) == [2]
+        assert tabled_parties(config("mermin", 7, prep=noise.WhitePrep(0.3))) == []
+
+    @pytest.mark.parametrize("name", sorted(HOP_CONFIGS))
+    def test_no_table_holds_more_than_two_blocks(self, name):
+        engine = protocol._Engine(HOP_CONFIGS[name])
+        block = protocol.block_rounds(engine.dim)
+        for hop in engine.hops:
+            if hop is not None:
+                assert hop.p_plus.size <= block
+                assert hop.post is None or hop.post.size <= 2 * block * engine.dim
+                assert not hop.p_plus.flags.writeable
+                assert hop.post is None or not hop.post.flags.writeable
+
+    @pytest.mark.parametrize("name", [
+        "mermin3-white", "mermin4-flip", "mermin6-noiseless", "chsh3-white", "chsh5-flip",
+    ])
+    def test_tables_move_no_outcome(self, name, monkeypatch):
+        config = dataclasses.replace(HOP_CONFIGS[name], rounds=3000, seed=31)
+        tabled = protocol.run_protocol(config)
+        assert tabled_parties(config)
+        monkeypatch.setattr(protocol._Engine, "_hop_tables", lambda engine: [None] * engine.num_parties)
+        assert tabled_parties(config) == []
+        assert same_rounds(protocol.run_protocol(config), tabled)
 
 
 REFERENCE_CONFIGS = {

@@ -827,14 +827,20 @@ class _Engine:
 
 
 def run_protocol(config: ProtocolConfig) -> Transcript:
-    """Execute all rounds in order, a block of rounds at a time."""
+    """Execute all rounds in order, a block of rounds at a time.
+
+    Each block's columns are copied into the run's at once: blocks kept
+    until the end, between the engine's short-lived arrays, fragment the
+    heap and raise the process's peak RSS.
+    """
     engine = _Engine(config)
     block = block_rounds(config.dim)
-    outcomes, eve_outcomes = zip(*(
-        engine.play_block(min(block, config.rounds - start))
-        for start in range(0, config.rounds, block)
-    ))
-    return Transcript(config, engine.picks, np.concatenate(outcomes), np.concatenate(eve_outcomes))
+    outcomes = np.empty((config.rounds, config.num_parties), dtype=np.int8)
+    eve_outcomes = np.empty(config.rounds, dtype=np.int8)
+    for start in range(0, config.rounds, block):
+        stop = min(start + block, config.rounds)
+        outcomes[start:stop], eve_outcomes[start:stop] = engine.play_block(stop - start)
+    return Transcript(config, engine.picks, outcomes, eve_outcomes)
 
 
 def sift(transcript: Transcript) -> SiftingResult:

@@ -2,7 +2,6 @@
 
     python3 scripts/mutants.py                          # every entry
     python3 scripts/mutants.py hop-post-columns-swapped # the named entries only
-    python3 scripts/mutants.py --list                   # names and tests, nothing run
 
 An entry names a file, an exact old text, its replacement and the tests
 that must fail once the replacement is made.  For each entry the script
@@ -112,8 +111,8 @@ MUTANTS = (
 )
 
 
-def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
-    return (root / mutant.path).read_text().count(mutant.old)
+def occurrences(mutant: Mutant) -> int:
+    return (ROOT / mutant.path).read_text().count(mutant.old)
 
 
 def run(mutant: Mutant, workdir: Path) -> tuple[str, str]:
@@ -143,17 +142,12 @@ def run(mutant: Mutant, workdir: Path) -> tuple[str, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="entries to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the entries and run nothing")
     args = parser.parse_args(argv)
     by_name = {mutant.name: mutant for mutant in MUTANTS}
     unknown = sorted(set(args.names) - set(by_name))
     if unknown:
         parser.error(f"unknown entries: {', '.join(unknown)}")
     chosen = [by_name[name] for name in args.names] or list(MUTANTS)
-    if args.list:
-        for mutant in chosen:
-            print(f"{mutant.name}: {mutant.path} -> {' '.join(mutant.tests)}")
-        return 0
     misplaced = [mutant.name for mutant in chosen if occurrences(mutant) != 1]
     for name in misplaced:
         print(f"{name}: old text does not occur exactly once", file=sys.stderr)

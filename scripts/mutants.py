@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 PROTOCOL = "src/contextkey/protocol.py"
+CLI = "src/contextkey/cli.py"
 
 MUTANTS = (
     # -- the hop tables --
@@ -69,11 +70,24 @@ MUTANTS = (
         "np.copyto(code, 5 + v.white_idx[:, slot], where=white)",
         ("tests/test_digests.py", "tests/test_oracle.py", "tests/test_noise.py::TestNoisyPreparation"),
     ),
+    # -- the engine plan and long blocks --
+    Mutant(
+        "plan-shape-without-white-flag", PROTOCOL,
+        "return (config.kind, config.num_parties, config.masking_include_key, config.eve, isinstance(prep, WhitePrep))",
+        "return (config.kind, config.num_parties, config.masking_include_key, config.eve)",
+        ("tests/test_protocol.py::TestEnginePlan",),
+    ),
+    Mutant(
+        "long-blocks-when-some-hop-is-dense", PROTOCOL,
+        "self.fully_tabled = all(hop is not None for hop in self.hops[1:])",
+        "self.fully_tabled = any(hop is not None for hop in self.hops[1:])",
+        ("tests/test_protocol.py::TestBlockSeams",),
+    ),
     # -- noise --
     Mutant(
         "xpz-preparations-noiseless", PROTOCOL,
-        "self.setting_key = [np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps]) for ps in self.parsed]",
-        'self.setting_key = [np.array([p == "Z" for p, _ in ps]) for ps in self.parsed]',
+        "_read_only(np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps])) for ps in self.parsed",
+        '_read_only(np.array([p == "Z" for p, _ in ps])) for ps in self.parsed',
         ("tests/test_digests.py", "tests/test_oracle.py"),
     ),
     Mutant(
@@ -103,7 +117,13 @@ MUTANTS = (
         ("tests/test_protocol.py::TestLabels", "tests/test_digests.py"),
     ),
     Mutant(
-        "round-number-digit-boundary", "src/contextkey/cli.py",
+        "csv-numbers-deduplicated-by-value", CLI,
+        "distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)",
+        "distinct, inverse = np.unique(column, return_inverse=True)",
+        ("tests/test_cli.py::TestCsvRows",),
+    ),
+    Mutant(
+        "round-number-digit-boundary", CLI,
         "high = min(stop, 10**digits)",
         "high = min(stop, 10**digits + 1)",
         ("tests/test_digests.py",),

@@ -516,7 +516,7 @@ def cmd_attack(args) -> int:
     return VERDICTS[transcript.verdict.violated][1]
 
 
-#: A CSV number: ``%`` gives the text of ``format(value, ".10g")``, a whole row in one call.
+#: A CSV number: ``%`` gives the text of ``format(value, ".10g")``.
 _FLOAT = "%.10g"
 
 
@@ -568,13 +568,39 @@ def _sweep_rows(model: str, kind: str, grid: int, eta: float | None):
         tag = f"_{conv}" if erasures else ""
         header += [f"mi_12{tag}", f"mi_13{tag}", f"mi_23{tag}", f"key_rate{tag}", f"min_pair{tag}"]
 
-    row = ",".join([_FLOAT] * len(names) + ([_FLOAT] * 4 + ["%s"]) * len(conventions))
-    columns = [params[name].tolist() for name in names]
+    floats, minimizers = [params[name] for name in names], []
     pair_labels = [f"{i}-{j}" for i, j in noise.PAIRS]
     for surface in noise.analytic_key_rate_surfaces(model, kind, conventions=conventions, **params):
-        columns += [surface.pairwise_mi[pair].tolist() for pair in noise.PAIRS]
-        columns += [surface.key_rate.tolist(), [pair_labels[k] for k in surface.min_pair.tolist()]]
-    return header, [row % values for values in zip(*columns)]
+        floats += [*(surface.pairwise_mi[pair] for pair in noise.PAIRS), surface.key_rate]
+        minimizers.append([pair_labels[k] for k in surface.min_pair.tolist()])
+    texts = _formatted_columns(floats)
+    columns = texts[: len(names)]
+    for c, labels in enumerate(minimizers):
+        columns += [*texts[len(names) + 4 * c : len(names) + 4 * c + 4], labels]
+    return header, list(map(",".join, zip(*columns)))
+
+
+def _formatted_columns(columns) -> list[list[str]]:
+    """``_FLOAT % value`` of every entry of each float64 column, a list per column.
+
+    Equal numbers recur within and across a surface's columns, so each
+    distinct value is formatted once, into a table shared by the columns.
+    Values are told apart by their bits, not compared as floats: −0.0 and
+    0.0 print differently, and nan equals nothing, not even itself.  The
+    columns are deduplicated one at a time, so no array longer than a
+    column is made: ``np.unique`` over all the columns at once was about
+    1 ms faster, but raised the benchmark's sweep-model2 peak RSS by
+    0.3-0.9 MB.
+    """
+    texts, out = {}, []  # float64 bits → text
+    for column in columns:
+        distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        keys = distinct.tolist()
+        for bits, value in zip(keys, distinct.view(np.float64).tolist()):
+            if bits not in texts:
+                texts[bits] = _FLOAT % value
+        out.append(np.array([texts[bits] for bits in keys], dtype=object)[inverse].tolist())
+    return out
 
 
 def _validate_sweep(model: str, kind: str):
@@ -592,15 +618,20 @@ def _validate_sweep(model: str, kind: str):
 
 
 def _empirical_sweep(model, kind, grid, eta, rounds, seed):
-    """(header, rows, points without key rounds); such a point's rate cell is empty."""
+    """(header, rows, points without key rounds); such a point's rate cell is empty.
+
+    The points differ only in their noise parameters, so they share one
+    engine plan, built from the first.
+    """
     names, _ = _sweep_axes(model)
     header = (names if len(names) > 1 else ["param"]) + ["key_rate_empirical"]
     row = ",".join([_FLOAT] * len(names) + ["%s"])
-    rows, empty = [], 0
+    rows, empty, plan = [], 0, None
     for point in itertools.product(np.linspace(0.0, 0.5, grid), repeat=len(names)):
         config = protocol.ProtocolConfig(kind=kind, num_parties=3, rounds=rounds, seed=seed,
                                          masking_enabled=False, noise=_noise_at(model, point, eta))
-        transcript = protocol.run_protocol(config)
+        plan = plan or protocol.EnginePlan(config)
+        transcript = protocol.run_protocol(config, plan)
         try:
             rate = _FLOAT % noise.empirical_key_rate(transcript, min_key_rounds=1).key_rate
         except noise.InsufficientKeyRounds:

@@ -34,6 +34,14 @@ A round depends only on its own rows, so it is the same whatever block it
 falls in.  Toggling masking, noise, or the eavesdropper never shifts the
 other streams.
 
+What a run derives from its shape alone (the kind, the parties,
+``masking_include_key``, Eve, and whether preparation noise is white) is
+an ``EnginePlan``: the labels, the mask plan, the reference projections,
+the per-setting tables and the hop tables, all read-only.  A sweep builds
+one plan and passes it to ``run_protocol`` for each of its points, which
+differ only in their noise parameters; the engine keeps the streams, the
+noise parameters and its scratch buffers.  No plan outlives its caller.
+
 Until Eve touches it, the state reaching a party is one of K states fixed
 by the earlier picks and outcomes: one of the 6 the previous party
 prepares (with the D basis states under white noise), or one of 6^(k−1)
@@ -48,7 +56,10 @@ round), and only while 3K ≤ B, so a table holds at most two blocks'
 amplitudes.  A table entry is the dense step's arithmetic on the same
 state, so no pinned byte moves; numpy's vector and scalar loops may round
 its P(+1) one ulp apart, which moves an outcome only when the round's
-variate falls inside that ulp.
+variate falls inside that ulp.  A fully tabled run (every party from 2 on
+has a table: mermin N=3 and CHSH, without Eve) holds no (D, B) state, and
+plays longer blocks of ``tabled_block_rounds`` rounds; the cap on the
+tables stays 3K ≤ ``block_rounds(D)``, so no table depends on the block.
 
 The rounds are innermost because a step on one qubit pairs amplitudes a
 stride apart, and the stride is 1 for the last qubit: viewed as
@@ -79,6 +90,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -376,9 +388,26 @@ def block_rounds(dim: int) -> int:
     amplitudes: 2,048 rounds at D=4, 1,024 at D=8, 512 for D=16..64, then
     32768 // D, down to 8 at D=4096.  The kernels' inner loops run over the
     rounds, so short blocks pay per-row start-up (README's internals section
-    gives the measurements).  Every block size gives the same outcomes.
+    gives the measurements).  Every block size gives the same outcomes.  A
+    fully tabled run plays ``tabled_block_rounds`` instead, but the hop
+    tables' cap, 3K ≤ B, is always this B.
     """
     return min(32768 // dim, max(512, 8192 // dim))
+
+
+def tabled_block_rounds(dim: int, num_parties: int) -> int:
+    """Rounds one engine block of a fully tabled run holds (see ``EnginePlan.fully_tabled``).
+
+    Blocks of 16,384 party-rounds, but at least ``block_rounds(D)``: 5,461
+    rounds for mermin N=3, 8,192 for chsh N=2, 4,096 for chsh N=4 and
+    2,048 from chsh N=8 on.  Such a block holds no (D, B) state, only
+    per-party columns of intp codes, variates and outcomes, so it may be
+    longer than ``block_rounds(D)``; those columns grow with N, and in
+    blocks of 8,192 a noisy chsh N=8 run of 10^6 rounds peaked about 1 MB
+    higher, no faster (README's internals section gives the grid).  Every
+    block size gives the same outcomes.
+    """
+    return max(block_rounds(dim), 16384 // num_parties)
 
 
 class _Variates(NamedTuple):
@@ -419,185 +448,24 @@ def _choose(p_plus: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(plus, 1, -1)
 
 
-class _Engine:
-    """Precomputed per-run machinery and the block player.
+def _plan_shape(config: ProtocolConfig) -> tuple:
+    """What an engine plan is derived from: the kind, the parties, whether the
+    key joins the masking generators, Eve, and whether preparation noise is white."""
+    prep = config.noise.prep if config.noise else None
+    return (config.kind, config.num_parties, config.masking_include_key, config.eve, isinstance(prep, WhitePrep))
 
-    ``basis`` is the one measurement table, the module's ``_BASIS``: each
-    setting prefix's 2×2 eigenbasis, rows v+ and v−.  Per party,
-    the tables below are indexed by the setting pick (0..2): its prefix's
-    row of ``basis``, P(+1) on the reference state, the reference
-    projections it prepares (rows +1, −1), and whether it is a key setting.
-    ``hops`` holds each party's hop table, or None where it measures dense
-    states.  A measurement collapses the state only where the state is read
-    next (see the module docstring).
+
+class _Kernels:
+    """The block player's one-qubit kernels on D-dimensional states, and the buffer they keep.
+
+    Each engine has its own; an ``EnginePlan`` builds its tables with one it
+    drops afterwards.
     """
 
-    def __init__(self, config: ProtocolConfig):
-        check_eve(config)
-        self.config = config
-        self.kind = config.kind
-        self.num_parties = config.num_parties
-        self.dim = config.dim
-        self.qudits = self.dim.bit_length() - 1
-        self.labels = party_labels(self.kind, self.num_parties)
-        self.parsed = tuple(tuple(split_label(lab) for lab in labs) for labs in self.labels)
-        self.basis = _BASIS
+    def __init__(self, dim: int):
         # party 1 owns the most significant bit: (pre, post) amplitudes above and below it
-        self.pre_post = {party: (2 ** (party - 1), self.dim >> party) for party in range(1, self.qudits + 1)}
+        self.pre_post = {party: (2 ** (party - 1), dim >> party) for party in range(1, dim.bit_length())}
         self._product = np.empty(0, dtype=np.complex128)  # ``_contract``'s kept second product
-        self._eve_post = np.empty(0, dtype=np.complex128)  # ``_eve_hook``'s kept post states, as ``_product``
-        self.mask_axes = (
-            ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
-        )
-        self.mask_plan = self._masking_plan()
-        self.prep_noise = config.noise.prep if config.noise else None
-        self.det_noise = config.noise.detector if config.noise else None
-        self.eve = config.eve
-        self.eve_parsed = split_label(self.eve.observable) if self.eve is not None else None
-        self.projected, reference_p_plus = self._reference_projections()
-        self.qudit = [parsed[0][1] for parsed in self.parsed]
-        # (row v±, component, setting): ``np.take`` over the last axis gives a block's (2, 2, B)
-        self.setting_basis = [self.basis[[_PREFIX_INDEX[p] for p, _ in ps]].transpose(1, 2, 0) for ps in self.parsed]
-        self.setting_p_plus = [np.array([reference_p_plus[pair] for pair in ps]) for ps in self.parsed]
-        self.setting_prepared = [np.hstack([self.projected[pair] for pair in ps]) for ps in self.parsed]
-        self.setting_key = [np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps]) for ps in self.parsed]
-        self.hops = self._hop_tables()
-        self._open_streams()
-
-    # -- construction ----------------------------------------------------
-
-    def _masking_plan(self):
-        """Per sending party: (qudit party, angle-slice) pairs to re-randomize."""
-        width = len(self.mask_axes)
-        plan, offset = {}, 0
-        for k in range(1, self.num_parties):
-            parties = range(1, k + 1) if self.kind == "mermin" else (1 if k % 2 == 1 else 2,)
-            plan[k] = tuple(
-                (party, slice(offset + i * width, offset + (i + 1) * width))
-                for i, party in enumerate(parties)
-            )
-            offset += width * len(parties)
-        self._mask_angle_count = offset
-        return plan
-
-    def _reference_projections(self):
-        """Read-only normalized projections of the reference state, and P(+1).
-
-        The reference is (|0…0⟩ + i|1…1⟩)/√2 for Mermin, the singlet
-        (|01⟩ − |10⟩)/√2 for CHSH.  Keyed by (prefix, party) for every setting
-        and Eve's observable: (D, 2) columns +1 and −1 hold what a party
-        prepares for an outcome, and what Eve forwards under
-        ``fresh-reference``; beside them, P(+1) on the reference.  A qudit's
-        observables share one contraction and one collapse.
-        """
-        reference = np.zeros((self.dim, 1), dtype=np.complex128)
-        if self.kind == "mermin":
-            reference[0], reference[-1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
-        else:
-            reference[1], reference[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        observables = {pair for parsed in self.parsed for pair in parsed} | {self.eve_parsed}  # None: no Eve
-        table, p_plus = {}, {}
-        for party in range(1, self.qudits + 1):
-            prefixes = [prefix for prefix in _PREFIX_INDEX if (prefix, party) in observables]
-            # (component, 2·k + row v±) for the k-th prefix
-            kets = _BASIS[[_PREFIX_INDEX[p] for p in prefixes]].transpose(2, 0, 1).reshape(2, -1)
-            rest = self._contract(kets.conj(), np.broadcast_to(reference, (self.dim, kets.shape[1])), party)
-            weights = _squared_norms(rest)
-            columns = self._collapse(kets / np.sqrt(weights), rest, party)
-            columns.setflags(write=False)
-            for k, prefix in enumerate(prefixes):
-                table[prefix, party] = columns[:, 2 * k:2 * k + 2]
-                p_plus[prefix, party] = weights[2 * k]
-        return table, p_plus
-
-    def _hop_tables(self) -> list[_Hop | None]:
-        """Per party (index bob − 1), its hop table, or None where it measures dense states.
-
-        A party's K incoming columns are what the previous party prepares
-        (``setting_prepared``'s 6, then basis state j as code 6 + j under
-        white noise), or for a later Mermin party the previous table's post
-        columns.  The 3K pairs go through the block player's kernels as one
-        (D, 3K) stack.  Normalizing by the floored probabilities keeps an
-        unreachable outcome's column finite; ``_choose`` never picks it, so
-        it is never read.  The module docstring says which hops get tables.
-        """
-        cap = block_rounds(self.dim)
-        eve_link = self.eve.position if self.eve is not None else self.num_parties
-        white = self.dim if isinstance(self.prep_noise, WhitePrep) else 0
-        hops, columns = [None] * self.num_parties, None
-        for bob in range(2, self.num_parties + 1):
-            if self.kind == "chsh" or bob == 2:
-                columns = None if 3 * (6 + white) > cap else np.hstack(
-                    [self.setting_prepared[bob - 2], np.eye(self.dim, white, dtype=np.complex128)]
-                )
-            reached = eve_link <= bob - 1 if self.kind == "mermin" else eve_link == bob - 1
-            if columns is None or reached or 3 * columns.shape[1] > cap:
-                columns = None
-                continue
-            party = self.qudit[bob - 1]
-            states = np.repeat(columns, 3, axis=1)  # column pair = code·3 + pick
-            bases = np.tile(self.setting_basis[bob - 1], columns.shape[1])
-            bras = bases.conj()
-            p_plus = _squared_norms(self._contract(bras[0], states, party))
-            columns = None
-            if self.kind == "mermin" and bob < self.num_parties:
-                columns = np.stack([
-                    self._collapse(bases[row] / np.sqrt(np.maximum(p, PROB_FLOOR)),
-                                   self._contract(bras[row], states, party), party)
-                    for row, p in ((0, p_plus), (1, 1.0 - p_plus))
-                ], axis=-1).reshape(self.dim, -1)
-                columns.setflags(write=False)
-            p_plus.setflags(write=False)
-            hops[bob - 1] = _Hop(p_plus, columns)
-        return hops
-
-    def _open_streams(self):
-        """Open the named streams; draw whole the arrays other draws follow.
-
-        The round stream draws every round's picks before any Born
-        variate, and the noise stream its integers after its uniforms, so
-        those arrays are drawn whole here.  The integers pick white noise's
-        basis states and are the noise stream's last draw, so they are
-        drawn only under white preparation noise.  Born, masking and Eve
-        uniforms are drawn block by block in ``_draw``, which yields the
-        same values as one draw for the whole run.  Only Eve reads masks
-        (``_mask``), so only a masked run with her opens the masking stream;
-        the streams are independent, so no other variate moves.
-        """
-        config = self.config
-        rounds, n = config.rounds, self.num_parties
-        self._g_round = stream_generator(config.seed, "round")
-        self.picks = self._g_round.integers(0, 3, size=(rounds, n)).astype(np.int8)
-        self._born_cols = n + (n - 1 if self.kind == "chsh" else 0)
-        masked = config.masking_enabled and self._mask_angle_count and self.eve is not None
-        self._g_mask = stream_generator(config.seed, "masking") if masked else None
-        self._g_eve = stream_generator(config.seed, "eve") if self.eve is not None else None
-        self._noise_u = self._white_idx = None
-        if config.noise is not None:
-            g_noise = stream_generator(config.seed, "noise")
-            self._noise_preparers = 1 if self.kind == "mermin" else n - 1
-            self._noise_u = g_noise.random(size=(rounds, self._noise_preparers + n - 1))
-            if isinstance(config.noise.prep, WhitePrep):
-                self._white_idx = g_noise.integers(0, self.dim, size=(rounds, self._noise_preparers))
-        self._drawn = 0
-
-    def _draw(self, size: int) -> _Variates:
-        """Every stream's rows for the next ``size`` rounds (``angles`` only where Eve reads masks)."""
-        rows = slice(self._drawn, self._drawn + size)
-        self._drawn += size
-        return _Variates(
-            picks=self.picks[rows],
-            born=self._g_round.random(size=(size, self._born_cols)),
-            angles=(
-                None if self._g_mask is None
-                else self._g_mask.random(size=(size, self._mask_angle_count)) * TWO_PI
-            ),
-            eve_u=None if self._g_eve is None else self._g_eve.random(size=(size, 2)),
-            noise_u=None if self._noise_u is None else self._noise_u[rows],
-            white_idx=None if self._white_idx is None else self._white_idx[rows],
-        )
-
-    # -- batched single-party linear algebra -------------------------------
 
     def _contract(self, bras: np.ndarray, states: np.ndarray, party: int) -> np.ndarray:
         """(D/2, B) contractions w·s over party's qubit, of (2, B) bras, or one (2, 1)."""
@@ -646,6 +514,226 @@ class _Engine:
         kets = np.where(minus, bases[1], bases[0]) / norm
         return outcome, self._collapse(kets, rest, party, out)
 
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, flagged read-only."""
+    array.setflags(write=False)
+    return array
+
+
+class EnginePlan:
+    """What an engine derives from its run's shape alone, built once and shared by its runs.
+
+    The shape (``shape``) is the kind, the parties, ``masking_include_key``,
+    Eve, and whether preparation noise is white; the seed, the rounds,
+    ``masking_enabled`` and the noise parameters are the run's own, so one
+    plan serves every point of a sweep.  ``basis`` is the one measurement
+    table, the module's ``_BASIS``: each setting prefix's 2×2 eigenbasis,
+    rows v+ and v−.  Per party, the tables below are indexed by the setting
+    pick (0..2): its prefix's row of ``basis``, P(+1) on the reference
+    state, the reference projections it prepares (rows +1, −1), and whether
+    it is a key setting.  ``hops`` holds each party's hop table, or None
+    where it measures dense states; a run is ``fully_tabled`` when every
+    party from 2 on has one.  Nothing in a plan changes once it is built:
+    its arrays are read-only, its sequences tuples, its mappings proxies.
+    """
+
+    def __init__(self, config: ProtocolConfig):
+        check_eve(config)
+        self.shape = _plan_shape(config)
+        self.kind = config.kind
+        self.num_parties = config.num_parties
+        self.dim = config.dim
+        self.qudits = self.dim.bit_length() - 1
+        self.labels = party_labels(self.kind, self.num_parties)
+        self.parsed = tuple(tuple(split_label(lab) for lab in labs) for labs in self.labels)
+        self.basis = _BASIS
+        self.mask_axes = (
+            ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
+        )
+        self.mask_plan = self._masking_plan()
+        self.eve_parsed = split_label(config.eve.observable) if config.eve is not None else None
+        kernels = _Kernels(self.dim)
+        self.projected, reference_p_plus = self._reference_projections(kernels)
+        self.qudit = tuple(parsed[0][1] for parsed in self.parsed)
+        # (row v±, component, setting): ``np.take`` over the last axis gives a block's (2, 2, B)
+        self.setting_basis = tuple(
+            _read_only(self.basis[[_PREFIX_INDEX[p] for p, _ in ps]].transpose(1, 2, 0)) for ps in self.parsed
+        )
+        self.setting_p_plus = tuple(
+            _read_only(np.array([reference_p_plus[pair] for pair in ps])) for ps in self.parsed
+        )
+        self.setting_prepared = tuple(
+            _read_only(np.hstack([self.projected[pair] for pair in ps])) for ps in self.parsed
+        )
+        self.setting_key = tuple(
+            _read_only(np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps])) for ps in self.parsed
+        )
+        prep = config.noise.prep if config.noise else None
+        self.hops = self._hop_tables(kernels, config.eve, white=isinstance(prep, WhitePrep))
+        self.fully_tabled = all(hop is not None for hop in self.hops[1:])
+
+    def _masking_plan(self):
+        """Per sending party: (qudit party, angle-slice) pairs to re-randomize."""
+        width = len(self.mask_axes)
+        plan, offset = {}, 0
+        for k in range(1, self.num_parties):
+            parties = range(1, k + 1) if self.kind == "mermin" else (1 if k % 2 == 1 else 2,)
+            plan[k] = tuple(
+                (party, slice(offset + i * width, offset + (i + 1) * width))
+                for i, party in enumerate(parties)
+            )
+            offset += width * len(parties)
+        self._mask_angle_count = offset
+        return MappingProxyType(plan)
+
+    def _reference_projections(self, kernels: _Kernels):
+        """Read-only normalized projections of the reference state, and P(+1).
+
+        The reference is (|0…0⟩ + i|1…1⟩)/√2 for Mermin, the singlet
+        (|01⟩ − |10⟩)/√2 for CHSH.  Keyed by (prefix, party) for every setting
+        and Eve's observable: (D, 2) columns +1 and −1 hold what a party
+        prepares for an outcome, and what Eve forwards under
+        ``fresh-reference``; beside them, P(+1) on the reference.  A qudit's
+        observables share one contraction and one collapse.
+        """
+        reference = np.zeros((self.dim, 1), dtype=np.complex128)
+        if self.kind == "mermin":
+            reference[0], reference[-1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
+        else:
+            reference[1], reference[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+        observables = {pair for parsed in self.parsed for pair in parsed} | {self.eve_parsed}  # None: no Eve
+        table, p_plus = {}, {}
+        for party in range(1, self.qudits + 1):
+            prefixes = [prefix for prefix in _PREFIX_INDEX if (prefix, party) in observables]
+            # (component, 2·k + row v±) for the k-th prefix
+            kets = _BASIS[[_PREFIX_INDEX[p] for p in prefixes]].transpose(2, 0, 1).reshape(2, -1)
+            rest = kernels._contract(kets.conj(), np.broadcast_to(reference, (self.dim, kets.shape[1])), party)
+            weights = _squared_norms(rest)
+            columns = _read_only(kernels._collapse(kets / np.sqrt(weights), rest, party))
+            for k, prefix in enumerate(prefixes):
+                table[prefix, party] = columns[:, 2 * k:2 * k + 2]
+                p_plus[prefix, party] = weights[2 * k]
+        return MappingProxyType(table), p_plus
+
+    def _hop_tables(self, kernels: _Kernels, eve, white: bool) -> tuple[_Hop | None, ...]:
+        """Per party (index bob − 1), its hop table, or None where it measures dense states.
+
+        A party's K incoming columns are what the previous party prepares
+        (``setting_prepared``'s 6, then basis state j as code 6 + j under
+        white noise), or for a later Mermin party the previous table's post
+        columns.  The 3K pairs go through the block player's kernels as one
+        (D, 3K) stack.  Normalizing by the floored probabilities keeps an
+        unreachable outcome's column finite; ``_choose`` never picks it, so
+        it is never read.  The module docstring says which hops get tables.
+        """
+        cap = block_rounds(self.dim)
+        eve_link = eve.position if eve is not None else self.num_parties
+        white = self.dim if white else 0
+        hops, columns = [None] * self.num_parties, None
+        for bob in range(2, self.num_parties + 1):
+            if self.kind == "chsh" or bob == 2:
+                columns = None if 3 * (6 + white) > cap else np.hstack(
+                    [self.setting_prepared[bob - 2], np.eye(self.dim, white, dtype=np.complex128)]
+                )
+            reached = eve_link <= bob - 1 if self.kind == "mermin" else eve_link == bob - 1
+            if columns is None or reached or 3 * columns.shape[1] > cap:
+                columns = None
+                continue
+            party = self.qudit[bob - 1]
+            states = np.repeat(columns, 3, axis=1)  # column pair = code·3 + pick
+            bases = np.tile(self.setting_basis[bob - 1], columns.shape[1])
+            bras = bases.conj()
+            p_plus = _squared_norms(kernels._contract(bras[0], states, party))
+            columns = None
+            if self.kind == "mermin" and bob < self.num_parties:
+                columns = _read_only(np.stack([
+                    kernels._collapse(bases[row] / np.sqrt(np.maximum(p, PROB_FLOOR)),
+                                      kernels._contract(bras[row], states, party), party)
+                    for row, p in ((0, p_plus), (1, 1.0 - p_plus))
+                ], axis=-1).reshape(self.dim, -1))
+            hops[bob - 1] = _Hop(_read_only(p_plus), columns)
+        return tuple(hops)
+
+
+class _Engine(_Kernels):
+    """One run's streams, noise parameters and scratch buffers, and the block player.
+
+    What the run's shape alone decides is its ``plan``, an ``EnginePlan``
+    given by the caller or built here; the plan's tables read through as
+    the engine's own attributes (``engine.hops`` is ``engine.plan.hops``).
+    A measurement collapses the state only where the state is read next
+    (see the module docstring).
+    """
+
+    def __init__(self, config: ProtocolConfig, plan: EnginePlan | None = None):
+        if plan is None:
+            plan = EnginePlan(config)
+        elif plan.shape != _plan_shape(config):
+            raise ValueError(
+                f"an engine plan of shape {plan.shape} cannot run a config of shape {_plan_shape(config)}"
+            )
+        super().__init__(plan.dim)
+        self.plan = plan
+        self.config = config
+        self._eve_post = np.empty(0, dtype=np.complex128)  # ``_eve_hook``'s kept post states, as ``_product``
+        self.prep_noise = config.noise.prep if config.noise else None
+        self.det_noise = config.noise.detector if config.noise else None
+        self.eve = config.eve
+        self._open_streams()
+
+    def __getattr__(self, name: str):
+        # reached only for names the engine itself lacks: the plan's
+        if name == "plan":
+            raise AttributeError(name)
+        return getattr(self.plan, name)
+
+    def _open_streams(self):
+        """Open the named streams; draw whole the arrays other draws follow.
+
+        The round stream draws every round's picks before any Born
+        variate, and the noise stream its integers after its uniforms, so
+        those arrays are drawn whole here.  The integers pick white noise's
+        basis states and are the noise stream's last draw, so they are
+        drawn only under white preparation noise.  Born, masking and Eve
+        uniforms are drawn block by block in ``_draw``, which yields the
+        same values as one draw for the whole run.  Only Eve reads masks
+        (``_mask``), so only a masked run with her opens the masking stream;
+        the streams are independent, so no other variate moves.
+        """
+        config, plan = self.config, self.plan
+        rounds, n = config.rounds, plan.num_parties
+        self._g_round = stream_generator(config.seed, "round")
+        self.picks = self._g_round.integers(0, 3, size=(rounds, n)).astype(np.int8)
+        self._born_cols = n + (n - 1 if plan.kind == "chsh" else 0)
+        masked = config.masking_enabled and plan._mask_angle_count and self.eve is not None
+        self._g_mask = stream_generator(config.seed, "masking") if masked else None
+        self._g_eve = stream_generator(config.seed, "eve") if self.eve is not None else None
+        self._noise_u = self._white_idx = None
+        if config.noise is not None:
+            g_noise = stream_generator(config.seed, "noise")
+            self._noise_preparers = 1 if plan.kind == "mermin" else n - 1
+            self._noise_u = g_noise.random(size=(rounds, self._noise_preparers + n - 1))
+            if isinstance(config.noise.prep, WhitePrep):
+                self._white_idx = g_noise.integers(0, plan.dim, size=(rounds, self._noise_preparers))
+        self._drawn = 0
+
+    def _draw(self, size: int) -> _Variates:
+        """Every stream's rows for the next ``size`` rounds (``angles`` only where Eve reads masks)."""
+        rows = slice(self._drawn, self._drawn + size)
+        self._drawn += size
+        return _Variates(
+            picks=self.picks[rows],
+            born=self._g_round.random(size=(size, self._born_cols)),
+            angles=(
+                None if self._g_mask is None
+                else self._g_mask.random(size=(size, self.plan._mask_angle_count)) * TWO_PI
+            ),
+            eve_u=None if self._g_eve is None else self._g_eve.random(size=(size, 2)),
+            noise_u=None if self._noise_u is None else self._noise_u[rows],
+            white_idx=None if self._white_idx is None else self._white_idx[rows],
+        )
+
     # -- per-party steps ---------------------------------------------------
 
     def _mask(self, bras, angles, link: int, party: int) -> np.ndarray:
@@ -666,16 +754,17 @@ class _Engine:
         """
         if angles is None:
             return bras
-        senders = range(1, link + 1) if self.kind == "mermin" else (link,)
+        plan = self.plan
+        senders = range(1, link + 1) if plan.kind == "mermin" else (link,)
         columns = [
             np.arange(chunk.start, chunk.stop)
-            for sender in senders for hop, chunk in self.mask_plan[sender] if hop == party
+            for sender in senders for hop, chunk in plan.mask_plan[sender] if hop == party
         ]
         if not columns:
             return bras
         angles = angles[:, np.concatenate(columns)].T
         a, b = 1.0, 0.0  # the identity
-        for axis, cos, sin in zip(self.mask_axes * len(columns), np.cos(angles), np.sin(angles)):
+        for axis, cos, sin in zip(plan.mask_axes * len(columns), np.cos(angles), np.sin(angles)):
             if axis == "Z":
                 z = cos + 1j * sin
                 a, b = z * a, z * b
@@ -698,8 +787,8 @@ class _Engine:
         active = v.eve_u[:, 0] < eve.activity_rate
         if not active.any():
             return states, None
-        prefix, party = self.eve_parsed
-        bases = self.basis[_PREFIX_INDEX[prefix], :, :, None]
+        prefix, party = self.plan.eve_parsed
+        bases = _BASIS[_PREFIX_INDEX[prefix], :, :, None]
         fresh = eve.resend == "fresh-reference"
         # her post states go to a kept (D, B) buffer; the copy below keeps one path
         # at every activity rate
@@ -711,7 +800,7 @@ class _Engine:
             bras=self._mask(bases.conj(), v.angles, link, party),
         )
         if fresh:
-            post = self.projected[prefix, party][:, (1 - outcome) // 2]
+            post = self.plan.projected[prefix, party][:, (1 - outcome) // 2]
         np.copyto(states, post, where=active)
         return states, np.where(active, outcome, 0)
 
@@ -720,7 +809,7 @@ class _Engine:
         det = self.det_noise
         if det is None:
             return outcome
-        key = self.setting_key[bob - 1][pick]
+        key = self.plan.setting_key[bob - 1][pick]
         u = v.noise_u[:, self._noise_preparers + bob - 2]
         if isinstance(det, MisreadDetector):
             return np.where(key & (u < det.eta), -outcome, outcome)
@@ -737,14 +826,14 @@ class _Engine:
         eps1 or eps2 chosen by its key bit; white noise instead emits a
         uniformly drawn basis state j, code 6 + j.
         """
-        prep = self.prep_noise
+        prep, kind = self.prep_noise, self.plan.kind
         white = None
         if prep is not None:
-            slot = 0 if self.kind == "mermin" else bob - 1
-            key = self.setting_key[bob - 1][pick]
+            slot = 0 if kind == "mermin" else bob - 1
+            key = self.plan.setting_key[bob - 1][pick]
             u = v.noise_u[:, slot]
             if isinstance(prep, FlipPrep):
-                eps = np.where(key_bit(self.kind, bob, outcome) == 0, prep.eps1, prep.eps2)
+                eps = np.where(key_bit(kind, bob, outcome) == 0, prep.eps1, prep.eps2)
                 outcome = np.where(key & (u < eps), -outcome, outcome)
             elif isinstance(prep, WhitePrep):
                 white = key & (u < prep.eps)
@@ -778,25 +867,29 @@ class _Engine:
         While a party has a hop table, each round's incoming state is a
         code into the table's columns and the party looks its P(+1) up; the
         first party without one gathers the codes into the block's (D, size)
-        array, which every later step overwrites in place.  Returns the
-        block's ``outcomes`` and ``eve_outcomes`` columns.
+        array, which every later step overwrites in place; a fully tabled
+        block allocates none.  Returns the block's ``outcomes`` and
+        ``eve_outcomes`` columns.
         """
+        plan = self.plan
         v = self._draw(size)
-        n = self.num_parties
+        n = plan.num_parties
         outcomes = np.empty((size, n), dtype=np.int8)
         eve_outcomes = np.zeros(size, dtype=np.int8)
 
-        states = np.empty((self.dim, size), dtype=np.complex128)
+        states = None  # the block's (D, size) amplitudes, once a party has no table
         # each party's picks as a contiguous intp row, cast once a block: a table
         # indexed by a strided int8 column runs numpy's slow generic loop
         picks = np.ascontiguousarray(v.picks.T, dtype=np.intp)
         pick = picks[0]
-        outcomes[:, 0] = _choose(self.setting_p_plus[0][pick], v.born[:, 0])
+        outcomes[:, 0] = _choose(plan.setting_p_plus[0][pick], v.born[:, 0])
         # the incoming states as codes into ``columns``, or None once ``states`` holds them
-        code, columns = self._prepare(1, pick, outcomes[:, 0], v), self.setting_prepared[0]
+        code, columns = self._prepare(1, pick, outcomes[:, 0], v), plan.setting_prepared[0]
         for bob in range(2, n + 1):
-            hop = self.hops[bob - 1]
+            hop = plan.hops[bob - 1]
             if hop is None and columns is not None:
+                if states is None:
+                    states = np.empty((plan.dim, size), dtype=np.complex128)
                 self._gather(columns, code, out=states)
                 columns = None
             _, hit = self._eve_hook(states, bob - 1, v)
@@ -804,7 +897,7 @@ class _Engine:
                 eve_outcomes[:] = hit
             pick = picks[bob - 1]
             # only a Mermin party before the last forwards its post state
-            forwards = self.kind == "mermin" and bob < n
+            forwards = plan.kind == "mermin" and bob < n
             if hop is not None:
                 pair = code * 3 + pick
                 true_outcome = _choose(hop.p_plus[pair], v.born[:, bob - 1])
@@ -812,29 +905,33 @@ class _Engine:
                     code, columns = 2 * pair + (true_outcome < 0), hop.post
             else:
                 true_outcome, _ = self._measure(
-                    states, np.take(self.setting_basis[bob - 1], pick, axis=-1), self.qudit[bob - 1],
+                    states, np.take(plan.setting_basis[bob - 1], pick, axis=-1), plan.qudit[bob - 1],
                     v.born[:, bob - 1], out=states if forwards else None,
                 )
             outcomes[:, bob - 1] = self._detector_record(true_outcome, bob, pick, v)
-            if self.kind == "chsh" and bob < n:
+            if plan.kind == "chsh" and bob < n:
                 intent = outcomes[:, bob - 1]
                 erased = intent == 0
                 if erased.any():  # an erased record re-prepares from a fresh draw
-                    redraw = _choose(self.setting_p_plus[bob - 1][pick], v.born[:, n + bob - 2])
+                    redraw = _choose(plan.setting_p_plus[bob - 1][pick], v.born[:, n + bob - 2])
                     intent = np.where(erased, redraw, intent)
-                code, columns = self._prepare(bob, pick, intent, v), self.setting_prepared[bob - 1]
+                code, columns = self._prepare(bob, pick, intent, v), plan.setting_prepared[bob - 1]
         return outcomes, eve_outcomes
 
 
-def run_protocol(config: ProtocolConfig) -> Transcript:
+def run_protocol(config: ProtocolConfig, plan: EnginePlan | None = None) -> Transcript:
     """Execute all rounds in order, a block of rounds at a time.
 
-    Each block's columns are copied into the run's at once: blocks kept
-    until the end, between the engine's short-lived arrays, fragment the
-    heap and raise the process's peak RSS.
+    ``plan`` is an ``EnginePlan`` of the config's shape (ValueError
+    otherwise), shared by the runs of a sweep; without one the run builds
+    its own.  A fully tabled run plays blocks of ``tabled_block_rounds``
+    rounds, any other run blocks of ``block_rounds(D)``.  Each block's columns are copied
+    into the run's at once: blocks kept until the end, between the engine's
+    short-lived arrays, fragment the heap and raise the process's peak RSS.
     """
-    engine = _Engine(config)
-    block = block_rounds(config.dim)
+    engine = _Engine(config, plan)
+    tabled = engine.plan.fully_tabled
+    block = tabled_block_rounds(config.dim, config.num_parties) if tabled else block_rounds(config.dim)
     outcomes = np.empty((config.rounds, config.num_parties), dtype=np.int8)
     eve_outcomes = np.empty(config.rounds, dtype=np.int8)
     for start in range(0, config.rounds, block):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -565,8 +566,55 @@ class TestSweep:
 AWKWARD_FLOATS = [0.0, 1.0, 0.5, 1e-05, 1.5e-10, 0.1 + 0.2, 123456789.123, 5e-324]
 
 
+def _per_row_rows(model: str, kind: str, grid: int, eta: float | None) -> list[str]:
+    """An analytic sweep's lines as one ``%`` format per row, every number formatted where it stands."""
+    names, end = cli._sweep_axes(model)
+    axis = np.linspace(0.0, end, grid)
+    params = {name: values.ravel() for name, values in zip(names, np.meshgrid(*[axis] * len(names), indexing="ij"))}
+    if eta is not None:
+        params["eta"] = eta
+    conventions = noise.CONVENTIONS if noise.has_erasures(model) else ("conditional",)
+    row = ",".join(["%.10g"] * len(names) + (["%.10g"] * 4 + ["%s"]) * len(conventions))
+    columns = [params[name].tolist() for name in names]
+    labels = [f"{i}-{j}" for i, j in noise.PAIRS]
+    for surface in noise.analytic_key_rate_surfaces(model, kind, conventions=conventions, **params):
+        columns += [surface.pairwise_mi[pair].tolist() for pair in noise.PAIRS]
+        columns += [surface.key_rate.tolist(), [labels[k] for k in surface.min_pair.tolist()]]
+    return [row % values for values in zip(*columns)]
+
+
 class TestCsvRows:
-    """Each CSV line is one ``%`` format: the text of ``format(v, ".10g")`` joined by commas."""
+    """Each CSV cell is the text of ``format(v, ".10g")``, and the cells are joined by commas."""
+
+    def test_each_distinct_value_is_formatted_once_by_its_bits(self, monkeypatch):
+        tenth, next_tenth = 0.1, float(np.nextafter(0.1, 1.0))  # equal to 10 digits, other bits
+        payload_nan = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+        values = np.array([
+            [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, tenth, next_tenth],
+            [0.0, -0.0, -math.nan, payload_nan, math.inf, 1e16, 5e-324, next_tenth, tenth],
+            [1e16, 1e16, 0.0, 0.0, math.nan, tenth, tenth, -0.0, -0.0],
+        ])
+
+        class Counting(str):
+            calls = 0
+
+            def __mod__(self, value):
+                Counting.calls += 1
+                return str.__mod__(self, value)
+
+        monkeypatch.setattr(cli, "_FLOAT", Counting("%.10g"))
+        texts = cli._formatted_columns(values)
+        assert texts == [["%.10g" % value for value in column] for column in values.tolist()]
+        assert texts[0][:2] == ["-0", "0"] and texts[0][7:] == ["0.1", "0.1"]
+        assert Counting.calls == len(set(values.view(np.uint64).ravel().tolist())) == 11
+
+    @pytest.mark.parametrize("kind", ["mermin", "chsh"])
+    @pytest.mark.parametrize("model", sorted(noise.MODELS))
+    def test_rows_equal_a_per_row_format(self, model, kind):
+        eta = 0.7 if None not in noise.MODELS[model] else None
+        header, rows = cli._sweep_rows(model, kind, 7, eta)
+        assert rows == _per_row_rows(model, kind, 7, eta)
+        assert len(rows) == 7 ** len(cli._sweep_axes(model)[0])
 
     def test_analytic_rows(self, monkeypatch):
         values = np.array(AWKWARD_FLOATS + [0.25])  # the 9 points of a 3×3 grid
@@ -601,7 +649,7 @@ class TestCsvRows:
                 raise noise.InsufficientKeyRounds("no key rounds")
             return noise.KeyRateReport("empirical", "mermin", "throughput", {(1, 2): rate}, rate, (1, 2))
 
-        monkeypatch.setattr(protocol, "run_protocol", lambda config: None)
+        monkeypatch.setattr(protocol, "run_protocol", lambda config, plan=None: None)
         monkeypatch.setattr(noise, "empirical_key_rate", empirical_key_rate)
         header, rows, empty = cli._empirical_sweep("white", "mermin", 9, None, 10, 1)
         assert header == ["param", "key_rate_empirical"] and empty == 1

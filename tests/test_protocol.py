@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -461,6 +462,19 @@ SEAM_CONFIGS = {
 }
 
 
+def _long_seam_config(kind: str, n: int, seed: int, prep=None) -> protocol.ProtocolConfig:
+    """A fully tabled run that fills one long block and spills 50 rounds into the next."""
+    rounds = protocol.tabled_block_rounds(protocol.ProtocolConfig(kind, n, 1).dim, n) + 50
+    return protocol.ProtocolConfig(kind, n, rounds, seed=seed, noise=prep and noise.NoiseConfig(prep=prep))
+
+
+LONG_SEAM_CONFIGS = {
+    "mermin3-noiseless": _long_seam_config("mermin", 3, 101),
+    "mermin3-white": _long_seam_config("mermin", 3, 102, noise.WhitePrep(0.3)),
+    "chsh4-flip": _long_seam_config("chsh", 4, 103, noise.FlipPrep(0.1, 0.2)),
+}
+
+
 class TestBlockRule:
     def test_every_config_width(self):
         dims = {protocol.ProtocolConfig("chsh", 2, 1).dim} | {
@@ -495,6 +509,53 @@ class TestBlockSeams:
         half = protocol.run_protocol(SEAM_CONFIGS["mermin5-model2-commuting-half"])
         assert (half.eve_outcomes == 0).any()  # rounds she skips
         assert (half.outcomes == 0).any()  # erasures
+
+    @pytest.mark.parametrize("name", list(LONG_SEAM_CONFIGS))
+    def test_long_block_invariance(self, name, tmp_path, monkeypatch):
+        # only the tabled block size is patched, so every hop keeps its table
+        config = LONG_SEAM_CONFIGS[name]
+        long_block = protocol.tabled_block_rounds(config.dim, config.num_parties)
+        assert long_block > protocol.block_rounds(config.dim)
+        assert config.rounds > long_block  # crosses a long seam
+        cli.write_transcript(protocol.run_protocol(config), tmp_path / "default.jsonl")
+        monkeypatch.setattr(protocol, "tabled_block_rounds", lambda dim, num_parties: 7)
+        assert tabled_parties(config) == list(range(2, config.num_parties + 1))
+        cli.write_transcript(protocol.run_protocol(config), tmp_path / "seams.jsonl")
+        assert (tmp_path / "seams.jsonl").read_bytes() == (tmp_path / "default.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("name", list(LONG_SEAM_CONFIGS))
+    def test_fully_tabled_blocks_are_long_and_hold_no_state(self, name, monkeypatch):
+        config = LONG_SEAM_CONFIGS[name]
+        sizes = []
+        play_block = protocol._Engine.play_block
+
+        def recorded(engine, size):
+            sizes.append(size)
+            return play_block(engine, size)
+
+        def no_dense_state(*args, **kwargs):
+            raise AssertionError("a fully tabled block gathered a (D, B) array")
+
+        monkeypatch.setattr(protocol._Engine, "play_block", recorded)
+        monkeypatch.setattr(protocol._Engine, "_gather", no_dense_state)
+        protocol.run_protocol(config)
+        assert sizes == [protocol.tabled_block_rounds(config.dim, config.num_parties), 50]
+
+    def test_which_runs_are_fully_tabled(self):
+        def tabled(kind, n, eve=None, prep=None):
+            config = protocol.ProtocolConfig(kind, n, 1, eve=eve, noise=prep and noise.NoiseConfig(prep=prep))
+            return protocol.EnginePlan(config).fully_tabled
+
+        assert tabled("mermin", 3) and tabled("mermin", 3, prep=noise.WhitePrep(0.3))
+        assert tabled("mermin", 3, prep=noise.FlipPrep(0.1, 0.2))
+        assert all(tabled("chsh", n) for n in range(2, 9))
+        assert not tabled("mermin", 4)  # party 4 would need 648 pairs, past a 512-round block
+        assert not tabled("mermin", 3, eve=EveConfig(2, "Z1", "commuting-measure"))
+        # the benchmark's attack-chsh4: party 3 measures dense states behind Eve at link 2
+        assert not tabled("chsh", 4, eve=EveConfig(2, "Z1", "noncommuting-measure"))
+        # blocks of 16,384 party-rounds, never shorter than the dense rule's
+        assert [protocol.tabled_block_rounds(4, n) for n in (2, 4, 8, 12)] == [8192, 4096, 2048, 2048]
+        assert protocol.tabled_block_rounds(8, 3) == 5461
 
 
 HOP_NOISE = {
@@ -597,9 +658,117 @@ class TestHopTables:
         config = dataclasses.replace(HOP_CONFIGS[name], rounds=3000, seed=31)
         tabled = protocol.run_protocol(config)
         assert tabled_parties(config)
-        monkeypatch.setattr(protocol._Engine, "_hop_tables", lambda engine: [None] * engine.num_parties)
+        monkeypatch.setattr(
+            protocol.EnginePlan, "_hop_tables", lambda plan, kernels, eve, white: (None,) * plan.num_parties
+        )
         assert tabled_parties(config) == []
         assert same_rounds(protocol.run_protocol(config), tabled)
+
+
+def _plan_values(value):
+    """Every leaf of a plan attribute: tuples, named tuples and mapping proxies are walked."""
+    if isinstance(value, (tuple, MappingProxyType)):
+        for item in (value.values() if isinstance(value, MappingProxyType) else value):
+            yield from _plan_values(item)
+    else:
+        yield value
+
+
+SHARED_PLAN_NOISE = {
+    "flip": [noise.FlipPrep(0.0, 0.0), noise.FlipPrep(0.1, 0.3), noise.FlipPrep(0.5, 0.2)],
+    "white": [noise.WhitePrep(0.0), noise.WhitePrep(0.3), noise.WhitePrep(1.0)],
+    "misread": [noise.MisreadDetector(0.0), noise.MisreadDetector(0.2), noise.MisreadDetector(0.5)],
+    "loss": [noise.LossDetector(1.0), noise.LossDetector(0.7), noise.LossDetector(0.3)],
+}
+
+
+class TestEnginePlan:
+    """What the run's shape decides is built once and shared; what a run owns is not in it."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        built = []
+
+        class Counted(protocol.EnginePlan):
+            def __init__(self, config):
+                built.append(config)
+                super().__init__(config)
+
+        monkeypatch.setattr(protocol, "EnginePlan", Counted)
+        return built
+
+    def test_a_sweep_builds_one_plan(self, tmp_path, monkeypatch):
+        built = self._counted(monkeypatch)
+        _, rows, _ = cli._empirical_sweep("flip", "mermin", 3, None, 60, 1)
+        assert len(rows) == 9 and len(built) == 1
+        argv = ["sweep", "--model", "flip", "--grid", "3", "--empirical-rounds", "60",
+                "--empirical-grid", "3", "--seed", "1", "--outdir", str(tmp_path)]
+        built.clear()
+        for _ in range(2):
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INSUFFICIENT_DATA)
+        assert len(built) == 2  # no plan outlives its command
+
+    def test_a_plan_of_another_shape_raises(self):
+        base = protocol.ProtocolConfig("mermin", 3, 20, noise=noise.NoiseConfig(prep=noise.FlipPrep(0.1, 0.1)))
+        plan = protocol.EnginePlan(base)
+        same_shape = [
+            dataclasses.replace(base, seed=4, rounds=7, masking_enabled=False),
+            dataclasses.replace(base, noise=noise.NoiseConfig(noise.FlipPrep(0.3, 0.0), noise.LossDetector(0.5))),
+            dataclasses.replace(base, noise=None),
+        ]
+        for config in same_shape:
+            assert same_rounds(protocol.run_protocol(config, plan), protocol.run_protocol(config))
+        other_shapes = [
+            dataclasses.replace(base, noise=noise.NoiseConfig(prep=noise.WhitePrep(0.1))),
+            dataclasses.replace(base, num_parties=4),
+            dataclasses.replace(base, kind="chsh"),
+            dataclasses.replace(base, masking_include_key=False),
+            dataclasses.replace(base, eve=EveConfig(2, "Z1", "commuting-measure")),
+        ]
+        for config in other_shapes:
+            with pytest.raises(ValueError, match="shape"):
+                protocol.run_protocol(config, plan)
+
+    @pytest.mark.parametrize("name", ["mermin3-white", "mermin5-flip", "chsh4-noiseless", "mermin4-eve", "chsh3-eve"])
+    def test_plans_are_read_only(self, name):
+        eve = EveConfig(1, "XpZ1", "measure-resend", resend="fresh-reference")
+        configs = {**HOP_CONFIGS, "mermin4-eve": protocol.ProtocolConfig("mermin", 4, 1, eve=eve),
+                   "chsh3-eve": protocol.ProtocolConfig("chsh", 3, 1, eve=eve)}
+        plan = protocol.EnginePlan(configs[name])
+        arrays = 0
+        for attribute, value in vars(plan).items():
+            for leaf in _plan_values(value):
+                assert not isinstance(leaf, (list, dict, set)), attribute
+                if isinstance(leaf, np.ndarray):
+                    arrays += 1
+                    assert not leaf.flags.writeable, attribute
+                    with pytest.raises(ValueError):
+                        leaf.flat[0] = 0
+        assert arrays > 3 * plan.num_parties
+
+    def test_the_engine_reads_its_plan_through(self):
+        config = HOP_CONFIGS["mermin3-white"]
+        plan = protocol.EnginePlan(config)
+        engine = protocol._Engine(dataclasses.replace(config, seed=3), plan)
+        assert engine.plan is plan
+        for name in ("hops", "qudits", "dim", "labels", "projected", "setting_prepared", "mask_plan"):
+            assert getattr(engine, name) is getattr(plan, name), name
+        assert protocol._Engine(config).plan is not plan
+        with pytest.raises(AttributeError):
+            engine.no_such_attribute
+
+    @pytest.mark.parametrize("tag", sorted(SHARED_PLAN_NOISE))
+    @pytest.mark.parametrize("kind, parties", [("mermin", 3), ("chsh", 4)])
+    def test_shared_plan_transcripts_equal_fresh_plans(self, kind, parties, tag):
+        configs = [
+            protocol.ProtocolConfig(kind, parties, 6000, seed=40 + k, masking_enabled=False,
+                                    noise=noise.NoiseConfig(prep=model) if tag in ("flip", "white")
+                                    else noise.NoiseConfig(detector=model))
+            for k, model in enumerate(SHARED_PLAN_NOISE[tag])
+        ]
+        plan = protocol.EnginePlan(configs[0])
+        for config in configs:
+            assert same_rounds(protocol.run_protocol(config, plan), protocol.run_protocol(config)), config.noise
 
 
 REFERENCE_CONFIGS = {

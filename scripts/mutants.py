@@ -3,14 +3,15 @@
     python3 scripts/mutants.py                          # every entry
     python3 scripts/mutants.py hop-post-columns-swapped # the named entries only
 
-An entry names a file, an exact old text, its replacement and the tests
-that must fail once the replacement is made.  For each entry the script
-copies `src/`, `tests/` and `pyproject.toml` into a temporary directory,
-makes the replacement there, and runs pytest on the entry's tests with
+An entry names a file, one or more exact old texts, each with its
+replacement, and the tests that must fail once the replacements are made.
+For each entry the script copies `src/`, `tests/` and `pyproject.toml` into
+a temporary directory, makes the replacements there in order, and runs
+pytest on the entry's tests with
 that copy's `src` first on the path: the mutant is caught when they fail.
 The checkout itself is never written.  It prints one line per entry and
 caught/total, and exits 1 if a mutant survives, if its tests could not
-run, or if an old text does not occur exactly once in its file (a
+run, or if one of its old texts does not occur exactly once in its file (a
 refactor that moves the text updates the entry).  A control run first
 checks that an unmutated copy passes every chosen test (exit 2 if not).
 The catalogue runs outside Tier-1, since some entries run the oracle;
@@ -36,8 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 class Mutant(NamedTuple):
     name: str
     path: str  # relative to the repository root
-    old: str
-    new: str
+    edits: tuple[tuple[str, str], ...]  # (old, new) replacements, made in order
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
@@ -48,91 +48,145 @@ MUTANTS = (
     # -- the hop tables --
     Mutant(
         "hop-post-columns-swapped", PROTOCOL,
-        "for row, p in ((0, p_plus), (1, 1.0 - p_plus))",
-        "for row, p in ((1, 1.0 - p_plus), (0, p_plus))",
+        (("for row, p in ((0, p_plus), (1, 1.0 - p_plus))",
+          "for row, p in ((1, 1.0 - p_plus), (0, p_plus))"),),
         ("tests/test_protocol.py::TestHopTables", "tests/test_digests.py"),
     ),
     Mutant(
         "hop-cap-one-hop-late", PROTOCOL,
-        "if columns is None or reached or 3 * columns.shape[1] > cap:",
-        "if columns is None or reached or columns.shape[1] > cap:",
+        (("if columns is None or 3 * columns.shape[1] > cap:",
+          "if columns is None or columns.shape[1] > cap:"),),
         ("tests/test_protocol.py::TestHopTables",),
     ),
     Mutant(
         "hop-table-at-eves-link", PROTOCOL,
-        "reached = eve_link <= bob - 1 if",
-        "reached = eve_link < bob - 1 if",
+        (("columns = None if eve_hop is None else eve_hop.post",
+          "columns = columns if eve_hop is None else eve_hop.post"),),
         ("tests/test_protocol.py::TestHopTables", "tests/test_digests.py", "tests/test_oracle.py"),
     ),
     Mutant(
         "white-basis-code-offset", PROTOCOL,
-        "np.copyto(code, 6 + v.white_idx[:, slot], where=white)",
-        "np.copyto(code, 5 + v.white_idx[:, slot], where=white)",
+        (("np.copyto(code, 6 + v.white_idx[:, slot], where=white)",
+          "np.copyto(code, 5 + v.white_idx[:, slot], where=white)"),),
         ("tests/test_digests.py", "tests/test_oracle.py", "tests/test_noise.py::TestNoisyPreparation"),
+    ),
+    # -- Eve's table --
+    Mutant(
+        "eve-table-despite-her-mask", PROTOCOL,
+        (("if self.eve_masked or 3 * k > cap:", "if 3 * k > cap:"),),
+        ("tests/test_protocol.py::TestHopTables", "tests/test_digests.py"),
+    ),
+    Mutant(
+        "eve-skipped-rounds-given-post-codes", PROTOCOL,
+        (("code = np.where(active, plan.eve_hop.p_plus.size + 2 * code + (hit < 0), code)",
+          "code = plan.eve_hop.p_plus.size + 2 * code + (hit < 0)"),),
+        ("tests/test_protocol.py::TestHopTables", "tests/test_digests.py"),
+    ),
+    Mutant(
+        "eve-post-columns-outcome-swapped", PROTOCOL,
+        (("_read_only(np.hstack([columns, post]))",
+          "_read_only(np.hstack([columns, post.reshape(len(post), k, 2)[:, :, ::-1].reshape(len(post), 2 * k)]))"),),
+        ("tests/test_protocol.py::TestHopTables", "tests/test_digests.py"),
+    ),
+    Mutant(
+        "fresh-reference-not-tiled-per-code", PROTOCOL,
+        (("np.tile(self.projected[prefix, party], k)", "np.repeat(self.projected[prefix, party], k, axis=1)"),),
+        ("tests/test_protocol.py::TestHopTables", "tests/test_oracle.py"),
     ),
     # -- the engine plan and long blocks --
     Mutant(
         "plan-shape-without-white-flag", PROTOCOL,
-        "return (config.kind, config.num_parties, config.masking_include_key, config.eve, isinstance(prep, WhitePrep))",
-        "return (config.kind, config.num_parties, config.masking_include_key, config.eve)",
+        (("return (config.kind, config.num_parties, config.masking_include_key, config.eve, isinstance(prep, WhitePrep))",
+          "return (config.kind, config.num_parties, config.masking_include_key, config.eve)"),),
         ("tests/test_protocol.py::TestEnginePlan",),
     ),
     Mutant(
         "long-blocks-when-some-hop-is-dense", PROTOCOL,
-        "self.fully_tabled = all(hop is not None for hop in self.hops[1:])",
-        "self.fully_tabled = any(hop is not None for hop in self.hops[1:])",
+        (("self.fully_tabled = all(hop is not None for hop in self.hops[1:])",
+          "self.fully_tabled = any(hop is not None for hop in self.hops[1:])"),),
         ("tests/test_protocol.py::TestBlockSeams",),
     ),
     # -- noise --
     Mutant(
         "xpz-preparations-noiseless", PROTOCOL,
-        "_read_only(np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps])) for ps in self.parsed",
-        '_read_only(np.array([p == "Z" for p, _ in ps])) for ps in self.parsed',
+        (("_read_only(np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps])) for ps in self.parsed",
+          '_read_only(np.array([p == "Z" for p, _ in ps])) for ps in self.parsed'),),
         ("tests/test_digests.py", "tests/test_oracle.py"),
     ),
     Mutant(
         "flip-eps-swapped", PROTOCOL,
-        "== 0, prep.eps1, prep.eps2)",
-        "== 0, prep.eps2, prep.eps1)",
+        (("== 0, prep.eps1, prep.eps2)", "== 0, prep.eps2, prep.eps1)"),),
         ("tests/test_digests.py", "tests/test_oracle.py", "tests/test_noise.py::TestNoisyPreparation"),
     ),
     Mutant(
         "noise-rows-not-offset-per-block", PROTOCOL,
-        "noise_u=None if self._noise_u is None else self._noise_u[rows],",
-        "noise_u=None if self._noise_u is None else self._noise_u[:size],",
+        (("noise_u=None if self._noise_u is None else self._noise_u[rows],",
+          "noise_u=None if self._noise_u is None else self._noise_u[:size],"),),
         ("tests/test_protocol.py::TestBlockSeams", "tests/test_digests.py"),
     ),
     # -- Eve's mask --
     Mutant(
         "mask-conjugates-dropped", PROTOCOL,
-        "return np.stack([w0 * a - w1 * np.conj(b), w0 * b + w1 * np.conj(a)], axis=1)",
-        "return np.stack([w0 * a - w1 * b, w0 * b + w1 * a], axis=1)",
+        (("return np.stack([w0 * a - w1 * np.conj(b), w0 * b + w1 * np.conj(a)], axis=1)",
+          "return np.stack([w0 * a - w1 * b, w0 * b + w1 * a], axis=1)"),),
         ("tests/test_oracle.py", "tests/test_digests.py"),
+    ),
+    Mutant(
+        # each block reads the masking rows drawn for the block before it (the first its own)
+        "masking-stream-read-one-block-late", PROTOCOL,
+        (("else self._g_mask.random(size=(size, self.plan._mask_angle_count)) * TWO_PI",
+          "else self._late_angles(size)"),
+         ("    # -- per-party steps ---",
+          "    def _late_angles(self, size):\n"
+          "        late = getattr(self, '_late', None)\n"
+          "        self._late = self._g_mask.random(size=(size, self.plan._mask_angle_count)) * TWO_PI\n"
+          "        return self._late if late is None else late[:size]\n\n"
+          "    # -- per-party steps ---")),
+        ("tests/test_protocol.py::TestDeterminism", "tests/test_protocol.py::TestBlockSeams", "tests/test_digests.py"),
+    ),
+    Mutant(
+        # each factor times M, (a, b)·(a1, b1), instead of (a1, b1)·(a, b)
+        "su2-pairs-composed-in-reverse", PROTOCOL,
+        (("a, b = z * a, z * b", "a, b = z * a, np.conj(z) * b"),
+         ("a, b = cos * a - b1 * np.conj(b), cos * b + b1 * np.conj(a)",
+          "a, b = a * cos - b * np.conj(b1), a * b1 + b * cos")),
+        ("tests/test_protocol.py::TestMaskingUnitary", "tests/test_oracle.py", "tests/test_digests.py"),
     ),
     # -- round kinds and the writer --
     Mutant(
         "last-party-dropped-from-all-picked", PROTOCOL,
-        "        for k in range(1, n):\n            out &= picked(k, allowed)",
-        "        for k in range(1, n - 1):\n            out &= picked(k, allowed)",
+        (("        for k in range(1, n):\n            out &= picked(k, allowed)",
+          "        for k in range(1, n - 1):\n            out &= picked(k, allowed)"),),
         ("tests/test_protocol.py::TestLabels", "tests/test_digests.py"),
     ),
     Mutant(
+        # the same bytes, written once at the end
+        "writer-holds-every-chunk", CLI,
+        (('    with path.open("wb") as handle:\n        for start in range(0, rounds, TRANSCRIPT_CHUNK):',
+          '    texts = []\n    with path.open("wb") as handle:\n        for start in range(0, rounds, TRANSCRIPT_CHUNK):'),
+         ('handle.write(b"".join(grid.ravel().tolist()))', 'texts.append(b"".join(grid.ravel().tolist()))'),
+         ("            del grid  # before the next chunk's grid is built\n",
+          "            del grid  # before the next chunk's grid is built\n        handle.write(b\"\".join(texts))\n")),
+        ("tests/test_cli.py::TestTranscriptFormat",),
+    ),
+    Mutant(
         "csv-numbers-deduplicated-by-value", CLI,
-        "distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)",
-        "distinct, inverse = np.unique(column, return_inverse=True)",
+        (("distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)",
+          "distinct, inverse = np.unique(column, return_inverse=True)"),),
         ("tests/test_cli.py::TestCsvRows",),
     ),
     Mutant(
         "round-number-digit-boundary", CLI,
-        "high = min(stop, 10**digits)",
-        "high = min(stop, 10**digits + 1)",
+        (("high = min(stop, 10**digits)", "high = min(stop, 10**digits + 1)"),),
         ("tests/test_digests.py",),
     ),
 )
 
 
-def occurrences(mutant: Mutant) -> int:
-    return (ROOT / mutant.path).read_text().count(mutant.old)
+def occurrences(mutant: Mutant) -> list[int]:
+    """How often each of ``mutant``'s old texts occurs in its file."""
+    text = (ROOT / mutant.path).read_text()
+    return [text.count(old) for old, _ in mutant.edits]
 
 
 def run(mutant: Mutant, workdir: Path) -> tuple[str, str]:
@@ -147,7 +201,10 @@ def run(mutant: Mutant, workdir: Path) -> tuple[str, str]:
         shutil.copytree(ROOT / part, tree / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
     target = tree / mutant.path
-    target.write_text(target.read_text().replace(mutant.old, mutant.new))
+    text = target.read_text()
+    for old, new in mutant.edits:
+        text = text.replace(old, new)
+    target.write_text(text)
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
@@ -168,14 +225,14 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown entries: {', '.join(unknown)}")
     chosen = [by_name[name] for name in args.names] or list(MUTANTS)
-    misplaced = [mutant.name for mutant in chosen if occurrences(mutant) != 1]
+    misplaced = [mutant.name for mutant in chosen if set(occurrences(mutant)) != {1}]
     for name in misplaced:
-        print(f"{name}: old text does not occur exactly once", file=sys.stderr)
+        print(f"{name}: an old text does not occur exactly once", file=sys.stderr)
     results = {}
     with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
         # the unmutated copy must pass every chosen test, or a failure proves nothing
         tests = tuple(dict.fromkeys(test for mutant in chosen for test in mutant.tests))
-        control, detail = run(Mutant("control", chosen[0].path, "", "", tests), Path(workdir))
+        control, detail = run(Mutant("control", chosen[0].path, (), tests), Path(workdir))
         if control != "survived":
             print(f"the unmutated copy does not pass the tests: {detail}", file=sys.stderr)
             return 2

@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -348,7 +349,11 @@ def _write_json(payload: dict, path: Path):
 
 
 def _manifest(args, outdir: Path, seed: int, outputs: list[Path], rounds: int, started: float) -> dict:
-    """The run's record; ``config`` holds the parsed flags, outdir resolved."""
+    """The run's record; ``config`` holds the parsed flags, outdir resolved.
+
+    It names the Python and numpy that ran the command: byte-identity rests
+    on numpy's generator streams, which a numpy release may change.
+    """
     return {
         "command": args.command,
         "config": vars(args) | {"outdir": str(outdir)},
@@ -358,6 +363,8 @@ def _manifest(args, outdir: Path, seed: int, outputs: list[Path], rounds: int, s
         "outputs": [str(p) for p in outputs],
         "rounds": rounds,
         "wall_clock_s": round(time.monotonic() - started, 3),
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
     }
 
 

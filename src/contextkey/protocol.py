@@ -29,7 +29,8 @@ All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise), one array row per round.  The engine plays
 blocks of B = ``block_rounds(D)`` rounds, party by party, on one thread;
 it draws the Born, masking and Eve rows block by block (masking rows only
-in a run with Eve, their one reader), and the picks and noise rows whole.
+in a run where a mask factor reaches Eve's qudit, their one reader), and
+the picks and noise rows whole.
 A round depends only on its own rows, so it is the same whatever block it
 falls in.  Toggling masking, noise, or the eavesdropper never shifts the
 other streams.
@@ -42,24 +43,31 @@ one plan and passes it to ``run_protocol`` for each of its points, which
 differ only in their noise parameters; the engine keeps the streams, the
 noise parameters and its scratch buffers.  No plan outlives its caller.
 
-Until Eve touches it, the state reaching a party is one of K states fixed
-by the earlier picks and outcomes: one of the 6 the previous party
-prepares (with the D basis states under white noise), or one of 6^(k−1)
-post states before Mermin party k.  Each party's hop table, built once a
-run, holds P(+1) for the 3K (state, pick) pairs and, for a forwarding
-Mermin party, the 6K post states; a block then looks its outcomes up by
-integer codes.  The first party without a table gathers the codes into
-one (D, B) array, amplitude-major with the rounds innermost, which every
-later step overwrites in place.  A hop has a table only while Eve sits
-neither at its link nor, for Mermin, before it (a masked state is one per
-round), and only while 3K ≤ B, so a table holds at most two blocks'
-amplitudes.  A table entry is the dense step's arithmetic on the same
-state, so no pinned byte moves; numpy's vector and scalar loops may round
-its P(+1) one ulp apart, which moves an outcome only when the round's
-variate falls inside that ulp.  A fully tabled run (every party from 2 on
-has a table: mermin N=3 and CHSH, without Eve) holds no (D, B) state, and
-plays longer blocks of ``tabled_block_rounds`` rounds; the cap on the
-tables stays 3K ≤ ``block_rounds(D)``, so no table depends on the block.
+The state reaching a party is one of K states fixed by the earlier picks
+and outcomes: one of the 6 the previous party prepares (with the D basis
+states under white noise), or one of 6^(k−1) post states before Mermin
+party k.  Each party's hop table, built once a run, holds P(+1) for the
+3K (state, pick) pairs and, for a forwarding Mermin party, the 6K post
+states; a block then looks its outcomes up by integer codes.  Eve keeps
+the state one of finitely many only where no mask factor reaches her
+qudit at her link (her basis is then the same every round): her table
+holds P(+1) for her K incoming states, and her 3K outgoing ones are those
+K, for the rounds she skips, then her 2K post states (the reference's
+projections, tiled per code, under ``fresh-reference``).  A masked Eve
+measures dense states (the mask is one per round).  The first party, or
+Eve, without a table gathers the codes into one (D, B) array,
+amplitude-major with the rounds innermost, which every later step
+overwrites in place; after it only a CHSH re-preparation starts a table
+again.  Every table needs its 3K ≤ B (for Eve, her 3K outgoing columns),
+so a table holds at most two blocks' amplitudes.  A table entry is the
+dense step's arithmetic on the same state, so no pinned byte moves;
+numpy's vector and scalar loops may round its P(+1) one ulp apart, which
+moves an outcome only when the round's variate falls inside that ulp.  A
+fully tabled run (every party from 2 on has a table, and so Eve if there
+is one: mermin N=3 and CHSH, without Eve or with an unmasked one) holds
+no (D, B) state, and plays longer blocks of ``tabled_block_rounds``
+rounds; the cap on the tables stays 3K ≤ ``block_rounds(D)``, so no table
+depends on the block.
 
 The rounds are innermost because a step on one qubit pairs amplitudes a
 stride apart, and the stride is 1 for the last qubit: viewed as
@@ -78,7 +86,7 @@ resends a fresh reference; the last party's state, and every CHSH party's
 already measured, so it commutes with every later measurement: the engine
 applies only the factors on Eve's qudit, composed as one SU(2) matrix M a
 round and folded into her bras as v†·M, and draws no masking angle at
-all in a run without her.  The engine is the only round
+all in a run where no factor reaches her qudit.  The engine is the only round
 player, and touches one qubit at a time by index arithmetic.  Its test
 oracle is the dense reference layer in ``tests/dense.py``: a reference
 player in the test suite replays the engine's variates with full D×D
@@ -87,6 +95,7 @@ operators, masking eagerly, and must reproduce every recorded outcome.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -427,6 +436,10 @@ class _Hop(NamedTuple):
     ``p_plus`` (3K,) holds P(+1) of pair = code·3 + pick; ``post`` (D, 6K),
     for a forwarding Mermin party only, the normalized post state of pair
     and outcome in column pair·2 + (outcome < 0), the next party's code.
+    Eve's table (``EnginePlan.eve_hop``) has one basis, so its ``p_plus``
+    (K,) is indexed by the code itself, and its ``post`` (D, 3K) holds the
+    K incoming columns, for the rounds she skips, then what she forwards
+    for code and outcome in column K + code·2 + (outcome < 0).
     """
 
     p_plus: np.ndarray
@@ -533,9 +546,11 @@ class EnginePlan:
     pick (0..2): its prefix's row of ``basis``, P(+1) on the reference
     state, the reference projections it prepares (rows +1, −1), and whether
     it is a key setting.  ``hops`` holds each party's hop table, or None
-    where it measures dense states; a run is ``fully_tabled`` when every
-    party from 2 on has one.  Nothing in a plan changes once it is built:
-    its arrays are read-only, its sequences tuples, its mappings proxies.
+    where it measures dense states, and ``eve_hop`` Eve's, or None where
+    she does (``eve_masked``: a mask factor reaches her qudit); a run is
+    ``fully_tabled`` when every party from 2 on has one.  Nothing in a
+    plan changes once it is built: its arrays are read-only, its sequences
+    tuples, its mappings proxies.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -553,6 +568,7 @@ class EnginePlan:
         )
         self.mask_plan = self._masking_plan()
         self.eve_parsed = split_label(config.eve.observable) if config.eve is not None else None
+        self.eve_masked = config.eve is not None and self.mask_columns(config.eve.position, self.eve_parsed[1]).size > 0
         kernels = _Kernels(self.dim)
         self.projected, reference_p_plus = self._reference_projections(kernels)
         self.qudit = tuple(parsed[0][1] for parsed in self.parsed)
@@ -570,7 +586,8 @@ class EnginePlan:
             _read_only(np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps])) for ps in self.parsed
         )
         prep = config.noise.prep if config.noise else None
-        self.hops = self._hop_tables(kernels, config.eve, white=isinstance(prep, WhitePrep))
+        self.hops, self.eve_hop = self._hop_tables(kernels, config.eve, white=isinstance(prep, WhitePrep))
+        # an Eve without a table leaves the hop behind her without one
         self.fully_tabled = all(hop is not None for hop in self.hops[1:])
 
     def _masking_plan(self):
@@ -586,6 +603,20 @@ class EnginePlan:
             offset += width * len(parties)
         self._mask_angle_count = offset
         return MappingProxyType(plan)
+
+    def mask_columns(self, link: int, party: int) -> np.ndarray:
+        """The masking angle columns whose factors reach qudit ``party`` of a state crossing ``link``.
+
+        In sender order, each sender's ``mask_axes`` in turn: Mermin senders
+        1..link mask qudits 1..sender; in CHSH only the link's sender has
+        masked the re-prepared pair.  Empty where no factor reaches the qudit.
+        """
+        senders = range(1, link + 1) if self.kind == "mermin" else (link,)
+        return np.array([
+            column
+            for sender in senders for hop, chunk in self.mask_plan[sender] if hop == party
+            for column in range(chunk.start, chunk.stop)
+        ], dtype=np.intp)
 
     def _reference_projections(self, kernels: _Kernels):
         """Read-only normalized projections of the reference state, and P(+1).
@@ -616,44 +647,75 @@ class EnginePlan:
                 p_plus[prefix, party] = weights[2 * k]
         return MappingProxyType(table), p_plus
 
-    def _hop_tables(self, kernels: _Kernels, eve, white: bool) -> tuple[_Hop | None, ...]:
-        """Per party (index bob − 1), its hop table, or None where it measures dense states.
+    def _hop_tables(self, kernels: _Kernels, eve, white: bool) -> tuple[tuple[_Hop | None, ...], _Hop | None]:
+        """Per party (index bob − 1), its hop table, or None where it measures dense states; and Eve's.
 
         A party's K incoming columns are what the previous party prepares
         (``setting_prepared``'s 6, then basis state j as code 6 + j under
         white noise), or for a later Mermin party the previous table's post
-        columns.  The 3K pairs go through the block player's kernels as one
-        (D, 3K) stack.  Normalizing by the floored probabilities keeps an
-        unreachable outcome's column finite; ``_choose`` never picks it, so
-        it is never read.  The module docstring says which hops get tables.
+        columns; Eve at the link before it turns them into her table's 3K
+        (``_eve_table``).  The 3K pairs go through ``_table`` as one
+        (D, 3K) stack.  The module docstring says which hops get tables.
         """
         cap = block_rounds(self.dim)
-        eve_link = eve.position if eve is not None else self.num_parties
         white = self.dim if white else 0
-        hops, columns = [None] * self.num_parties, None
+        hops, eve_hop, columns = [None] * self.num_parties, None, None
         for bob in range(2, self.num_parties + 1):
             if self.kind == "chsh" or bob == 2:
                 columns = None if 3 * (6 + white) > cap else np.hstack(
                     [self.setting_prepared[bob - 2], np.eye(self.dim, white, dtype=np.complex128)]
                 )
-            reached = eve_link <= bob - 1 if self.kind == "mermin" else eve_link == bob - 1
-            if columns is None or reached or 3 * columns.shape[1] > cap:
+            if eve is not None and eve.position == bob - 1 and columns is not None:
+                eve_hop = self._eve_table(kernels, eve, columns, cap)
+                columns = None if eve_hop is None else eve_hop.post
+            if columns is None or 3 * columns.shape[1] > cap:
                 columns = None
                 continue
-            party = self.qudit[bob - 1]
             states = np.repeat(columns, 3, axis=1)  # column pair = code·3 + pick
             bases = np.tile(self.setting_basis[bob - 1], columns.shape[1])
-            bras = bases.conj()
-            p_plus = _squared_norms(kernels._contract(bras[0], states, party))
-            columns = None
-            if self.kind == "mermin" and bob < self.num_parties:
-                columns = _read_only(np.stack([
-                    kernels._collapse(bases[row] / np.sqrt(np.maximum(p, PROB_FLOOR)),
-                                      kernels._contract(bras[row], states, party), party)
-                    for row, p in ((0, p_plus), (1, 1.0 - p_plus))
-                ], axis=-1).reshape(self.dim, -1))
-            hops[bob - 1] = _Hop(_read_only(p_plus), columns)
-        return tuple(hops)
+            forwards = self.kind == "mermin" and bob < self.num_parties
+            hops[bob - 1] = self._table(kernels, states, bases, self.qudit[bob - 1], forwards)
+            columns = hops[bob - 1].post
+        return tuple(hops), eve_hop
+
+    def _eve_table(self, kernels: _Kernels, eve, columns: np.ndarray, cap: int) -> _Hop | None:
+        """Eve's table on her K incoming ``columns``, or None where she measures dense states.
+
+        She has one only where no mask factor reaches her qudit, so that she
+        measures in the one basis of her observable every round, and only
+        while her 3K outgoing columns fit the cap.  Under ``fresh-reference``
+        she forwards the reference's projection for her outcome, whatever
+        the code, so those columns are the projections tiled once per code.
+        """
+        k = columns.shape[1]
+        if self.eve_masked or 3 * k > cap:
+            return None
+        prefix, party = self.eve_parsed
+        fresh = eve.resend == "fresh-reference"
+        table = self._table(kernels, columns, _BASIS[_PREFIX_INDEX[prefix], :, :, None], party, forwards=not fresh)
+        post = np.tile(self.projected[prefix, party], k) if fresh else table.post
+        return _Hop(table.p_plus, _read_only(np.hstack([columns, post])))
+
+    @staticmethod
+    def _table(kernels: _Kernels, states: np.ndarray, bases: np.ndarray, party: int, forwards: bool) -> _Hop:
+        """P(+1) of each of the (D, M) ``states`` in ``bases`` on ``party``'s qubit, and the post states.
+
+        ``bases`` is (2, 2, M), or one (2, 2, 1), as ``_measure`` takes it;
+        the post states, only if ``forwards``, are normalized and sit in
+        column m·2 + (outcome < 0).  Normalizing by the floored
+        probabilities keeps an unreachable outcome's column finite;
+        ``_choose`` never picks it, so it is never read.
+        """
+        bras = bases.conj()
+        p_plus = _squared_norms(kernels._contract(bras[0], states, party))
+        post = None
+        if forwards:
+            post = _read_only(np.stack([
+                kernels._collapse(bases[row] / np.sqrt(np.maximum(p, PROB_FLOOR)),
+                                  kernels._contract(bras[row], states, party), party)
+                for row, p in ((0, p_plus), (1, 1.0 - p_plus))
+            ], axis=-1).reshape(states.shape[0], -1))
+        return _Hop(_read_only(p_plus), post)
 
 
 class _Engine(_Kernels):
@@ -698,16 +760,16 @@ class _Engine(_Kernels):
         drawn only under white preparation noise.  Born, masking and Eve
         uniforms are drawn block by block in ``_draw``, which yields the
         same values as one draw for the whole run.  Only Eve reads masks
-        (``_mask``), so only a masked run with her opens the masking stream;
-        the streams are independent, so no other variate moves.
+        (``_mask``), so only a masked run in which a mask factor reaches her
+        qudit (``EnginePlan.eve_masked``) opens the masking stream; the
+        streams are independent, so no other variate moves.
         """
         config, plan = self.config, self.plan
         rounds, n = config.rounds, plan.num_parties
         self._g_round = stream_generator(config.seed, "round")
         self.picks = self._g_round.integers(0, 3, size=(rounds, n)).astype(np.int8)
         self._born_cols = n + (n - 1 if plan.kind == "chsh" else 0)
-        masked = config.masking_enabled and plan._mask_angle_count and self.eve is not None
-        self._g_mask = stream_generator(config.seed, "masking") if masked else None
+        self._g_mask = stream_generator(config.seed, "masking") if config.masking_enabled and plan.eve_masked else None
         self._g_eve = stream_generator(config.seed, "eve") if self.eve is not None else None
         self._noise_u = self._white_idx = None
         if config.noise is not None:
@@ -719,7 +781,7 @@ class _Engine(_Kernels):
         self._drawn = 0
 
     def _draw(self, size: int) -> _Variates:
-        """Every stream's rows for the next ``size`` rounds (``angles`` only where Eve reads masks)."""
+        """Every stream's rows for the next ``size`` rounds (``angles`` only where Eve reads a mask)."""
         rows = slice(self._drawn, self._drawn + size)
         self._drawn += size
         return _Variates(
@@ -742,9 +804,8 @@ class _Engine(_Kernels):
         ``bras`` is (2, 2, B) or (2, 2, 1), as ``_measure`` takes it.  A
         mask acts only on qudits that were already measured, so it
         commutes with every later measurement and is applied only where
-        Eve reads: the factors on her qudit, in sender order.  Mermin
-        senders 1..link mask qudits 1..sender; in CHSH only the link's
-        sender has masked the re-prepared pair.  M, the product of those
+        Eve reads: the factors on her qudit, in sender order
+        (``EnginePlan.mask_columns``).  M, the product of those
         factors with the first applied first, is composed per round as the
         SU(2) pair (a, b) of [[a, b], [−b*, a*]]: exp(iθσ) is (cos, i·sin)
         for X, (cos, sin) for Y and (cos + i·sin, 0) for Z, and a later
@@ -754,17 +815,12 @@ class _Engine(_Kernels):
         """
         if angles is None:
             return bras
-        plan = self.plan
-        senders = range(1, link + 1) if plan.kind == "mermin" else (link,)
-        columns = [
-            np.arange(chunk.start, chunk.stop)
-            for sender in senders for hop, chunk in plan.mask_plan[sender] if hop == party
-        ]
-        if not columns:
+        columns = self.plan.mask_columns(link, party)
+        if not columns.size:
             return bras
-        angles = angles[:, np.concatenate(columns)].T
+        angles = angles[:, columns].T
         a, b = 1.0, 0.0  # the identity
-        for axis, cos, sin in zip(plan.mask_axes * len(columns), np.cos(angles), np.sin(angles)):
+        for axis, cos, sin in zip(itertools.cycle(self.plan.mask_axes), np.cos(angles), np.sin(angles)):
             if axis == "Z":
                 z = cos + 1j * sin
                 a, b = z * a, z * b
@@ -865,10 +921,11 @@ class _Engine(_Kernels):
         """Play the run's next ``size`` rounds, party by party.
 
         While a party has a hop table, each round's incoming state is a
-        code into the table's columns and the party looks its P(+1) up; the
-        first party without one gathers the codes into the block's (D, size)
-        array, which every later step overwrites in place; a fully tabled
-        block allocates none.  Returns the block's ``outcomes`` and
+        code into the table's columns and the party looks its P(+1) up; a
+        tabled Eve steps the codes the same way, before any gather.  The
+        first party without a table gathers the codes into the block's
+        (D, size) array, which every later step overwrites in place; a fully
+        tabled block allocates none.  Returns the block's ``outcomes`` and
         ``eve_outcomes`` columns.
         """
         plan = self.plan
@@ -887,14 +944,22 @@ class _Engine(_Kernels):
         code, columns = self._prepare(1, pick, outcomes[:, 0], v), plan.setting_prepared[0]
         for bob in range(2, n + 1):
             hop = plan.hops[bob - 1]
+            if plan.eve_hop is not None and self.eve.position == bob - 1:
+                # her skipped rounds keep their code; the others take her post column's
+                active = v.eve_u[:, 0] < self.eve.activity_rate
+                hit = _choose(plan.eve_hop.p_plus[code], v.eve_u[:, 1])
+                eve_outcomes[:] = np.where(active, hit, 0)
+                code = np.where(active, plan.eve_hop.p_plus.size + 2 * code + (hit < 0), code)
+                columns = plan.eve_hop.post
             if hop is None and columns is not None:
                 if states is None:
                     states = np.empty((plan.dim, size), dtype=np.complex128)
                 self._gather(columns, code, out=states)
                 columns = None
-            _, hit = self._eve_hook(states, bob - 1, v)
-            if hit is not None:
-                eve_outcomes[:] = hit
+            if plan.eve_hop is None:
+                _, hit = self._eve_hook(states, bob - 1, v)
+                if hit is not None:
+                    eve_outcomes[:] = hit
             pick = picks[bob - 1]
             # only a Mermin party before the last forwards its post state
             forwards = plan.kind == "mermin" and bob < n

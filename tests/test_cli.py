@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -271,6 +272,14 @@ class TestRun:
         assert config["detector_noise"] is None
         assert config["rounds"] == 300
         assert config["outdir"] == str(out)
+
+    def test_manifest_records_the_versions(self, tmp_path, monkeypatch):
+        out = tmp_path / "mv"
+        run_cli(["run", "--kind", "chsh", "--parties", "2", "--rounds", "50", "--outdir", str(out)],
+                tmp_path, monkeypatch)
+        manifest = json.loads((out / "run-manifest.json").read_text())
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
 
     @pytest.mark.parametrize("argv,config", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
     def test_transcript_round_trip(self, argv, config, tmp_path, monkeypatch):

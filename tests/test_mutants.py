@@ -14,8 +14,9 @@ import mutants  # noqa: E402
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda mutant: mutant.name)
 def test_old_text_occurs_exactly_once(mutant):
-    assert mutant.old != mutant.new
-    assert mutants.occurrences(mutant) == 1
+    assert mutant.edits
+    assert all(old != new for old, new in mutant.edits)
+    assert mutants.occurrences(mutant) == [1] * len(mutant.edits)
     for test in mutant.tests:
         assert (mutants.ROOT / test.split("::")[0]).is_file(), test
 

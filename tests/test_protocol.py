@@ -415,6 +415,17 @@ class TestDeterminism:
         assert engine._g_mask is None
         assert engine._draw(10).angles is None
 
+    @pytest.mark.parametrize("kind, parties, eve", [
+        ("chsh", 4, EveConfig(2, "Z1", "noncommuting-measure")),  # sender 2 masks qudit 2
+        ("mermin", 3, EveConfig(2, "X3", "noncommuting-measure")),  # senders 1-2 mask qudits 1-2
+    ])
+    def test_masked_run_whose_eve_reads_no_mask_opens_no_masking_stream(self, kind, parties, eve):
+        engine = protocol._Engine(protocol.ProtocolConfig(kind, parties, 10, seed=9, eve=eve))
+        assert engine.mask_columns(eve.position, inequality.split_label(eve.observable)[1]).size == 0
+        assert not engine.eve_masked
+        assert engine._g_mask is None
+        assert engine._draw(10).angles is None
+
     def test_eve_reads_the_masking_stream_block_by_block(self):
         config = protocol.ProtocolConfig("chsh", 3, 40, seed=9, eve=EveConfig(1, "Z1", "commuting-measure"))
         engine = protocol._Engine(config)
@@ -550,9 +561,10 @@ class TestBlockSeams:
         assert tabled("mermin", 3, prep=noise.FlipPrep(0.1, 0.2))
         assert all(tabled("chsh", n) for n in range(2, 9))
         assert not tabled("mermin", 4)  # party 4 would need 648 pairs, past a 512-round block
-        assert not tabled("mermin", 3, eve=EveConfig(2, "Z1", "commuting-measure"))
-        # the benchmark's attack-chsh4: party 3 measures dense states behind Eve at link 2
-        assert not tabled("chsh", 4, eve=EveConfig(2, "Z1", "noncommuting-measure"))
+        assert not tabled("mermin", 3, eve=EveConfig(2, "Z1", "commuting-measure"))  # a mask reaches qudit 1
+        # the benchmark's attack-chsh4: sender 2 masks qudit 2, so Eve on qudit 1 at link 2 has a table
+        assert tabled("chsh", 4, eve=EveConfig(2, "Z1", "noncommuting-measure"))
+        assert tabled("mermin", 3, eve=EveConfig(2, "X3", "noncommuting-measure"))
         # blocks of 16,384 party-rounds, never shorter than the dense rule's
         assert [protocol.tabled_block_rounds(4, n) for n in (2, 4, 8, 12)] == [8192, 4096, 2048, 2048]
         assert protocol.tabled_block_rounds(8, 3) == 5461
@@ -577,6 +589,40 @@ HOP_P_TOLERANCE = 4.5e-16
 def tabled_parties(config: protocol.ProtocolConfig) -> list[int]:
     """The parties (from 1) whose hops have tables."""
     return [bob for bob, hop in enumerate(protocol._Engine(config).hops, 1) if hop is not None]
+
+
+# Eves no mask factor reaches, so each has a table
+EVE_TABLE_CONFIGS = {
+    "chsh4-z1-link2": protocol.ProtocolConfig("chsh", 4, 1, eve=EveConfig(2, "Z1", "noncommuting-measure")),
+    "chsh4-z1-link2-white-fresh-reference": protocol.ProtocolConfig(
+        "chsh", 4, 1, noise=noise.NoiseConfig(prep=noise.WhitePrep(0.3)),
+        eve=EveConfig(2, "Z1", "measure-resend", resend="fresh-reference"),
+    ),
+    "chsh3-z2-link1": protocol.ProtocolConfig("chsh", 3, 1, eve=EveConfig(1, "Z2", "noncommuting-measure")),
+    "mermin3-x3-link2": protocol.ProtocolConfig("mermin", 3, 1, eve=EveConfig(2, "X3", "noncommuting-measure")),
+    "mermin4-x4-link1-fresh-reference": protocol.ProtocolConfig(
+        "mermin", 4, 1, eve=EveConfig(1, "X4", "measure-resend", resend="fresh-reference"),
+    ),
+}
+# runs that keep every byte with Eve's table forced off
+EVE_OFF_CONFIGS = {
+    "chsh4-link2-half-fresh-reference-white": protocol.ProtocolConfig(
+        "chsh", 4, 5000, seed=33, noise=noise.NoiseConfig(prep=noise.WhitePrep(0.3)),
+        eve=EveConfig(2, "Z1", "measure-resend", activity_rate=0.5, resend="fresh-reference"),
+    ),
+    # her 648 outgoing columns would pass the cap: she measures dense states, unmasked
+    "mermin5-x5-link3": protocol.ProtocolConfig(
+        "mermin", 5, 3000, seed=34, eve=EveConfig(3, "X5", "noncommuting-measure"),
+    ),
+    "mermin3-x3-link2": protocol.ProtocolConfig(
+        "mermin", 3, 7000, seed=35, eve=EveConfig(2, "X3", "noncommuting-measure"),
+    ),
+    # tabled Eve and parties 2-3, then a dense party 4
+    "mermin4-x4-link1-half-flip": protocol.ProtocolConfig(
+        "mermin", 4, 3000, seed=36, noise=noise.NoiseConfig(prep=noise.FlipPrep(0.1, 0.2)),
+        eve=EveConfig(1, "X4", "noncommuting-measure", activity_rate=0.5),
+    ),
+}
 
 
 class TestHopTables:
@@ -630,11 +676,13 @@ class TestHopTables:
         # party 4 would measure 6³ columns under 3 picks: 648 pairs, past a 512-round block
         assert tabled_parties(config("mermin", 6)) == [2, 3]
         assert tabled_parties(config("mermin", 12)) == []  # 8-round blocks
-        # Eve at a link stops every later Mermin table; CHSH tables resume after the re-preparation
+        # a masked Eve (on Z1, which Mermin sender 1 and CHSH odd senders mask) stops every later
+        # Mermin table; CHSH tables resume after the re-preparation
         assert tabled_parties(config("mermin", 5, link=2)) == [2]
         assert tabled_parties(config("mermin", 5, link=1)) == []
-        assert tabled_parties(config("chsh", 5, link=2)) == [2, 4, 5]
         assert tabled_parties(config("chsh", 2, link=1)) == []
+        # an Eve no mask reaches has a table of her own, and the hop behind her builds on it
+        assert tabled_parties(config("chsh", 5, link=2)) == [2, 3, 4, 5]
         # white noise adds the D basis states to the first party's 6 columns
         assert tabled_parties(config("mermin", 3, prep=noise.WhitePrep(0.3))) == [2, 3]
         assert tabled_parties(config("mermin", 5, prep=noise.WhitePrep(0.3))) == [2]
@@ -659,10 +707,68 @@ class TestHopTables:
         tabled = protocol.run_protocol(config)
         assert tabled_parties(config)
         monkeypatch.setattr(
-            protocol.EnginePlan, "_hop_tables", lambda plan, kernels, eve, white: (None,) * plan.num_parties
+            protocol.EnginePlan, "_hop_tables", lambda plan, kernels, eve, white: ((None,) * plan.num_parties, None)
         )
         assert tabled_parties(config) == []
         assert same_rounds(protocol.run_protocol(config), tabled)
+
+    @pytest.mark.parametrize("name", sorted(EVE_TABLE_CONFIGS))
+    def test_eve_table_matches_her_dense_step(self, name):
+        # every incoming column as one round of a dense block through ``_eve_hook``
+        config = EVE_TABLE_CONFIGS[name]
+        engine = protocol._Engine(config)
+        eve, hop = config.eve, engine.eve_hop
+        assert hop is not None and not engine.eve_masked
+        if config.kind == "mermin" and eve.position > 1:  # the forwarding party's post states
+            incoming = engine.hops[eve.position - 1].post
+        else:  # what the sender prepares
+            white = engine.dim if isinstance(config.noise and config.noise.prep, noise.WhitePrep) else 0
+            incoming = np.hstack([engine.setting_prepared[eve.position - 1], np.eye(engine.dim, white)])
+        k = incoming.shape[1]
+        assert hop.p_plus.shape == (k,) and hop.post.shape == (engine.dim, 3 * k)
+        assert np.array_equal(hop.post[:, :k], incoming)  # the rounds she skips
+
+        def dense_step(u):
+            variates = protocol._Variates(None, None, None, np.column_stack([np.zeros(k), u]), None, None)
+            return engine._eve_hook(incoming.copy(), eve.position, variates)
+
+        p = hop.p_plus
+        plus, minus = p >= qmath.PROB_FLOOR, 1.0 - p >= qmath.PROB_FLOOR
+        for shift, expected in ((-HOP_P_TOLERANCE, 1), (HOP_P_TOLERANCE, -1)):
+            _, outcome = dense_step(p + shift)
+            assert (outcome[plus & minus] == expected).all(), shift
+        for u, row, reachable in ((0.0, 0, plus), (1.0, 1, minus)):
+            post, outcome = dense_step(np.full(k, u))
+            assert (outcome[reachable] == 1 - 2 * row).all()
+            columns = hop.post[:, k + 2 * np.arange(k) + row]
+            assert np.max(np.abs(post - columns)[:, reachable]) < 1e-15, row
+
+    @pytest.mark.parametrize("name", sorted(EVE_OFF_CONFIGS))
+    def test_eve_table_moves_no_outcome(self, name, monkeypatch):
+        config = EVE_OFF_CONFIGS[name]
+        tabled = protocol.run_protocol(config)
+        assert (tabled.eve_outcomes != 0).any()
+        monkeypatch.setattr(protocol.EnginePlan, "_eve_table", lambda plan, kernels, eve, columns, cap: None)
+        assert protocol.EnginePlan(config).eve_hop is None
+        assert same_rounds(protocol.run_protocol(config), tabled)
+
+    def test_eve_table_respects_the_cap(self, monkeypatch):
+        def eve_hop(kind, n, eve):
+            return protocol.EnginePlan(protocol.ProtocolConfig(kind, n, 1, eve=eve)).eve_hop
+
+        for config in EVE_TABLE_CONFIGS.values():
+            hop = protocol.EnginePlan(config).eve_hop
+            assert hop.post.shape[1] <= protocol.block_rounds(config.dim)
+            assert not hop.p_plus.flags.writeable and not hop.post.flags.writeable
+        # mermin N=5 at link 3: 6² incoming columns would go out as 648, past a 512-round block
+        assert eve_hop("mermin", 5, EveConfig(3, "X5", "noncommuting-measure")) is None
+        # chsh N=4 at link 2: 6 incoming columns go out as 18
+        attack = EveConfig(2, "Z1", "noncommuting-measure")
+        monkeypatch.setattr(protocol, "block_rounds", lambda dim: 18)
+        assert eve_hop("chsh", 4, attack).post.shape == (4, 18)
+        assert tabled_parties(protocol.ProtocolConfig("chsh", 4, 1, eve=attack)) == [2, 4]  # 54 pairs > 18
+        monkeypatch.setattr(protocol, "block_rounds", lambda dim: 17)
+        assert eve_hop("chsh", 4, attack) is None
 
 
 def _plan_values(value):

@@ -760,7 +760,7 @@ class TestHopTables:
             hop = protocol.EnginePlan(config).eve_hop
             assert hop.post.shape[1] <= protocol.block_rounds(config.dim)
             assert not hop.p_plus.flags.writeable and not hop.post.flags.writeable
-        # mermin N=5 at link 3: 6² incoming columns would go out as 648, past a 512-round block
+        # mermin N=5 at link 3: 6³ incoming columns would go out as 648, past a 512-round block
         assert eve_hop("mermin", 5, EveConfig(3, "X5", "noncommuting-measure")) is None
         # chsh N=4 at link 2: 6 incoming columns go out as 18
         attack = EveConfig(2, "Z1", "noncommuting-measure")

@@ -90,14 +90,36 @@ MUTANTS = (
     ),
     Mutant(
         "fresh-reference-not-tiled-per-code", PROTOCOL,
-        (("np.tile(self.projected[prefix, party], k)", "np.repeat(self.projected[prefix, party], k, axis=1)"),),
+        (("np.tile(self.eve_reference.post, k)", "np.repeat(self.eve_reference.post, k, axis=1)"),),
         ("tests/test_protocol.py::TestHopTables", "tests/test_oracle.py"),
+    ),
+    Mutant(
+        "eve-masked-ignores-masking-enabled", PROTOCOL,
+        (("            config.masking_enabled and config.eve is not None\n",
+          "            config.eve is not None\n"),),
+        ("tests/test_protocol.py::TestHopTables", "tests/test_digests.py", "tests/test_oracle.py"),
+    ),
+    # -- the reference tables --
+    Mutant(
+        # each preparing party's v+ and v− rows swapped: its prepared columns in swapped outcome order
+        "reference-outcome-columns-swapped", PROTOCOL,
+        (("self.setting_basis[k], self.qudit[k], True)", "self.setting_basis[k][::-1], self.qudit[k], True)"),),
+        ("tests/test_protocol.py::TestReferenceProjections", "tests/test_digests.py", "tests/test_oracle.py"),
+    ),
+    Mutant(
+        # the next prefix's basis in ``LOCAL_MATRICES`` order, which is never Eve's own
+        "eve-reference-in-the-wrong-basis", PROTOCOL,
+        (("self._table(kernels, reference, self.eve_basis, self.eve_parsed[1], True)",
+          "self._table(kernels, reference, _BASIS[(_PREFIX_INDEX[self.eve_parsed[0]] + 1) % len(_BASIS), :, :, None],"
+          " self.eve_parsed[1], True)"),),
+        ("tests/test_protocol.py::TestReferenceProjections", "tests/test_oracle.py"),
     ),
     # -- the engine plan and long blocks --
     Mutant(
         "plan-shape-without-white-flag", PROTOCOL,
-        (("return (config.kind, config.num_parties, config.masking_include_key, config.eve, isinstance(prep, WhitePrep))",
-          "return (config.kind, config.num_parties, config.masking_include_key, config.eve)"),),
+        (("return (config.kind, config.num_parties, config.masking_enabled, config.masking_include_key, config.eve,\n"
+          "            isinstance(prep, WhitePrep))",
+          "return (config.kind, config.num_parties, config.masking_enabled, config.masking_include_key, config.eve)"),),
         ("tests/test_protocol.py::TestEnginePlan",),
     ),
     Mutant(

@@ -206,6 +206,15 @@ def _prep_flip_branches(bit: int, eps1, eps2):
     return _flip(bit, eps1 if bit == 0 else eps2)
 
 
+def _detect(detector: str | None, bit: int, eta):
+    """(probability, record) branches of a detector reading ``bit``."""
+    if detector == "misread":
+        return _flip(bit, eta)
+    if detector == "loss":
+        return _erase(bit, eta)
+    return [(1.0, bit)]
+
+
 def _mermin_distribution(prep: str | None, detector: str | None, eps1, eps2, eps, eta):
     """Joint distribution of the three parties' key records for one round, given a model's noise kinds."""
     dist: dict[tuple, np.ndarray] = {}
@@ -228,16 +237,9 @@ def _mermin_distribution(prep: str | None, detector: str | None, eps1, eps2, eps
             continue
         e1, e2 = (eps1, eps2) if prep == "flip" else (0.0, 0.0)
         for pv, v in _prep_flip_branches(b1, e1, e2):
-            if detector == "misread":
-                for p2, r2 in _flip(v, eta):
-                    for p3, r3 in _flip(v, eta):
-                        add(p1 * pv * p2 * p3, (b1, r2, r3))
-            elif detector == "loss":
-                for p2, r2 in _erase(v, eta):
-                    for p3, r3 in _erase(v, eta):
-                        add(p1 * pv * p2 * p3, (b1, r2, r3))
-            else:
-                add(p1 * pv, (b1, v, v))
+            for p2, r2 in _detect(detector, v, eta):
+                for p3, r3 in _detect(detector, v, eta):
+                    add(p1 * pv * p2 * p3, (b1, r2, r3))
     return dist
 
 
@@ -257,21 +259,14 @@ def _chsh_distribution(prep: str | None, detector: str | None, eps1, eps2, eps, 
             return _prep_flip_branches(bit, eps1, eps2)
         return [(1.0, bit)]
 
-    def detect(true_bit):
-        if detector == "misread":
-            return _flip(true_bit, eta)
-        if detector == "loss":
-            return _erase(true_bit, eta)
-        return [(1.0, true_bit)]
-
     for b1 in (0, 1):
         for pe1, v1 in emit(b1):
-            for pd2, r2 in detect(v1):
+            for pd2, r2 in _detect(detector, v1, eta):
                 # An erased record re-prepares from a fresh fair draw.
                 reprep = [(1.0, r2)] if r2 != ERASED else [(0.5, 0), (0.5, 1)]
                 for pr, intent2 in reprep:
                     for pe2, v2 in emit(intent2):
-                        for pd3, r3 in detect(v2):
+                        for pd3, r3 in _detect(detector, v2, eta):
                             add(0.5 * pe1 * pd2 * pr * pe2 * pd3, (b1, r2, r3))
     return dist
 

@@ -29,32 +29,36 @@ All randomness flows from one 64-bit seed through named streams
 (round, masking, eve, noise), one array row per round.  The engine plays
 blocks of B = ``block_rounds(D)`` rounds, party by party, on one thread;
 it draws the Born, masking and Eve rows block by block (masking rows only
-in a run where a mask factor reaches Eve's qudit, their one reader), and
-the picks and noise rows whole.
+in a masked run where a mask factor reaches Eve's qudit, their one
+reader), and the picks and noise rows whole.
 A round depends only on its own rows, so it is the same whatever block it
 falls in.  Toggling masking, noise, or the eavesdropper never shifts the
 other streams.
 
 What a run derives from its shape alone (the kind, the parties,
-``masking_include_key``, Eve, and whether preparation noise is white) is
-an ``EnginePlan``: the labels, the mask plan, the reference projections,
-the per-setting tables and the hop tables, all read-only.  A sweep builds
-one plan and passes it to ``run_protocol`` for each of its points, which
-differ only in their noise parameters; the engine keeps the streams, the
-noise parameters and its scratch buffers.  No plan outlives its caller.
+``masking_enabled``, ``masking_include_key``, Eve, and whether
+preparation noise is white) is an ``EnginePlan``: the labels, the mask
+plan, the per-setting tables, the reference tables and the hop tables,
+all read-only.  A sweep builds one plan and passes it to ``run_protocol``
+for each of its points, which differ only in their noise parameters; the
+engine keeps the streams, the noise parameters and its scratch buffers.
+No plan outlives its caller.
 
 The state reaching a party is one of K states fixed by the earlier picks
 and outcomes: one of the 6 the previous party prepares (with the D basis
 states under white noise), or one of 6^(k−1) post states before Mermin
 party k.  Each party's hop table, built once a run, holds P(+1) for the
 3K (state, pick) pairs and, for a forwarding Mermin party, the 6K post
-states; a block then looks its outcomes up by integer codes.  Eve keeps
-the state one of finitely many only where no mask factor reaches her
-qudit at her link (her basis is then the same every round): her table
+states; a block then looks its outcomes up by integer codes.  A party
+that prepares (the first, and every CHSH party before the last) reads a
+K = 1 table on the reference state: P(+1) of its 3 picks, and the 6
+states it prepares.  Eve keeps the state one of finitely many only where
+no mask reaches her qudit at her link (masking is off, or no sender's
+factor lands there; her basis is then the same every round): her table
 holds P(+1) for her K incoming states, and her 3K outgoing ones are those
-K, for the rounds she skips, then her 2K post states (the reference's
-projections, tiled per code, under ``fresh-reference``).  A masked Eve
-measures dense states (the mask is one per round).  The first party, or
+K, for the rounds she skips, then her 2K post states (under
+``fresh-reference``, her own K = 1 reference table's 2, tiled per code).
+A masked Eve measures dense states (the mask is one per round).  The first party, or
 Eve, without a table gathers the codes into one (D, B) array,
 amplitude-major with the rounds innermost, which every later step
 overwrites in place; after it only a CHSH re-preparation starts a table
@@ -436,6 +440,11 @@ class _Hop(NamedTuple):
     ``p_plus`` (3K,) holds P(+1) of pair = code·3 + pick; ``post`` (D, 6K),
     for a forwarding Mermin party only, the normalized post state of pair
     and outcome in column pair·2 + (outcome < 0), the next party's code.
+    A preparing party's reference table (``EnginePlan.references``) is one
+    with K = 1, the reference state: ``p_plus`` (3,) per pick, and ``post``
+    (D, 6) the state it prepares in column pick·2 + (outcome < 0).  Eve's
+    ``fresh-reference`` table (``EnginePlan.eve_reference``) is the same
+    in her one basis: ``p_plus`` (1,), ``post`` (D, 2).
     Eve's table (``EnginePlan.eve_hop``) has one basis, so its ``p_plus``
     (K,) is indexed by the code itself, and its ``post`` (D, 3K) holds the
     K incoming columns, for the rounds she skips, then what she forwards
@@ -462,10 +471,11 @@ def _choose(p_plus: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _plan_shape(config: ProtocolConfig) -> tuple:
-    """What an engine plan is derived from: the kind, the parties, whether the
-    key joins the masking generators, Eve, and whether preparation noise is white."""
+    """What an engine plan is derived from: the kind, the parties, whether masking
+    is on and the key joins its generators, Eve, and whether preparation noise is white."""
     prep = config.noise.prep if config.noise else None
-    return (config.kind, config.num_parties, config.masking_include_key, config.eve, isinstance(prep, WhitePrep))
+    return (config.kind, config.num_parties, config.masking_enabled, config.masking_include_key, config.eve,
+            isinstance(prep, WhitePrep))
 
 
 class _Kernels:
@@ -537,17 +547,20 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class EnginePlan:
     """What an engine derives from its run's shape alone, built once and shared by its runs.
 
-    The shape (``shape``) is the kind, the parties, ``masking_include_key``,
-    Eve, and whether preparation noise is white; the seed, the rounds,
-    ``masking_enabled`` and the noise parameters are the run's own, so one
-    plan serves every point of a sweep.  ``basis`` is the one measurement
-    table, the module's ``_BASIS``: each setting prefix's 2×2 eigenbasis,
-    rows v+ and v−.  Per party, the tables below are indexed by the setting
-    pick (0..2): its prefix's row of ``basis``, P(+1) on the reference
-    state, the reference projections it prepares (rows +1, −1), and whether
-    it is a key setting.  ``hops`` holds each party's hop table, or None
-    where it measures dense states, and ``eve_hop`` Eve's, or None where
-    she does (``eve_masked``: a mask factor reaches her qudit); a run is
+    The shape (``shape``) is the kind, the parties, ``masking_enabled``,
+    ``masking_include_key``, Eve, and whether preparation noise is white;
+    the seed, the rounds and the noise parameters are the run's own, so one
+    plan serves every point of a sweep.  Per party, ``setting_basis`` and
+    ``setting_key`` are indexed by the setting pick (0..2): its prefix's
+    eigenbasis (rows v+ and v−, from the module's ``_BASIS``) and whether
+    it is a key setting; ``eve_basis`` is Eve's one eigenbasis.  Every (P(+1), post state) table is a ``_Hop``
+    built by ``_table``: ``references`` holds each preparing party's K = 1
+    table on the reference state (what it measures and prepares; index
+    bob − 1, the first party and, for CHSH, every party before the last),
+    and ``eve_reference`` Eve's under ``fresh-reference`` (None otherwise);
+    ``hops`` holds each party's hop table, or None where it measures dense
+    states, and ``eve_hop`` Eve's, or None where she does (``eve_masked``:
+    masking is on and a mask factor reaches her qudit); a run is
     ``fully_tabled`` when every party from 2 on has one.  Nothing in a
     plan changes once it is built: its arrays are read-only, its sequences
     tuples, its mappings proxies.
@@ -562,29 +575,40 @@ class EnginePlan:
         self.qudits = self.dim.bit_length() - 1
         self.labels = party_labels(self.kind, self.num_parties)
         self.parsed = tuple(tuple(split_label(lab) for lab in labs) for labs in self.labels)
-        self.basis = _BASIS
         self.mask_axes = (
             ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
         )
         self.mask_plan = self._masking_plan()
         self.eve_parsed = split_label(config.eve.observable) if config.eve is not None else None
-        self.eve_masked = config.eve is not None and self.mask_columns(config.eve.position, self.eve_parsed[1]).size > 0
-        kernels = _Kernels(self.dim)
-        self.projected, reference_p_plus = self._reference_projections(kernels)
+        # Eve's one basis, (2, 2, 1) as ``_measure`` takes it
+        self.eve_basis = None if config.eve is None else _BASIS[_PREFIX_INDEX[self.eve_parsed[0]], :, :, None]
+        self.eve_masked = (
+            config.masking_enabled and config.eve is not None
+            and self.mask_columns(config.eve.position, self.eve_parsed[1]).size > 0
+        )
         self.qudit = tuple(parsed[0][1] for parsed in self.parsed)
         # (row v±, component, setting): ``np.take`` over the last axis gives a block's (2, 2, B)
         self.setting_basis = tuple(
-            _read_only(self.basis[[_PREFIX_INDEX[p] for p, _ in ps]].transpose(1, 2, 0)) for ps in self.parsed
-        )
-        self.setting_p_plus = tuple(
-            _read_only(np.array([reference_p_plus[pair] for pair in ps])) for ps in self.parsed
-        )
-        self.setting_prepared = tuple(
-            _read_only(np.hstack([self.projected[pair] for pair in ps])) for ps in self.parsed
+            _read_only(_BASIS[[_PREFIX_INDEX[p] for p, _ in ps]].transpose(1, 2, 0)) for ps in self.parsed
         )
         self.setting_key = tuple(
             _read_only(np.array([p in KEY_PREFIXES[self.kind] for p, _ in ps])) for ps in self.parsed
         )
+        kernels = _Kernels(self.dim)
+        # the reference: (|0…0⟩ + i|1…1⟩)/√2 for Mermin, the singlet (|01⟩ − |10⟩)/√2 for CHSH
+        reference = np.zeros((self.dim, 1), dtype=np.complex128)
+        if self.kind == "mermin":
+            reference[0], reference[-1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
+        else:
+            reference[1], reference[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+        preparers = 1 if self.kind == "mermin" else self.num_parties - 1
+        self.references = tuple(
+            self._table(kernels, np.repeat(reference, 3, axis=1), self.setting_basis[k], self.qudit[k], True)
+            for k in range(preparers)
+        )
+        self.eve_reference = None
+        if config.eve is not None and config.eve.resend == "fresh-reference":
+            self.eve_reference = self._table(kernels, reference, self.eve_basis, self.eve_parsed[1], True)
         prep = config.noise.prep if config.noise else None
         self.hops, self.eve_hop = self._hop_tables(kernels, config.eve, white=isinstance(prep, WhitePrep))
         # an Eve without a table leaves the hop behind her without one
@@ -618,42 +642,13 @@ class EnginePlan:
             for column in range(chunk.start, chunk.stop)
         ], dtype=np.intp)
 
-    def _reference_projections(self, kernels: _Kernels):
-        """Read-only normalized projections of the reference state, and P(+1).
-
-        The reference is (|0…0⟩ + i|1…1⟩)/√2 for Mermin, the singlet
-        (|01⟩ − |10⟩)/√2 for CHSH.  Keyed by (prefix, party) for every setting
-        and Eve's observable: (D, 2) columns +1 and −1 hold what a party
-        prepares for an outcome, and what Eve forwards under
-        ``fresh-reference``; beside them, P(+1) on the reference.  A qudit's
-        observables share one contraction and one collapse.
-        """
-        reference = np.zeros((self.dim, 1), dtype=np.complex128)
-        if self.kind == "mermin":
-            reference[0], reference[-1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
-        else:
-            reference[1], reference[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        observables = {pair for parsed in self.parsed for pair in parsed} | {self.eve_parsed}  # None: no Eve
-        table, p_plus = {}, {}
-        for party in range(1, self.qudits + 1):
-            prefixes = [prefix for prefix in _PREFIX_INDEX if (prefix, party) in observables]
-            # (component, 2·k + row v±) for the k-th prefix
-            kets = _BASIS[[_PREFIX_INDEX[p] for p in prefixes]].transpose(2, 0, 1).reshape(2, -1)
-            rest = kernels._contract(kets.conj(), np.broadcast_to(reference, (self.dim, kets.shape[1])), party)
-            weights = _squared_norms(rest)
-            columns = _read_only(kernels._collapse(kets / np.sqrt(weights), rest, party))
-            for k, prefix in enumerate(prefixes):
-                table[prefix, party] = columns[:, 2 * k:2 * k + 2]
-                p_plus[prefix, party] = weights[2 * k]
-        return MappingProxyType(table), p_plus
-
     def _hop_tables(self, kernels: _Kernels, eve, white: bool) -> tuple[tuple[_Hop | None, ...], _Hop | None]:
         """Per party (index bob − 1), its hop table, or None where it measures dense states; and Eve's.
 
         A party's K incoming columns are what the previous party prepares
-        (``setting_prepared``'s 6, then basis state j as code 6 + j under
-        white noise), or for a later Mermin party the previous table's post
-        columns; Eve at the link before it turns them into her table's 3K
+        (its reference table's 6 post columns, then basis state j as code
+        6 + j under white noise), or for a later Mermin party the previous
+        table's post columns; Eve at the link before it turns them into her table's 3K
         (``_eve_table``).  The 3K pairs go through ``_table`` as one
         (D, 3K) stack.  The module docstring says which hops get tables.
         """
@@ -663,7 +658,7 @@ class EnginePlan:
         for bob in range(2, self.num_parties + 1):
             if self.kind == "chsh" or bob == 2:
                 columns = None if 3 * (6 + white) > cap else np.hstack(
-                    [self.setting_prepared[bob - 2], np.eye(self.dim, white, dtype=np.complex128)]
+                    [self.references[bob - 2].post, np.eye(self.dim, white, dtype=np.complex128)]
                 )
             if eve is not None and eve.position == bob - 1 and columns is not None:
                 eve_hop = self._eve_table(kernels, eve, columns, cap)
@@ -681,19 +676,19 @@ class EnginePlan:
     def _eve_table(self, kernels: _Kernels, eve, columns: np.ndarray, cap: int) -> _Hop | None:
         """Eve's table on her K incoming ``columns``, or None where she measures dense states.
 
-        She has one only where no mask factor reaches her qudit, so that she
-        measures in the one basis of her observable every round, and only
-        while her 3K outgoing columns fit the cap.  Under ``fresh-reference``
-        she forwards the reference's projection for her outcome, whatever
-        the code, so those columns are the projections tiled once per code.
+        She has one only where no mask reaches her qudit (``eve_masked``),
+        so that she measures in the one basis of her observable every round,
+        and only while her 3K outgoing columns fit the cap.  Under
+        ``fresh-reference`` she forwards the reference's projection for her
+        outcome, whatever the code, so those columns are her reference
+        table's 2 post columns tiled once per code.
         """
         k = columns.shape[1]
         if self.eve_masked or 3 * k > cap:
             return None
-        prefix, party = self.eve_parsed
         fresh = eve.resend == "fresh-reference"
-        table = self._table(kernels, columns, _BASIS[_PREFIX_INDEX[prefix], :, :, None], party, forwards=not fresh)
-        post = np.tile(self.projected[prefix, party], k) if fresh else table.post
+        table = self._table(kernels, columns, self.eve_basis, self.eve_parsed[1], forwards=not fresh)
+        post = np.tile(self.eve_reference.post, k) if fresh else table.post
         return _Hop(table.p_plus, _read_only(np.hstack([columns, post])))
 
     @staticmethod
@@ -722,10 +717,9 @@ class _Engine(_Kernels):
     """One run's streams, noise parameters and scratch buffers, and the block player.
 
     What the run's shape alone decides is its ``plan``, an ``EnginePlan``
-    given by the caller or built here; the plan's tables read through as
-    the engine's own attributes (``engine.hops`` is ``engine.plan.hops``).
-    A measurement collapses the state only where the state is read next
-    (see the module docstring).
+    given by the caller or built here, which the engine reads as
+    ``self.plan``.  A measurement collapses the state only where the state
+    is read next (see the module docstring).
     """
 
     def __init__(self, config: ProtocolConfig, plan: EnginePlan | None = None):
@@ -744,12 +738,6 @@ class _Engine(_Kernels):
         self.eve = config.eve
         self._open_streams()
 
-    def __getattr__(self, name: str):
-        # reached only for names the engine itself lacks: the plan's
-        if name == "plan":
-            raise AttributeError(name)
-        return getattr(self.plan, name)
-
     def _open_streams(self):
         """Open the named streams; draw whole the arrays other draws follow.
 
@@ -761,7 +749,8 @@ class _Engine(_Kernels):
         uniforms are drawn block by block in ``_draw``, which yields the
         same values as one draw for the whole run.  Only Eve reads masks
         (``_mask``), so only a masked run in which a mask factor reaches her
-        qudit (``EnginePlan.eve_masked``) opens the masking stream; the
+        qudit (``EnginePlan.eve_masked``, which the plan decides from
+        ``masking_enabled`` and the mask plan) opens the masking stream; the
         streams are independent, so no other variate moves.
         """
         config, plan = self.config, self.plan
@@ -769,7 +758,7 @@ class _Engine(_Kernels):
         self._g_round = stream_generator(config.seed, "round")
         self.picks = self._g_round.integers(0, 3, size=(rounds, n)).astype(np.int8)
         self._born_cols = n + (n - 1 if plan.kind == "chsh" else 0)
-        self._g_mask = stream_generator(config.seed, "masking") if config.masking_enabled and plan.eve_masked else None
+        self._g_mask = stream_generator(config.seed, "masking") if plan.eve_masked else None
         self._g_eve = stream_generator(config.seed, "eve") if self.eve is not None else None
         self._noise_u = self._white_idx = None
         if config.noise is not None:
@@ -811,14 +800,12 @@ class _Engine(_Kernels):
         for X, (cos, sin) for Y and (cos + i·sin, 0) for Z, and a later
         factor (a1, b1) times (a, b) is (a1·a − b1·b*, a1·b + b1·a*).  The
         bras take M once: w·M = (w0·a − w1·b*, w0·b + w1·a*).  Without
-        factors the bras are returned as given.
+        angles (no masking stream) the bras are returned as given; where no
+        factor reaches the qudit, M is the identity.
         """
         if angles is None:
             return bras
-        columns = self.plan.mask_columns(link, party)
-        if not columns.size:
-            return bras
-        angles = angles[:, columns].T
+        angles = angles[:, self.plan.mask_columns(link, party)].T
         a, b = 1.0, 0.0  # the identity
         for axis, cos, sin in zip(itertools.cycle(self.plan.mask_axes), np.cos(angles), np.sin(angles)):
             if axis == "Z":
@@ -843,8 +830,7 @@ class _Engine(_Kernels):
         active = v.eve_u[:, 0] < eve.activity_rate
         if not active.any():
             return states, None
-        prefix, party = self.plan.eve_parsed
-        bases = _BASIS[_PREFIX_INDEX[prefix], :, :, None]
+        party, bases = self.plan.eve_parsed[1], self.plan.eve_basis
         fresh = eve.resend == "fresh-reference"
         # her post states go to a kept (D, B) buffer; the copy below keeps one path
         # at every activity rate
@@ -856,7 +842,7 @@ class _Engine(_Kernels):
             bras=self._mask(bases.conj(), v.angles, link, party),
         )
         if fresh:
-            post = self.plan.projected[prefix, party][:, (1 - outcome) // 2]
+            post = self.plan.eve_reference.post[:, (1 - outcome) // 2]
         np.copyto(states, post, where=active)
         return states, np.where(active, outcome, 0)
 
@@ -876,11 +862,11 @@ class _Engine(_Kernels):
     def _prepare(self, bob: int, pick, outcome, v: _Variates) -> np.ndarray:
         """Codes (intp) of the states ``bob`` emits when preparing for ``outcome``, one per round.
 
-        Code 2·pick + (outcome < 0) is a column of ``bob``'s
-        ``setting_prepared``: the reference state's projection for the
-        outcome.  A key setting's flip noise first flips the outcome, with
-        eps1 or eps2 chosen by its key bit; white noise instead emits a
-        uniformly drawn basis state j, code 6 + j.
+        Code 2·pick + (outcome < 0) is a post column of ``bob``'s reference
+        table (``EnginePlan.references``): the reference state's projection
+        for the pick and the outcome.  A key setting's flip noise first
+        flips the outcome, with eps1 or eps2 chosen by its key bit; white
+        noise instead emits a uniformly drawn basis state j, code 6 + j.
         """
         prep, kind = self.prep_noise, self.plan.kind
         white = None
@@ -939,9 +925,9 @@ class _Engine(_Kernels):
         # indexed by a strided int8 column runs numpy's slow generic loop
         picks = np.ascontiguousarray(v.picks.T, dtype=np.intp)
         pick = picks[0]
-        outcomes[:, 0] = _choose(plan.setting_p_plus[0][pick], v.born[:, 0])
+        outcomes[:, 0] = _choose(plan.references[0].p_plus[pick], v.born[:, 0])
         # the incoming states as codes into ``columns``, or None once ``states`` holds them
-        code, columns = self._prepare(1, pick, outcomes[:, 0], v), plan.setting_prepared[0]
+        code, columns = self._prepare(1, pick, outcomes[:, 0], v), plan.references[0].post
         for bob in range(2, n + 1):
             hop = plan.hops[bob - 1]
             if plan.eve_hop is not None and self.eve.position == bob - 1:
@@ -978,9 +964,9 @@ class _Engine(_Kernels):
                 intent = outcomes[:, bob - 1]
                 erased = intent == 0
                 if erased.any():  # an erased record re-prepares from a fresh draw
-                    redraw = _choose(plan.setting_p_plus[bob - 1][pick], v.born[:, n + bob - 2])
+                    redraw = _choose(plan.references[bob - 1].p_plus[pick], v.born[:, n + bob - 2])
                     intent = np.where(erased, redraw, intent)
-                code, columns = self._prepare(bob, pick, intent, v), plan.setting_prepared[bob - 1]
+                code, columns = self._prepare(bob, pick, intent, v), plan.references[bob - 1].post
         return outcomes, eve_outcomes
 
 

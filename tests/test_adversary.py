@@ -60,7 +60,7 @@ class TestEveConfigValidation:
     @pytest.mark.parametrize("kind", ["mermin", "chsh"])
     def test_commutation_decisions_match_lifted_matrices(self, kind):
         config = protocol.ProtocolConfig(kind, 4, 10)
-        indexing = qmath.PartyIndexing(protocol._Engine(config).qudits)
+        indexing = qmath.PartyIndexing(protocol._Engine(config).plan.qudits)
         labels = {label for labs in protocol.party_labels(kind, 4) for label in labs}
 
         def lifted(label):

@@ -40,8 +40,8 @@ class TestNoisyPreparation:
             pick = np.full(config.rounds, protocol.MERMIN_PREFIXES.index("Z"))
             intended = np.full(config.rounds, outcome)
             code = engine._prepare(1, pick, intended, engine._draw(config.rounds))
-            states = np.empty((engine.dim, config.rounds), dtype=np.complex128)
-            kets = engine._gather(engine.setting_prepared[0], code, out=states).T  # (rounds, D)
+            states = np.empty((engine.plan.dim, config.rounds), dtype=np.complex128)
+            kets = engine._gather(engine.plan.references[0].post, code, out=states).T  # (rounds, D)
             return np.argmax(np.abs(kets), axis=1)
 
         draws = emitted(noise.FlipPrep(0.1, 0.2), outcome=-1)  # key bit 1, basis index 7

@@ -152,7 +152,7 @@ class DenseReference:
         self.angles = None
         if config.masking_enabled:
             masking = protocol.stream_generator(config.seed, "masking")
-            self.angles = masking.random(size=(config.rounds, engine._mask_angle_count)) * protocol.TWO_PI
+            self.angles = masking.random(size=(config.rounds, engine.plan._mask_angle_count)) * protocol.TWO_PI
         qudits = self.n if self.kind == "mermin" else 2
         self.indexing = qmath.PartyIndexing(qudits)
         dim = self.indexing.total_dim

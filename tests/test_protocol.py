@@ -193,19 +193,19 @@ class TestMaskingUnitary:
         # from the masking stream itself.
         config = protocol.ProtocolConfig(kind, parties, 3, seed=8, masking_include_key=include_key)
         engine = protocol._Engine(config)
-        dim, indexing = engine.dim, qmath.PartyIndexing(engine.qudits)
+        dim, indexing = engine.plan.dim, qmath.PartyIndexing(engine.plan.qudits)
         masking = protocol.stream_generator(config.seed, "masking")
-        angles = masking.random(size=(config.rounds, engine._mask_angle_count)) * protocol.TWO_PI
+        angles = masking.random(size=(config.rounds, engine.plan._mask_angle_count)) * protocol.TWO_PI
         for round_id in range(config.rounds):
-            for link in engine.mask_plan:
+            for link in engine.plan.mask_plan:
                 senders = range(1, link + 1) if kind == "mermin" else (link,)
-                hops = [hop for sender in senders for hop in engine.mask_plan[sender]]
-                labels = tuple(f"{axis}{party}" for party, _ in hops for axis in engine.mask_axes)
+                hops = [hop for sender in senders for hop in engine.plan.mask_plan[sender]]
+                labels = tuple(f"{axis}{party}" for party, _ in hops for axis in engine.plan.mask_axes)
                 row = np.concatenate([angles[round_id, chunk] for _, chunk in hops])
-                spec = dense.MaskingSpec(engine.qudits, labels)
+                spec = dense.MaskingSpec(engine.plan.qudits, labels)
                 u = dense.masking_unitary(link, spec, _RowRng(row), indexing)
                 executed = np.eye(dim, dtype=complex)
-                for party in range(1, engine.qudits + 1):
+                for party in range(1, engine.plan.qudits + 1):
                     # the identity's rows, masked: M itself, or the identity where nothing masked
                     identity = np.eye(2, dtype=complex)[:, :, None]
                     mask = engine._mask(identity, angles[round_id : round_id + 1], link, party)
@@ -421,15 +421,15 @@ class TestDeterminism:
     ])
     def test_masked_run_whose_eve_reads_no_mask_opens_no_masking_stream(self, kind, parties, eve):
         engine = protocol._Engine(protocol.ProtocolConfig(kind, parties, 10, seed=9, eve=eve))
-        assert engine.mask_columns(eve.position, inequality.split_label(eve.observable)[1]).size == 0
-        assert not engine.eve_masked
+        assert engine.plan.mask_columns(eve.position, inequality.split_label(eve.observable)[1]).size == 0
+        assert not engine.plan.eve_masked
         assert engine._g_mask is None
         assert engine._draw(10).angles is None
 
     def test_eve_reads_the_masking_stream_block_by_block(self):
         config = protocol.ProtocolConfig("chsh", 3, 40, seed=9, eve=EveConfig(1, "Z1", "commuting-measure"))
         engine = protocol._Engine(config)
-        whole = protocol.stream_generator(9, "masking").random(size=(40, engine._mask_angle_count))
+        whole = protocol.stream_generator(9, "masking").random(size=(40, engine.plan._mask_angle_count))
         assert np.array_equal(engine._draw(25).angles, whole[:25] * protocol.TWO_PI)
         assert np.array_equal(engine._draw(15).angles, whole[25:] * protocol.TWO_PI)
 
@@ -588,7 +588,7 @@ HOP_P_TOLERANCE = 4.5e-16
 
 def tabled_parties(config: protocol.ProtocolConfig) -> list[int]:
     """The parties (from 1) whose hops have tables."""
-    return [bob for bob, hop in enumerate(protocol._Engine(config).hops, 1) if hop is not None]
+    return [bob for bob, hop in enumerate(protocol.EnginePlan(config).hops, 1) if hop is not None]
 
 
 # Eves no mask factor reaches, so each has a table
@@ -633,21 +633,21 @@ class TestHopTables:
         # every pair as one round of a shuffled dense block, as the block player would hold it
         config = HOP_CONFIGS[name]
         engine = protocol._Engine(config)
-        white = engine.dim if name.endswith("white") else 0
+        white = engine.plan.dim if name.endswith("white") else 0
         rng = np.random.default_rng(len(name))
         checked = 0
         for bob in range(2, config.num_parties + 1):
             if config.kind == "chsh" or bob == 2:  # what party bob − 1 prepares
-                columns = np.hstack([engine.setting_prepared[bob - 2], np.eye(engine.dim, white)])
-            hop = engine.hops[bob - 1]
+                columns = np.hstack([engine.plan.references[bob - 2].post, np.eye(engine.plan.dim, white)])
+            hop = engine.plan.hops[bob - 1]
             if hop is None:
                 continue
             pairs = rng.permutation(3 * columns.shape[1])
             assert hop.p_plus.shape == pairs.shape
             code, pick = np.divmod(pairs, 3)
             states = np.ascontiguousarray(columns[:, code])
-            bases = np.take(engine.setting_basis[bob - 1], pick, axis=-1)
-            party = engine.qudit[bob - 1]
+            bases = np.take(engine.plan.setting_basis[bob - 1], pick, axis=-1)
+            party = engine.plan.qudit[bob - 1]
             p = hop.p_plus[pairs]
             plus, minus = p >= qmath.PROB_FLOOR, 1.0 - p >= qmath.PROB_FLOOR
             # P(+1) pinned by the dense outcome on either side of the table's value
@@ -657,7 +657,7 @@ class TestHopTables:
             outcome, _ = engine._measure(states, bases, party, np.full(pairs.shape, 0.5))
             assert (outcome[~plus] == -1).all() and (outcome[~minus] == 1).all()
             if hop.post is not None:
-                assert hop.post.shape == (engine.dim, 2 * pairs.size)
+                assert hop.post.shape == (engine.plan.dim, 2 * pairs.size)
                 for u, row, reachable in ((0.0, 0, plus), (1.0, 1, minus)):
                     work = states.copy()
                     engine._measure(work, bases, party, np.full(pairs.shape, u), out=work)
@@ -691,11 +691,11 @@ class TestHopTables:
     @pytest.mark.parametrize("name", sorted(HOP_CONFIGS))
     def test_no_table_holds_more_than_two_blocks(self, name):
         engine = protocol._Engine(HOP_CONFIGS[name])
-        block = protocol.block_rounds(engine.dim)
-        for hop in engine.hops:
+        block = protocol.block_rounds(engine.plan.dim)
+        for hop in engine.plan.hops:
             if hop is not None:
                 assert hop.p_plus.size <= block
-                assert hop.post is None or hop.post.size <= 2 * block * engine.dim
+                assert hop.post is None or hop.post.size <= 2 * block * engine.plan.dim
                 assert not hop.p_plus.flags.writeable
                 assert hop.post is None or not hop.post.flags.writeable
 
@@ -717,15 +717,15 @@ class TestHopTables:
         # every incoming column as one round of a dense block through ``_eve_hook``
         config = EVE_TABLE_CONFIGS[name]
         engine = protocol._Engine(config)
-        eve, hop = config.eve, engine.eve_hop
-        assert hop is not None and not engine.eve_masked
+        eve, hop = config.eve, engine.plan.eve_hop
+        assert hop is not None and not engine.plan.eve_masked
         if config.kind == "mermin" and eve.position > 1:  # the forwarding party's post states
-            incoming = engine.hops[eve.position - 1].post
+            incoming = engine.plan.hops[eve.position - 1].post
         else:  # what the sender prepares
-            white = engine.dim if isinstance(config.noise and config.noise.prep, noise.WhitePrep) else 0
-            incoming = np.hstack([engine.setting_prepared[eve.position - 1], np.eye(engine.dim, white)])
+            white = engine.plan.dim if isinstance(config.noise and config.noise.prep, noise.WhitePrep) else 0
+            incoming = np.hstack([engine.plan.references[eve.position - 1].post, np.eye(engine.plan.dim, white)])
         k = incoming.shape[1]
-        assert hop.p_plus.shape == (k,) and hop.post.shape == (engine.dim, 3 * k)
+        assert hop.p_plus.shape == (k,) and hop.post.shape == (engine.plan.dim, 3 * k)
         assert np.array_equal(hop.post[:, :k], incoming)  # the rounds she skips
 
         def dense_step(u):
@@ -750,6 +750,25 @@ class TestHopTables:
         assert (tabled.eve_outcomes != 0).any()
         monkeypatch.setattr(protocol.EnginePlan, "_eve_table", lambda plan, kernels, eve, columns, cap: None)
         assert protocol.EnginePlan(config).eve_hop is None
+        assert same_rounds(protocol.run_protocol(config), tabled)
+
+    @pytest.mark.parametrize("eve", [
+        EveConfig(1, "Z1", "commuting-measure"),  # sender 1 would mask qudit 1
+        EveConfig(1, "X1", "measure-resend", activity_rate=0.5, resend="fresh-reference"),
+        EveConfig(2, "Y2", "noncommuting-measure"),  # senders 1-2 would mask qudit 2
+    ])
+    def test_an_unmasked_run_tables_the_eve_a_mask_would_reach(self, eve, monkeypatch):
+        masked = protocol.ProtocolConfig("mermin", 3, 20_000, seed=37, eve=eve)
+        config = dataclasses.replace(masked, masking_enabled=False)
+        assert protocol.EnginePlan(masked).eve_masked and protocol.EnginePlan(masked).eve_hop is None
+        plan = protocol.EnginePlan(config)
+        assert not plan.eve_masked and plan.eve_hop is not None and plan.fully_tabled
+        engine = protocol._Engine(config, plan)
+        assert engine._g_mask is None and engine._draw(10).angles is None
+        tabled = protocol.run_protocol(config, plan)
+        assert (tabled.eve_outcomes != 0).any()
+        monkeypatch.setattr(protocol.EnginePlan, "_eve_table", lambda plan, kernels, eve, columns, cap: None)
+        assert not protocol.EnginePlan(config).fully_tabled
         assert same_rounds(protocol.run_protocol(config), tabled)
 
     def test_eve_table_respects_the_cap(self, monkeypatch):
@@ -818,7 +837,7 @@ class TestEnginePlan:
         base = protocol.ProtocolConfig("mermin", 3, 20, noise=noise.NoiseConfig(prep=noise.FlipPrep(0.1, 0.1)))
         plan = protocol.EnginePlan(base)
         same_shape = [
-            dataclasses.replace(base, seed=4, rounds=7, masking_enabled=False),
+            dataclasses.replace(base, seed=4, rounds=7),
             dataclasses.replace(base, noise=noise.NoiseConfig(noise.FlipPrep(0.3, 0.0), noise.LossDetector(0.5))),
             dataclasses.replace(base, noise=None),
         ]
@@ -829,6 +848,7 @@ class TestEnginePlan:
             dataclasses.replace(base, num_parties=4),
             dataclasses.replace(base, kind="chsh"),
             dataclasses.replace(base, masking_include_key=False),
+            dataclasses.replace(base, masking_enabled=False),
             dataclasses.replace(base, eve=EveConfig(2, "Z1", "commuting-measure")),
         ]
         for config in other_shapes:
@@ -850,18 +870,15 @@ class TestEnginePlan:
                     assert not leaf.flags.writeable, attribute
                     with pytest.raises(ValueError):
                         leaf.flat[0] = 0
-        assert arrays > 3 * plan.num_parties
+        # every party's basis and key tables, and at least the first party's reference table
+        assert arrays >= 2 * plan.num_parties + 2
 
     def test_the_engine_reads_its_plan_through(self):
         config = HOP_CONFIGS["mermin3-white"]
         plan = protocol.EnginePlan(config)
         engine = protocol._Engine(dataclasses.replace(config, seed=3), plan)
         assert engine.plan is plan
-        for name in ("hops", "qudits", "dim", "labels", "projected", "setting_prepared", "mask_plan"):
-            assert getattr(engine, name) is getattr(plan, name), name
         assert protocol._Engine(config).plan is not plan
-        with pytest.raises(AttributeError):
-            engine.no_such_attribute
 
     @pytest.mark.parametrize("tag", sorted(SHARED_PLAN_NOISE))
     @pytest.mark.parametrize("kind, parties", [("mermin", 3), ("chsh", 4)])
@@ -886,42 +903,51 @@ REFERENCE_CONFIGS = {
         for n in range(3, 7)
     },
     **{f"chsh{n}": protocol.ProtocolConfig("chsh", n, 1) for n in range(2, 6)},
+    "chsh4-eve-ZmX2": protocol.ProtocolConfig(
+        "chsh", 4, 1, eve=EveConfig(1, "ZmX2", "measure-resend", resend="fresh-reference"),
+    ),
 }
 
 
 class TestReferenceProjections:
-    """The engine's per-run tables against the dense reference state's projections."""
+    """The plan's reference tables against the dense reference state's projections."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
     def test_tables_match_dense_projections(self, name):
         config = REFERENCE_CONFIGS[name]
-        engine = protocol._Engine(config)
-        qudits = engine.qudits
-        indexing = qmath.PartyIndexing(qudits)
-        reference = dense.reference_state(config.kind, qudits)
-        labels = [label for labels in engine.labels for label in labels]
-        if config.eve is not None:
-            labels.append(config.eve.observable)
-        assert {inequality.split_label(label) for label in labels} <= set(engine.projected)
-        for (prefix, party), columns in engine.projected.items():
-            obs = dense.dichotomic_from_local(inequality.LOCAL_MATRICES[prefix], party, indexing)
-            assert columns.shape == (engine.dim, 2)
-            assert not columns.flags.writeable
-            for column, outcome in zip(columns.T, (1, -1)):
-                branch = obs.projector(outcome) @ reference.amplitudes
-                assert np.max(np.abs(column - branch / np.linalg.norm(branch))) < 1e-12, (prefix, party, outcome)
-        for bob, party_labels in enumerate(engine.labels):
-            for pick, label in enumerate(party_labels):
+        plan = protocol.EnginePlan(config)
+        indexing = qmath.PartyIndexing(plan.qudits)
+        reference = dense.reference_state(config.kind, plan.qudits)
+
+        def check(hop, labels):
+            """``hop`` is the K = 1 table of ``labels`` on the reference: P(+1) and the normalized projections."""
+            assert hop.p_plus.shape == (len(labels),) and hop.post.shape == (plan.dim, 2 * len(labels))
+            assert not hop.p_plus.flags.writeable and not hop.post.flags.writeable
+            for pick, label in enumerate(labels):
                 prefix, party = inequality.split_label(label)
                 obs = dense.dichotomic_from_local(inequality.LOCAL_MATRICES[prefix], party, indexing)
                 p_plus, _ = dense.branch_probabilities(reference, obs)
-                assert engine.setting_p_plus[bob][pick] == pytest.approx(p_plus, abs=1e-12), label
-                prepared = engine.setting_prepared[bob][:, 2 * pick:2 * pick + 2]
-                assert np.array_equal(prepared, engine.projected[prefix, party])
+                assert hop.p_plus[pick] == pytest.approx(p_plus, abs=1e-12), label
+                for row, outcome in enumerate((1, -1)):
+                    branch = obs.projector(outcome) @ reference.amplitudes
+                    column = hop.post[:, 2 * pick + row]  # the code ``_prepare`` emits
+                    assert np.max(np.abs(column - branch / np.linalg.norm(branch))) < 1e-12, (label, outcome)
+
+        # the first party prepares, and so does every CHSH party before the last
+        assert len(plan.references) == (1 if config.kind == "mermin" else config.num_parties - 1)
+        for bob, hop in enumerate(plan.references, 1):
+            check(hop, plan.labels[bob - 1])
+        if config.eve is None:
+            assert plan.eve_reference is None
+        else:
+            check(plan.eve_reference, [config.eve.observable])
 
     def test_basis_table_is_one_read_only_constant(self):
-        engines = [protocol._Engine(config) for config in REFERENCE_CONFIGS.values()]
-        assert all(engine.basis is protocol._BASIS for engine in engines)
+        for config in REFERENCE_CONFIGS.values():
+            plan = protocol.EnginePlan(config)
+            for parsed, bases in zip(plan.parsed, plan.setting_basis):
+                for pick, (prefix, _) in enumerate(parsed):
+                    assert np.array_equal(bases[..., pick], protocol._BASIS[protocol._PREFIX_INDEX[prefix]])
         assert not protocol._BASIS.flags.writeable
         with pytest.raises(ValueError):
             protocol._BASIS[0, 0, 0] = 0.0
@@ -934,7 +960,7 @@ class TestMeasurementKernel:
         engine = protocol._Engine(protocol.ProtocolConfig("mermin", 3, 1))
         for i, (prefix, local) in enumerate(inequality.LOCAL_MATRICES.items()):
             basis = protocol.eigenbasis(local)
-            assert np.array_equal(engine.basis[i], basis), prefix
+            assert np.array_equal(protocol._BASIS[i], basis), prefix
             for row, sign in zip(basis, (1, -1)):
                 assert abs(np.vdot(row, row) - 1) < 1e-12
                 assert np.max(np.abs(local @ row - sign * row)) < 1e-12
@@ -947,11 +973,11 @@ class TestMeasurementKernel:
         # and each post state by forcing its outcome with u = 0 or u = 1.
         rng = np.random.default_rng(parties + 10 * masked)
         engine = protocol._Engine(protocol.ProtocolConfig("mermin", parties, 1))
-        indexing = qmath.PartyIndexing(engine.qudits)
+        indexing = qmath.PartyIndexing(engine.plan.qudits)
         prefixes = list(inequality.LOCAL_MATRICES)
         rounds = 12
         for party in range(1, parties + 1):
-            states = rng.normal(size=(rounds, engine.dim)) + 1j * rng.normal(size=(rounds, engine.dim))
+            states = rng.normal(size=(rounds, engine.plan.dim)) + 1j * rng.normal(size=(rounds, engine.plan.dim))
             states /= np.linalg.norm(states, axis=1, keepdims=True)
             picked = rng.integers(0, len(prefixes), size=rounds)
             mask = (
@@ -973,8 +999,8 @@ class TestMeasurementKernel:
             p_dense = np.array(p_dense)
 
             # the engine's block is (D, rounds), its bases (row, component, round), its bras v†·M
-            bases = engine.basis[picked].transpose(1, 2, 0)
-            bras = None if mask is None else (engine.basis[picked].conj() @ mask).transpose(1, 2, 0)
+            bases = protocol._BASIS[picked].transpose(1, 2, 0)
+            bras = None if mask is None else (protocol._BASIS[picked].conj() @ mask).transpose(1, 2, 0)
             for shift, expected in ((-1e-12, +1), (1e-12, -1)):
                 outcome, post = engine._measure(states.T, bases, party, p_dense + shift, bras=bras)
                 assert post is None and (outcome == expected).all()

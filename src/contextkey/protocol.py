@@ -58,8 +58,9 @@ factor lands there; her basis is then the same every round): her table
 holds P(+1) for her K incoming states, and her 3K outgoing ones are those
 K, for the rounds she skips, then her 2K post states (under
 ``fresh-reference``, her own K = 1 reference table's 2, tiled per code).
-A masked Eve measures dense states (the mask is one per round).  The first party, or
-Eve, without a table gathers the codes into one (D, B) array,
+One method, ``EnginePlan._table``, builds every one of these tables.  A
+masked Eve measures dense states (the mask is one per round).  The first
+party, or Eve, without a table gathers the codes into one (D, B) array,
 amplitude-major with the rounds innermost, which every later step
 overwrites in place; after it only a CHSH re-preparation starts a table
 again.  Every table needs its 3K ≤ B (for Eve, her 3K outgoing columns),
@@ -763,7 +764,7 @@ class _Engine(_Kernels):
         self._noise_u = self._white_idx = None
         if config.noise is not None:
             g_noise = stream_generator(config.seed, "noise")
-            self._noise_preparers = 1 if plan.kind == "mermin" else n - 1
+            self._noise_preparers = len(plan.references)  # the parties that prepare
             self._noise_u = g_noise.random(size=(rounds, self._noise_preparers + n - 1))
             if isinstance(config.noise.prep, WhitePrep):
                 self._white_idx = g_noise.integers(0, plan.dim, size=(rounds, self._noise_preparers))

@@ -760,7 +760,8 @@ class TestHopTables:
     def test_an_unmasked_run_tables_the_eve_a_mask_would_reach(self, eve, monkeypatch):
         masked = protocol.ProtocolConfig("mermin", 3, 20_000, seed=37, eve=eve)
         config = dataclasses.replace(masked, masking_enabled=False)
-        assert protocol.EnginePlan(masked).eve_masked and protocol.EnginePlan(masked).eve_hop is None
+        masked_plan = protocol.EnginePlan(masked)
+        assert masked_plan.eve_masked and masked_plan.eve_hop is None
         plan = protocol.EnginePlan(config)
         assert not plan.eve_masked and plan.eve_hop is not None and plan.fully_tabled
         engine = protocol._Engine(config, plan)

@@ -95,8 +95,7 @@ MUTANTS = (
     ),
     Mutant(
         "eve-masked-ignores-masking-enabled", PROTOCOL,
-        (("            config.masking_enabled and config.eve is not None\n",
-          "            config.eve is not None\n"),),
+        (("if not config.masking_enabled or config.eve is None:", "if config.eve is None:"),),
         ("tests/test_protocol.py::TestHopTables", "tests/test_digests.py", "tests/test_oracle.py"),
     ),
     # -- the reference tables --
@@ -152,6 +151,17 @@ MUTANTS = (
         (("return np.stack([w0 * a - w1 * np.conj(b), w0 * b + w1 * np.conj(a)], axis=1)",
           "return np.stack([w0 * a - w1 * b, w0 * b + w1 * a], axis=1)"),),
         ("tests/test_oracle.py", "tests/test_digests.py"),
+    ),
+    Mutant(
+        # a CHSH sender's masked qudit of the wrong parity: Eve reads the other qudit's mask
+        "chsh-mask-qudit-parity-flipped", PROTOCOL,
+        (("if party == 2 - link % 2 else []", "if party == 1 + link % 2 else []"),),
+        ("tests/test_protocol.py::TestMaskingUnitary", "tests/test_digests.py"),
+    ),
+    Mutant(
+        "mermin-eve-misses-the-sender-at-her-link", PROTOCOL,
+        (("if party <= s <= link]", "if party <= s < link]"),),
+        ("tests/test_protocol.py::TestMaskingUnitary", "tests/test_digests.py"),
     ),
     Mutant(
         # each block reads the masking rows drawn for the block before it (the first its own)

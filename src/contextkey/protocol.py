@@ -38,7 +38,7 @@ other streams.
 What a run derives from its shape alone (the kind, the parties,
 ``masking_enabled``, ``masking_include_key``, Eve, and whether
 preparation noise is white) is an ``EnginePlan``: the labels, the mask
-plan, the per-setting tables, the reference tables and the hop tables,
+layout, the per-setting tables, the reference tables and the hop tables,
 all read-only.  A sweep builds one plan and passes it to ``run_protocol``
 for each of its points, which differ only in their noise parameters; the
 engine keeps the streams, the noise parameters and its scratch buffers.
@@ -100,11 +100,9 @@ operators, masking eagerly, and must reproduce every recorded outcome.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -554,17 +552,18 @@ class EnginePlan:
     plan serves every point of a sweep.  Per party, ``setting_basis`` and
     ``setting_key`` are indexed by the setting pick (0..2): its prefix's
     eigenbasis (rows v+ and v−, from the module's ``_BASIS``) and whether
-    it is a key setting; ``eve_basis`` is Eve's one eigenbasis.  Every (P(+1), post state) table is a ``_Hop``
-    built by ``_table``: ``references`` holds each preparing party's K = 1
-    table on the reference state (what it measures and prepares; index
-    bob − 1, the first party and, for CHSH, every party before the last),
-    and ``eve_reference`` Eve's under ``fresh-reference`` (None otherwise);
-    ``hops`` holds each party's hop table, or None where it measures dense
-    states, and ``eve_hop`` Eve's, or None where she does (``eve_masked``:
-    masking is on and a mask factor reaches her qudit); a run is
-    ``fully_tabled`` when every party from 2 on has one.  Nothing in a
-    plan changes once it is built: its arrays are read-only, its sequences
-    tuples, its mappings proxies.
+    it is a key setting; ``eve_basis`` is Eve's one eigenbasis, and
+    ``eve_mask`` the mask factors on her qudit (``_mask_layout``).  Every
+    (P(+1), post state) table is a ``_Hop`` built by ``_table``:
+    ``references`` holds each preparing party's K = 1 table on the
+    reference state (what it measures and prepares; index bob − 1, the
+    first party and, for CHSH, every party before the last, one table per
+    parity), and ``eve_reference`` Eve's under ``fresh-reference`` (None
+    otherwise); ``hops`` holds each party's hop table, or None where it
+    measures dense states, and ``eve_hop`` Eve's, or None where she does
+    (``eve_masked``); a run is ``fully_tabled`` when every party from 2
+    on has one.  Nothing in a plan changes once it is built: its arrays
+    are read-only, its sequences tuples.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -576,17 +575,11 @@ class EnginePlan:
         self.qudits = self.dim.bit_length() - 1
         self.labels = party_labels(self.kind, self.num_parties)
         self.parsed = tuple(tuple(split_label(lab) for lab in labs) for labs in self.labels)
-        self.mask_axes = (
-            ("X", "Y", "Z") if (config.masking_include_key or self.kind == "chsh") else ("X", "Y")
-        )
-        self.mask_plan = self._masking_plan()
         self.eve_parsed = split_label(config.eve.observable) if config.eve is not None else None
         # Eve's one basis, (2, 2, 1) as ``_measure`` takes it
         self.eve_basis = None if config.eve is None else _BASIS[_PREFIX_INDEX[self.eve_parsed[0]], :, :, None]
-        self.eve_masked = (
-            config.masking_enabled and config.eve is not None
-            and self.mask_columns(config.eve.position, self.eve_parsed[1]).size > 0
-        )
+        self._mask_angle_count, self.eve_mask = self._mask_layout(config)
+        self.eve_masked = self.eve_mask is not None
         self.qudit = tuple(parsed[0][1] for parsed in self.parsed)
         # (row v±, component, setting): ``np.take`` over the last axis gives a block's (2, 2, B)
         self.setting_basis = tuple(
@@ -603,10 +596,10 @@ class EnginePlan:
         else:
             reference[1], reference[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
         preparers = 1 if self.kind == "mermin" else self.num_parties - 1
-        self.references = tuple(
-            self._table(kernels, np.repeat(reference, 3, axis=1), self.setting_basis[k], self.qudit[k], True)
-            for k in range(preparers)
-        )
+        # CHSH parties of one parity share their settings and qudit, and so their table
+        tables = [self._table(kernels, np.repeat(reference, 3, axis=1), self.setting_basis[k], self.qudit[k], True)
+                  for k in range(min(preparers, 2))]
+        self.references = tuple(tables[k % 2] for k in range(preparers))
         self.eve_reference = None
         if config.eve is not None and config.eve.resend == "fresh-reference":
             self.eve_reference = self._table(kernels, reference, self.eve_basis, self.eve_parsed[1], True)
@@ -615,33 +608,26 @@ class EnginePlan:
         # an Eve without a table leaves the hop behind her without one
         self.fully_tabled = all(hop is not None for hop in self.hops[1:])
 
-    def _masking_plan(self):
-        """Per sending party: (qudit party, angle-slice) pairs to re-randomize."""
-        width = len(self.mask_axes)
-        plan, offset = {}, 0
-        for k in range(1, self.num_parties):
-            parties = range(1, k + 1) if self.kind == "mermin" else (1 if k % 2 == 1 else 2,)
-            plan[k] = tuple(
-                (party, slice(offset + i * width, offset + (i + 1) * width))
-                for i, party in enumerate(parties)
-            )
-            offset += width * len(parties)
-        self._mask_angle_count = offset
-        return MappingProxyType(plan)
+    def _mask_layout(self, config: ProtocolConfig) -> tuple[int, tuple[np.ndarray, str] | None]:
+        """The masking stream's row width, and the angle columns and axes of the factors on Eve's qudit.
 
-    def mask_columns(self, link: int, party: int) -> np.ndarray:
-        """The masking angle columns whose factors reach qudit ``party`` of a state crossing ``link``.
-
-        In sender order, each sender's ``mask_axes`` in turn: Mermin senders
-        1..link mask qudits 1..sender; in CHSH only the link's sender has
-        masked the re-prepared pair.  Empty where no factor reaches the qudit.
+        Each sender s draws one angle per axis (XYZ, or XY for Mermin without
+        the key) for each qudit it masks, in sender order: Mermin s masks
+        qudits 1..s, CHSH s qudit 2 − s % 2.  Eve at link L reads senders
+        1..L (Mermin) or L (CHSH); None where no factor reaches her qudit.
         """
-        senders = range(1, link + 1) if self.kind == "mermin" else (link,)
-        return np.array([
-            column
-            for sender in senders for hop, chunk in self.mask_plan[sender] if hop == party
-            for column in range(chunk.start, chunk.stop)
-        ], dtype=np.intp)
+        axes = "XYZ" if config.masking_include_key or self.kind == "chsh" else "XY"
+        width, n = len(axes), self.num_parties
+        count = width * (n * (n - 1) // 2 if self.kind == "mermin" else n - 1)
+        if not config.masking_enabled or config.eve is None:
+            return count, None
+        link, party = config.eve.position, self.eve_parsed[1]
+        if self.kind == "mermin":  # sender s's angles follow the width·s(s−1)/2 of senders 1..s−1
+            starts = [width * (s * (s - 1) // 2 + party - 1) for s in range(1, n) if party <= s <= link]
+        else:
+            starts = [width * (link - 1)] if party == 2 - link % 2 else []
+        columns = _read_only(np.add.outer(np.array(starts, dtype=np.intp), np.arange(width)).ravel())
+        return count, (columns, axes * len(starts)) if starts else None
 
     def _hop_tables(self, kernels: _Kernels, eve, white: bool) -> tuple[tuple[_Hop | None, ...], _Hop | None]:
         """Per party (index bob − 1), its hop table, or None where it measures dense states; and Eve's.
@@ -749,10 +735,9 @@ class _Engine(_Kernels):
         drawn only under white preparation noise.  Born, masking and Eve
         uniforms are drawn block by block in ``_draw``, which yields the
         same values as one draw for the whole run.  Only Eve reads masks
-        (``_mask``), so only a masked run in which a mask factor reaches her
-        qudit (``EnginePlan.eve_masked``, which the plan decides from
-        ``masking_enabled`` and the mask plan) opens the masking stream; the
-        streams are independent, so no other variate moves.
+        (``_mask``), so only a run in which a mask factor reaches her qudit
+        (``EnginePlan.eve_masked``) opens the masking stream; the streams
+        are independent, so no other variate moves.
         """
         config, plan = self.config, self.plan
         rounds, n = config.rounds, plan.num_parties
@@ -788,27 +773,24 @@ class _Engine(_Kernels):
 
     # -- per-party steps ---------------------------------------------------
 
-    def _mask(self, bras, angles, link: int, party: int) -> np.ndarray:
-        """Eve's ``bras`` times the masking M on qudit ``party`` of a state crossing ``link``: v†·M.
+    def _mask(self, bras, angles) -> np.ndarray:
+        """Eve's ``bras`` times the masking M on her qudit at her link: v†·M.
 
         ``bras`` is (2, 2, B) or (2, 2, 1), as ``_measure`` takes it.  A
         mask acts only on qudits that were already measured, so it
         commutes with every later measurement and is applied only where
         Eve reads: the factors on her qudit, in sender order
-        (``EnginePlan.mask_columns``).  M, the product of those
-        factors with the first applied first, is composed per round as the
-        SU(2) pair (a, b) of [[a, b], [−b*, a*]]: exp(iθσ) is (cos, i·sin)
-        for X, (cos, sin) for Y and (cos + i·sin, 0) for Z, and a later
-        factor (a1, b1) times (a, b) is (a1·a − b1·b*, a1·b + b1·a*).  The
-        bras take M once: w·M = (w0·a − w1·b*, w0·b + w1·a*).  Without
-        angles (no masking stream) the bras are returned as given; where no
-        factor reaches the qudit, M is the identity.
+        (``EnginePlan.eve_mask``).  M, the product of those factors with
+        the first applied first, is composed per round as the SU(2) pair
+        (a, b) of [[a, b], [−b*, a*]]: exp(iθσ) is (cos, i·sin) for X,
+        (cos, sin) for Y and (cos + i·sin, 0) for Z, and a later factor
+        (a1, b1) times (a, b) is (a1·a − b1·b*, a1·b + b1·a*).  The bras
+        take M once: w·M = (w0·a − w1·b*, w0·b + w1·a*).
         """
-        if angles is None:
-            return bras
-        angles = angles[:, self.plan.mask_columns(link, party)].T
+        columns, axes = self.plan.eve_mask
+        angles = angles[:, columns].T
         a, b = 1.0, 0.0  # the identity
-        for axis, cos, sin in zip(itertools.cycle(self.plan.mask_axes), np.cos(angles), np.sin(angles)):
+        for axis, cos, sin in zip(axes, np.cos(angles), np.sin(angles)):
             if axis == "Z":
                 z = cos + 1j * sin
                 a, b = z * a, z * b
@@ -818,16 +800,14 @@ class _Engine(_Kernels):
         w0, w1 = bras[:, 0], bras[:, 1]
         return np.stack([w0 * a - w1 * np.conj(b), w0 * b + w1 * np.conj(a)], axis=1)
 
-    def _eve_hook(self, states, link: int, v: _Variates):
-        """Eve's step on the block's ``states``, in place: the forwarded
-        states and her outcomes (0 where she skips the round).
+    def _eve_hook(self, states, v: _Variates):
+        """Eve's step on the block's ``states`` at her link, in place: the
+        forwarded states and her outcomes (0 where she skips the round).
 
         Returns the states unchanged and None when she attacks no round of
-        the block at ``link``.
+        the block.
         """
         eve = self.eve
-        if eve is None or eve.position != link:
-            return states, None
         active = v.eve_u[:, 0] < eve.activity_rate
         if not active.any():
             return states, None
@@ -840,7 +820,7 @@ class _Engine(_Kernels):
         outcome, post = self._measure(
             states, bases, party, v.eve_u[:, 1],
             out=None if fresh else self._eve_post[:states.size].reshape(states.shape),
-            bras=self._mask(bases.conj(), v.angles, link, party),
+            bras=None if v.angles is None else self._mask(bases.conj(), v.angles),
         )
         if fresh:
             post = self.plan.eve_reference.post[:, (1 - outcome) // 2]
@@ -909,11 +889,11 @@ class _Engine(_Kernels):
 
         While a party has a hop table, each round's incoming state is a
         code into the table's columns and the party looks its P(+1) up; a
-        tabled Eve steps the codes the same way, before any gather.  The
-        first party without a table gathers the codes into the block's
-        (D, size) array, which every later step overwrites in place; a fully
-        tabled block allocates none.  Returns the block's ``outcomes`` and
-        ``eve_outcomes`` columns.
+        tabled Eve steps the codes the same way, before any gather, and an
+        untabled one the gathered states (``_eve_hook``).  The first party
+        without a table gathers the codes into the block's (D, size) array,
+        which every later step overwrites in place; a fully tabled block
+        allocates none.  Returns the block's ``outcomes`` and ``eve_outcomes``.
         """
         plan = self.plan
         v = self._draw(size)
@@ -931,7 +911,8 @@ class _Engine(_Kernels):
         code, columns = self._prepare(1, pick, outcomes[:, 0], v), plan.references[0].post
         for bob in range(2, n + 1):
             hop = plan.hops[bob - 1]
-            if plan.eve_hop is not None and self.eve.position == bob - 1:
+            at_eve = self.eve is not None and self.eve.position == bob - 1
+            if at_eve and plan.eve_hop is not None:
                 # her skipped rounds keep their code; the others take her post column's
                 active = v.eve_u[:, 0] < self.eve.activity_rate
                 hit = _choose(plan.eve_hop.p_plus[code], v.eve_u[:, 1])
@@ -943,8 +924,8 @@ class _Engine(_Kernels):
                     states = np.empty((plan.dim, size), dtype=np.complex128)
                 self._gather(columns, code, out=states)
                 columns = None
-            if plan.eve_hop is None:
-                _, hit = self._eve_hook(states, bob - 1, v)
+            if at_eve and plan.eve_hop is None:  # her dense step, on the gathered states
+                _, hit = self._eve_hook(states, v)
                 if hit is not None:
                     eve_outcomes[:] = hit
             pick = picks[bob - 1]

@@ -105,7 +105,7 @@ class TestEveIntercept:
         # (|0⟩ ± |4⟩)/√2, and the third party's Z outcome stays +1.
         indexing = qmath.PartyIndexing(3)
         engine = _eve_engine(EveConfig(position=2, observable="X1", strategy="commuting-measure"))
-        posts, outcomes = engine._eve_hook(_basis(0, 12), 2, engine._draw(12))
+        posts, outcomes = engine._eve_hook(_basis(0, 12), engine._draw(12))
         seen = set()
         for post, outcome in zip(posts.T, outcomes.tolist()):
             seen.add(outcome)
@@ -118,14 +118,14 @@ class TestEveIntercept:
 
     def test_z1_interception_reads_key_without_disturbance(self):
         engine = _eve_engine(EveConfig(position=1, observable="Z1", strategy="commuting-measure"))
-        post, outcome = engine._eve_hook(_basis(0), 1, engine._draw(1))
+        post, outcome = engine._eve_hook(_basis(0), engine._draw(1))
         assert outcome.tolist() == [+1]
         assert np.allclose(post, _basis(0))
 
     def test_x3_interception_randomizes_downstream_key(self):
         indexing = qmath.PartyIndexing(3)
         engine = _eve_engine(EveConfig(position=2, observable="X3", strategy="noncommuting-measure"))
-        post, _ = engine._eve_hook(_basis(0), 2, engine._draw(1))
+        post, _ = engine._eve_hook(_basis(0), engine._draw(1))
         z3_plus, z3_minus = dense.branch_probabilities(dense.StateVector(post[:, 0]), dense.pauli("Z", 3, indexing))
         assert z3_plus == pytest.approx(0.5, abs=1e-12)
         assert z3_minus == pytest.approx(0.5, abs=1e-12)
@@ -133,7 +133,7 @@ class TestEveIntercept:
     def test_inactive_rounds_pass_through(self):
         engine = _eve_engine(EveConfig(position=1, observable="Z1", activity_rate=0.0))
         state = _basis(3, 12)
-        post, outcome = engine._eve_hook(state, 1, engine._draw(12))
+        post, outcome = engine._eve_hook(state, engine._draw(12))
         assert outcome is None
         assert post is state
 
@@ -297,7 +297,7 @@ class TestMeasureResend:
         engine = _eve_engine(
             EveConfig(position=2, observable="Z1", strategy="measure-resend", resend="fresh-reference")
         )
-        post, outcome = engine._eve_hook(_basis(1), 2, engine._draw(1))
+        post, outcome = engine._eve_hook(_basis(1), engine._draw(1))
         assert outcome.tolist() == [+1]
         # she forwards the reference's projection, (|0⟩ + i|7⟩)/√2 → |0⟩,
         # not the measured |1⟩

@@ -43,6 +43,9 @@ class Mutant(NamedTuple):
 
 PROTOCOL = "src/contextkey/protocol.py"
 CLI = "src/contextkey/cli.py"
+INEQUALITY = "src/contextkey/inequality.py"
+ADVERSARY = "src/contextkey/adversary.py"
+NOISE = "src/contextkey/noise.py"
 
 MUTANTS = (
     # -- the hop tables --
@@ -69,6 +72,12 @@ MUTANTS = (
         (("np.copyto(code, 6 + v.white_idx[:, slot], where=white)",
           "np.copyto(code, 5 + v.white_idx[:, slot], where=white)"),),
         ("tests/test_digests.py", "tests/test_oracle.py", "tests/test_noise.py::TestNoisyPreparation"),
+    ),
+    Mutant(
+        # one CHSH table per parity whether or not Eve is at the link before the party
+        "chsh-hop-shared-across-eves-link", PROTOCOL,
+        (("key = (bob % 2, at_eve) if", "key = bob % 2 if"),),
+        ("tests/test_protocol.py::TestHopTables", "tests/test_digests.py"),
     ),
     # -- Eve's table --
     Mutant(
@@ -211,6 +220,44 @@ MUTANTS = (
         "round-number-digit-boundary", CLI,
         (("high = min(stop, 10**digits)", "high = min(stop, 10**digits + 1)"),),
         ("tests/test_digests.py",),
+    ),
+    # -- the statistics layer --
+    # (n₊ and n₋ swapped is an equivalent mutant: it negates every mean, and
+    # ``estimate`` takes the value's absolute value and squares the means)
+    Mutant(
+        "sign-counts-erased-column-read-as-minus", INEQUALITY,
+        (("minus, plus = signs[:, 0], signs[:, 2]", "minus, plus = signs[:, 1], signs[:, 2]"),),
+        ("tests/test_inequality.py::TestSignCounts", "tests/test_inequality.py::TestEstimatorMatchesLoop"),
+    ),
+    Mutant(
+        "sign-counts-cell-offset-dropped", INEQUALITY,
+        (("cells * 3 + products + 1,", "cells * 3 + products,"),),
+        ("tests/test_inequality.py::TestSignCounts", "tests/test_inequality.py::TestEstimatorMatchesLoop"),
+    ),
+    Mutant(
+        "term-variance-from-abs-mean", INEQUALITY,
+        (("variances = np.clip(1.0 - means**2, 0.0, None)", "variances = np.clip(1.0 - np.abs(means), 0.0, None)"),),
+        ("tests/test_acceptance.py::TestCriterion9Localization", "tests/test_inequality.py::TestEstimatorMatchesLoop"),
+    ),
+    Mutant(
+        "two-sigma-violation-rule", INEQUALITY,
+        (("VIOLATION_SIGMAS = 3.0", "VIOLATION_SIGMAS = 2.0"),),
+        ("tests/test_inequality.py::TestDecisionRule",),
+    ),
+    Mutant(
+        "violation-at-the-three-sigma-boundary", INEQUALITY,
+        (("* self.standard_error > self.classical_bound", "* self.standard_error >= self.classical_bound"),),
+        ("tests/test_inequality.py::TestDecisionRule",),
+    ),
+    Mutant(
+        "leakage-counts-rounds-eve-skipped", ADVERSARY,
+        (("seen = (eve != 0) & (bits != ERASED_BIT)", "seen = bits != ERASED_BIT"),),
+        ("tests/test_adversary.py::TestLeakage",),
+    ),
+    Mutant(
+        "key-rate-erasures-folded-into-bit-1", NOISE,
+        (("bits = sifting.key_bits  # symbols 0, 1 and erased (2)", "bits = np.minimum(sifting.key_bits, 1)"),),
+        ("tests/test_noise.py::TestEmpiricalKeyRate",),
     ),
 )
 

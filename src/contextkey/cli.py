@@ -503,8 +503,7 @@ def cmd_attack(args) -> int:
     }
     if config.kind == "chsh":
         try:
-            pairs = {k: transcript.estimates[f"pair_{k}"] for k in range(1, config.num_parties)}
-            links = adversary.localize_eve(pairs)
+            links = adversary.localize_eve(protocol.chsh_pair_estimates(transcript))
             report["eve"]["localized_links"] = sorted(links)
         except adversary.InsufficientCheckData as exc:
             report["eve"]["localized_links"] = None

@@ -637,17 +637,23 @@ class EnginePlan:
         6 + j under white noise), or for a later Mermin party the previous
         table's post columns; Eve at the link before it turns them into her table's 3K
         (``_eve_table``).  The 3K pairs go through ``_table`` as one
-        (D, 3K) stack.  The module docstring says which hops get tables.
+        (D, 3K) stack, once per ``key``: a CHSH hop depends only on the party's
+        parity and on Eve at the link before it.  The module docstring says which hops get tables.
         """
         cap = block_rounds(self.dim)
         white = self.dim if white else 0
-        hops, eve_hop, columns = [None] * self.num_parties, None, None
+        hops, eve_hop, columns, built = [None] * self.num_parties, None, None, {}
         for bob in range(2, self.num_parties + 1):
+            at_eve = eve is not None and eve.position == bob - 1
+            key = (bob % 2, at_eve) if self.kind == "chsh" else bob
+            if key in built:
+                hops[bob - 1] = built[key]
+                continue
             if self.kind == "chsh" or bob == 2:
                 columns = None if 3 * (6 + white) > cap else np.hstack(
                     [self.references[bob - 2].post, np.eye(self.dim, white, dtype=np.complex128)]
                 )
-            if eve is not None and eve.position == bob - 1 and columns is not None:
+            if at_eve and columns is not None:
                 eve_hop = self._eve_table(kernels, eve, columns, cap)
                 columns = None if eve_hop is None else eve_hop.post
             if columns is None or 3 * columns.shape[1] > cap:
@@ -656,7 +662,7 @@ class EnginePlan:
             states = np.repeat(columns, 3, axis=1)  # column pair = code·3 + pick
             bases = np.tile(self.setting_basis[bob - 1], columns.shape[1])
             forwards = self.kind == "mermin" and bob < self.num_parties
-            hops[bob - 1] = self._table(kernels, states, bases, self.qudit[bob - 1], forwards)
+            hops[bob - 1] = built[key] = self._table(kernels, states, bases, self.qudit[bob - 1], forwards)
             columns = hops[bob - 1].post
         return tuple(hops), eve_hop
 
@@ -995,25 +1001,18 @@ def extract_key(sifting: SiftingResult) -> KeyMaterial:
     return KeyMaterial(bits, len(sifting.key_rounds), num_complete, fraction)
 
 
-def mermin_check_estimate(transcript: Transcript) -> InequalityEstimate:
-    spec = inequality.mermin_spec(transcript.config.num_parties)
-    return inequality.estimate_from_transcript(transcript, spec)
-
-
 def chsh_pair_estimates(transcript: Transcript) -> dict[int, InequalityEstimate]:
-    """Per adjacent pair (link k joins parties k and k+1)."""
-    out = {}
-    for k in range(1, transcript.config.num_parties):
-        spec = inequality.chsh_pair_spec(k, first_party_odd=(k % 2 == 1))
-        out[k] = inequality.estimate_from_transcript(transcript, spec)
-    return out
+    """Per adjacent pair (link k joins parties k and k+1), from ``Transcript.estimates``."""
+    return {k: transcript.estimates[f"pair_{k}"] for k in range(1, transcript.config.num_parties)}
 
 
 def check_estimates(transcript: Transcript) -> dict[str, InequalityEstimate]:
-    """All violation statistics relevant to the transcript's protocol."""
-    if transcript.config.kind == "mermin":
-        return {"mermin": mermin_check_estimate(transcript)}
-    return {f"pair_{k}": est for k, est in chsh_pair_estimates(transcript).items()}
+    """All violation statistics relevant to the transcript's protocol, from one ``sign_counts`` pass."""
+    n = transcript.config.num_parties
+    specs = ({"mermin": inequality.mermin_spec(n)} if transcript.config.kind == "mermin"
+             else {f"pair_{k}": inequality.chsh_pair_spec(k, first_party_odd=(k % 2 == 1)) for k in range(1, n)})
+    tables = inequality.sign_counts(transcript, list(specs.values()))
+    return {name: inequality.estimate(spec, signs) for (name, spec), signs in zip(specs.items(), tables)}
 
 
 class Verdict(NamedTuple):

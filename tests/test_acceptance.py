@@ -79,7 +79,7 @@ class TestCriterion2ExactChsh:
 
 class TestCriterion3MonteCarlo:
     def test_mermin_estimate(self, mermin3_run):
-        estimate = protocol.mermin_check_estimate(mermin3_run)
+        estimate = mermin3_run.estimates["mermin"]
         band = 3 * estimate.standard_error + 1e-9
         report("3 (Mermin Monte-Carlo, masking on)", abs(estimate.value - 4.0) <= band,
                f"estimate {estimate.value:.4f} ± {estimate.standard_error:.4f}")
@@ -179,7 +179,7 @@ class TestCriterion6MaskingInvariance:
         base = dict(num_parties=3, rounds=30_000)
         mermin_on = protocol.run_protocol(protocol.ProtocolConfig("mermin", seed=607, masking_enabled=True, **base))
         mermin_off = protocol.run_protocol(protocol.ProtocolConfig("mermin", seed=607, masking_enabled=False, **base))
-        est_on, est_off = (protocol.mermin_check_estimate(t) for t in (mermin_on, mermin_off))
+        est_on, est_off = (t.estimates["mermin"] for t in (mermin_on, mermin_off))
         ok = abs(est_on.value - est_off.value) <= 3 * math.hypot(est_on.standard_error, est_off.standard_error) + 1e-9
         chsh_on = protocol.run_protocol(protocol.ProtocolConfig("chsh", seed=608, masking_enabled=True, **base))
         chsh_off = protocol.run_protocol(protocol.ProtocolConfig("chsh", seed=608, masking_enabled=False, **base))
@@ -223,7 +223,7 @@ class TestCriterion8NonCommutingDetection:
     def test_x3_attack_drops_to_two(self, tmp_path, monkeypatch):
         eve = EveConfig(position=2, observable="X3", strategy="noncommuting-measure")
         config = protocol.ProtocolConfig("mermin", 3, 60_000, seed=809, eve=eve)
-        estimate = protocol.mermin_check_estimate(protocol.run_protocol(config))
+        estimate = protocol.run_protocol(config).estimates["mermin"]
         ok = abs(estimate.value - 2.0) <= 3 * estimate.standard_error + 1e-9 and not estimate.violated
         report("8 (noncommuting attack statistic)", ok,
                f"estimate {estimate.value:.4f} ± {estimate.standard_error:.4f}, no violation")

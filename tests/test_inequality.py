@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -152,7 +153,7 @@ class TestEstimator:
         assert estimate.samples_per_term["X1X2Y3"] == 0
 
     def test_noiseless_simulation_estimate(self, mermin3_run):
-        estimate = protocol.mermin_check_estimate(mermin3_run)
+        estimate = mermin3_run.estimates["mermin"]
         assert estimate.usable
         assert abs(estimate.value - 4.0) < 0.05
         assert estimate.violated
@@ -213,6 +214,47 @@ class TestEstimatorMatchesLoop:
             assert inequality.estimate_from_transcript(transcript, spec) == loop_estimate(transcript, spec)
 
 
+class TestSignCounts:
+    def test_exact_table_with_an_erased_outcome(self):
+        spec = inequality.mermin_spec(3)  # terms Y1X2X3, X1Y2X3, X1X2Y3, Y1Y2Y3
+        transcript = synthetic_transcript([[1, 1, -1], [-1], [1, 1], []], spec)
+        transcript.outcomes[0, 1] = 0  # the first Y1X2X3 round's X2 erased
+        (signs,) = inequality.sign_counts(transcript, [spec])
+        # columns n₋, n₀, n₊
+        assert signs.tolist() == [[1, 1, 1], [1, 0, 0], [0, 0, 2], [0, 0, 0]]
+
+    def test_tables_add_across_stretches_of_rounds(self):
+        config = protocol.ProtocolConfig("chsh", 5, 20_000, seed=65, noise=LOSSY)
+        whole = protocol.run_protocol(config)
+        specs = [inequality.chsh_pair_spec(k, k % 2 == 1) for k in range(1, 5)]
+
+        def stretch(start, stop):
+            part = dataclasses.replace(config, rounds=stop - start)
+            rows = slice(start, stop)
+            return protocol.Transcript(part, whole.picks[rows], whole.outcomes[rows], whole.eve_outcomes[rows])
+
+        tables = inequality.sign_counts(whole, specs)
+        for signs, head, tail in zip(tables, inequality.sign_counts(stretch(0, 7_001), specs),
+                                     inequality.sign_counts(stretch(7_001, 20_000), specs)):
+            assert signs[:, 1].any()  # the loss erases some key-setting records
+            assert np.array_equal(head + tail, signs)
+
+    def test_check_estimates_make_one_pass(self, monkeypatch):
+        transcript = protocol.run_protocol(protocol.ProtocolConfig("chsh", 4, 3_000, seed=66, noise=LOSSY))
+        calls, sign_counts = [], inequality.sign_counts
+
+        def counted(t, specs):
+            calls.append(len(specs))
+            return sign_counts(t, specs)
+
+        monkeypatch.setattr(inequality, "sign_counts", counted)
+        estimates = transcript.estimates
+        assert calls == [3]
+        for k in range(1, 4):
+            spec = inequality.chsh_pair_spec(k, k % 2 == 1)
+            assert estimates[f"pair_{k}"] == inequality.estimate(spec, sign_counts(transcript, [spec])[0])
+
+
 class TestDecisionRule:
     def test_violated_needs_three_sigma(self):
         base = dict(samples_per_term={}, classical_bound=2.0, usable=True)
@@ -222,6 +264,12 @@ class TestDecisionRule:
             value=4.0, standard_error=math.inf, samples_per_term={}, classical_bound=2.0, usable=False
         )
         assert not unusable.violated
+
+    def test_three_sigma_boundary_is_not_violated(self):
+        # value − 3·stderr == bound exactly: 2.375 − 0.375 == 2.0 in binary
+        estimate = inequality.InequalityEstimate(2.375, 0.125, {}, classical_bound=2.0, usable=True)
+        assert estimate.value - inequality.VIOLATION_SIGMAS * estimate.standard_error == estimate.classical_bound
+        assert not estimate.violated
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

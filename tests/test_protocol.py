@@ -313,8 +313,8 @@ class TestMerminRounds:
         on = protocol.run_protocol(protocol.ProtocolConfig(masking_enabled=True, **base))
         off = protocol.run_protocol(protocol.ProtocolConfig(masking_enabled=False, **base))
         assert np.array_equal(on.picks, off.picks)
-        est_on = protocol.mermin_check_estimate(on)
-        est_off = protocol.mermin_check_estimate(off)
+        est_on = on.estimates["mermin"]
+        est_off = off.estimates["mermin"]
         tolerance = 3 * math.hypot(est_on.standard_error, est_off.standard_error) + 1e-9
         assert abs(est_on.value - est_off.value) <= tolerance
         key_on = np.mean(on.outcomes[on.kinds.key, 0] == 1)
@@ -713,6 +713,22 @@ class TestHopTables:
         assert tabled_parties(config("mermin", 3, prep=noise.WhitePrep(0.3))) == [2, 3]
         assert tabled_parties(config("mermin", 5, prep=noise.WhitePrep(0.3))) == [2]
         assert tabled_parties(config("mermin", 7, prep=noise.WhitePrep(0.3))) == []
+
+    @pytest.mark.parametrize("link", [None, 2, 5], ids=["no-eve", "eve-link2", "masked-eve-link5"])
+    def test_chsh_hops_shared_by_parity(self, link):
+        # Z1 at link 2 is unmasked (sender 2 masks qudit 2); at link 5 sender 5 masks qudit 1
+        eve = None if link is None else EveConfig(link, "Z1", "noncommuting-measure")
+        plan = protocol.EnginePlan(protocol.ProtocolConfig("chsh", 8, 1, eve=eve))
+        assert plan.eve_masked == (link == 5)
+        eve_links = set() if link is None else {link}
+        for b in range(4, 9):
+            if not {b - 1, b - 3} & eve_links:
+                assert plan.hops[b - 1] is plan.hops[b - 3], b
+        assert len({id(hop) for hop in plan.hops[1:] if hop is not None}) == 2 + (link == 2)
+        if link is not None:  # the hop after Eve's link is its own: a table on hers, or none behind a masked Eve
+            after = plan.hops[link]
+            assert (after is None) == (link == 5)
+            assert all(hop is not after for k, hop in enumerate(plan.hops[1:], 1) if k != link)
 
     @pytest.mark.parametrize("name", sorted(HOP_CONFIGS))
     def test_no_table_holds_more_than_two_blocks(self, name):

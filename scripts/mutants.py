@@ -226,12 +226,13 @@ MUTANTS = (
     # ``estimate`` takes the value's absolute value and squares the means)
     Mutant(
         "sign-counts-erased-column-read-as-minus", INEQUALITY,
-        (("minus, plus = signs[:, 0], signs[:, 2]", "minus, plus = signs[:, 1], signs[:, 2]"),),
+        (("counts, sums = signs[:, 2] + signs[:, 0], signs[:, 2] - signs[:, 0]",
+          "counts, sums = signs[:, 2] + signs[:, 1], signs[:, 2] - signs[:, 1]"),),
         ("tests/test_inequality.py::TestSignCounts", "tests/test_inequality.py::TestEstimatorMatchesLoop"),
     ),
     Mutant(
         "sign-counts-cell-offset-dropped", INEQUALITY,
-        (("cells * 3 + products + 1,", "cells * 3 + products,"),),
+        (("        cells += products\n        cells += 1\n", "        cells += products\n"),),
         ("tests/test_inequality.py::TestSignCounts", "tests/test_inequality.py::TestEstimatorMatchesLoop"),
     ),
     Mutant(

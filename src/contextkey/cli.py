@@ -503,8 +503,7 @@ def cmd_attack(args) -> int:
     }
     if config.kind == "chsh":
         try:
-            links = adversary.localize_eve(protocol.chsh_pair_estimates(transcript))
-            report["eve"]["localized_links"] = sorted(links)
+            report["eve"]["localized_links"] = sorted(adversary.localize_eve(protocol.chsh_pair_estimates(transcript)))
         except adversary.InsufficientCheckData as exc:
             report["eve"]["localized_links"] = None
             report["eve"]["localization_error"] = str(exc)

@@ -133,10 +133,9 @@ def chsh_pair_spec(first_party: int, first_party_odd: bool) -> InequalitySpec:
 def sign_counts(transcript, specs) -> list[np.ndarray]:
     """Per spec, its (terms, 3) sign counts n₋, n₀, n₊ of the revealed rounds with each term's settings.
 
-    Each party's columns are gathered once, as int8 (in intp, a 10⁶-round
-    chsh-8 run's would take 120 MB); a spec's cells, code·3 + product + 1
-    with place value 3**k at its k-th party, are built in intp (past int8
-    from N=6 on) by in-place loops and counted by one ``bincount``.
+    Each party's columns are gathered once, as int8; a spec's cells, code·3 + product + 1 with
+    place value 3**k at its k-th party, are built in place in intp (past int8 from N=6 on) and
+    counted by one ``bincount``.
     """
     rows = np.flatnonzero(transcript.kinds.revealed)
     parties = {p for spec in specs for p in spec.parties}
@@ -144,12 +143,15 @@ def sign_counts(transcript, specs) -> list[np.ndarray]:
     outcomes = {p: transcript.outcomes[:, p - 1][rows] for p in parties}
     tables = []
     for spec in specs:
-        cells, products = np.zeros(len(rows), dtype=np.intp), np.ones(len(rows), dtype=np.intp)
+        cells, products = np.zeros(len(rows), dtype=np.intp), np.ones(len(rows), dtype=np.int8)
         for p in reversed(spec.parties):
             cells *= 3
             cells += picks[p]
             products *= outcomes[p]
-        counts = np.bincount(cells * 3 + products + 1, minlength=3 ** (len(spec.parties) + 1)).reshape(-1, 3)
+        cells *= 3
+        cells += products
+        cells += 1
+        counts = np.bincount(cells, minlength=3 ** (len(spec.parties) + 1)).reshape(-1, 3)
         settings = [transcript.setting_labels[p - 1] for p in spec.parties]
         tables.append(counts[[sum(labs.index(label) * 3**k for k, (label, labs) in enumerate(zip(labels, settings)))
                               for _, labels in spec.terms]])
@@ -158,8 +160,7 @@ def sign_counts(transcript, specs) -> list[np.ndarray]:
 
 def estimate(spec: InequalitySpec, signs: np.ndarray) -> InequalityEstimate:
     """The value from the spec's ``sign_counts`` table; the standard error propagates each term's variance."""
-    minus, plus = signs[:, 0], signs[:, 2]
-    counts, sums = plus + minus, plus - minus
+    counts, sums = signs[:, 2] + signs[:, 0], signs[:, 2] - signs[:, 0]
     samples = {"".join(labels): int(counts[i]) for i, (_, labels) in enumerate(spec.terms)}
     if not np.all(counts > 0):
         return InequalityEstimate(0.0, math.inf, samples, spec.classical_bound, usable=False)

@@ -149,10 +149,11 @@ MUTANTS = (
         ("tests/test_digests.py", "tests/test_oracle.py", "tests/test_noise.py::TestNoisyPreparation"),
     ),
     Mutant(
-        "noise-rows-not-offset-per-block", PROTOCOL,
-        (("noise_u=None if self._noise_u is None else self._noise_u[rows],",
-          "noise_u=None if self._noise_u is None else self._noise_u[:size],"),),
-        ("tests/test_protocol.py::TestBlockSeams", "tests/test_digests.py"),
+        # the white-noise integers read from inside the uniforms: the receivers' columns not skipped
+        "white-advance-without-receivers-columns", PROTOCOL,
+        (("g_white.bit_generator.advance(rounds * self._noise_cols)",
+          "g_white.bit_generator.advance(rounds * self._noise_preparers)"),),
+        ("tests/test_digests.py",),
     ),
     # -- Eve's mask --
     Mutant(
@@ -220,6 +221,30 @@ MUTANTS = (
         "round-number-digit-boundary", CLI,
         (("high = min(stop, 10**digits)", "high = min(stop, 10**digits + 1)"),),
         ("tests/test_digests.py",),
+    ),
+    # -- the one run/attack pipeline --
+    Mutant(
+        "eve-section-only-for-mermin", CLI,
+        (("    if config.eve is not None:\n        eve, leakage",
+          '    if config.eve is not None and config.kind == "mermin":\n        eve, leakage'),),
+        ("tests/test_cli.py::TestAttack", "tests/test_digests.py"),
+    ),
+    Mutant(
+        "localization-lines-dropped", CLI,
+        (('    if "localized_links" in eve:', '    if "localization" in eve:'),),
+        ("tests/test_cli.py::TestAttack", "tests/test_digests.py"),
+    ),
+    Mutant(
+        # a noncommuting observable under ``auto`` is refused instead of measured
+        "auto-does-not-fall-back", CLI,
+        (("        if not auto:\n            raise UsageError(str(exc)) from exc\n",
+          "        raise UsageError(str(exc)) from exc\n"),),
+        ("tests/test_cli.py::TestAttack", "tests/test_digests.py"),
+    ),
+    Mutant(
+        "attack-files-named-run", CLI,
+        (("prefix = args.prefix or args.command", 'prefix = args.prefix or "run"'),),
+        ("tests/test_cli.py::TestAttack",),
     ),
     # -- the statistics layer --
     # (n₊ and n₋ swapped is an equivalent mutant: it negates every mean, and

@@ -6,7 +6,8 @@ but an inequality term has no samples; or an empirical sweep point has no
 key rounds), 64 usage error, 70 internal invariant failure or an
 allocation the machine cannot satisfy (say, a whole-run array for a huge
 ``--rounds``).  ``run`` and ``attack`` take 0, 2 or 3 from the one owner of
-the overall status, ``Transcript.verdict``, through ``VERDICTS``.
+the overall status, ``Transcript.verdict``, through ``VERDICTS``.  Both
+share one pipeline, ``cmd_run``: an attack is the run with Eve on one link.
 
 All artifacts are deterministic functions of the seed and flags: the
 transcript (one JSON record per round), the machine report, the key files,
@@ -128,6 +129,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: The one parser; ``main`` reuses it, so a process running many commands builds it once.
+PARSER = build_parser()
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Insert flags from a key = value file right after the subcommand."""
     if "--config" not in argv:
@@ -183,14 +188,6 @@ def _resolve_outdir(flag_value: str | None) -> Path:
     return outdir
 
 
-def _resolve_output(args) -> tuple[Path, str]:
-    """The output directory, created, and the file prefix of a run."""
-    prefix = args.prefix or args.command
-    if "/" in prefix or os.sep in prefix:
-        raise UsageError(f"--prefix {prefix!r} must not contain a path separator")
-    return _resolve_outdir(args.outdir), prefix
-
-
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         if flag_value < 0:
@@ -216,6 +213,33 @@ def _build_config(args, eve=None) -> protocol.ProtocolConfig:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _attack_config(args) -> protocol.ProtocolConfig:
+    """An attack's config: Eve's, checked; under ``auto``, an observable
+    that fails to commute is measured anyway (``noncommuting-measure``)."""
+    auto = args.eve_strategy == "auto"
+    try:
+        eve = adversary.EveConfig(
+            position=args.eve_link,
+            observable=args.eve_obs,
+            strategy="commuting-measure" if auto else args.eve_strategy,
+            activity_rate=args.eve_activity,
+            resend=args.eve_resend,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    config = _build_config(args, eve=eve)
+    # surface bad labels / wrong commuting claims as usage errors
+    try:
+        protocol.check_eve(config)
+    except InvariantViolation as exc:
+        if not auto:
+            raise UsageError(str(exc)) from exc
+        return dataclasses.replace(config, eve=dataclasses.replace(eve, strategy="noncommuting-measure"))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return config
 
 
 def _estimate_dict(est: inequality.InequalityEstimate) -> dict:
@@ -383,10 +407,11 @@ def _key_rate_section(transcript) -> dict | None:
 
 
 def _run_report(transcript) -> dict:
+    """The machine report; an attack's adds its ``eve`` section: Eve's leakage and, for CHSH, localization."""
     config, sifting, verdict = transcript.config, transcript.sifting, transcript.verdict
     key = protocol.extract_key(sifting)
     expected_fraction = len(protocol.KEY_PREFIXES[config.kind]) / 3.0**config.num_parties
-    return {
+    report = {
         "kind": config.kind,
         "parties": config.num_parties,
         "rounds": config.rounds,
@@ -406,27 +431,30 @@ def _run_report(transcript) -> dict:
         "insufficient_data": verdict.empty_terms,
         "empirical_key_rate": _key_rate_section(transcript),
     }
+    if config.eve is not None:
+        eve, leakage = config.eve, adversary.leakage_analysis(transcript)
+        report["eve"] = {
+            "link": eve.position,
+            "observable": eve.observable,
+            "strategy": eve.strategy,
+            "activity_rate": eve.activity_rate,
+            "mutual_information_bits": leakage.eve_key_mutual_information,
+            "attacked_key_rounds": leakage.attacked_key_rounds,
+            "detected": leakage.detected,
+            "sufficient_data": leakage.sufficient_data,
+        }
+        if config.kind == "chsh":  # the links whose pair estimate fails
+            try:
+                report["eve"]["localized_links"] = sorted(
+                    adversary.localize_eve(protocol.chsh_pair_estimates(transcript)))
+            except adversary.InsufficientCheckData as exc:
+                report["eve"]["localized_links"] = None
+                report["eve"]["localization_error"] = str(exc)
+    return report
 
 
 # Key-file characters of the key-bit symbols 0, 1 and ERASED_BIT.
 _KEY_CHARS = np.frombuffer(b"01e", dtype=np.uint8)
-
-
-def _write_artifacts(args, outdir: Path, prefix: str, transcript, report: dict, started: float):
-    """Write the transcript, report, key files and manifest; print the summary."""
-    config = transcript.config
-    transcript_path = outdir / f"{prefix}-transcript.jsonl"
-    write_transcript(transcript, transcript_path)
-    report_path = outdir / f"{prefix}-report.json"
-    _write_json(report, report_path)
-    outputs = [transcript_path, report_path]
-    for party, bits in enumerate(transcript.sifting.key_bits, start=1):
-        path = outdir / f"{prefix}-key-party{party}.txt"
-        path.write_text(_KEY_CHARS[bits].tobytes().decode("ascii") + "\n")
-        outputs.append(path)
-    manifest = _manifest(args, outdir, config.seed, outputs, config.rounds, started)
-    _write_json(manifest, outdir / f"{prefix}-manifest.json")
-    _print_run_summary(report, transcript.verdict.violated)
 
 
 def _print_run_summary(report: dict, status: bool | None):
@@ -448,76 +476,47 @@ def _print_run_summary(report: dict, status: bool | None):
     agreement = report["key_agreement"]
     print(f"key agreement: {'n/a' if agreement is None else f'{agreement:.4f}'}")
     print(f"verdict: {VERDICTS[status][0]}")
-
-
-def cmd_run(args) -> int:
-    started = time.monotonic()
-    args.seed = _resolve_seed(args.seed)
-    config = _build_config(args)
-    outdir, prefix = _resolve_output(args)
-    transcript = protocol.run_protocol(config)
-    report = _run_report(transcript)
-    _write_artifacts(args, outdir, prefix, transcript, report, started)
-    return VERDICTS[transcript.verdict.violated][1]
-
-
-def cmd_attack(args) -> int:
-    started = time.monotonic()
-    args.seed = _resolve_seed(args.seed)
-    auto = args.eve_strategy == "auto"
-    try:
-        eve = adversary.EveConfig(
-            position=args.eve_link,
-            observable=args.eve_obs,
-            strategy="commuting-measure" if auto else args.eve_strategy,
-            activity_rate=args.eve_activity,
-            resend=args.eve_resend,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    config = _build_config(args, eve=eve)
-    # surface bad labels / wrong commuting claims as usage errors; under
-    # auto, an observable that fails to commute is measured anyway
-    try:
-        protocol.check_eve(config)
-    except InvariantViolation as exc:
-        if not auto:
-            raise UsageError(str(exc)) from exc
-        eve = dataclasses.replace(eve, strategy="noncommuting-measure")
-        config = dataclasses.replace(config, eve=eve)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    outdir, prefix = _resolve_output(args)
-    transcript = protocol.run_protocol(config)
-    report = _run_report(transcript)
-    leakage = adversary.leakage_analysis(transcript)
-    report["eve"] = {
-        "link": eve.position,
-        "observable": eve.observable,
-        "strategy": eve.strategy,
-        "activity_rate": eve.activity_rate,
-        "mutual_information_bits": leakage.eve_key_mutual_information,
-        "attacked_key_rounds": leakage.attacked_key_rounds,
-        "detected": leakage.detected,
-        "sufficient_data": leakage.sufficient_data,
-    }
-    if config.kind == "chsh":
-        try:
-            report["eve"]["localized_links"] = sorted(adversary.localize_eve(protocol.chsh_pair_estimates(transcript)))
-        except adversary.InsufficientCheckData as exc:
-            report["eve"]["localized_links"] = None
-            report["eve"]["localization_error"] = str(exc)
-    _write_artifacts(args, outdir, prefix, transcript, report, started)
-    mi = leakage.eve_key_mutual_information
-    print(f"eve: strategy={eve.strategy} MI={'n/a' if mi is None else f'{mi:.4f}'} bits "
-          f"over {leakage.attacked_key_rounds} attacked key rounds; "
-          f"detected={'n/a' if leakage.detected is None else leakage.detected}")
-    if config.kind == "chsh":
-        localized = report["eve"]["localized_links"]
+    eve = report.get("eve")
+    if eve is None:
+        return
+    mi, detected = eve["mutual_information_bits"], eve["detected"]
+    print(f"eve: strategy={eve['strategy']} MI={'n/a' if mi is None else f'{mi:.4f}'} bits "
+          f"over {eve['attacked_key_rounds']} attacked key rounds; "
+          f"detected={'n/a' if detected is None else detected}")
+    if "localized_links" in eve:
+        localized = eve["localized_links"]
         if localized is None:
             print("localization: insufficient check data")
         else:
             print(f"localization: {'links ' + str(localized) if localized else 'no failing link'}")
+
+
+def cmd_run(args) -> int:
+    """``run``, and ``attack``: the same run with Eve on one link and an ``eve`` report section.
+
+    Writes the transcript, report, key files and manifest, then prints the summary.
+    """
+    started = time.monotonic()
+    args.seed = _resolve_seed(args.seed)
+    config = _attack_config(args) if args.command == "attack" else _build_config(args)
+    prefix = args.prefix or args.command
+    if "/" in prefix or os.sep in prefix:
+        raise UsageError(f"--prefix {prefix!r} must not contain a path separator")
+    outdir = _resolve_outdir(args.outdir)
+    transcript = protocol.run_protocol(config)
+    report = _run_report(transcript)
+    transcript_path = outdir / f"{prefix}-transcript.jsonl"
+    write_transcript(transcript, transcript_path)
+    report_path = outdir / f"{prefix}-report.json"
+    _write_json(report, report_path)
+    outputs = [transcript_path, report_path]
+    for party, bits in enumerate(transcript.sifting.key_bits, start=1):
+        path = outdir / f"{prefix}-key-party{party}.txt"
+        path.write_text(_KEY_CHARS[bits].tobytes().decode("ascii") + "\n")
+        outputs.append(path)
+    manifest = _manifest(args, outdir, config.seed, outputs, config.rounds, started)
+    _write_json(manifest, outdir / f"{prefix}-manifest.json")
+    _print_run_summary(report, transcript.verdict.violated)
     return VERDICTS[transcript.verdict.violated][1]
 
 
@@ -694,22 +693,16 @@ def cmd_sweep(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
         if args.list_observables:
             print(OBSERVABLE_HELP, end="")
             return EXIT_OK
         if args.command is None:
-            parser.print_help()
+            PARSER.print_help()
             return EXIT_USAGE
-        handler = {
-            "run": cmd_run,
-            "attack": cmd_attack,
-            "sweep": cmd_sweep,
-        }[args.command]
-        return handler(args)
+        return (cmd_sweep if args.command == "sweep" else cmd_run)(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -102,7 +102,7 @@ def mermin_spec(num_parties: int) -> InequalitySpec:
     )
 
 
-def chsh_pair_spec(first_party: int, first_party_odd: bool) -> InequalitySpec:
+def chsh_pair_spec(first_party: int) -> InequalitySpec:
     """CHSH statistic for an adjacent pair, in the measured settings.
 
     Reconstructs |⟨X₁X₂ + Z₁Z₂⟩| (classical bound √2) from the four
@@ -118,7 +118,7 @@ def chsh_pair_spec(first_party: int, first_party_odd: bool) -> InequalitySpec:
         (c, odd_z, even_b),
         (c, odd_z, even_c),
     ]
-    if first_party_odd:
+    if first_party % 2 == 1:
         terms = tuple((coeff, (a, b)) for coeff, a, b in combos)
     else:
         terms = tuple((coeff, (b, a)) for coeff, a, b in combos)

@@ -735,15 +735,15 @@ class _Engine(_Kernels):
         """Open the named streams; draw whole the arrays other draws follow.
 
         The round stream draws every round's picks before any Born
-        variate, and the noise stream its integers after its uniforms, so
-        those arrays are drawn whole here.  The integers pick white noise's
-        basis states and are the noise stream's last draw, so they are
-        drawn only under white preparation noise.  Born, masking and Eve
-        uniforms are drawn block by block in ``_draw``, which yields the
-        same values as one draw for the whole run.  Only Eve reads masks
-        (``_mask``), so only a run in which a mask factor reaches her qudit
-        (``EnginePlan.eve_masked``) opens the masking stream; the streams
-        are independent, so no other variate moves.
+        variate, so the picks are drawn whole here.  The noise stream
+        draws white noise's basis-state integers after every round's
+        uniforms, each one 64-bit draw; a second noise generator, advanced
+        past them, draws the integers whole, and only under white noise.
+        Born, masking, Eve and noise uniforms are drawn block by block in
+        ``_draw``, as one draw for the whole run would.  Only Eve reads
+        masks (``_mask``), so only a run in which a mask factor reaches her
+        qudit (``EnginePlan.eve_masked``) opens the masking stream; the
+        streams are independent, so no other variate moves.
         """
         config, plan = self.config, self.plan
         rounds, n = config.rounds, plan.num_parties
@@ -752,13 +752,15 @@ class _Engine(_Kernels):
         self._born_cols = n + (n - 1 if plan.kind == "chsh" else 0)
         self._g_mask = stream_generator(config.seed, "masking") if plan.eve_masked else None
         self._g_eve = stream_generator(config.seed, "eve") if self.eve is not None else None
-        self._noise_u = self._white_idx = None
+        self._g_noise = self._white_idx = None
         if config.noise is not None:
-            g_noise = stream_generator(config.seed, "noise")
+            self._g_noise = stream_generator(config.seed, "noise")
             self._noise_preparers = len(plan.references)  # the parties that prepare
-            self._noise_u = g_noise.random(size=(rounds, self._noise_preparers + n - 1))
+            self._noise_cols = self._noise_preparers + n - 1
             if isinstance(config.noise.prep, WhitePrep):
-                self._white_idx = g_noise.integers(0, plan.dim, size=(rounds, self._noise_preparers))
+                g_white = stream_generator(config.seed, "noise")
+                g_white.bit_generator.advance(rounds * self._noise_cols)
+                self._white_idx = g_white.integers(0, plan.dim, size=(rounds, self._noise_preparers))
         self._drawn = 0
 
     def _draw(self, size: int) -> _Variates:
@@ -773,7 +775,7 @@ class _Engine(_Kernels):
                 else self._g_mask.random(size=(size, self.plan._mask_angle_count)) * TWO_PI
             ),
             eve_u=None if self._g_eve is None else self._g_eve.random(size=(size, 2)),
-            noise_u=None if self._noise_u is None else self._noise_u[rows],
+            noise_u=None if self._g_noise is None else self._g_noise.random(size=(size, self._noise_cols)),
             white_idx=None if self._white_idx is None else self._white_idx[rows],
         )
 
@@ -1010,7 +1012,7 @@ def check_estimates(transcript: Transcript) -> dict[str, InequalityEstimate]:
     """All violation statistics relevant to the transcript's protocol, from one ``sign_counts`` pass."""
     n = transcript.config.num_parties
     specs = ({"mermin": inequality.mermin_spec(n)} if transcript.config.kind == "mermin"
-             else {f"pair_{k}": inequality.chsh_pair_spec(k, first_party_odd=(k % 2 == 1)) for k in range(1, n)})
+             else {f"pair_{k}": inequality.chsh_pair_spec(k) for k in range(1, n)})
     tables = inequality.sign_counts(transcript, list(specs.values()))
     return {name: inequality.estimate(spec, signs) for (name, spec), signs in zip(specs.items(), tables)}
 

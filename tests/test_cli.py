@@ -123,30 +123,40 @@ class TestUsage:
     RUN3 = ["run", "--kind", "mermin", "--parties", "3", "--rounds", "5", "--seed", "1"]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["run", "--kind", "mermin", "--parties", "13", "--rounds", "5", "--seed", "1"],
-            ["run", "--kind", "mermin", "--parties", "3", "--rounds", "5", "--seed", "-1"],
-            ["sweep", "--model", "model1", "--eta", "2", "--grid", "3"],
-            ["sweep", "--model", "flip", "--grid", "3", "--empirical-rounds", "-5"],
-            ["sweep", "--model", "flip", "--grid", "3", "--empirical-rounds", "100",
-             "--empirical-grid", "-1"],
-            ["sweep", "--model", "flip", "--grid", "3", "--empirical-rounds", "100", "--seed", "-1"],
-            ["run", "--config", "{tmp}/missing.conf"],
-            ["run", "--config"],
-            ATTACK3 + ["--eve-link", "1", "--eve-obs", "Q1"],
-            ATTACK3 + ["--eve-link", "2", "--eve-obs", "X3", "--eve-strategy", "commuting-measure"],
-            RUN3 + ["--outdir", "{tmp}/file"],
-            RUN3 + ["--outdir", "{tmp}/file/sub"],
-            RUN3 + ["--prefix", "a/b"],
-            ["sweep", "--model", "flip", "--grid", "3", "--outdir", "{tmp}/file"],
-            ["sweep", "--model", "detector", "--eta", "0.3", "--grid", "3"],
-            ["sweep", "--model", "flip", "--grid", "0"],
-            ["sweep", "--model", "flip", "--grid", "100000000"],
-            ["verify"],
-            ["sweep", "--model", "flip", "--grid", "3", "--seed", "-7"],
-            ["sweep", "--model", "model2", "--eta", "0.5", "--grid", "3", "--empirical-rounds", "10",
-             "--empirical-grid", "501"],
+            (["run", "--kind", "mermin", "--parties", "13", "--rounds", "5", "--seed", "1"],
+             "13 parties exceed the 2^12 size guard"),
+            (["run", "--kind", "mermin", "--parties", "3", "--rounds", "5", "--seed", "-1"],
+             "--seed must be non-negative"),
+            (["sweep", "--model", "model1", "--eta", "2", "--grid", "3"], "--eta 2 outside [0, 1]"),
+            (["sweep", "--model", "flip", "--grid", "3", "--empirical-rounds", "-5"],
+             "--empirical-rounds must not be negative"),
+            (["sweep", "--model", "flip", "--grid", "3", "--empirical-rounds", "100",
+              "--empirical-grid", "-1"], "--empirical-grid must be at least 1"),
+            (["sweep", "--model", "flip", "--grid", "3", "--empirical-rounds", "100", "--seed", "-1"],
+             "--seed must be non-negative"),
+            (["run", "--config", "{tmp}/missing.conf"], "cannot read config file: "),
+            (["run", "--config"], "--config needs a file path"),
+            (ATTACK3 + ["--eve-link", "1", "--eve-obs", "Q1"], "malformed observable label 'Q1'"),
+            (ATTACK3 + ["--eve-link", "2", "--eve-obs", "X3", "--eve-strategy", "commuting-measure"],
+             "eve observable X3 does not commute with Y3; use the noncommuting-measure strategy"),
+            (RUN3 + ["--outdir", "{tmp}/file"], "cannot create output directory {tmp}/file: "),
+            (RUN3 + ["--outdir", "{tmp}/file/sub"], "cannot create output directory {tmp}/file/sub: "),
+            (RUN3 + ["--prefix", "a/b"], "--prefix 'a/b' must not contain a path separator"),
+            (["sweep", "--model", "flip", "--grid", "3", "--outdir", "{tmp}/file"],
+             "cannot create output directory {tmp}/file: "),
+            (["sweep", "--model", "detector", "--eta", "0.3", "--grid", "3"], "--eta is not taken by detector"),
+            (["sweep", "--model", "flip", "--grid", "0"], "--grid must be at least 2"),
+            (["sweep", "--model", "flip", "--grid", "100000000"],
+             "--grid 100000000 gives more than 250,000 surface points"),
+            (["verify"], "invalid choice: 'verify'"),
+            (["sweep", "--model", "flip", "--grid", "3", "--seed", "-7"], "--seed must be non-negative"),
+            (["sweep", "--model", "model2", "--eta", "0.5", "--grid", "3", "--empirical-rounds", "10",
+              "--empirical-grid", "501"], "--empirical-grid 501 gives more than 250,000 points"),
+            (["run", "--config", "{tmp}/malformed.conf"], "malformed config line: 'parties 3'"),
+            (RUN3 + ["--prep-noise", "flip:0.1"], "bad --prep-noise 'flip:0.1': expected flip:EPS1,EPS2"),
+            (ATTACK3 + ["--eve-link", "0", "--eve-obs", "Z1"], "position is a 1-based link index"),
         ],
         ids=["parties-13", "negative-seed", "eta-2", "negative-empirical-rounds",
              "negative-empirical-grid", "sweep-negative-seed", "missing-config",
@@ -154,15 +164,18 @@ class TestUsage:
              "outdir-is-a-file", "outdir-under-a-file", "prefix-with-separator",
              "sweep-outdir-is-a-file", "eta-on-a-model-without-it", "grid-0",
              "grid-too-large", "verify-is-unknown", "sweep-negative-seed-analytic-only",
-             "empirical-grid-too-large"],
+             "empirical-grid-too-large", "malformed-config-line", "noise-parameter-count",
+             "eve-link-0"],
     )
-    def test_bad_input_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+    def test_bad_input_is_usage_error(self, argv, message, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").write_text("")
+        (tmp_path / "malformed.conf").write_text("kind = mermin\nparties 3\n")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         code = run_cli(argv, tmp_path, monkeypatch)
         err = capsys.readouterr().err
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error: ")
+        assert message.replace("{tmp}", str(tmp_path)) in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
@@ -392,13 +405,15 @@ class TestRun:
         config_file = tmp_path / "run.conf"
         config_file.write_text(
             "kind = mermin\nparties = 3\nrounds = 400\nseed = 5\n"
-            f"outdir = {out}\n# comment line\nno-masking = true\n"
+            f"outdir = {out}\n# comment line\nno-masking = true\nmasking-exclude-key = off\n"
         )
         code = run_cli(["run", "--config", str(config_file)], tmp_path, monkeypatch)
         assert code == cli.EXIT_OK
         report = json.loads((out / "run-report.json").read_text())
         assert report["rounds"] == 400
         assert report["masking"] is False
+        # a false value leaves its flag out
+        assert json.loads((out / "run-manifest.json").read_text())["config"]["masking_exclude_key"] is False
 
     def test_cli_flags_override_config_file(self, tmp_path, monkeypatch):
         out = tmp_path / "cfg2"

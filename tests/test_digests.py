@@ -205,6 +205,21 @@ def test_stream_fingerprint(name):
     )
 
 
+def test_noise_advance_reaches_the_integers():
+    """Each noise uniform is one 64-bit draw, so advancing past them equals drawing them.
+
+    The engine draws the uniforms block by block and reaches the white-noise
+    integers that follow them with ``bit_generator.advance`` on a second
+    generator (``protocol._Engine._open_streams``).
+    """
+    rounds, columns = 100_003, 14
+    drawn, advanced = (protocol.stream_generator(1, "noise") for _ in range(2))
+    drawn.random(size=(rounds, columns))
+    advanced.bit_generator.advance(rounds * columns)
+    assert advanced.bit_generator.state == drawn.bit_generator.state
+    assert np.array_equal(advanced.integers(0, 8, size=(64, 3)), drawn.integers(0, 8, size=(64, 3)))
+
+
 def test_stream_calls_are_the_engines():
     config = protocol.ProtocolConfig(
         "mermin", 3, FINGERPRINT_ROUNDS, seed=1, eve=EveConfig(1, "Z1", "noncommuting-measure"),

@@ -209,7 +209,7 @@ class TestEstimatorMatchesLoop:
         if config.kind == "mermin":
             specs = [inequality.mermin_spec(config.num_parties)]
         else:
-            specs = [inequality.chsh_pair_spec(k, k % 2 == 1) for k in range(1, config.num_parties)]
+            specs = [inequality.chsh_pair_spec(k) for k in range(1, config.num_parties)]
         for spec in specs:
             assert inequality.estimate_from_transcript(transcript, spec) == loop_estimate(transcript, spec)
 
@@ -226,7 +226,7 @@ class TestSignCounts:
     def test_tables_add_across_stretches_of_rounds(self):
         config = protocol.ProtocolConfig("chsh", 5, 20_000, seed=65, noise=LOSSY)
         whole = protocol.run_protocol(config)
-        specs = [inequality.chsh_pair_spec(k, k % 2 == 1) for k in range(1, 5)]
+        specs = [inequality.chsh_pair_spec(k) for k in range(1, 5)]
 
         def stretch(start, stop):
             part = dataclasses.replace(config, rounds=stop - start)
@@ -251,7 +251,7 @@ class TestSignCounts:
         estimates = transcript.estimates
         assert calls == [3]
         for k in range(1, 4):
-            spec = inequality.chsh_pair_spec(k, k % 2 == 1)
+            spec = inequality.chsh_pair_spec(k)
             assert estimates[f"pair_{k}"] == inequality.estimate(spec, sign_counts(transcript, [spec])[0])
 
 
@@ -280,7 +280,7 @@ class TestDecisionRule:
 
 class TestChshPairSpec:
     def test_bound_and_coefficients(self):
-        spec = inequality.chsh_pair_spec(1, first_party_odd=True)
+        spec = inequality.chsh_pair_spec(1)
         assert spec.classical_bound == pytest.approx(math.sqrt(2))
         assert sorted(labels for _, labels in spec.terms) == [
             ("X1", "XpZ2"),
@@ -292,11 +292,11 @@ class TestChshPairSpec:
         assert coeffs[("X1", "ZmX2")] == pytest.approx(-1 / math.sqrt(2))
 
     def test_even_first_party_swaps_label_order(self):
-        spec = inequality.chsh_pair_spec(2, first_party_odd=False)
+        spec = inequality.chsh_pair_spec(2)
         assert all(labels[0].endswith("2") and labels[1].endswith("1") for _, labels in spec.terms)
 
     def test_exact_pair_value_on_singlet(self):
         # The four-combination reconstruction equals the two-term form.
-        spec = inequality.chsh_pair_spec(1, first_party_odd=True)
+        spec = inequality.chsh_pair_spec(1)
         value = dense.evaluate_exact(singlet_state(), spec, qmath.PartyIndexing(2))
         assert value == pytest.approx(2.0, abs=1e-10)

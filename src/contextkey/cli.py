@@ -453,10 +453,6 @@ def _run_report(transcript) -> dict:
     return report
 
 
-# Key-file characters of the key-bit symbols 0, 1 and ERASED_BIT.
-_KEY_CHARS = np.frombuffer(b"01e", dtype=np.uint8)
-
-
 def _print_run_summary(report: dict, status: bool | None):
     print(f"kind={report['kind']} parties={report['parties']} rounds={report['rounds']} seed={report['seed']}")
     sift_line = report["sifting"]
@@ -489,6 +485,10 @@ def _print_run_summary(report: dict, status: bool | None):
             print("localization: insufficient check data")
         else:
             print(f"localization: {'links ' + str(localized) if localized else 'no failing link'}")
+
+
+# Key-file characters of the key-bit symbols 0, 1 and ERASED_BIT.
+_KEY_CHARS = np.frombuffer(b"01e", dtype=np.uint8)
 
 
 def cmd_run(args) -> int:

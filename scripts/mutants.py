@@ -187,12 +187,52 @@ MUTANTS = (
         ("tests/test_protocol.py::TestDeterminism", "tests/test_protocol.py::TestBlockSeams", "tests/test_digests.py"),
     ),
     Mutant(
-        # each factor times M, (a, b)·(a1, b1), instead of (a1, b1)·(a, b)
+        # each sender's Z factor, and each later sender's pair, composed on the wrong side:
+        # (a, b)·(a1, b1) instead of (a1, b1)·(a, b)
         "su2-pairs-composed-in-reverse", PROTOCOL,
-        (("a, b = z * a, z * b", "a, b = z * a, np.conj(z) * b"),
-         ("a, b = cos * a - b1 * np.conj(b), cos * b + b1 * np.conj(a)",
-          "a, b = a * cos - b * np.conj(b1), a * b1 + b * cos")),
+        (("np.multiply(cos[2::width] + 1j * sin[2::width], senders, out=senders)",
+          "np.multiply(cos[2::width] + 1j * sin[2::width], senders[0], out=senders[0]);"
+          " np.multiply(cos[2::width] - 1j * sin[2::width], senders[1], out=senders[1])"),
+         ("a, b = a1 * a - b1 * np.conj(b), a1 * b + b1 * np.conj(a)",
+          "a, b = a * a1 - b * np.conj(b1), a * b1 + b * np.conj(a1)")),
         ("tests/test_protocol.py::TestMaskingUnitary", "tests/test_oracle.py", "tests/test_digests.py"),
+    ),
+    # -- a masked Eve's Gram table and her steps --
+    Mutant(
+        "gram-cross-term-without-factor-2", PROTOCOL,
+        (("p_plus += 2.0 * (cross.real * h01.real - cross.imag * h01.imag)",
+          "p_plus += cross.real * h01.real - cross.imag * h01.imag"),),
+        ("tests/test_protocol.py::TestEveGram", "tests/test_digests.py"),
+    ),
+    Mutant(
+        "gram-cross-term-without-conjugate", PROTOCOL,
+        (("cross, h01 = np.conj(a0) * a1, self.h01[code]", "cross, h01 = a0 * a1, self.h01[code]"),),
+        ("tests/test_protocol.py::TestEveGram", "tests/test_digests.py"),
+    ),
+    Mutant(
+        # S0 and S1 trade places: the Gram diagonal and every post state with them
+        "gram-halves-swapped", PROTOCOL,
+        (("columns.reshape(pre, 2, post, k).transpose(1, 0, 2, 3))",
+          "columns.reshape(pre, 2, post, k).transpose(1, 0, 2, 3)[::-1])"),),
+        ("tests/test_protocol.py::TestEveGram", "tests/test_digests.py", "tests/test_oracle.py"),
+    ),
+    Mutant(
+        "gram-skipped-rounds-not-restored", PROTOCOL,
+        (("            states[:, skip] = gram.columns[:, code[skip]]\n", ""),
+         ("        if not active.all():\n            skip = ~active\n", "")),
+        ("tests/test_protocol.py::TestEveGram", "tests/test_oracle.py"),
+    ),
+    Mutant(
+        # the code step forwards her post state, not the fresh reference's column
+        "fresh-reference-ignored-in-code-step", PROTOCOL,
+        (('        if eve.resend == "fresh-reference":\n            self._gather(',
+          '        if False:\n            self._gather('),),
+        ("tests/test_protocol.py::TestEveGram", "tests/test_oracle.py"),
+    ),
+    Mutant(
+        "dense-eve-skipped-rounds-not-restored", PROTOCOL,
+        (("        elif skipped is not None:\n            states[:, ~active] = skipped\n", ""),),
+        ("tests/test_protocol.py::TestHopTables", "tests/test_protocol.py::TestEveGram", "tests/test_adversary.py"),
     ),
     # -- round kinds and the writer --
     Mutant(

@@ -59,15 +59,22 @@ holds P(+1) for her K incoming states, and her 3K outgoing ones are those
 K, for the rounds she skips, then her 2K post states (under
 ``fresh-reference``, her own K = 1 reference table's 2, tiled per code).
 One method, ``EnginePlan._table``, builds every one of these tables.  A
-masked Eve measures dense states (the mask is one per round).  The first
-party, or Eve, without a table gathers the codes into one (D, B) array,
+masked Eve's basis turns with the mask every round, so she has no P(+1)
+per code; while her K incoming states are still codes she has a Gram
+table (``EnginePlan.eve_gram``): the K columns, their halves S0 and S1
+over her qudit, and each column's ‖S0‖², ‖S1‖² and S0†·S1, from which
+P(+1) = a†·H·a of her masked bra a needs no contraction, and she writes
+v ⊗ (a0·S0 + a1·S1)/√p straight into the block's states.  The first
+party without a table otherwise gathers the codes into one (D, B) array,
 amplitude-major with the rounds innermost, which every later step
-overwrites in place; after it only a CHSH re-preparation starts a table
-again.  Every table needs its 3K ≤ B (for Eve, her 3K outgoing columns),
-so a table holds at most two blocks' amplitudes.  A table entry is the
+overwrites in place (a masked Eve without a Gram table measures it there
+too); after it only a CHSH re-preparation starts a table again.  Every
+table needs its 3K ≤ B (for Eve, her 3K outgoing columns; for her Gram
+table, K ≤ B), so a table holds at most two blocks' amplitudes.  A table entry is the
 dense step's arithmetic on the same state, so no pinned byte moves;
-numpy's vector and scalar loops may round its P(+1) one ulp apart, which
-moves an outcome only when the round's variate falls inside that ulp.  A
+numpy's vector and scalar loops may round its P(+1) one ulp apart (a
+Gram table's a few ulps, the dense sum's own rounding), which moves an
+outcome only when the round's variate falls inside that gap.  A
 fully tabled run (every party from 2 on has a table, and so Eve if there
 is one: mermin N=3 and CHSH, without Eve or with an unmasked one) holds
 no (D, B) state, and plays longer blocks of ``tabled_block_rounds``
@@ -454,6 +461,34 @@ class _Hop(NamedTuple):
     post: np.ndarray | None
 
 
+class _Gram(NamedTuple):
+    """A masked Eve's table, for an incoming state that is one of K columns.
+
+    Her bra a = v†·M turns with the mask every round, so she has no P(+1)
+    per code; P(+1) = a†·H·a = |a0|²·h00 + |a1|²·h11 + 2·Re(a0*·a1·h01)
+    from the 2×2 Gram matrix H of the column's halves S0 and S1 over her
+    qudit, and her post state is v ⊗ (a0·S0 + a1·S1)/√p for the outcome's
+    row.  ``columns`` (D, K) holds the K incoming columns, for the rounds
+    she skips, then under ``fresh-reference`` her reference table's 2 post
+    columns; ``halves`` (2, D/2, K) holds S0 and S1; ``h00`` and ``h11``
+    (K,) ‖S0‖² and ‖S1‖², and ``h01`` (K,) S0†·S1.
+    """
+
+    columns: np.ndarray
+    halves: np.ndarray
+    h00: np.ndarray
+    h11: np.ndarray
+    h01: np.ndarray
+
+    def p_plus(self, code: np.ndarray, bra: np.ndarray) -> np.ndarray:
+        """P(+1) = a†·H·a of the (2, B) bras a for the incoming ``code``s."""
+        a0, a1 = bra
+        cross, h01 = np.conj(a0) * a1, self.h01[code]
+        p_plus = (a0.real**2 + a0.imag**2) * self.h00[code] + (a1.real**2 + a1.imag**2) * self.h11[code]
+        p_plus += 2.0 * (cross.real * h01.real - cross.imag * h01.imag)
+        return p_plus
+
+
 def _squared_norms(amplitudes: np.ndarray) -> np.ndarray:
     """‖column‖² of a (rows, B) complex array, one per round."""
     return (amplitudes.real**2 + amplitudes.imag**2).sum(axis=0)
@@ -495,13 +530,20 @@ class _Kernels:
         width = states.shape[-1]
         s = states.reshape(pre, 2, post, width)
         out = bras[0] * s[:, 0]
-        # the second product goes to a kept buffer: a fresh temporary, freed at
-        # once, page-faulted on every step at some block sizes (mermin N=11 in
-        # blocks of 8: 228 minor faults a round, at about half the speed)
-        if self._product.size < out.size:
-            self._product = np.empty(out.size, dtype=np.complex128)
-        out += np.multiply(bras[1], s[:, 1], out=self._product[:out.size].reshape(out.shape))
+        out += np.multiply(bras[1], s[:, 1], out=self._scratch(out.shape))
         return out.reshape(-1, width)
+
+    def _scratch(self, shape) -> np.ndarray:
+        """A (shape) complex view of the kept buffer that holds ``_contract``'s second product.
+
+        A fresh temporary, freed at once, is page-faulted on every step at
+        some block sizes (mermin N=11 in blocks of 8: 228 minor faults a
+        round, at about half the speed).
+        """
+        size = math.prod(shape)
+        if self._product.size < size:
+            self._product = np.empty(size, dtype=np.complex128)
+        return self._product[:size].reshape(shape)
 
     def _collapse(self, kets: np.ndarray, rest: np.ndarray, party: int, out=None) -> np.ndarray:
         """(D, B) states ket ⊗ rest, with party's qubit in the ket, of (2, B) kets.
@@ -532,9 +574,13 @@ class _Kernels:
             return outcome, None
         minus = outcome < 0
         rest = self._contract(np.where(minus, bras[1], bras[0]), states, party)
-        norm = np.sqrt(np.where(minus, np.maximum(1.0 - p_plus, PROB_FLOOR), p_plus))
-        kets = np.where(minus, bases[1], bases[0]) / norm
-        return outcome, self._collapse(kets, rest, party, out)
+        return outcome, self._collapse(_kets(bases, p_plus, minus), rest, party, out)
+
+
+def _kets(bases: np.ndarray, p_plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """(2, B) kets v/√p of the outcome's rows of ``bases`` (as ``_measure`` takes them), p floored for −1."""
+    norm = np.sqrt(np.where(minus, np.maximum(1.0 - p_plus, PROB_FLOOR), p_plus))
+    return np.where(minus, bases[1], bases[0]) / norm
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -561,8 +607,9 @@ class EnginePlan:
     parity), and ``eve_reference`` Eve's under ``fresh-reference`` (None
     otherwise); ``hops`` holds each party's hop table, or None where it
     measures dense states, and ``eve_hop`` Eve's, or None where she does
-    (``eve_masked``); a run is ``fully_tabled`` when every party from 2
-    on has one.  Nothing in a plan changes once it is built: its arrays
+    (``eve_masked``); a masked Eve has ``eve_gram`` instead while her
+    incoming states are codes (a ``_Gram``, None otherwise); a run is
+    ``fully_tabled`` when every party from 2 on has a hop table.  Nothing in a plan changes once it is built: its arrays
     are read-only, its sequences tuples.
     """
 
@@ -604,7 +651,7 @@ class EnginePlan:
         if config.eve is not None and config.eve.resend == "fresh-reference":
             self.eve_reference = self._table(kernels, reference, self.eve_basis, self.eve_parsed[1], True)
         prep = config.noise.prep if config.noise else None
-        self.hops, self.eve_hop = self._hop_tables(kernels, config.eve, white=isinstance(prep, WhitePrep))
+        self.hops, self.eve_hop, self.eve_gram = self._hop_tables(kernels, config.eve, white=isinstance(prep, WhitePrep))
         # an Eve without a table leaves the hop behind her without one
         self.fully_tabled = all(hop is not None for hop in self.hops[1:])
 
@@ -629,20 +676,21 @@ class EnginePlan:
         columns = _read_only(np.add.outer(np.array(starts, dtype=np.intp), np.arange(width)).ravel())
         return count, (columns, axes * len(starts)) if starts else None
 
-    def _hop_tables(self, kernels: _Kernels, eve, white: bool) -> tuple[tuple[_Hop | None, ...], _Hop | None]:
-        """Per party (index bob − 1), its hop table, or None where it measures dense states; and Eve's.
+    def _hop_tables(self, kernels: _Kernels, eve, white: bool) -> tuple:
+        """Per party (index bob − 1), its hop table, or None where it measures dense states; and Eve's two.
 
         A party's K incoming columns are what the previous party prepares
         (its reference table's 6 post columns, then basis state j as code
         6 + j under white noise), or for a later Mermin party the previous
         table's post columns; Eve at the link before it turns them into her table's 3K
-        (``_eve_table``).  The 3K pairs go through ``_table`` as one
+        (``_eve_table``), or, masked, reads them through her Gram table
+        (``_eve_gram``) and leaves the hop behind her dense.  The 3K pairs go through ``_table`` as one
         (D, 3K) stack, once per ``key``: a CHSH hop depends only on the party's
         parity and on Eve at the link before it.  The module docstring says which hops get tables.
         """
         cap = block_rounds(self.dim)
         white = self.dim if white else 0
-        hops, eve_hop, columns, built = [None] * self.num_parties, None, None, {}
+        hops, eve_hop, eve_gram, columns, built = [None] * self.num_parties, None, None, None, {}
         for bob in range(2, self.num_parties + 1):
             at_eve = eve is not None and eve.position == bob - 1
             key = (bob % 2, at_eve) if self.kind == "chsh" else bob
@@ -654,6 +702,7 @@ class EnginePlan:
                     [self.references[bob - 2].post, np.eye(self.dim, white, dtype=np.complex128)]
                 )
             if at_eve and columns is not None:
+                eve_gram = self._eve_gram(kernels, eve, columns, cap)
                 eve_hop = self._eve_table(kernels, eve, columns, cap)
                 columns = None if eve_hop is None else eve_hop.post
             if columns is None or 3 * columns.shape[1] > cap:
@@ -664,7 +713,7 @@ class EnginePlan:
             forwards = self.kind == "mermin" and bob < self.num_parties
             hops[bob - 1] = built[key] = self._table(kernels, states, bases, self.qudit[bob - 1], forwards)
             columns = hops[bob - 1].post
-        return tuple(hops), eve_hop
+        return tuple(hops), eve_hop, eve_gram
 
     def _eve_table(self, kernels: _Kernels, eve, columns: np.ndarray, cap: int) -> _Hop | None:
         """Eve's table on her K incoming ``columns``, or None where she measures dense states.
@@ -683,6 +732,26 @@ class EnginePlan:
         table = self._table(kernels, columns, self.eve_basis, self.eve_parsed[1], forwards=not fresh)
         post = np.tile(self.eve_reference.post, k) if fresh else table.post
         return _Hop(table.p_plus, _read_only(np.hstack([columns, post])))
+
+    def _eve_gram(self, kernels: _Kernels, eve, columns: np.ndarray, cap: int) -> _Gram | None:
+        """A masked Eve's Gram table on her K incoming ``columns``, or None where she measures dense states.
+
+        Only a masked Eve (``eve_masked``) has one, and only while her K
+        columns fit the cap.  The Gram entries are summed in extended
+        precision and rounded once, so a table's P(+1) stays within a few
+        ulps of the exact value, closer than the dense sum's own rounding.
+        """
+        k = columns.shape[1]
+        if not self.eve_masked or k > cap:
+            return None
+        pre, post = kernels.pre_post[self.eve_parsed[1]]
+        halves = np.ascontiguousarray(columns.reshape(pre, 2, post, k).transpose(1, 0, 2, 3)).reshape(2, -1, k)
+        wide = halves.astype(np.clongdouble)
+        h00, h11 = (wide.real**2 + wide.imag**2).sum(axis=1).astype(np.float64)
+        h01 = (wide[0].conj() * wide[1]).sum(axis=0).astype(np.complex128)
+        if eve.resend == "fresh-reference":
+            columns = np.hstack([columns, self.eve_reference.post])
+        return _Gram(*(_read_only(array) for array in (columns, halves, h00, h11, h01)))
 
     @staticmethod
     def _table(kernels: _Kernels, states: np.ndarray, bases: np.ndarray, party: int, forwards: bool) -> _Hop:
@@ -725,7 +794,6 @@ class _Engine(_Kernels):
         super().__init__(plan.dim)
         self.plan = plan
         self.config = config
-        self._eve_post = np.empty(0, dtype=np.complex128)  # ``_eve_hook``'s kept post states, as ``_product``
         self.prep_noise = config.noise.prep if config.noise else None
         self.det_noise = config.noise.detector if config.noise else None
         self.eve = config.eve
@@ -790,30 +858,38 @@ class _Engine(_Kernels):
         Eve reads: the factors on her qudit, in sender order
         (``EnginePlan.eve_mask``).  M, the product of those factors with
         the first applied first, is composed per round as the SU(2) pair
-        (a, b) of [[a, b], [−b*, a*]]: exp(iθσ) is (cos, i·sin) for X,
-        (cos, sin) for Y and (cos + i·sin, 0) for Z, and a later factor
-        (a1, b1) times (a, b) is (a1·a − b1·b*, a1·b + b1·a*).  The bras
-        take M once: w·M = (w0·a − w1·b*, w0·b + w1·a*).
+        (a, b) of [[a, b], [−b*, a*]].  exp(iθσ) is (cos, i·sin) for X,
+        (cos, sin) for Y and (cos + i·sin, 0) for Z, so one sender's X, Y
+        and Z factors make (z·(cx·cy + i·sx·sy), z·(cx·sy + i·sx·cy)) with
+        z = cz + i·sz (z = 1 without the key's Z), for every sender she
+        reads at once; a later sender's (a1, b1) times (a, b) is
+        (a1·a − b1·b*, a1·b + b1·a*).  The bras take M once:
+        w·M = (w0·a − w1·b*, w0·b + w1·a*).
         """
         columns, axes = self.plan.eve_mask
-        angles = angles[:, columns].T
-        a, b = 1.0, 0.0  # the identity
-        for axis, cos, sin in zip(axes, np.cos(angles), np.sin(angles)):
-            if axis == "Z":
-                z = cos + 1j * sin
-                a, b = z * a, z * b
-            else:
-                b1 = 1j * sin if axis == "X" else sin
-                a, b = cos * a - b1 * np.conj(b), cos * b + b1 * np.conj(a)
+        angles = np.ascontiguousarray(angles[:, columns].T)  # each factor's angles in one contiguous row
+        cos, sin = np.cos(angles), np.sin(angles)
+        width = 3 if "Z" in axes else 2  # each sender's factors: X, Y, then the key's Z
+        senders = np.empty((2, len(angles) // width, angles.shape[1]), dtype=np.complex128)  # each sender's (a, b)
+        np.multiply(cos[0::width], cos[1::width], out=senders[0].real)
+        np.multiply(sin[0::width], sin[1::width], out=senders[0].imag)
+        np.multiply(cos[0::width], sin[1::width], out=senders[1].real)
+        np.multiply(sin[0::width], cos[1::width], out=senders[1].imag)
+        if width == 3:
+            np.multiply(cos[2::width] + 1j * sin[2::width], senders, out=senders)
+        a, b = senders[:, 0]
+        for a1, b1 in zip(senders[0, 1:], senders[1, 1:]):
+            a, b = a1 * a - b1 * np.conj(b), a1 * b + b1 * np.conj(a)
         w0, w1 = bras[:, 0], bras[:, 1]
         return np.stack([w0 * a - w1 * np.conj(b), w0 * b + w1 * np.conj(a)], axis=1)
 
     def _eve_hook(self, states, v: _Variates):
-        """Eve's step on the block's ``states`` at her link, in place: the
-        forwarded states and her outcomes (0 where she skips the round).
+        """Eve's step on the block's dense ``states`` at her link, in place:
+        the forwarded states and her outcomes (0 where she skips the round).
 
         Returns the states unchanged and None when she attacks no round of
-        the block.
+        the block.  The rounds she skips keep their states: they are set
+        aside before her measurement overwrites the block and put back after.
         """
         eve = self.eve
         active = v.eve_u[:, 0] < eve.activity_rate
@@ -821,19 +897,51 @@ class _Engine(_Kernels):
             return states, None
         party, bases = self.plan.eve_parsed[1], self.plan.eve_basis
         fresh = eve.resend == "fresh-reference"
-        # her post states go to a kept (D, B) buffer; the copy below keeps one path
-        # at every activity rate
-        if not fresh and self._eve_post.size < states.size:
-            self._eve_post = np.empty(states.size, dtype=np.complex128)
-        outcome, post = self._measure(
-            states, bases, party, v.eve_u[:, 1],
-            out=None if fresh else self._eve_post[:states.size].reshape(states.shape),
+        skipped = None if fresh or active.all() else states[:, ~active]
+        outcome, _ = self._measure(
+            states, bases, party, v.eve_u[:, 1], out=None if fresh else states,
             bras=None if v.angles is None else self._mask(bases.conj(), v.angles),
         )
         if fresh:
-            post = self.plan.eve_reference.post[:, (1 - outcome) // 2]
-        np.copyto(states, post, where=active)
+            states[:, active] = self.plan.eve_reference.post[:, (1 - outcome[active]) // 2]
+        elif skipped is not None:
+            states[:, ~active] = skipped
         return states, np.where(active, outcome, 0)
+
+    def _eve_codes(self, code, states, v: _Variates) -> np.ndarray:
+        """A masked Eve's step on incoming ``code``s into her Gram table (``EnginePlan.eve_gram``).
+
+        P(+1) comes from the Gram entries and her masked bra, with no
+        contraction.  What she forwards is written straight into the
+        block's ``states``, a (D, B) array: v ⊗ (a0·S0 + a1·S1)/√p, the
+        dense step's arithmetic on the same amplitudes, with S0 gathered
+        into the block's first half and S1 into the kept scratch buffer; her
+        reference table's column under ``fresh-reference``; the incoming
+        column in the rounds she skips.  Returns her outcomes, 0 where she
+        skips the round.
+        """
+        plan, eve = self.plan, self.eve
+        gram, bases, party = plan.eve_gram, plan.eve_basis, plan.eve_parsed[1]
+        bras = self._mask(bases.conj(), v.angles)
+        p_plus = gram.p_plus(code, bras[0])
+        outcome = _choose(p_plus, v.eve_u[:, 1])
+        active = v.eve_u[:, 0] < eve.activity_rate
+        if eve.resend == "fresh-reference":
+            self._gather(gram.columns, np.where(active, gram.h00.size + (outcome < 0), code), out=states)
+            return np.where(active, outcome, 0)
+        minus = outcome < 0
+        bra = np.where(minus, bras[1], bras[0])
+        half, width = gram.halves.shape[1], code.size
+        s0 = states.reshape(-1)[:half * width].reshape(half, width)
+        s1 = self._scratch((half, width))
+        np.take(gram.halves[0], code, axis=1, out=s0, mode="clip")
+        np.take(gram.halves[1], code, axis=1, out=s1, mode="clip")
+        rest = np.add(np.multiply(bra[0], s0, out=s0), np.multiply(bra[1], s1, out=s1), out=s1)
+        self._collapse(_kets(bases, p_plus, minus), rest, party, out=states)
+        if not active.all():
+            skip = ~active
+            states[:, skip] = gram.columns[:, code[skip]]
+        return np.where(active, outcome, 0)
 
     def _detector_record(self, outcome, bob: int, pick, v: _Variates):
         """What ``bob``'s detector records: ±1, or 0 for an erasure."""
@@ -897,11 +1005,12 @@ class _Engine(_Kernels):
 
         While a party has a hop table, each round's incoming state is a
         code into the table's columns and the party looks its P(+1) up; a
-        tabled Eve steps the codes the same way, before any gather, and an
-        untabled one the gathered states (``_eve_hook``).  The first party
-        without a table gathers the codes into the block's (D, size) array,
-        which every later step overwrites in place; a fully tabled block
-        allocates none.  Returns the block's ``outcomes`` and ``eve_outcomes``.
+        tabled Eve steps the codes the same way, before any gather, a
+        masked Eve with a Gram table steps them into the block's (D, size)
+        array (``_eve_codes``), and any other Eve steps the block's states
+        (``_eve_hook``).  The first party without a table otherwise gathers
+        the codes into that array, which every later step overwrites in
+        place; a fully tabled block allocates none.  Returns the block's ``outcomes`` and ``eve_outcomes``.
         """
         plan = self.plan
         v = self._draw(size)
@@ -927,12 +1036,16 @@ class _Engine(_Kernels):
                 eve_outcomes[:] = np.where(active, hit, 0)
                 code = np.where(active, plan.eve_hop.p_plus.size + 2 * code + (hit < 0), code)
                 columns = plan.eve_hop.post
+            eve_codes = at_eve and plan.eve_gram is not None
             if hop is None and columns is not None:
                 if states is None:
                     states = np.empty((plan.dim, size), dtype=np.complex128)
-                self._gather(columns, code, out=states)
+                if eve_codes:  # a masked Eve's step on the codes writes the block itself
+                    eve_outcomes[:] = self._eve_codes(code, states, v)
+                else:
+                    self._gather(columns, code, out=states)
                 columns = None
-            if at_eve and plan.eve_hop is None:  # her dense step, on the gathered states
+            if at_eve and plan.eve_hop is None and not eve_codes:  # her dense step, on the gathered states
                 _, hit = self._eve_hook(states, v)
                 if hit is not None:
                     eve_outcomes[:] = hit

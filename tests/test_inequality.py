@@ -34,6 +34,21 @@ class TestMerminSpec:
         bounds = [inequality.mermin_spec(n).classical_bound for n in (2, 3, 4, 5)]
         assert bounds == [2.0, 2.0, 4.0, 4.0]
 
+    def test_wide_specs_are_built_once(self):
+        # the 2^(N−1) terms and their setting codes depend only on N: a second check reuses both
+        first, second = inequality.mermin_spec(12), inequality.mermin_spec(12)
+        assert first.terms is second.terms and len(first.terms) == 2048
+        config = protocol.ProtocolConfig("mermin", 12, 60, seed=3)
+        settings = protocol.party_labels("mermin", 12)
+        codes = inequality._term_codes(first, settings)
+        assert inequality._term_codes(second, settings) is codes and not codes.flags.writeable
+        # each code reads back as the term's labels: pick k of party k + 1 at place value 3**k
+        picks = (codes[:, None] // 3 ** np.arange(12)) % 3
+        assert [tuple(labs[pick] for labs, pick in zip(settings, row)) for row in picks] == \
+            [labels for _, labels in first.terms]
+        transcript = protocol.run_protocol(config)
+        assert inequality.sign_counts(transcript, [first])[0].shape == (2048, 3)
+
     def test_rejects_single_party(self):
         with pytest.raises(ValueError):
             inequality.mermin_spec(1)

@@ -749,7 +749,8 @@ class TestHopTables:
         tabled = protocol.run_protocol(config)
         assert tabled_parties(config)
         monkeypatch.setattr(
-            protocol.EnginePlan, "_hop_tables", lambda plan, kernels, eve, white: ((None,) * plan.num_parties, None)
+            protocol.EnginePlan, "_hop_tables",
+            lambda plan, kernels, eve, white: ((None,) * plan.num_parties, None, None),
         )
         assert tabled_parties(config) == []
         assert same_rounds(protocol.run_protocol(config), tabled)
@@ -831,6 +832,177 @@ class TestHopTables:
         assert tabled_parties(protocol.ProtocolConfig("chsh", 4, 1, eve=attack)) == [2, 4]  # 54 pairs > 18
         monkeypatch.setattr(protocol, "block_rounds", lambda dim: 17)
         assert eve_hop("chsh", 4, attack) is None
+
+
+# Eves a mask factor reaches whose incoming states are still codes, so each has a Gram table
+# (Mermin sender s masks qudits 1..s, CHSH sender s qudit 2 − s % 2)
+GRAM_CONFIGS = {
+    "mermin3-z1-link1-white": protocol.ProtocolConfig(
+        "mermin", 3, 3000, seed=41, noise=noise.NoiseConfig(prep=noise.WhitePrep(0.3)),
+        eve=EveConfig(1, "Z1", "commuting-measure"),
+    ),
+    "mermin4-x1-link1-half": protocol.ProtocolConfig(
+        "mermin", 4, 3000, seed=42, eve=EveConfig(1, "X1", "noncommuting-measure", activity_rate=0.5),
+    ),
+    "mermin4-y2-link2-flip": protocol.ProtocolConfig(
+        "mermin", 4, 3000, seed=43, noise=noise.NoiseConfig(prep=noise.FlipPrep(0.1, 0.2)),
+        eve=EveConfig(2, "Y2", "noncommuting-measure"),
+    ),
+    "mermin4-z1-link3-fresh-reference": protocol.ProtocolConfig(
+        "mermin", 4, 3000, seed=44, eve=EveConfig(3, "Z1", "measure-resend", resend="fresh-reference"),
+    ),
+    "mermin6-z1-link3": protocol.ProtocolConfig("mermin", 6, 2000, seed=45, eve=EveConfig(3, "Z1", "commuting-measure")),
+    "chsh4-z1-link3": protocol.ProtocolConfig("chsh", 4, 3000, seed=46, eve=EveConfig(3, "Z1", "noncommuting-measure")),
+    "chsh5-z2-link2-half-fresh-reference": protocol.ProtocolConfig(
+        "chsh", 5, 3000, seed=47,
+        eve=EveConfig(2, "Z2", "measure-resend", activity_rate=0.5, resend="fresh-reference"),
+    ),
+    "chsh5-xpz1-link1-white-half": protocol.ProtocolConfig(
+        "chsh", 5, 3000, seed=48, noise=noise.NoiseConfig(prep=noise.WhitePrep(0.3)),
+        eve=EveConfig(1, "XpZ1", "noncommuting-measure", activity_rate=0.5),
+    ),
+}
+
+
+def eve_incoming(engine) -> np.ndarray:
+    """The K columns Eve's incoming state is one of: what the previous party forwards or prepares."""
+    plan, eve = engine.plan, engine.config.eve
+    if plan.kind == "mermin" and eve.position > 1:  # the forwarding party's post states
+        return plan.hops[eve.position - 1].post
+    prep = engine.config.noise and engine.config.noise.prep
+    white = plan.dim if isinstance(prep, noise.WhitePrep) else 0
+    return np.hstack([plan.references[eve.position - 1].post, np.eye(plan.dim, white)])
+
+
+class TestEveGram:
+    """A masked Eve steps her incoming codes through a Gram table, against her dense step."""
+
+    @pytest.mark.parametrize("name", sorted(GRAM_CONFIGS))
+    def test_plan_holds_the_gram_table(self, name):
+        config = GRAM_CONFIGS[name]
+        engine = protocol._Engine(config)
+        plan, gram = engine.plan, engine.plan.eve_gram
+        assert plan.eve_masked and plan.eve_hop is None and gram is not None
+        incoming = eve_incoming(engine)
+        d, k = incoming.shape
+        assert k <= protocol.block_rounds(d)
+        fresh = config.eve.resend == "fresh-reference"
+        assert gram.columns.shape == (d, k + 2 * fresh)
+        assert np.array_equal(gram.columns[:, :k], incoming)  # the rounds she skips
+        if fresh:
+            assert np.array_equal(gram.columns[:, k:], plan.eve_reference.post)
+        pre, post = engine.pre_post[plan.eve_parsed[1]]
+        halves = incoming.reshape(pre, 2, post, k)
+        for row in (0, 1):
+            assert np.array_equal(gram.halves[row], halves[:, row].reshape(-1, k))
+        assert gram.h00.shape == gram.h11.shape == gram.h01.shape == (k,)
+        s0, s1 = gram.halves
+        for entry, dense_sum in ((gram.h00, protocol._squared_norms(s0)), (gram.h11, protocol._squared_norms(s1)),
+                                 (gram.h01, (s0.conj() * s1).sum(axis=0))):
+            assert np.max(np.abs(entry - dense_sum)) < 1e-15
+        assert all(not array.flags.writeable for array in gram)
+        # the hop behind her measures dense states
+        assert plan.hops[config.eve.position] is None
+
+    @pytest.mark.parametrize("name", sorted(GRAM_CONFIGS))
+    def test_gram_step_matches_her_dense_step(self, name):
+        # every incoming column as three rounds of a block, each under its own random mask
+        config = GRAM_CONFIGS[name]
+        engine = protocol._Engine(config)
+        plan, eve = engine.plan, config.eve
+        incoming = eve_incoming(engine)
+        k = incoming.shape[1]
+        rng = np.random.default_rng(len(name))
+        code = rng.permutation(np.tile(np.arange(k), 3))
+        size = code.size
+        angles = rng.random((size, plan._mask_angle_count)) * protocol.TWO_PI
+        bases, party = plan.eve_basis, plan.eve_parsed[1]
+        bras = engine._mask(bases.conj(), angles)
+        gathered = np.ascontiguousarray(incoming[:, code])
+        dense_p = protocol._squared_norms(engine._contract(bras[0], gathered, party))
+        # the same contraction in extended precision (x86-64: 64-bit significands), rounded once
+        pre, post = engine.pre_post[party]
+        wide, bra = gathered.astype(np.clongdouble).reshape(pre, 2, post, size), bras[0].astype(np.clongdouble)
+        c = bra[0] * wide[:, 0] + bra[1] * wide[:, 1]
+        exact = (c.real**2 + c.imag**2).sum(axis=(0, 1)).astype(np.float64)
+        # the table rounds within the hop tables' tolerance of the exact value; the dense sum over
+        # D/2 products rounds on its own (up to 5 ulps at D=64), so the table's gap to it is both
+        p = plan.eve_gram.p_plus(code, bras[0])
+        assert np.max(np.abs(p - exact)) < HOP_P_TOLERANCE
+        assert (np.abs(p - dense_p) < HOP_P_TOLERANCE + np.abs(dense_p - exact)).all()
+        plus, minus = exact >= qmath.PROB_FLOOR, 1.0 - exact >= qmath.PROB_FLOOR
+        active = np.ones(size, dtype=bool) if eve.activity_rate == 1.0 else rng.random(size) < eve.activity_rate
+
+        def code_step(u):
+            states = np.full((plan.dim, size), np.nan, dtype=np.complex128)
+            variates = protocol._Variates(None, None, angles, np.column_stack([np.where(active, 0.0, 1.0), u]),
+                                          None, None)
+            return states, engine._eve_codes(code, states, variates)
+
+        # her outcomes pinned on either side of the exact P(+1)
+        for shift, expected in ((-HOP_P_TOLERANCE, 1), (HOP_P_TOLERANCE, -1)):
+            _, outcome = code_step(exact + shift)
+            assert (outcome[plus & minus & active] == expected).all(), shift
+        for u, row, reachable, weight in ((0.0, 0, plus, exact), (1.0, 1, minus, 1.0 - exact)):
+            states, outcome = code_step(np.full(size, u))
+            assert (outcome[active & reachable] == 1 - 2 * row).all() and (outcome[~active] == 0).all()
+            assert np.array_equal(states[:, ~active], gathered[:, ~active])
+            rounds = active & reachable
+            if eve.resend == "fresh-reference":
+                assert np.array_equal(states[:, rounds], np.repeat(plan.eve_reference.post[:, [row]], size, axis=1)[:, rounds])
+                continue
+            expected = gathered.copy()
+            engine._measure(expected, bases, party, np.full(size, u), out=expected, bras=bras)
+            # the same arithmetic but for the norm √p, whose rounding weighs as 1/p
+            assert np.max((np.abs(states - expected) * weight)[:, rounds]) < 1e-15, row
+
+    @pytest.mark.parametrize("name", sorted(GRAM_CONFIGS))
+    def test_gram_table_moves_no_outcome(self, name, monkeypatch):
+        config = GRAM_CONFIGS[name]
+        coded = protocol.run_protocol(config)
+        assert (coded.eve_outcomes != 0).any()
+        assert config.eve.activity_rate == 1.0 or (coded.eve_outcomes == 0).any()
+        monkeypatch.setattr(protocol.EnginePlan, "_eve_gram", lambda plan, kernels, eve, columns, cap: None)
+        assert protocol.EnginePlan(config).eve_gram is None
+        assert same_rounds(protocol.run_protocol(config), coded)
+
+    def test_which_eves_have_a_gram_table(self):
+        def gram(kind, n, eve, masking_enabled=True):
+            config = protocol.ProtocolConfig(kind, n, 1, eve=eve, masking_enabled=masking_enabled)
+            return protocol.EnginePlan(config).eve_gram
+
+        # the benchmark's attack: 6³ = 216 incoming columns, within a 512-round block
+        assert gram("mermin", 6, EveConfig(3, "Z1", "commuting-measure")).h00.shape == (216,)
+        # at link 4, party 4 has no table (648 pairs), so her incoming states are dense
+        assert gram("mermin", 5, EveConfig(4, "Z1", "commuting-measure")) is None
+        # an Eve no mask reaches has her own hop table instead
+        assert gram("mermin", 3, EveConfig(2, "X3", "noncommuting-measure")) is None
+        assert gram("mermin", 3, EveConfig(1, "Z1", "commuting-measure"), masking_enabled=False) is None
+        assert gram("chsh", 4, EveConfig(2, "Z1", "noncommuting-measure")) is None
+
+    def test_gram_table_respects_the_cap(self, monkeypatch):
+        attack = EveConfig(3, "Z1", "commuting-measure")
+        monkeypatch.setattr(protocol, "block_rounds", lambda dim: 216)
+        assert protocol.EnginePlan(protocol.ProtocolConfig("mermin", 4, 1, eve=attack)).eve_gram.h00.size == 216
+        monkeypatch.setattr(protocol, "block_rounds", lambda dim: 215)
+        assert protocol.EnginePlan(protocol.ProtocolConfig("mermin", 4, 1, eve=attack)).eve_gram is None
+
+    def test_dense_eve_stays_dense(self, monkeypatch):
+        # mermin-5 with Eve at link 4 has no Gram table: she measures the gathered states in place
+        config = protocol.ProtocolConfig(
+            "mermin", 5, 1500, seed=49, eve=EveConfig(4, "Z1", "commuting-measure", activity_rate=0.5),
+        )
+        assert protocol.EnginePlan(config).eve_gram is None
+        calls = []
+        hook = protocol._Engine._eve_hook
+
+        def counted(engine, states, v):
+            calls.append(states.shape)
+            return hook(engine, states, v)
+
+        monkeypatch.setattr(protocol._Engine, "_eve_hook", counted)
+        transcript = protocol.run_protocol(config)
+        assert len(calls) == 3 and (transcript.eve_outcomes == 0).any() and (transcript.eve_outcomes != 0).any()
 
 
 def _plan_values(value):

@@ -462,16 +462,12 @@ class _Hop(NamedTuple):
 
 
 class _Gram(NamedTuple):
-    """A masked Eve's table, for an incoming state that is one of K columns.
+    """A masked Eve's Gram table, for an incoming state that is one of K columns.
 
-    Her bra a = v†·M turns with the mask every round, so she has no P(+1)
-    per code; P(+1) = a†·H·a = |a0|²·h00 + |a1|²·h11 + 2·Re(a0*·a1·h01)
-    from the 2×2 Gram matrix H of the column's halves S0 and S1 over her
-    qudit, and her post state is v ⊗ (a0·S0 + a1·S1)/√p for the outcome's
-    row.  ``columns`` (D, K) holds the K incoming columns, for the rounds
-    she skips, then under ``fresh-reference`` her reference table's 2 post
-    columns; ``halves`` (2, D/2, K) holds S0 and S1; ``h00`` and ``h11``
-    (K,) ‖S0‖² and ‖S1‖², and ``h01`` (K,) S0†·S1.
+    ``columns`` (D, K) holds the K incoming columns, for the rounds she
+    skips, then under ``fresh-reference`` her reference table's 2 post
+    columns; ``halves`` (2, D/2, K) their halves S0 and S1 over her qudit;
+    ``h00`` and ``h11`` (K,) ‖S0‖² and ‖S1‖², and ``h01`` (K,) S0†·S1.
     """
 
     columns: np.ndarray
@@ -481,7 +477,7 @@ class _Gram(NamedTuple):
     h01: np.ndarray
 
     def p_plus(self, code: np.ndarray, bra: np.ndarray) -> np.ndarray:
-        """P(+1) = a†·H·a of the (2, B) bras a for the incoming ``code``s."""
+        """P(+1) = a†·H·a = |a0|²·h00 + |a1|²·h11 + 2·Re(a0*·a1·h01) of the (2, B) bras a for the ``code``s."""
         a0, a1 = bra
         cross, h01 = np.conj(a0) * a1, self.h01[code]
         p_plus = (a0.real**2 + a0.imag**2) * self.h00[code] + (a1.real**2 + a1.imag**2) * self.h11[code]
@@ -911,14 +907,12 @@ class _Engine(_Kernels):
     def _eve_codes(self, code, states, v: _Variates) -> np.ndarray:
         """A masked Eve's step on incoming ``code``s into her Gram table (``EnginePlan.eve_gram``).
 
-        P(+1) comes from the Gram entries and her masked bra, with no
-        contraction.  What she forwards is written straight into the
-        block's ``states``, a (D, B) array: v ⊗ (a0·S0 + a1·S1)/√p, the
-        dense step's arithmetic on the same amplitudes, with S0 gathered
-        into the block's first half and S1 into the kept scratch buffer; her
-        reference table's column under ``fresh-reference``; the incoming
-        column in the rounds she skips.  Returns her outcomes, 0 where she
-        skips the round.
+        What she forwards goes straight into the block's (D, B) ``states``:
+        v ⊗ (a0·S0 + a1·S1)/√p, ``_contract``'s arithmetic with S0 taken
+        into the block's first half and S1 into the kept scratch buffer;
+        her reference table's column under ``fresh-reference``; the
+        incoming column in the rounds she skips.  Returns her outcomes, 0
+        where she skips the round.
         """
         plan, eve = self.plan, self.eve
         gram, bases, party = plan.eve_gram, plan.eve_basis, plan.eve_parsed[1]

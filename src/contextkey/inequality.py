@@ -177,15 +177,23 @@ def _term_codes(spec: InequalitySpec, settings: tuple[tuple[str, ...], ...]) -> 
     return codes
 
 
+@functools.lru_cache(maxsize=256)
+def _term_names_and_coefficients(spec: InequalitySpec) -> tuple[tuple[str, ...], np.ndarray]:
+    """Each term's name, its labels joined, and the terms' coefficients as a read-only array; built once per spec."""
+    coeffs = np.array([coeff for coeff, _ in spec.terms])
+    coeffs.setflags(write=False)
+    return tuple("".join(labels) for _, labels in spec.terms), coeffs
+
+
 def estimate(spec: InequalitySpec, signs: np.ndarray) -> InequalityEstimate:
     """The value from the spec's ``sign_counts`` table; the standard error propagates each term's variance."""
     counts, sums = signs[:, 2] + signs[:, 0], signs[:, 2] - signs[:, 0]
-    samples = {"".join(labels): int(counts[i]) for i, (_, labels) in enumerate(spec.terms)}
+    names, coeffs = _term_names_and_coefficients(spec)
+    samples = dict(zip(names, counts.tolist()))
     if not np.all(counts > 0):
         return InequalityEstimate(0.0, math.inf, samples, spec.classical_bound, usable=False)
     means = sums / counts
     variances = np.clip(1.0 - means**2, 0.0, None)
-    coeffs = np.array([coeff for coeff, _ in spec.terms])
     value = abs(float(np.dot(coeffs, means)))
     stderr = float(np.sqrt(np.sum(coeffs**2 * variances / counts)))
     return InequalityEstimate(value, stderr, samples, spec.classical_bound, usable=True)

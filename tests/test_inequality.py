@@ -46,8 +46,12 @@ class TestMerminSpec:
         picks = (codes[:, None] // 3 ** np.arange(12)) % 3
         assert [tuple(labs[pick] for labs, pick in zip(settings, row)) for row in picks] == \
             [labels for _, labels in first.terms]
-        transcript = protocol.run_protocol(config)
-        assert inequality.sign_counts(transcript, [first])[0].shape == (2048, 3)
+        names, coeffs = inequality._term_names_and_coefficients(first)
+        assert inequality._term_names_and_coefficients(second)[1] is coeffs and not coeffs.flags.writeable
+        assert names == tuple("".join(labels) for _, labels in first.terms)
+        assert coeffs.tolist() == [coeff for coeff, _ in first.terms]
+        estimate = protocol.check_estimates(protocol.run_protocol(config))["mermin"]
+        assert list(estimate.samples_per_term) == list(names)
 
     def test_rejects_single_party(self):
         with pytest.raises(ValueError):

@@ -21,8 +21,8 @@ the Monte-Carlo share, and ``agrees`` says whether the two lie within three
 binomial standard errors of each other.
 
 Every configuration shares one ``EnginePlan`` across its seeds and round
-counts.  The whole grid takes about a minute on two cores, so it runs
-outside Tier-1; the JSON records its wall time.  After the table, the
+counts.  The whole grid takes 11-15 s on two cores and runs outside
+Tier-1; the JSON records its wall time.  After the table, the
 script prints README's table of the rounds each configuration needs for
 its verdict.
 """

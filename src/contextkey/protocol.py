@@ -70,12 +70,12 @@ amplitude-major with the rounds innermost, which every later step
 overwrites in place (a masked Eve without a Gram table measures it there
 too); after it only a CHSH re-preparation starts a table again.  Every
 table needs its 3K ≤ B (for Eve, her 3K outgoing columns; for her Gram
-table, K ≤ B), so a table holds at most two blocks' amplitudes.  A table entry is the
-dense step's arithmetic on the same state, so no pinned byte moves;
-numpy's vector and scalar loops may round its P(+1) one ulp apart (a
-Gram table's a few ulps, the dense sum's own rounding), which moves an
-outcome only when the round's variate falls inside that gap.  A
-fully tabled run (every party from 2 on has a table, and so Eve if there
+table, K ≤ B), so a table holds at most two blocks' amplitudes.  A table
+entry is the dense step's arithmetic on the same state, so no pinned byte
+moves; numpy's vector and scalar loops may round its P(+1) one ulp apart
+(a Gram table's a few ulps, the dense sum's own rounding), which moves an
+outcome only when the round's variate falls inside that gap.  A fully
+tabled run (every party from 2 on has a table, and so Eve if there
 is one: mermin N=3 and CHSH, without Eve or with an unmasked one) holds
 no (D, B) state, and plays longer blocks of ``tabled_block_rounds``
 rounds; the cap on the tables stays 3K ≤ ``block_rounds(D)``, so no table
@@ -477,7 +477,7 @@ class _Gram(NamedTuple):
     h01: np.ndarray
 
     def p_plus(self, code: np.ndarray, bra: np.ndarray) -> np.ndarray:
-        """P(+1) = a†·H·a = |a0|²·h00 + |a1|²·h11 + 2·Re(a0*·a1·h01) of the (2, B) bras a for the ``code``s."""
+        """P(+1) = a†·H·a = |a0|²·h00 + |a1|²·h11 + 2·Re(a0*·a1·h01) of (2, B) bras a for the ``code``s."""
         a0, a1 = bra
         cross, h01 = np.conj(a0) * a1, self.h01[code]
         p_plus = (a0.real**2 + a0.imag**2) * self.h00[code] + (a1.real**2 + a1.imag**2) * self.h11[code]
@@ -605,8 +605,9 @@ class EnginePlan:
     measures dense states, and ``eve_hop`` Eve's, or None where she does
     (``eve_masked``); a masked Eve has ``eve_gram`` instead while her
     incoming states are codes (a ``_Gram``, None otherwise); a run is
-    ``fully_tabled`` when every party from 2 on has a hop table.  Nothing in a plan changes once it is built: its arrays
-    are read-only, its sequences tuples.
+    ``fully_tabled`` when every party from 2 on has a hop table.  Nothing
+    in a plan changes once it is built: its arrays are read-only, its
+    sequences tuples.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -647,7 +648,9 @@ class EnginePlan:
         if config.eve is not None and config.eve.resend == "fresh-reference":
             self.eve_reference = self._table(kernels, reference, self.eve_basis, self.eve_parsed[1], True)
         prep = config.noise.prep if config.noise else None
-        self.hops, self.eve_hop, self.eve_gram = self._hop_tables(kernels, config.eve, white=isinstance(prep, WhitePrep))
+        self.hops, self.eve_hop, self.eve_gram = self._hop_tables(
+            kernels, config.eve, white=isinstance(prep, WhitePrep)
+        )
         # an Eve without a table leaves the hop behind her without one
         self.fully_tabled = all(hop is not None for hop in self.hops[1:])
 
@@ -680,9 +683,10 @@ class EnginePlan:
         6 + j under white noise), or for a later Mermin party the previous
         table's post columns; Eve at the link before it turns them into her table's 3K
         (``_eve_table``), or, masked, reads them through her Gram table
-        (``_eve_gram``) and leaves the hop behind her dense.  The 3K pairs go through ``_table`` as one
-        (D, 3K) stack, once per ``key``: a CHSH hop depends only on the party's
-        parity and on Eve at the link before it.  The module docstring says which hops get tables.
+        (``_eve_gram``) and leaves the hop behind her dense.  The 3K pairs
+        go through ``_table`` as one (D, 3K) stack, once per ``key``: a
+        CHSH hop depends only on the party's parity and on Eve at the link
+        before it.  The module docstring says which hops get tables.
         """
         cap = block_rounds(self.dim)
         white = self.dim if white else 0

@@ -651,6 +651,16 @@ EVE_OFF_CONFIGS = {
 }
 
 
+def eve_incoming(engine) -> np.ndarray:
+    """The K columns Eve's incoming state is one of: what the previous party forwards or prepares."""
+    plan, eve = engine.plan, engine.config.eve
+    if plan.kind == "mermin" and eve.position > 1:  # the forwarding party's post states
+        return plan.hops[eve.position - 1].post
+    prep = engine.config.noise and engine.config.noise.prep
+    white = plan.dim if isinstance(prep, noise.WhitePrep) else 0
+    return np.hstack([plan.references[eve.position - 1].post, np.eye(plan.dim, white)])
+
+
 class TestHopTables:
     """Each (incoming column, pick) pair measured once per run, against the dense kernels."""
 
@@ -760,13 +770,9 @@ class TestHopTables:
         # every incoming column as one round of a dense block through ``_eve_hook``
         config = EVE_TABLE_CONFIGS[name]
         engine = protocol._Engine(config)
-        eve, hop = config.eve, engine.plan.eve_hop
+        hop = engine.plan.eve_hop
         assert hop is not None and not engine.plan.eve_masked
-        if config.kind == "mermin" and eve.position > 1:  # the forwarding party's post states
-            incoming = engine.plan.hops[eve.position - 1].post
-        else:  # what the sender prepares
-            white = engine.plan.dim if isinstance(config.noise and config.noise.prep, noise.WhitePrep) else 0
-            incoming = np.hstack([engine.plan.references[eve.position - 1].post, np.eye(engine.plan.dim, white)])
+        incoming = eve_incoming(engine)
         k = incoming.shape[1]
         assert hop.p_plus.shape == (k,) and hop.post.shape == (engine.plan.dim, 3 * k)
         assert np.array_equal(hop.post[:, :k], incoming)  # the rounds she skips
@@ -851,8 +857,12 @@ GRAM_CONFIGS = {
     "mermin4-z1-link3-fresh-reference": protocol.ProtocolConfig(
         "mermin", 4, 3000, seed=44, eve=EveConfig(3, "Z1", "measure-resend", resend="fresh-reference"),
     ),
-    "mermin6-z1-link3": protocol.ProtocolConfig("mermin", 6, 2000, seed=45, eve=EveConfig(3, "Z1", "commuting-measure")),
-    "chsh4-z1-link3": protocol.ProtocolConfig("chsh", 4, 3000, seed=46, eve=EveConfig(3, "Z1", "noncommuting-measure")),
+    "mermin6-z1-link3": protocol.ProtocolConfig(
+        "mermin", 6, 2000, seed=45, eve=EveConfig(3, "Z1", "commuting-measure"),
+    ),
+    "chsh4-z1-link3": protocol.ProtocolConfig(
+        "chsh", 4, 3000, seed=46, eve=EveConfig(3, "Z1", "noncommuting-measure"),
+    ),
     "chsh5-z2-link2-half-fresh-reference": protocol.ProtocolConfig(
         "chsh", 5, 3000, seed=47,
         eve=EveConfig(2, "Z2", "measure-resend", activity_rate=0.5, resend="fresh-reference"),
@@ -862,16 +872,6 @@ GRAM_CONFIGS = {
         eve=EveConfig(1, "XpZ1", "noncommuting-measure", activity_rate=0.5),
     ),
 }
-
-
-def eve_incoming(engine) -> np.ndarray:
-    """The K columns Eve's incoming state is one of: what the previous party forwards or prepares."""
-    plan, eve = engine.plan, engine.config.eve
-    if plan.kind == "mermin" and eve.position > 1:  # the forwarding party's post states
-        return plan.hops[eve.position - 1].post
-    prep = engine.config.noise and engine.config.noise.prep
-    white = plan.dim if isinstance(prep, noise.WhitePrep) else 0
-    return np.hstack([plan.references[eve.position - 1].post, np.eye(plan.dim, white)])
 
 
 class TestEveGram:
@@ -949,7 +949,8 @@ class TestEveGram:
             assert np.array_equal(states[:, ~active], gathered[:, ~active])
             rounds = active & reachable
             if eve.resend == "fresh-reference":
-                assert np.array_equal(states[:, rounds], np.repeat(plan.eve_reference.post[:, [row]], size, axis=1)[:, rounds])
+                reference = np.repeat(plan.eve_reference.post[:, [row]], size, axis=1)
+                assert np.array_equal(states[:, rounds], reference[:, rounds])
                 continue
             expected = gathered.copy()
             engine._measure(expected, bases, party, np.full(size, u), out=expected, bras=bras)

@@ -210,23 +210,15 @@ MUTANTS = (
         ("tests/test_protocol.py::TestEveGram", "tests/test_digests.py"),
     ),
     Mutant(
-        # S0 and S1 trade places: the Gram diagonal and every post state with them
+        # S0 and S1 trade places: the Gram diagonal swaps and the cross term is conjugated
         "gram-halves-swapped", PROTOCOL,
-        (("columns.reshape(pre, 2, post, k).transpose(1, 0, 2, 3))",
-          "columns.reshape(pre, 2, post, k).transpose(1, 0, 2, 3)[::-1])"),),
+        (("s0, s1 = columns.reshape(pre, 2, post, k)", "s1, s0 = columns.reshape(pre, 2, post, k)"),),
         ("tests/test_protocol.py::TestEveGram", "tests/test_digests.py", "tests/test_oracle.py"),
     ),
     Mutant(
-        "gram-skipped-rounds-not-restored", PROTOCOL,
-        (("            states[:, skip] = gram.columns[:, code[skip]]\n", ""),
-         ("        if not active.all():\n            skip = ~active\n", "")),
-        ("tests/test_protocol.py::TestEveGram", "tests/test_oracle.py"),
-    ),
-    Mutant(
-        # the code step forwards her post state, not the fresh reference's column
-        "fresh-reference-ignored-in-code-step", PROTOCOL,
-        (('        if eve.resend == "fresh-reference":\n            self._gather(',
-          '        if False:\n            self._gather('),),
+        # her step forwards the incoming state, not the fresh reference's column
+        "eve-hook-ignores-fresh-reference", PROTOCOL,
+        (("        if fresh:\n            states[:, active] =", "        if False:\n            states[:, active] ="),),
         ("tests/test_protocol.py::TestEveGram", "tests/test_oracle.py"),
     ),
     Mutant(

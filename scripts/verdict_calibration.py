@@ -1,12 +1,9 @@
 """Tabulate how often each verdict comes out over a fixed seed range, and write CALIBRATION.json.
 
-    PYTHONPATH=src python3 scripts/verdict_calibration.py              # the whole grid
-    PYTHONPATH=src python3 scripts/verdict_calibration.py --seeds 20   # seeds 1-20 only, a quick look
+    PYTHONPATH=src python3 scripts/verdict_calibration.py
 
 Every cell of the grid is one protocol configuration at one round count,
-run once per seed of ``SEEDS``.  The range is fixed here, before any run;
-``--seeds`` only cuts it short for a quick look, and the file it writes says
-so.  A cell records the share of runs that end in each exit code, read from
+run once per seed of ``SEEDS``, a range fixed here before any run.  A cell records the share of runs that end in each exit code, read from
 ``Transcript.verdict`` through ``cli.VERDICTS`` as the command line reads it
 (0: violated, 2: eavesdropping indicated, 3: insufficient data), and, for
 an attack, the quartiles of Eve's mutual information with the key
@@ -146,22 +143,19 @@ def readme_table(cells: list[dict]) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seeds", type=int, default=len(SEEDS), help="run only the first SEEDS seeds of the range")
     parser.add_argument("--output", type=Path, default=ROOT / "CALIBRATION.json")
     args = parser.parse_args(argv)
-    seeds = SEEDS[: args.seeds]
     start = time.perf_counter()
     cells = []
     for name, (base, _) in CONFIGS.items():
         plan = protocol.EnginePlan(base)
         for rounds in ROUNDS:
-            cells.append(run_cell(name, base, plan, rounds, seeds))
+            cells.append(run_cell(name, base, plan, rounds, SEEDS))
     wall = time.perf_counter() - start
     commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     record = {
         "rule": "InequalityEstimate.violated (value - 3 stderr > classical bound) through protocol.verdict",
-        "seeds": [seeds[0], seeds[-1]],
-        "full_seed_range": len(seeds) == len(SEEDS),
+        "seeds": [SEEDS[0], SEEDS[-1]],
         "rounds": list(ROUNDS),
         "exits": {str(code): text for text, code in cli.VERDICTS.values()},
         "needed_share": NEEDED_SHARE,
@@ -180,7 +174,7 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(record, indent=1) + "\n")
     disagree = [f"{cell['name']}@{cell['rounds']}" for cell in cells if cell["agrees"] is False]
     print(readme_table(cells))
-    print(f"\n{len(cells)} cells x {len(seeds)} seeds in {wall:.1f} s -> {args.output}")
+    print(f"\n{len(cells)} cells x {len(SEEDS)} seeds in {wall:.1f} s -> {args.output}")
     if disagree:
         print("exact and Monte-Carlo shares disagree at: " + ", ".join(disagree))
     return 0

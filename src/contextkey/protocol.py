@@ -60,26 +60,24 @@ K, for the rounds she skips, then her 2K post states (under
 ``fresh-reference``, her own K = 1 reference table's 2, tiled per code).
 One method, ``EnginePlan._table``, builds every one of these tables.  A
 masked Eve's basis turns with the mask every round, so she has no P(+1)
-per code; while her K incoming states are still codes she has a Gram
-table (``EnginePlan.eve_gram``): the K columns, their halves S0 and S1
-over her qudit, and each column's ‖S0‖², ‖S1‖² and S0†·S1, from which
-P(+1) = a†·H·a of her masked bra a needs no contraction, and she writes
-v ⊗ (a0·S0 + a1·S1)/√p straight into the block's states.  The first
-party without a table otherwise gathers the codes into one (D, B) array,
-amplitude-major with the rounds innermost, which every later step
-overwrites in place (a masked Eve without a Gram table measures it there
-too); after it only a CHSH re-preparation starts a table again.  Every
-table needs its 3K ≤ B (for Eve, her 3K outgoing columns; for her Gram
-table, K ≤ B), so a table holds at most two blocks' amplitudes.  A table
-entry is the dense step's arithmetic on the same state, so no pinned byte
-moves; numpy's vector and scalar loops may round its P(+1) one ulp apart
-(a Gram table's a few ulps, the dense sum's own rounding), which moves an
-outcome only when the round's variate falls inside that gap.  A fully
-tabled run (every party from 2 on has a table, and so Eve if there
-is one: mermin N=3 and CHSH, without Eve or with an unmasked one) holds
-no (D, B) state, and plays longer blocks of ``tabled_block_rounds``
-rounds; the cap on the tables stays 3K ≤ ``block_rounds(D)``, so no table
-depends on the block.
+per code and measures dense states; while her K incoming states are
+still codes she has a Gram table instead (``EnginePlan.eve_gram``): of
+each column's halves S0 and S1 over her qudit, ‖S0‖², ‖S1‖² and S0†·S1,
+from which P(+1) = a†·H·a of her masked bra a needs no contraction.  The
+first party, or Eve, without a table gathers the codes into one (D, B)
+array, amplitude-major with the rounds innermost, which every later step,
+Eve's included, overwrites in place; after it only a CHSH re-preparation
+starts a table again.  Every table needs its 3K ≤ B (for Eve, her 3K
+outgoing columns; for her Gram table, K ≤ B), so a table holds at most
+two blocks' amplitudes.  A table entry is the dense step's arithmetic on
+the same state, so no pinned byte moves; numpy's vector and scalar loops
+may round its P(+1) one ulp apart (a Gram table's a few ulps, the dense
+sum's own rounding), which moves an outcome only when the round's variate
+falls inside that gap.  A fully tabled run (every party from 2 on has a
+table, and so Eve if there is one: mermin N=3 and CHSH, without Eve or
+with an unmasked one) holds no (D, B) state, and plays longer blocks of
+``tabled_block_rounds`` rounds; the cap on the tables stays
+3K ≤ ``block_rounds(D)``, so no table depends on the block.
 
 The rounds are innermost because a step on one qubit pairs amplitudes a
 stride apart, and the stride is 1 for the last qubit: viewed as
@@ -98,7 +96,12 @@ resends a fresh reference; the last party's state, and every CHSH party's
 already measured, so it commutes with every later measurement: the engine
 applies only the factors on Eve's qudit, composed as one SU(2) matrix M a
 round and folded into her bras as v†·M, and draws no masking angle at
-all in a run where no factor reaches her qudit.  The engine is the only round
+all in a run where no factor reaches her qudit.  M is composed per sender
+in closed form, then across senders (``_mask``); where she reads two or
+more senders that order rounds M up to about 6e-16 apart from a product
+taken one factor at a time (bit for bit the same where she reads one),
+so her bras and her P(+1) move by ulps, which, as for the tables, moves
+an outcome only when the round's variate falls inside that gap.  The engine is the only round
 player, and touches one qubit at a time by index arithmetic.  Its test
 oracle is the dense reference layer in ``tests/dense.py``: a reference
 player in the test suite replays the engine's variates with full D×D
@@ -464,14 +467,10 @@ class _Hop(NamedTuple):
 class _Gram(NamedTuple):
     """A masked Eve's Gram table, for an incoming state that is one of K columns.
 
-    ``columns`` (D, K) holds the K incoming columns, for the rounds she
-    skips, then under ``fresh-reference`` her reference table's 2 post
-    columns; ``halves`` (2, D/2, K) their halves S0 and S1 over her qudit;
-    ``h00`` and ``h11`` (K,) ‖S0‖² and ‖S1‖², and ``h01`` (K,) S0†·S1.
+    Of each column's halves S0 and S1 over her qudit, ``h00`` and ``h11``
+    (K,) hold ‖S0‖² and ‖S1‖², and ``h01`` (K,) S0†·S1.
     """
 
-    columns: np.ndarray
-    halves: np.ndarray
     h00: np.ndarray
     h11: np.ndarray
     h01: np.ndarray
@@ -526,20 +525,13 @@ class _Kernels:
         width = states.shape[-1]
         s = states.reshape(pre, 2, post, width)
         out = bras[0] * s[:, 0]
-        out += np.multiply(bras[1], s[:, 1], out=self._scratch(out.shape))
+        # the second product goes to a kept buffer: a fresh temporary, freed at
+        # once, page-faulted on every step at some block sizes (mermin N=11 in
+        # blocks of 8: 228 minor faults a round, at about half the speed)
+        if self._product.size < out.size:
+            self._product = np.empty(out.size, dtype=np.complex128)
+        out += np.multiply(bras[1], s[:, 1], out=self._product[:out.size].reshape(out.shape))
         return out.reshape(-1, width)
-
-    def _scratch(self, shape) -> np.ndarray:
-        """A (shape) complex view of the kept buffer that holds ``_contract``'s second product.
-
-        A fresh temporary, freed at once, is page-faulted on every step at
-        some block sizes (mermin N=11 in blocks of 8: 228 minor faults a
-        round, at about half the speed).
-        """
-        size = math.prod(shape)
-        if self._product.size < size:
-            self._product = np.empty(size, dtype=np.complex128)
-        return self._product[:size].reshape(shape)
 
     def _collapse(self, kets: np.ndarray, rest: np.ndarray, party: int, out=None) -> np.ndarray:
         """(D, B) states ket ⊗ rest, with party's qubit in the ket, of (2, B) kets.
@@ -552,31 +544,29 @@ class _Kernels:
         product = np.multiply(kets[None, :, None], rest.reshape(pre, 1, post, width), out=shaped)
         return product.reshape(-1, width)
 
-    def _measure(self, states, bases, party: int, u, out=None, bras=None):
+    def _measure(self, states, bases, party: int, u, out=None, bras=None, p_plus=None):
         """Born-rule outcomes, and the post-measurement states if ``out`` is given.
 
         ``bases`` is (2, 2, B), or one (2, 2, 1): rows v+ and v−, then
         their components.  ``bras`` defaults to v†; Eve's are v†·M, with
         her mask folded in (``_mask``).  P(+1) = ‖c+‖² for the half-size
-        c+ = v+†·s; the post state v ⊗ c of the outcome's row, its norm
-        folded into v, goes to ``out``, a contiguous (D, B) array that may
-        be ``states`` itself.  Returns (outcome, post or None).
+        c+ = v+†·s, unless ``p_plus`` gives it (a masked Eve's Gram table);
+        the post state v ⊗ c of the outcome's row, its norm folded into v,
+        goes to ``out``, a contiguous (D, B) array that may be ``states``
+        itself.  Returns (outcome, post or None).
         """
         if bras is None:
             bras = bases.conj()
-        p_plus = _squared_norms(self._contract(bras[0], states, party))
+        if p_plus is None:
+            p_plus = _squared_norms(self._contract(bras[0], states, party))
         outcome = _choose(p_plus, u)
         if out is None:
             return outcome, None
         minus = outcome < 0
         rest = self._contract(np.where(minus, bras[1], bras[0]), states, party)
-        return outcome, self._collapse(_kets(bases, p_plus, minus), rest, party, out)
-
-
-def _kets(bases: np.ndarray, p_plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """(2, B) kets v/√p of the outcome's rows of ``bases`` (as ``_measure`` takes them), p floored for −1."""
-    norm = np.sqrt(np.where(minus, np.maximum(1.0 - p_plus, PROB_FLOOR), p_plus))
-    return np.where(minus, bases[1], bases[0]) / norm
+        norm = np.sqrt(np.where(minus, np.maximum(1.0 - p_plus, PROB_FLOOR), p_plus))
+        kets = np.where(minus, bases[1], bases[0]) / norm
+        return outcome, self._collapse(kets, rest, party, out)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -702,7 +692,7 @@ class EnginePlan:
                     [self.references[bob - 2].post, np.eye(self.dim, white, dtype=np.complex128)]
                 )
             if at_eve and columns is not None:
-                eve_gram = self._eve_gram(kernels, eve, columns, cap)
+                eve_gram = self._eve_gram(kernels, columns, cap)
                 eve_hop = self._eve_table(kernels, eve, columns, cap)
                 columns = None if eve_hop is None else eve_hop.post
             if columns is None or 3 * columns.shape[1] > cap:
@@ -733,8 +723,8 @@ class EnginePlan:
         post = np.tile(self.eve_reference.post, k) if fresh else table.post
         return _Hop(table.p_plus, _read_only(np.hstack([columns, post])))
 
-    def _eve_gram(self, kernels: _Kernels, eve, columns: np.ndarray, cap: int) -> _Gram | None:
-        """A masked Eve's Gram table on her K incoming ``columns``, or None where she measures dense states.
+    def _eve_gram(self, kernels: _Kernels, columns: np.ndarray, cap: int) -> _Gram | None:
+        """A masked Eve's Gram table on her K incoming ``columns``, or None where no codes reach her.
 
         Only a masked Eve (``eve_masked``) has one, and only while her K
         columns fit the cap.  The Gram entries are summed in extended
@@ -745,13 +735,10 @@ class EnginePlan:
         if not self.eve_masked or k > cap:
             return None
         pre, post = kernels.pre_post[self.eve_parsed[1]]
-        halves = np.ascontiguousarray(columns.reshape(pre, 2, post, k).transpose(1, 0, 2, 3)).reshape(2, -1, k)
-        wide = halves.astype(np.clongdouble)
-        h00, h11 = (wide.real**2 + wide.imag**2).sum(axis=1).astype(np.float64)
-        h01 = (wide[0].conj() * wide[1]).sum(axis=0).astype(np.complex128)
-        if eve.resend == "fresh-reference":
-            columns = np.hstack([columns, self.eve_reference.post])
-        return _Gram(*(_read_only(array) for array in (columns, halves, h00, h11, h01)))
+        s0, s1 = columns.reshape(pre, 2, post, k).transpose(1, 0, 2, 3).reshape(2, -1, k).astype(np.clongdouble)
+        h00, h11 = ((s.real**2 + s.imag**2).sum(axis=0).astype(np.float64) for s in (s0, s1))
+        h01 = (s0.conj() * s1).sum(axis=0).astype(np.complex128)
+        return _Gram(*(_read_only(array) for array in (h00, h11, h01)))
 
     @staticmethod
     def _table(kernels: _Kernels, states: np.ndarray, bases: np.ndarray, party: int, forwards: bool) -> _Hop:
@@ -883,63 +870,34 @@ class _Engine(_Kernels):
         w0, w1 = bras[:, 0], bras[:, 1]
         return np.stack([w0 * a - w1 * np.conj(b), w0 * b + w1 * np.conj(a)], axis=1)
 
-    def _eve_hook(self, states, v: _Variates):
+    def _eve_hook(self, states, v: _Variates, code=None):
         """Eve's step on the block's dense ``states`` at her link, in place:
         the forwarded states and her outcomes (0 where she skips the round).
 
-        Returns the states unchanged and None when she attacks no round of
-        the block.  The rounds she skips keep their states: they are set
-        aside before her measurement overwrites the block and put back after.
+        ``code``, the rounds' incoming codes, is given where the states were
+        just gathered from codes into her Gram table (``EnginePlan.eve_gram``),
+        which then gives her P(+1).  Returns the states unchanged and None
+        when she attacks no round of the block.  The rounds she skips keep
+        their states: they are set aside before her measurement overwrites
+        the block and put back after.
         """
-        eve = self.eve
+        eve, plan = self.eve, self.plan
         active = v.eve_u[:, 0] < eve.activity_rate
         if not active.any():
             return states, None
-        party, bases = self.plan.eve_parsed[1], self.plan.eve_basis
+        party, bases = plan.eve_parsed[1], plan.eve_basis
         fresh = eve.resend == "fresh-reference"
         skipped = None if fresh or active.all() else states[:, ~active]
+        bras = None if v.angles is None else self._mask(bases.conj(), v.angles)
         outcome, _ = self._measure(
-            states, bases, party, v.eve_u[:, 1], out=None if fresh else states,
-            bras=None if v.angles is None else self._mask(bases.conj(), v.angles),
+            states, bases, party, v.eve_u[:, 1], out=None if fresh else states, bras=bras,
+            p_plus=None if code is None else plan.eve_gram.p_plus(code, bras[0]),
         )
         if fresh:
-            states[:, active] = self.plan.eve_reference.post[:, (1 - outcome[active]) // 2]
+            states[:, active] = plan.eve_reference.post[:, (1 - outcome[active]) // 2]
         elif skipped is not None:
             states[:, ~active] = skipped
         return states, np.where(active, outcome, 0)
-
-    def _eve_codes(self, code, states, v: _Variates) -> np.ndarray:
-        """A masked Eve's step on incoming ``code``s into her Gram table (``EnginePlan.eve_gram``).
-
-        What she forwards goes straight into the block's (D, B) ``states``:
-        v ⊗ (a0·S0 + a1·S1)/√p, ``_contract``'s arithmetic with S0 taken
-        into the block's first half and S1 into the kept scratch buffer;
-        her reference table's column under ``fresh-reference``; the
-        incoming column in the rounds she skips.  Returns her outcomes, 0
-        where she skips the round.
-        """
-        plan, eve = self.plan, self.eve
-        gram, bases, party = plan.eve_gram, plan.eve_basis, plan.eve_parsed[1]
-        bras = self._mask(bases.conj(), v.angles)
-        p_plus = gram.p_plus(code, bras[0])
-        outcome = _choose(p_plus, v.eve_u[:, 1])
-        active = v.eve_u[:, 0] < eve.activity_rate
-        if eve.resend == "fresh-reference":
-            self._gather(gram.columns, np.where(active, gram.h00.size + (outcome < 0), code), out=states)
-            return np.where(active, outcome, 0)
-        minus = outcome < 0
-        bra = np.where(minus, bras[1], bras[0])
-        half, width = gram.halves.shape[1], code.size
-        s0 = states.reshape(-1)[:half * width].reshape(half, width)
-        s1 = self._scratch((half, width))
-        np.take(gram.halves[0], code, axis=1, out=s0, mode="clip")
-        np.take(gram.halves[1], code, axis=1, out=s1, mode="clip")
-        rest = np.add(np.multiply(bra[0], s0, out=s0), np.multiply(bra[1], s1, out=s1), out=s1)
-        self._collapse(_kets(bases, p_plus, minus), rest, party, out=states)
-        if not active.all():
-            skip = ~active
-            states[:, skip] = gram.columns[:, code[skip]]
-        return np.where(active, outcome, 0)
 
     def _detector_record(self, outcome, bob: int, pick, v: _Variates):
         """What ``bob``'s detector records: ±1, or 0 for an erasure."""
@@ -1003,12 +961,12 @@ class _Engine(_Kernels):
 
         While a party has a hop table, each round's incoming state is a
         code into the table's columns and the party looks its P(+1) up; a
-        tabled Eve steps the codes the same way, before any gather, a
-        masked Eve with a Gram table steps them into the block's (D, size)
-        array (``_eve_codes``), and any other Eve steps the block's states
-        (``_eve_hook``).  The first party without a table otherwise gathers
-        the codes into that array, which every later step overwrites in
-        place; a fully tabled block allocates none.  Returns the block's ``outcomes`` and ``eve_outcomes``.
+        tabled Eve steps the codes the same way, before any gather, and any
+        other Eve steps the block's states (``_eve_hook``), a masked Eve
+        with a Gram table taking her P(+1) from it by the codes.  The first
+        party without a table gathers the codes into one (D, size) array,
+        which every later step overwrites in place; a fully tabled block
+        allocates none.  Returns the block's ``outcomes`` and ``eve_outcomes``.
         """
         plan = self.plan
         v = self._draw(size)
@@ -1034,17 +992,14 @@ class _Engine(_Kernels):
                 eve_outcomes[:] = np.where(active, hit, 0)
                 code = np.where(active, plan.eve_hop.p_plus.size + 2 * code + (hit < 0), code)
                 columns = plan.eve_hop.post
-            eve_codes = at_eve and plan.eve_gram is not None
             if hop is None and columns is not None:
                 if states is None:
                     states = np.empty((plan.dim, size), dtype=np.complex128)
-                if eve_codes:  # a masked Eve's step on the codes writes the block itself
-                    eve_outcomes[:] = self._eve_codes(code, states, v)
-                else:
-                    self._gather(columns, code, out=states)
+                self._gather(columns, code, out=states)
                 columns = None
-            if at_eve and plan.eve_hop is None and not eve_codes:  # her dense step, on the gathered states
-                _, hit = self._eve_hook(states, v)
+            if at_eve and plan.eve_hop is None:  # her dense step, on the gathered states
+                # with a Gram table, ``code`` still holds the incoming codes just gathered
+                _, hit = self._eve_hook(states, v, code if plan.eve_gram is not None else None)
                 if hit is not None:
                     eve_outcomes[:] = hit
             pick = picks[bob - 1]

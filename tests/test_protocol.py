@@ -875,7 +875,7 @@ GRAM_CONFIGS = {
 
 
 class TestEveGram:
-    """A masked Eve steps her incoming codes through a Gram table, against her dense step."""
+    """A masked Eve takes P(+1) of her incoming codes from a Gram table, against her dense step."""
 
     @pytest.mark.parametrize("name", sorted(GRAM_CONFIGS))
     def test_plan_holds_the_gram_table(self, name):
@@ -886,17 +886,10 @@ class TestEveGram:
         incoming = eve_incoming(engine)
         d, k = incoming.shape
         assert k <= protocol.block_rounds(d)
-        fresh = config.eve.resend == "fresh-reference"
-        assert gram.columns.shape == (d, k + 2 * fresh)
-        assert np.array_equal(gram.columns[:, :k], incoming)  # the rounds she skips
-        if fresh:
-            assert np.array_equal(gram.columns[:, k:], plan.eve_reference.post)
         pre, post = engine.pre_post[plan.eve_parsed[1]]
         halves = incoming.reshape(pre, 2, post, k)
-        for row in (0, 1):
-            assert np.array_equal(gram.halves[row], halves[:, row].reshape(-1, k))
+        s0, s1 = (halves[:, row].reshape(-1, k) for row in (0, 1))
         assert gram.h00.shape == gram.h11.shape == gram.h01.shape == (k,)
-        s0, s1 = gram.halves
         for entry, dense_sum in ((gram.h00, protocol._squared_norms(s0)), (gram.h11, protocol._squared_norms(s1)),
                                  (gram.h01, (s0.conj() * s1).sum(axis=0))):
             assert np.max(np.abs(entry - dense_sum)) < 1e-15
@@ -933,18 +926,18 @@ class TestEveGram:
         plus, minus = exact >= qmath.PROB_FLOOR, 1.0 - exact >= qmath.PROB_FLOOR
         active = np.ones(size, dtype=bool) if eve.activity_rate == 1.0 else rng.random(size) < eve.activity_rate
 
-        def code_step(u):
-            states = np.full((plan.dim, size), np.nan, dtype=np.complex128)
+        def gram_step(u):
+            states = gathered.copy()
             variates = protocol._Variates(None, None, angles, np.column_stack([np.where(active, 0.0, 1.0), u]),
                                           None, None)
-            return states, engine._eve_codes(code, states, variates)
+            return engine._eve_hook(states, variates, code)
 
         # her outcomes pinned on either side of the exact P(+1)
         for shift, expected in ((-HOP_P_TOLERANCE, 1), (HOP_P_TOLERANCE, -1)):
-            _, outcome = code_step(exact + shift)
+            _, outcome = gram_step(exact + shift)
             assert (outcome[plus & minus & active] == expected).all(), shift
         for u, row, reachable, weight in ((0.0, 0, plus, exact), (1.0, 1, minus, 1.0 - exact)):
-            states, outcome = code_step(np.full(size, u))
+            states, outcome = gram_step(np.full(size, u))
             assert (outcome[active & reachable] == 1 - 2 * row).all() and (outcome[~active] == 0).all()
             assert np.array_equal(states[:, ~active], gathered[:, ~active])
             rounds = active & reachable
@@ -960,10 +953,18 @@ class TestEveGram:
     @pytest.mark.parametrize("name", sorted(GRAM_CONFIGS))
     def test_gram_table_moves_no_outcome(self, name, monkeypatch):
         config = GRAM_CONFIGS[name]
+        calls, hook = [], protocol._Engine._eve_hook
+
+        def counted(engine, states, v, code=None):
+            calls.append(code is not None)
+            return hook(engine, states, v, code)
+
+        monkeypatch.setattr(protocol._Engine, "_eve_hook", counted)
         coded = protocol.run_protocol(config)
+        assert calls and all(calls)  # every block's step takes P(+1) from the table
         assert (coded.eve_outcomes != 0).any()
         assert config.eve.activity_rate == 1.0 or (coded.eve_outcomes == 0).any()
-        monkeypatch.setattr(protocol.EnginePlan, "_eve_gram", lambda plan, kernels, eve, columns, cap: None)
+        monkeypatch.setattr(protocol.EnginePlan, "_eve_gram", lambda plan, kernels, columns, cap: None)
         assert protocol.EnginePlan(config).eve_gram is None
         assert same_rounds(protocol.run_protocol(config), coded)
 
@@ -997,13 +998,13 @@ class TestEveGram:
         calls = []
         hook = protocol._Engine._eve_hook
 
-        def counted(engine, states, v):
-            calls.append(states.shape)
-            return hook(engine, states, v)
+        def counted(engine, states, v, code=None):
+            calls.append(code)
+            return hook(engine, states, v, code)
 
         monkeypatch.setattr(protocol._Engine, "_eve_hook", counted)
         transcript = protocol.run_protocol(config)
-        assert len(calls) == 3 and (transcript.eve_outcomes == 0).any() and (transcript.eve_outcomes != 0).any()
+        assert calls == [None] * 3 and (transcript.eve_outcomes == 0).any() and (transcript.eve_outcomes != 0).any()
 
 
 def _plan_values(value):
